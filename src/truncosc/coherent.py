@@ -28,7 +28,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     FamilyMismatch,
@@ -256,12 +255,23 @@ def identity_resolution_check(family: Family, spec: LadderSpec, measure: Measure
 
     M_mn = int d^2 z mu(z) <m|z><z|n>; the phase integral kills all
     off-diagonal entries analytically, so only the radial moments
-    M_nn = 2 pi int r mu(r) p_n(r) dr are computed (adaptive quadrature).
+    M_nn = 2 pi int r mu(r) p_n(r) dr are computed, one adaptive quad per
+    level.  The state at each radius is built once per call and shared by
+    every level (quad revisits the same nodes level after level).  quad is
+    kept, not a fixed panel rule, because the reported deviations are
+    quad's own error pattern: a different rule prints different digits.
     Raises TailTooFat when an integrand is still above 1e-8 at r_max.
     """
+    # imported here so that loading the package does not pay for scipy.integrate
+    from scipy.integrate import quad
+
+    weights_at: dict[float, np.ndarray] = {}
+
     def level_weights(r: float) -> np.ndarray:
-        cs = build_cs(family, spec, r, alpha=alpha, truncation=truncation)
-        return np.abs(cs.vector.amplitudes[: n_max + 1]) ** 2
+        if r not in weights_at:
+            cs = build_cs(family, spec, r, alpha=alpha, truncation=truncation)
+            weights_at[r] = np.abs(cs.vector.amplitudes[: n_max + 1]) ** 2
+        return weights_at[r]
 
     for n in range(n_max + 1):
         tail = 2.0 * math.pi * r_max * measure.radial_density(r_max) * level_weights(r_max)[n]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special as sps
@@ -234,17 +234,24 @@ class QuadratureRule:
     the weight is folded into the weights, so sum(w * f(x)) approximates
     int_0^inf f(x) e^{-x^2} dx.  kind "adaptive": composite Gauss-Legendre
     panels on (0, x_max] with no weight folded in; integrate_halfline
-    refines the panels until the value settles.
+    refines the panels until the value settles, starting from the layout
+    (x_max, panels, points_per_panel) the rule carries.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
     degree: int
+    x_max: Optional[float] = None
+    panels: Optional[int] = None
+    points_per_panel: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("gauss-halfline", "adaptive"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
+        if self.kind == "adaptive" and None in (self.x_max, self.panels,
+                                                 self.points_per_panel):
+            raise ValueError("an adaptive rule needs its panel layout")
         if np.any(self.nodes <= 0) or np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly positive and increasing")
         if np.any(self.weights <= 0):
@@ -304,7 +311,9 @@ def adaptive_halfline(x_max: float = 40.0, panels: int = 64,
     """Composite Gauss-Legendre panel rule on (0, x_max], refinable."""
     edges = np.linspace(0.0, float(x_max), panels + 1)
     nodes, weights = _panel_rule(edges, points_per_panel)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="adaptive", degree=nodes.size)
+    return QuadratureRule(nodes=nodes, weights=weights, kind="adaptive", degree=nodes.size,
+                          x_max=float(x_max), panels=panels,
+                          points_per_panel=points_per_panel)
 
 
 def _eval_on(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -331,14 +340,11 @@ def integrate_halfline(f: Callable, rule: QuadratureRule, *, rtol: float = 1e-10
         out = vals @ rule.weights
         return float(out) if np.ndim(out) == 0 else out
 
-    # recover the panel layout of the stored adaptive rule
-    panels = max(8, rule.degree // 16)
-    gl_last = float(_legendre_nodes(16)[0][-1])
-    x_max = float(rule.nodes[-1]) / (1.0 - (1.0 - gl_last) / (2.0 * panels))
+    panels = rule.panels
     prev = None
     for _ in range(max_refine):
-        edges = np.linspace(0.0, x_max, panels + 1)
-        nodes, weights = _panel_rule(edges, 16)
+        edges = np.linspace(0.0, rule.x_max, panels + 1)
+        nodes, weights = _panel_rule(edges, rule.points_per_panel)
         vals = _eval_on(f, nodes)
         cur = vals @ weights
         if prev is not None:

@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import truncosc
 
 ACCEPTANCE_KEY = pytest.StashKey[list]()
 
@@ -8,6 +13,18 @@ ACCEPTANCE_KEY = pytest.StashKey[list]()
 def rng():
     """Seeded generator so property-style tests are reproducible."""
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def cli_env():
+    """Environment for child interpreters that must import this checkout.
+
+    PYTHONPATH is the absolute directory holding the imported package, so a
+    child started in any working directory finds the same sources.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(truncosc.__file__).resolve().parent.parent)
+    return env
 
 
 @pytest.fixture

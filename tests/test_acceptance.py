@@ -297,15 +297,15 @@ def test_criterion_13_entropy_properties(criterion):
           f"(< 0.2); {elapsed:.1f}s (limit 600s)")
 
 
-def test_criterion_14_byte_identical_csv(criterion, tmp_path):
+def test_criterion_14_byte_identical_csv(criterion, tmp_path, cli_env):
     args = [sys.executable, "-m", "truncosc", "--command", "uncertainty",
             "--family", "lowering", "--zmin", "0.2", "--zmax", "1.2",
             "--steps", "4"]
     out1, out2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
     r1 = subprocess.run(args + ["--out", str(out1)], capture_output=True,
-                        cwd=tmp_path, timeout=600)
+                        cwd=tmp_path, env=cli_env, timeout=600)
     r2 = subprocess.run(args + ["--out", str(out2)], capture_output=True,
-                        cwd=tmp_path, timeout=600)
+                        cwd=tmp_path, env=cli_env, timeout=600)
     identical = (r1.returncode == 0 and r2.returncode == 0
                  and out1.read_bytes() == out2.read_bytes())
     criterion(14, identical,

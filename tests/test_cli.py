@@ -1,16 +1,44 @@
-"""End-to-end command-line runs in a scratch directory."""
+"""End-to-end command-line runs in a scratch directory.
+
+Most runs go through truncosc.cli.main in process. One exit-code smoke
+test starts `python -m truncosc` as a child to cover the entry point, and
+the import-path guard at the end starts a fresh interpreter.
+"""
 
 import math
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from truncosc.cli import main
 
-def run_cli(args, cwd):
-    return subprocess.run([sys.executable, "-m", "truncosc"] + args,
-                          cwd=cwd, capture_output=True, text=True, timeout=600)
+
+def run_cli_process(args, cwd, env):
+    return subprocess.run([sys.executable, "-m", "truncosc"] + args, cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
+@dataclass
+class CliResult:
+    returncode: int
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """Run the CLI in process with the given cwd; return its exit code and stderr."""
+    def run(args, cwd):
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse rejects bad arguments this way
+            code = exc.code
+        return CliResult(code, capsys.readouterr().err)
+    return run
 
 
 def read_csv(path):
@@ -25,7 +53,7 @@ def read_csv(path):
 # density
 # ----------------------------------------------------------------------------
 
-def test_density_profiles_normalize_and_peak_once(tmp_path):
+def test_density_profiles_normalize_and_peak_once(tmp_path, run_cli):
     out = tmp_path / "density.csv"
     res = run_cli(["--command", "density", "--family", "lowering",
                    "--zmin", "0.1", "--zmax", "0.1", "--steps", "2",
@@ -45,7 +73,7 @@ def test_density_profiles_normalize_and_peak_once(tmp_path):
     assert np.all(np.diff(prof[peak:]) < 0)
 
 
-def test_density_partner_tower_develops_two_maxima(tmp_path):
+def test_density_partner_tower_develops_two_maxima(tmp_path, run_cli):
     out = tmp_path / "density_new.csv"
     res = run_cli(["--command", "density", "--family", "susy-new",
                    "--model", "SUSY_Q4", "--zmin", "10", "--zmax", "10",
@@ -57,9 +85,10 @@ def test_density_partner_tower_develops_two_maxima(tmp_path):
     assert int(np.sum(interior)) == 2
 
 
-def test_density_requires_the_partner_model_for_partner_families(tmp_path):
-    res = run_cli(["--command", "density", "--family", "susy-iso",
-                   "--out", str(tmp_path / "x.csv")], tmp_path)
+def test_density_requires_the_partner_model_for_partner_families(tmp_path, cli_env):
+    # exit-code smoke test through the `python -m truncosc` entry point
+    res = run_cli_process(["--command", "density", "--family", "susy-iso",
+                           "--out", str(tmp_path / "x.csv")], tmp_path, cli_env)
     assert res.returncode == 2
     assert "configuration error" in res.stderr
 
@@ -68,7 +97,7 @@ def test_density_requires_the_partner_model_for_partner_families(tmp_path):
 # uncertainty
 # ----------------------------------------------------------------------------
 
-def test_uncertainty_scan_columns_and_values(tmp_path):
+def test_uncertainty_scan_columns_and_values(tmp_path, run_cli):
     out = tmp_path / "unc.csv"
     res = run_cli(["--command", "uncertainty", "--family", "lowering",
                    "--zmin", "1", "--zmax", "1", "--steps", "2",
@@ -79,7 +108,7 @@ def test_uncertainty_scan_columns_and_values(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.5528021981, abs=1e-8)
 
 
-def test_uncertainty_partner_tower_squeezing_flip(tmp_path):
+def test_uncertainty_partner_tower_squeezing_flip(tmp_path, run_cli):
     out = tmp_path / "unc_iso.csv"
     res = run_cli(["--command", "uncertainty", "--family", "susy-iso",
                    "--model", "SUSY_Q4", "--zmin", "0.25", "--zmax", "1.25",
@@ -93,7 +122,7 @@ def test_uncertainty_partner_tower_squeezing_flip(tmp_path):
     assert hi[1] > hi[2]
 
 
-def test_uncertainty_divergent_family_reports_numerical_failure(tmp_path):
+def test_uncertainty_divergent_family_reports_numerical_failure(tmp_path, run_cli):
     res = run_cli(["--command", "uncertainty", "--family", "displacement",
                    "--zmin", "0.55", "--zmax", "0.6", "--steps", "2",
                    "--out", str(tmp_path / "x.csv")], tmp_path)
@@ -105,7 +134,7 @@ def test_uncertainty_divergent_family_reports_numerical_failure(tmp_path):
 # entropy
 # ----------------------------------------------------------------------------
 
-def test_entropy_scan_outputs_flat_half_entropy(tmp_path):
+def test_entropy_scan_outputs_flat_half_entropy(tmp_path, run_cli):
     out = tmp_path / "ent.csv"
     res = run_cli(["--command", "entropy", "--family", "lowering",
                    "--zmin", "0", "--zmax", "1", "--steps", "3",
@@ -121,7 +150,7 @@ def test_entropy_scan_outputs_flat_half_entropy(tmp_path):
     assert float(rows[0][1]) == pytest.approx(math.pi / 2, rel=1e-11)
 
 
-def test_entropy_partner_tower_band(tmp_path):
+def test_entropy_partner_tower_band(tmp_path, run_cli):
     out = tmp_path / "ent_new.csv"
     res = run_cli(["--command", "entropy", "--family", "susy-new",
                    "--model", "SUSY_Q4", "--basis", "80",
@@ -136,7 +165,7 @@ def test_entropy_partner_tower_band(tmp_path):
 # determinism
 # ----------------------------------------------------------------------------
 
-def test_identical_configs_write_byte_identical_csvs(tmp_path):
+def test_identical_configs_write_byte_identical_csvs(tmp_path, run_cli):
     args = ["--command", "entropy", "--family", "lowering",
             "--zmin", "0", "--zmax", "0.8", "--steps", "3"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -145,7 +174,7 @@ def test_identical_configs_write_byte_identical_csvs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_config_hash_tracks_the_configuration(tmp_path):
+def test_config_hash_tracks_the_configuration(tmp_path, run_cli):
     base = ["--command", "uncertainty", "--family", "lowering",
             "--zmin", "0.5", "--zmax", "1", "--steps", "2"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -160,7 +189,7 @@ def test_config_hash_tracks_the_configuration(tmp_path):
 # configuration errors
 # ----------------------------------------------------------------------------
 
-def test_rejects_degenerate_grids_and_missing_output(tmp_path):
+def test_rejects_degenerate_grids_and_missing_output(tmp_path, run_cli):
     res = run_cli(["--command", "entropy", "--steps", "1",
                    "--out", str(tmp_path / "x.csv")], tmp_path)
     assert res.returncode == 2
@@ -178,7 +207,7 @@ def test_rejects_degenerate_grids_and_missing_output(tmp_path):
 # validate
 # ----------------------------------------------------------------------------
 
-def test_validate_suite_passes_at_default_basis(tmp_path):
+def test_validate_suite_passes_at_default_basis(tmp_path, run_cli):
     out = tmp_path / "validate.csv"
     res = run_cli(["--command", "validate", "--out", str(out)], tmp_path)
     assert res.returncode == 0, res.stderr
@@ -190,14 +219,14 @@ def test_validate_suite_passes_at_default_basis(tmp_path):
     assert len(rows) >= 19
 
 
-def test_validate_skips_truncation_sensitive_checks_at_tiny_basis(tmp_path):
+def test_validate_skips_truncation_sensitive_checks_at_tiny_basis(tmp_path, run_cli):
     res = run_cli(["--command", "validate", "--basis", "8",
                    "--out", str(tmp_path / "v.csv")], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "skipped" in res.stderr
 
 
-def test_validate_accepts_a_well_formed_seed_config(tmp_path):
+def test_validate_accepts_a_well_formed_seed_config(tmp_path, run_cli):
     cfg = tmp_path / "seeds.txt"
     cfg.write_text(
         "# factorization energies and parity asymmetries\n"
@@ -208,7 +237,7 @@ def test_validate_accepts_a_well_formed_seed_config(tmp_path):
     assert "seed-config-model" in res.stderr
 
 
-def test_validate_fails_on_inadmissible_seed_energies(tmp_path):
+def test_validate_fails_on_inadmissible_seed_energies(tmp_path, run_cli):
     cfg = tmp_path / "seeds.txt"
     cfg.write_text("-2.5 0\n-3.5 inf\n")  # not strictly increasing
     res = run_cli(["--command", "validate", "--seed-config", str(cfg),
@@ -217,10 +246,23 @@ def test_validate_fails_on_inadmissible_seed_energies(tmp_path):
     assert "FAIL" in res.stderr
 
 
-def test_validate_rejects_unparsable_seed_config(tmp_path):
+def test_validate_rejects_unparsable_seed_config(tmp_path, run_cli):
     cfg = tmp_path / "seeds.txt"
     cfg.write_text("-5.5 banana\n")
     res = run_cli(["--command", "validate", "--seed-config", str(cfg),
                    "--out", str(tmp_path / "v.csv")], tmp_path)
     assert res.returncode == 2
     assert "configuration error" in res.stderr
+
+
+# ----------------------------------------------------------------------------
+# import path
+# ----------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, cli_env):
+    # only the radial identity checks need quad; they import it on first use
+    probe = "import sys, truncosc.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=cli_env,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

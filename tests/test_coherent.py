@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from truncosc import coherent
 from truncosc.coherent import (
     CoherentState,
     Family,
@@ -208,6 +209,21 @@ def test_reference_lowering_measure_deviation_is_large():
         Family.LOWERING, SPEC, lowering_measure_reference(),
         n_max=6, r_max=60.0, truncation=128)
     assert dev == pytest.approx((2 * 6 + 3) * (2 * 6 + 2) / 4.0 - 1.0, rel=1e-6)
+
+
+def test_identity_check_builds_each_radius_once(monkeypatch):
+    radii = []
+
+    def counting_build_cs(family, spec, z, **kwargs):
+        radii.append(z)
+        return build_cs(family, spec, z, **kwargs)
+
+    monkeypatch.setattr(coherent, "build_cs", counting_build_cs)
+    dev = identity_resolution_check(
+        Family.LOWERING, SPEC, lowering_measure_corrected(),
+        n_max=6, r_max=60.0, truncation=128)
+    assert dev < 1e-6
+    assert radii and len(radii) == len(set(radii))
 
 
 def test_tail_guard_rejects_short_integration_ranges():

@@ -163,6 +163,18 @@ def test_meijer_kernel_vectorizes_over_x():
     assert vals[0] == pytest.approx(meijer_g_2012(0.5, 0.2), rel=1e-12)
 
 
+@pytest.mark.parametrize("a1", [1.5, 0.5, -2.5, -4.0])
+@pytest.mark.parametrize("x,contour_re", [
+    (1e-6, 0.6), (1e-3, 0.6), (0.3, 0.6), (1.0, None), (5.0, None), (20.0, None)])
+def test_meijer_kernel_against_mpmath(a1, x, contour_re):
+    # the kernel rule evaluates t <= 1 on the low contour and t >= 1 on the
+    # default one; absolute noise of the default contour sits near 1e-19
+    mpmath = pytest.importorskip("mpmath")
+    expected = float(mpmath.meijerg([[], [a1]], [[0, 0], []], x))
+    got = meijer_g_2012(a1, x, contour_re=contour_re)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-18)
+
+
 def test_meijer_kernel_contour_shift_is_benign():
     # the integrand is analytic between the two verticals, so the value
     # must not depend on the contour choice
@@ -195,6 +207,13 @@ def test_adaptive_rule_integrates_plain_functions():
     rule = adaptive_halfline(x_max=30.0)
     val = integrate_halfline(lambda x: np.exp(-x), rule)
     assert val == pytest.approx(1.0, rel=1e-10)
+
+
+def test_adaptive_rule_refines_from_its_own_layout():
+    # the refinement used to assume 16 points per panel and returned 9.99855
+    rule = adaptive_halfline(x_max=10.0, points_per_panel=8)
+    val = integrate_halfline(lambda x: np.ones_like(x), rule)
+    assert val == pytest.approx(10.0, abs=1e-12)
 
 
 def test_integrate_halfline_gauss_kind_folds_the_weight():

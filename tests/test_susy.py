@@ -335,6 +335,20 @@ def test_kernel_moment_spot_value():
     assert abs(g_moment(1, -4.0)) < 1e-4
 
 
+@pytest.mark.parametrize("a1", [1.5, 0.5, -2.5, -4.0])
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_kernel_moments_match_the_gamma_closed_form(a1, j):
+    # int_0^inf t^j G(t | a1; 0, 0) dt = Gamma(j + 1)^2 / Gamma(a1 + j + 1);
+    # the tail beyond t = 800 is below exp(-56)
+    got = g_moment(j, a1, t_max=800.0)
+    arg = a1 + j + 1
+    if arg <= 0 and arg == math.floor(arg):
+        assert abs(got) <= 1e-10
+    else:
+        expected = math.gamma(j + 1) ** 2 / math.gamma(arg)
+        assert got == pytest.approx(expected, rel=1e-6)
+
+
 def test_pochhammer_fold_identity():
     # |(-3)_j| / (-3)_j is the only surviving factor in the diagonal
     # moments; check the sign pattern driving the defect above
