@@ -10,30 +10,23 @@ the state outward.
 import numpy as np
 
 from truncosc import Basis, Family, build_cs, q4_model, susy_cs, truncated_ladder
-from truncosc.fock import eigenfunction
-from truncosc.susy import iso_eigenfunction_derivatives, new_eigenfunction_derivatives
+from truncosc.fock import rows
 
 X = np.linspace(0.02, 12.0, 600)
 BAR_WIDTH = 48
 
 
+def density_of(cs):
+    amps = cs.vector.amplitudes
+    return np.abs(amps @ rows(cs.vector.basis, amps.size, X, weighted=False)[0]) ** 2
+
+
 def trunc_density(z):
-    cs = build_cs(Family.LOWERING, truncated_ladder(), z, truncation=48)
-    rows = np.vstack([eigenfunction(k, X) for k in range(48)])
-    return np.abs(cs.vector.amplitudes @ rows) ** 2
+    return density_of(build_cs(Family.LOWERING, truncated_ladder(), z, truncation=48))
 
 
 def susy_density(basis, z):
-    model = q4_model()
-    cs = susy_cs(model, basis, z, truncation=48)
-    n_levels = cs.vector.amplitudes.size
-    if basis == Basis.SUSY_ISO:
-        rows = np.vstack([iso_eigenfunction_derivatives(model, n, X, order=0)[0]
-                          for n in range(n_levels)])
-    else:
-        rows = np.vstack([new_eigenfunction_derivatives(model, j, X, order=0)[0]
-                          for j in range(n_levels)])
-    return np.abs(cs.vector.amplitudes @ rows) ** 2
+    return density_of(susy_cs(q4_model(), basis, z, truncation=48))
 
 
 def sparkline(density):

@@ -58,7 +58,7 @@ from .entangle import (
     halfline_overlap,
 )
 from .errors import SingularWronskian, TruncOscError
-from .fock import Basis, eigenfunction, truncated_ladder
+from .fock import Basis, rows as eigen_rows, truncated_ladder
 from .numerics import gauss_halfline
 from .observables import (
     ObservableKind,
@@ -95,6 +95,11 @@ class ConfigError(Exception):
     """A run configuration that violates the CLI contract."""
 
 
+def _entropy_terms(family: str) -> int:
+    """Levels of the coherent state that an entropy scan embeds (its window)."""
+    return 32 if family == "susy-iso" else 20
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -112,6 +117,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in ("density", "uncertainty", "entropy", "validate"):
             raise ConfigError(f"unknown command {self.command!r}")
+        for flag, value in (("--zmin", self.z_min), ("--zmax", self.z_max),
+                            ("--theta", self.theta), ("--phi", self.phi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if self.family not in tuple(f.value for f in Family):
             raise ConfigError(f"unknown family {self.family!r}")
         if self.model not in ("TRUNC", "SUSY_Q4"):
@@ -120,6 +129,12 @@ class RunConfig:
             raise ConfigError("z_steps must be at least 2")
         if self.basis_size < 8:
             raise ConfigError("basis_size must be at least 8")
+        if self.command == "entropy":
+            n_terms = _entropy_terms(self.family)
+            if self.basis_size < 2 * n_terms + 3:
+                raise ConfigError(
+                    f"entropy for family {self.family} embeds {n_terms} levels and "
+                    f"needs basis_size >= {2 * n_terms + 3}")
         if not (self.z_min <= self.z_max):
             raise ConfigError("z_min must not exceed z_max")
         if self.z_min < 0.0:
@@ -162,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--zmax", type=float, default=2.0, dest="z_max")
     parser.add_argument("--steps", type=int, default=9, dest="z_steps")
     parser.add_argument("--basis", type=int, default=64, dest="basis_size",
-                        help="basis size / two-mode level cutoff (default 64; "
-                             "susy entropy scans want >= 80)")
+                        help="basis size / two-mode level cutoff (default 64, "
+                             "at least 8; entropy needs >= 43, or >= 67 for "
+                             "susy-iso; susy entropy scans want >= 80)")
     parser.add_argument("--theta", type=float, default=math.pi / 2.0)
     parser.add_argument("--phi", type=float, default=0.0)
     parser.add_argument("--out", dest="output_path", default=None)
@@ -210,38 +226,21 @@ def _density_grid() -> np.ndarray:
     return np.linspace(step, _DENSITY_X_MAX, _DENSITY_GRID_POINTS)
 
 
-def _trunc_wavefunction_rows(n_levels: int, x: np.ndarray) -> np.ndarray:
-    return np.vstack([eigenfunction(k, x) for k in range(n_levels)])
-
-
-def _susy_wavefunction_rows(model, basis: Basis, n_levels: int,
-                            x: np.ndarray) -> np.ndarray:
-    if basis == Basis.SUSY_ISO:
-        return np.vstack([_susy.iso_eigenfunction_derivatives(model, n, x, order=0)[0]
-                          for n in range(n_levels)])
-    return np.vstack([_susy.new_eigenfunction_derivatives(model, j, x, order=0)[0]
-                      for j in range(n_levels)])
-
-
-def _density_profile(config: RunConfig, z_abs: float, x: np.ndarray) -> np.ndarray:
+def _density_state(config: RunConfig, z_abs: float):
     if config.model == "TRUNC":
-        cs = build_cs(Family(config.family), truncated_ladder(), z_abs,
-                      truncation=config.basis_size)
-        rows = _trunc_wavefunction_rows(cs.vector.amplitudes.size, x)
-    else:
-        model = _susy.q4_model()
-        cs = _susy.susy_cs(model, Basis(config.family), z_abs,
-                           truncation=config.basis_size)
-        rows = _susy_wavefunction_rows(model, Basis(config.family),
-                                       cs.vector.amplitudes.size, x)
-    psi = cs.vector.amplitudes @ rows
-    return np.abs(psi) ** 2
+        return build_cs(Family(config.family), truncated_ladder(), z_abs,
+                        truncation=config.basis_size)
+    return _susy.susy_cs(_susy.q4_model(), Basis(config.family), z_abs,
+                         truncation=config.basis_size)
 
 
 def cmd_density(config: RunConfig) -> int:
     x = _density_grid()
     zs = config.z_grid
-    profiles = [_density_profile(config, float(z), x) for z in zs]
+    states = [_density_state(config, float(z)).vector for z in zs]
+    n_levels = max(v.amplitudes.size for v in states)
+    table = eigen_rows(states[0].basis, n_levels, x, weighted=False)[0]
+    profiles = [np.abs(v.amplitudes @ table[:v.amplitudes.size]) ** 2 for v in states]
     header = ["x"] + [f"P[z={_fmt(float(z))}]" for z in zs]
     rows = [[x[i]] + [p[i] for p in profiles] for i in range(x.size)]
     _write_csv(config, header, rows)
@@ -254,31 +253,14 @@ def cmd_density(config: RunConfig) -> int:
 # uncertainty
 # ----------------------------------------------------------------------------
 
-def _susy_observable_tables(model, basis: Basis, n_max: int) -> dict:
-    rule = gauss_halfline(degree=4 * (2 * n_max + 5) + 32)
-    if basis == Basis.SUSY_ISO:
-        def value_fn(k, x):
-            return _susy.iso_weighted_rows(model, k, x, order=0)[0]
-
-        def deriv_fn(k, x):
-            return _susy.iso_weighted_rows(model, k, x, order=1)[1]
-    else:
-        def value_fn(k, x):
-            return _susy.new_weighted_rows(model, k, x, order=0)[0]
-
-        def deriv_fn(k, x):
-            return _susy.new_weighted_rows(model, k, x, order=1)[1]
-    return {kind: build_table(kind, n_max, basis=basis, value_fn=value_fn,
-                              deriv_fn=deriv_fn, rule=rule)
-            for kind in (ObservableKind.X, ObservableKind.X2,
-                         ObservableKind.P, ObservableKind.P2)}
-
-
 def _susy_uncertainty_rows(config: RunConfig) -> list:
     model = _susy.q4_model()
     basis = Basis(config.family)
     n_terms = 2 if basis == Basis.SUSY_NEW else min(config.basis_size, 48)
-    tables = _susy_observable_tables(model, basis, n_terms - 1)
+    rule = gauss_halfline(degree=4 * (2 * n_terms + 3) + 32)
+    tables = {kind: build_table(kind, n_terms - 1, basis=basis, rule=rule)
+              for kind in (ObservableKind.X, ObservableKind.X2,
+                           ObservableKind.P, ObservableKind.P2)}
     rows = []
     for z in config.z_grid:
         cs = _susy.susy_cs(model, basis, float(z), truncation=config.basis_size)
@@ -313,9 +295,9 @@ def cmd_uncertainty(config: RunConfig) -> int:
 def cmd_entropy(config: RunConfig) -> int:
     setting = BeamSplitterSetting(config.theta, config.phi)
     model = _susy.q4_model() if config.model == "SUSY_Q4" else None
-    n_terms = 32 if config.family == "susy-iso" else 20
     records = entropy_scan(Family(config.family), config.z_grid, setting=setting,
-                           cutoff=config.basis_size, n_terms=n_terms, model=model)
+                           cutoff=config.basis_size,
+                           n_terms=_entropy_terms(config.family), model=model)
     rows = [[r.z_abs, r.theta, r.phi, r.entropy, r.converged, r.cutoff]
             for r in records]
     _write_csv(config, ["z_abs", "theta", "phi", "S", "S_converged", "cutoff"], rows)
@@ -456,22 +438,16 @@ def _check_susy_potential(config: RunConfig):
 def _check_susy_eigen(config: RunConfig):
     model = _susy.q4_model()
     grid = np.linspace(0.1, 6.0, 300)
+    v = model.potential(grid)
     worst = 0.0
-    for j, energy_val in ((0, -4.5), (1, -2.5)):
-        rows = _susy.new_eigenfunction_derivatives(model, j, grid, order=2)
+    for basis, energies in ((Basis.SUSY_NEW, np.array(model.new_energies)),
+                            (Basis.SUSY_ISO, 2 * np.arange(6) + 1.5)):
+        phi, _, phi2 = eigen_rows(basis, energies.size, grid, order=2, weighted=False)
         worst = max(worst, float(np.max(np.abs(
-            -0.5 * rows[2] + model.potential(grid) * rows[0] - energy_val * rows[0]))))
-    for n in range(6):
-        rows = _susy.iso_eigenfunction_derivatives(model, n, grid, order=2)
-        e_n = 2 * n + 1.5
-        worst = max(worst, float(np.max(np.abs(
-            -0.5 * rows[2] + model.potential(grid) * rows[0] - e_n * rows[0]))))
+            -0.5 * phi2 + v * phi - energies[:, None] * phi))))
     rule = gauss_halfline(degree=160)
-    vals = np.vstack(
-        [_susy.new_weighted_rows(model, j, rule.nodes, order=0)[0]
-         for j in range(2)]
-        + [_susy.iso_weighted_rows(model, n, rule.nodes, order=0)[0]
-           for n in range(6)])
+    vals = np.vstack([eigen_rows(Basis.SUSY_NEW, 2, rule.nodes)[0],
+                      eigen_rows(Basis.SUSY_ISO, 6, rule.nodes)[0]])
     gram = (vals * rule.weights) @ vals.T
     gram_dev = float(np.max(np.abs(gram - np.eye(8))))
     ok = worst < 1e-6 and gram_dev < 1e-8

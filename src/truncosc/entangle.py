@@ -52,7 +52,7 @@ from .errors import (
     ExpansionResidualTooLarge,
     GramNotPSD,
 )
-from .fock import Basis, LadderSpec, hermite_normalized, truncated_ladder
+from .fock import Basis, LadderSpec, hermite_normalized, rows, truncated_ladder
 from .numerics import QuadratureRule, gauss_halfline
 
 __all__ = [
@@ -319,27 +319,20 @@ def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
 # embedding coherent states
 # ----------------------------------------------------------------------------
 
-def _susy_level_projections(model, basis: Basis, n_levels: int, cutoff: int
-                            ) -> np.ndarray:
+def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndarray:
     """Coefficients of the tower states over the restricted odd basis.
 
     Row n holds <e_k, phi_n> for e_k = sqrt(2) x (level 2k+1 restricted),
     k < cutoff // 2, via the shared Gauss rule (orthonormal basis, so the
     Gram inverse is the identity here).
     """
-    from . import susy as _susy
     k_count = cutoff // 2
     rule = gauss_halfline(2 * cutoff + 64)
     h = hermite_normalized(2 * k_count - 1, rule.nodes)
-    basis_rows = (math.sqrt(2.0) / math.pi ** 0.25) * h[1::2, :]
-    out = np.empty((n_levels, k_count))
-    for n in range(n_levels):
-        if basis == Basis.SUSY_ISO:
-            w = _susy.iso_weighted_rows(model, n, rule.nodes, order=0)[0]
-        else:
-            w = _susy.new_weighted_rows(model, n, rule.nodes, order=0)[0]
-        out[n] = (basis_rows * rule.weights) @ w
-    return out
+    bw = (math.sqrt(2.0) / math.pi ** 0.25) * h[1::2, :] * rule.weights
+    ws = rows(basis, n_levels, rule.nodes)[0]
+    # one product per level: a single matrix product rounds differently
+    return np.array([bw @ ws[n] for n in range(n_levels)])
 
 
 def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64,
@@ -370,13 +363,14 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64,
         raise ValueError(f"cannot embed states over basis {basis}")
     if model is None:
         raise ValueError("partner-tower embedding needs the model")
+    model._require_explicit()
     if cutoff < 2 * amps.size + 3:
         raise ValueError("cutoff must be at least 2*truncation + 3")
-    proj = _susy_level_projections(model, basis, amps.size, cutoff)
+    proj = _susy_level_projections(basis, amps.size, cutoff)
     if basis == Basis.SUSY_NEW:
         mode_a = proj[0]
     else:
-        mode_a = _susy_level_projections(model, Basis.SUSY_NEW, 1, cutoff)[0]
+        mode_a = _susy_level_projections(Basis.SUSY_NEW, 1, cutoff)[0]
     recovered_a = float(np.sum(mode_a ** 2))
     mode_b = amps @ proj
     recovered_b = float(np.linalg.norm(mode_b) ** 2)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BasisMismatch, IndexOutOfRange
+from .errors import BasisMismatch, IndexOutOfRange, UnsupportedBasis
 
 __all__ = [
     "Basis",
@@ -28,6 +28,7 @@ __all__ = [
     "eigenfunction",
     "eigenfunction_derivatives",
     "weighted_eigenfunction_derivatives",
+    "rows",
     "energy",
     "ladder_apply",
     "commutator_check",
@@ -145,13 +146,6 @@ def ho_eigenfunction(n: int, x):
     return math.pi ** -0.25 * np.exp(-0.5 * x * x) * h
 
 
-def eigenfunction(k: int, x):
-    """Half-line oscillator eigenfunction: sqrt(2) * (full-line level 2k+1)."""
-    if k < 0:
-        raise IndexOutOfRange(f"level index {k} is negative")
-    return math.sqrt(2.0) * ho_eigenfunction(2 * k + 1, x)
-
-
 def energy(k: int) -> float:
     """E_k = 2k + 3/2."""
     if k < 0:
@@ -159,48 +153,93 @@ def energy(k: int) -> float:
     return 2.0 * k + 1.5
 
 
-def _derivative_coefficients(start_level: int, scale: float, order: int) -> list[dict[int, float]]:
-    """Expand d^j/dx^j of scale * psi^HO_start over oscillator levels.
+# Nodes per block in rows(): keeps the Hermite table and the partner
+# temporaries near a megabyte whatever the quadrature size.
+_ROW_CHUNK = 512
+
+
+def rows(basis: Basis, n_levels: int, x, order: int = 0,
+         weighted: bool = True) -> np.ndarray:
+    """Eigenfunction rows of levels 0..n_levels-1 of a basis, with derivatives.
+
+    Returns shape (order+1, n_levels, len(x)); entry [j, k] is the j-th
+    derivative of level k.  weighted=True folds in e^{+x^2/2}: those rows
+    stay polynomially bounded and are the integrand factors for Gauss
+    half-line rules, whose weights carry e^{-x^2}.  The partner bases
+    (susy-iso, susy-new) are those of the frozen fourth-order model and
+    support order <= 2.
+    """
+    basis = Basis(basis)
+    if n_levels < 1:
+        raise IndexOutOfRange(f"need at least one level, got {n_levels}")
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    if basis == Basis.TRUNCATED:
+        block = _truncated_block
+    elif basis in (Basis.SUSY_ISO, Basis.SUSY_NEW):
+        if order > 2:
+            raise ValueError("partner rows available up to second derivative")
+        from . import susy
+        block = susy._iso_block if basis == Basis.SUSY_ISO else susy._new_block
+    else:
+        raise UnsupportedBasis(f"no eigenfunction rows for basis {basis}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((order + 1, n_levels, x.size))
+    for i in range(0, x.size, _ROW_CHUNK):
+        out[:, :, i:i + _ROW_CHUNK] = block(n_levels, x[i:i + _ROW_CHUNK],
+                                            order, weighted)
+    return out
+
+
+def _ladder_step(coeff: np.ndarray, start: np.ndarray, j: int) -> np.ndarray:
+    """One derivative of sum_o coeff[:, o] psi^HO_{start+o}, offsets o = -j..j.
 
     Uses (psi^HO_m)' = sqrt(m/2) psi^HO_{m-1} - sqrt((m+1)/2) psi^HO_{m+1},
-    which is exact, so derivatives of any order are analytic combinations.
+    which is exact.  Returns the coefficients over offsets -j-1..j+1;
+    those of negative levels are zero.
     """
-    coeffs = [{start_level: scale}]
-    for _ in range(order):
-        nxt: dict[int, float] = {}
-        for m, c in coeffs[-1].items():
-            if m >= 1:
-                nxt[m - 1] = nxt.get(m - 1, 0.0) + c * math.sqrt(m / 2.0)
-            nxt[m + 1] = nxt.get(m + 1, 0.0) - c * math.sqrt((m + 1) / 2.0)
-        coeffs.append(nxt)
-    return coeffs
+    src = start[:, None] + np.arange(-j, j + 1, 2)
+    nxt = np.zeros((start.size, j + 2))
+    nxt[:, :-1] += coeff * np.sqrt(np.maximum(src, 0) / 2.0)
+    nxt[:, 1:] -= coeff * np.sqrt((np.maximum(src, -1) + 1) / 2.0)
+    nxt[start[:, None] + np.arange(-j - 1, j + 2, 2) < 0] = 0.0
+    return nxt
+
+
+def _truncated_block(n_levels: int, x: np.ndarray, order: int,
+                     weighted: bool) -> np.ndarray:
+    """Half-line levels k = sqrt(2) psi^HO_{2k+1} from one Hermite table."""
+    h = hermite_normalized(2 * n_levels - 1 + order, x)
+    start = 2 * np.arange(n_levels) + 1
+    coeff = np.full((n_levels, 1), math.sqrt(2.0))
+    out = np.empty((order + 1, n_levels, x.size))
+    for j in range(order + 1):
+        if j:
+            coeff = _ladder_step(coeff, start, j - 1)
+        acc = np.zeros((n_levels, x.size))
+        for i, offset in enumerate(range(-j, j + 1, 2)):
+            acc += coeff[:, i, None] * h[np.maximum(start + offset, 0)]
+        out[j] = math.pi ** -0.25 * acc
+    if not weighted:
+        gauss = np.exp(-0.5 * x * x)
+        out[1:] *= gauss
+        out[0] = math.sqrt(2.0) * ((math.pi ** -0.25 * gauss) * h[start])
+    return out
+
+
+def eigenfunction(k: int, x):
+    """Half-line oscillator eigenfunction: sqrt(2) * (full-line level 2k+1)."""
+    return rows(Basis.TRUNCATED, k + 1, x, weighted=False)[0, k]
 
 
 def eigenfunction_derivatives(k: int, x, order: int = 2) -> np.ndarray:
     """Values of psi_k and its first `order` derivatives, shape (order+1, len(x))."""
-    w = weighted_eigenfunction_derivatives(k, x, order)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return w * np.exp(-0.5 * x * x)[None, :]
+    return rows(Basis.TRUNCATED, k + 1, x, order, weighted=False)[:, k]
 
 
 def weighted_eigenfunction_derivatives(k: int, x, order: int = 2) -> np.ndarray:
-    """Same as eigenfunction_derivatives but with e^{+x^2/2} folded in.
-
-    Row j holds psi_k^{(j)}(x) * e^{x^2/2}, which stays polynomially
-    bounded and is the natural integrand factor for the Gauss half-line
-    rule (whose weights carry e^{-x^2}).
-    """
-    if k < 0:
-        raise IndexOutOfRange(f"level index {k} is negative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    coeffs = _derivative_coefficients(2 * k + 1, math.sqrt(2.0), order)
-    n_top = 2 * k + 1 + order
-    h = hermite_normalized(n_top, x)
-    out = np.zeros((order + 1, x.size))
-    for j, cj in enumerate(coeffs):
-        for m, c in cj.items():
-            out[j] += c * h[m]
-    return math.pi ** -0.25 * out
+    """Rows psi_k^{(j)}(x) e^{x^2/2}, j = 0..order (see rows)."""
+    return rows(Basis.TRUNCATED, k + 1, x, order)[:, k]
 
 
 # ----------------------------------------------------------------------------

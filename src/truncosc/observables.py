@@ -23,7 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +32,10 @@ from .errors import (
     BasisMismatch,
     IndexOutOfRange,
     QuadratureNonConvergence,
+    TruncationTooSmall,
     UnsupportedBasis,
 )
-from .fock import Basis, LadderSpec, weighted_eigenfunction_derivatives
+from .fock import Basis, LadderSpec, rows, weighted_eigenfunction_derivatives
 from .numerics import (
     QuadratureRule,
     gauss_halfline,
@@ -184,50 +185,37 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int,
 # quadrature route
 # ----------------------------------------------------------------------------
 
-def _trunc_value_rows(n_max: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted value and first-derivative rows psi_k^{(j)} e^{+x^2/2}."""
-    vals = np.empty((n_max + 1, x.size))
-    ders = np.empty((n_max + 1, x.size))
-    for k in range(n_max + 1):
-        rows = weighted_eigenfunction_derivatives(k, x, order=1)
-        vals[k] = rows[0]
-        ders[k] = rows[1]
-    return vals, ders
-
-
 def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
                               basis: Basis = Basis.TRUNCATED,
-                              value_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
-                              deriv_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
                               rule: Optional[QuadratureRule] = None,
                               check_convergence: bool = False) -> complex:
     """Directed integral <n| (x | x^2 | -i d/dx | p^2) |m> by Gauss quadrature.
 
-    value_fn(k, x) and deriv_fn(k, x) must return the weighted rows
-    f_k e^{+x^2/2} and f_k' e^{+x^2/2} (the Gauss weights carry e^{-x^2}).
-    The momentum-squared element uses the symmetric first-derivative form
-    (boundary-safe since all basis functions vanish at the origin).
+    The single-element oracle of the half-line eigenbasis; tables in any
+    basis come from build_table.  The momentum-squared element uses the
+    symmetric first-derivative form (boundary-safe since all basis
+    functions vanish at the origin).
     """
     kind = ObservableKind(kind)
     if kind == ObservableKind.H:
         raise UnsupportedBasis("H tables are diagonal by construction; use energy_table")
-    if basis == Basis.TRUNCATED and value_fn is None:
-        value_fn = lambda k, x: weighted_eigenfunction_derivatives(k, x, order=1)[0]
-        deriv_fn = lambda k, x: weighted_eigenfunction_derivatives(k, x, order=1)[1]
-    if value_fn is None or (deriv_fn is None and kind in (ObservableKind.P, ObservableKind.P2)):
-        raise UnsupportedBasis(f"basis {basis} requires explicit function handles")
+    if basis != Basis.TRUNCATED:
+        raise UnsupportedBasis(f"single elements exist only in the truncated basis, "
+                               f"not {basis}; use build_table")
     if rule is None:
         rule = gauss_halfline(degree=4 * max(n, m) + 16)
 
     def entry(r: QuadratureRule) -> complex:
         x, w = r.nodes, r.weights
+        fn = weighted_eigenfunction_derivatives(n, x, order=1)
+        fm = weighted_eigenfunction_derivatives(m, x, order=1)
         if kind == ObservableKind.X:
-            return complex(np.sum(w * x * value_fn(n, x) * value_fn(m, x)))
+            return complex(np.sum(w * x * fn[0] * fm[0]))
         if kind == ObservableKind.X2:
-            return complex(np.sum(w * x * x * value_fn(n, x) * value_fn(m, x)))
+            return complex(np.sum(w * x * x * fn[0] * fm[0]))
         if kind == ObservableKind.P:
-            return complex(-1j * np.sum(w * value_fn(n, x) * deriv_fn(m, x)))
-        return complex(np.sum(w * deriv_fn(n, x) * deriv_fn(m, x)))
+            return complex(-1j * np.sum(w * fn[0] * fm[1]))
+        return complex(np.sum(w * fn[1] * fm[1]))
 
     val = entry(rule)
     if check_convergence:
@@ -241,15 +229,14 @@ def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
 
 def build_table(kind: ObservableKind, n_max: int, source: str = "quadrature",
                 basis: Basis = Basis.TRUNCATED,
-                value_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
-                deriv_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
                 rule: Optional[QuadratureRule] = None,
                 verify: bool = False) -> MatrixElementTable:
     """Assemble an operator table up to n_max from either source.
 
-    Quadrature tables are built from precomputed weighted rows (single
-    matrix product per operator).  verify=True spot-checks the corner
-    entries against a doubled-degree rule.
+    Quadrature tables take the weighted rows of all levels from one
+    fock.rows call (single matrix product per operator).  verify=True
+    spot-checks the corner entries against a doubled-degree rule
+    (truncated basis only).
     """
     kind = ObservableKind(kind)
     ent = np.zeros((n_max + 1, n_max + 1), dtype=complex)
@@ -265,31 +252,21 @@ def build_table(kind: ObservableKind, n_max: int, source: str = "quadrature",
         return MatrixElementTable(kind, ent, "closed-form", basis)
     if source != "quadrature":
         raise ValueError(f"unknown source {source!r}")
+    if kind == ObservableKind.H:
+        raise UnsupportedBasis("H tables are diagonal by construction; use energy_table")
 
     if rule is None:
         rule = gauss_halfline(degree=4 * n_max + 16)
-    if basis == Basis.TRUNCATED and value_fn is None:
-        vals, ders = _trunc_value_rows(n_max, rule.nodes)
-    else:
-        if value_fn is None:
-            raise UnsupportedBasis(f"basis {basis} requires explicit function handles")
-        vals = np.vstack([value_fn(k, rule.nodes) for k in range(n_max + 1)])
-        ders = (np.vstack([deriv_fn(k, rule.nodes) for k in range(n_max + 1)])
-                if deriv_fn is not None else None)
     x, w = rule.nodes, rule.weights
+    vals, ders = rows(basis, n_max + 1, x, order=1)
     if kind == ObservableKind.X:
         raw = (vals * (w * x)) @ vals.T
     elif kind == ObservableKind.X2:
         raw = (vals * (w * x * x)) @ vals.T
-    elif kind in (ObservableKind.P, ObservableKind.P2):
-        if ders is None:
-            raise UnsupportedBasis("momentum tables require derivative handles")
-        if kind == ObservableKind.P:
-            raw = -1j * (vals * w) @ ders.T
-        else:
-            raw = (ders * w) @ ders.T
+    elif kind == ObservableKind.P:
+        raw = -1j * (vals * w) @ ders.T
     else:
-        raise UnsupportedBasis("H tables are diagonal by construction; use energy_table")
+        raw = (ders * w) @ ders.T
 
     # structural clean-up: strip last-bit quadrature noise, keep the honest
     # n > m half, and fill the rest per the table convention (module docstring)
@@ -301,8 +278,7 @@ def build_table(kind: ObservableKind, n_max: int, source: str = "quadrature",
     table = MatrixElementTable(kind, ent, "quadrature", basis)
     if verify:
         for (a, b) in ((0, 0), (n_max, n_max), (n_max, 0)):
-            matrix_element_quadrature(kind, a, b, basis, value_fn, deriv_fn,
-                                      rule, check_convergence=True)
+            matrix_element_quadrature(kind, a, b, basis, rule, check_convergence=True)
     return table
 
 
@@ -366,7 +342,9 @@ def expectation(table: MatrixElementTable, cs: CoherentState,
 
     Only the n >= m half of the table is consulted (the operator is
     treated as Hermitian, as in the defining double sum).  The imaginary
-    residue of the diagonal contribution is checked against 1e-12.
+    residue of the diagonal contribution is checked against 1e-12, and
+    TruncationTooSmall is raised when the state holds more than 1e-12 of
+    its probability beyond the n_terms window.
     """
     if table.basis != cs.vector.basis:
         raise BasisMismatch(f"table basis {table.basis} != state basis {cs.vector.basis}")
@@ -375,6 +353,10 @@ def expectation(table: MatrixElementTable, cs: CoherentState,
     c = cs.vector.amplitudes[:n_terms]
     if c.size < n_terms:
         raise IndexOutOfRange(f"state truncation {c.size} below n_terms={n_terms}")
+    dropped = float(np.sum(np.abs(cs.vector.amplitudes[n_terms:]) ** 2))
+    if dropped > 1e-12:
+        raise TruncationTooSmall(
+            f"{dropped:.2e} of the probability lies beyond the {n_terms}-term window")
     total = 0.0 + 0.0j
     for n in range(n_terms):
         total += (c[n] * np.conj(c[n])) * table.entries[n, n]

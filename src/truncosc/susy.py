@@ -51,7 +51,7 @@ from .fock import (
     FockVector,
     LadderSpec,
     eigenfunction_derivatives,
-    weighted_eigenfunction_derivatives,
+    rows,
 )
 from .numerics import (
     DEFAULT_CONFIG,
@@ -418,10 +418,6 @@ class SusyModel:
         rat = _Rational(_ETA_NUM[j], _DEN)
         return rat
 
-    def iso_norm_factor(self, n: int) -> float:
-        """sqrt((2n+4)(2n+5)(2n+6)(2n+7)): the product of E_n - eps_i."""
-        return math.sqrt((2 * n + 4) * (2 * n + 5) * (2 * n + 6) * (2 * n + 7))
-
 
 @lru_cache(maxsize=1)
 def q4_model() -> SusyModel:
@@ -441,8 +437,8 @@ def q4_model() -> SusyModel:
     return model
 
 
-@lru_cache(maxsize=8)
-def _eta_rationals(order: int) -> tuple:
+@lru_cache(maxsize=1)
+def _eta_rationals() -> tuple:
     """(eta_j, eta_j', eta_j'') rational evaluators for j = 0..3."""
     out = []
     for j in range(4):
@@ -453,52 +449,64 @@ def _eta_rationals(order: int) -> tuple:
     return tuple(out)
 
 
-# -- infinite-tower eigenfunctions via the intertwiner -----------------------
+@lru_cache(maxsize=2)
+def _phi_new_rationals(j: int) -> tuple:
+    r0 = _Rational(_PHI_NEW_NUM[j], _DEN)
+    r1 = r0.deriv()
+    r2 = r1.deriv()
+    return r0, r1, r2
+
+
+def _iso_block(n_levels: int, x: np.ndarray, order: int,
+               weighted: bool) -> np.ndarray:
+    """Infinite-tower rows via the intertwiner: phi_n = L psi_n / (4 norm_n).
+
+    L psi = psi^{(4)} + sum_i eta_i psi^{(i)}; its d-th derivative follows
+    the Leibniz rule.  The eta rationals are evaluated once for all levels.
+    """
+    psi = rows(Basis.TRUNCATED, n_levels, x, 4 + order)
+    etas = [[r(x) for r in triple[:order + 1]] for triple in _eta_rationals()]
+    n = np.arange(n_levels)  # norm_n^2 = prod_i (E_n - eps_i)
+    scale = 4.0 * np.sqrt((2 * n + 4) * (2 * n + 5) * (2 * n + 6) * (2 * n + 7))[:, None]
+    out = np.empty((order + 1, n_levels, x.size))
+    for d in range(order + 1):
+        q = psi[4 + d].copy()
+        for i in range(4):
+            q += sum(math.comb(d, l) * etas[i][l] * psi[i + d - l]
+                     for l in range(d, -1, -1))
+        out[d] = q / scale
+    return out if weighted else out * np.exp(-x * x / 2.0)
+
+
+def _new_block(n_levels: int, x: np.ndarray, order: int,
+               weighted: bool) -> np.ndarray:
+    """Finite-tower rows from the closed forms (levels 0 and 1)."""
+    if n_levels > 2:
+        raise IndexOutOfRange("finite tower has levels 0 and 1 only")
+    out = np.empty((order + 1, n_levels, x.size))
+    for j in range(n_levels):
+        r0, r1, r2 = _phi_new_rationals(j)
+        f = out[0, j] = r0(x)
+        if order >= 1:
+            f1 = r1(x)
+            out[1, j] = f1 - x * f
+        if order >= 2:
+            out[2, j] = r2(x) - 2.0 * x * f1 + (x * x - 1.0) * f
+    return out if weighted else out * np.exp(-x * x / 2.0)
+
 
 def iso_weighted_rows(model: SusyModel, n: int, x: Sequence[float],
                       order: int = 1) -> np.ndarray:
-    """Rows phi_n^{(k)} e^{+x^2/2}, k = 0..order (order <= 2).
-
-    These are the overflow-safe integrand factors for Gauss rules that
-    carry the e^{-x^2} weight.
-    """
+    """Rows phi_n^{(k)} e^{+x^2/2}, k = 0..order <= 2 (see fock.rows)."""
     model._require_explicit()
-    if n < 0:
-        raise IndexOutOfRange("level index must be non-negative")
-    if order > 2:
-        raise ValueError("weighted rows available up to second derivative")
-    x = np.asarray(x, dtype=float)
-    psi = weighted_eigenfunction_derivatives(n, x, order=4 + order)
-    etas = _eta_rationals(order)
-    norm = model.iso_norm_factor(n)
-    rows = []
-    q_val = psi[4].copy()
-    for j in range(4):
-        q_val += etas[j][0](x) * psi[j]
-    rows.append(q_val / (4.0 * norm))
-    if order >= 1:
-        q1 = psi[5].copy()
-        for j in range(4):
-            q1 += etas[j][1](x) * psi[j] + etas[j][0](x) * psi[j + 1]
-        rows.append(q1 / (4.0 * norm))
-    if order >= 2:
-        q2 = psi[6].copy()
-        for j in range(4):
-            q2 += (etas[j][2](x) * psi[j] + 2.0 * etas[j][1](x) * psi[j + 1]
-                   + etas[j][0](x) * psi[j + 2])
-        rows.append(q2 / (4.0 * norm))
-    return np.array(rows)
+    return rows(Basis.SUSY_ISO, n + 1, x, order)[:, n]
 
 
 def iso_eigenfunction_derivatives(model: SusyModel, n: int, x: Sequence[float],
                                   order: int = 2) -> np.ndarray:
-    """Rows phi_n, phi_n', ..., as plain values (Gaussian folded back in).
-
-    Note the weighted rows are derivatives THEN weighted, so the plain
-    rows are simply weighted rows times e^{-x^2/2}.
-    """
-    x = np.asarray(x, dtype=float)
-    return iso_weighted_rows(model, n, x, order=order) * np.exp(-x * x / 2.0)
+    """Rows phi_n, phi_n', ..., as plain values (weighted rows times e^{-x^2/2})."""
+    model._require_explicit()
+    return rows(Basis.SUSY_ISO, n + 1, x, order, weighted=False)[:, n]
 
 
 def iso_eigenfunction(model: SusyModel, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -513,41 +521,17 @@ def iso_eigenfunction(model: SusyModel, n: int) -> Callable[[np.ndarray], np.nda
     return evaluate
 
 
-# -- finite-tower eigenfunctions (closed forms) ------------------------------
-
-@lru_cache(maxsize=8)
-def _phi_new_rationals(j: int) -> tuple:
-    r0 = _Rational(_PHI_NEW_NUM[j], _DEN)
-    r1 = r0.deriv()
-    r2 = r1.deriv()
-    return r0, r1, r2
-
-
 def new_weighted_rows(model: SusyModel, j: int, x: Sequence[float],
                       order: int = 1) -> np.ndarray:
     """Rows phi_Ej^{(k)} e^{+x^2/2} for the finite tower (j = 0 or 1)."""
     model._require_explicit()
-    if j not in (0, 1):
-        raise IndexOutOfRange("finite tower has levels 0 and 1 only")
-    if order > 2:
-        raise ValueError("weighted rows available up to second derivative")
-    x = np.asarray(x, dtype=float)
-    r0, r1, r2 = _phi_new_rationals(j)
-    f = r0(x)
-    rows = [f]
-    if order >= 1:
-        f1 = r1(x)
-        rows.append(f1 - x * f)
-    if order >= 2:
-        f2 = r2(x)
-        rows.append(f2 - 2.0 * x * f1 + (x * x - 1.0) * f)
-    return np.array(rows)
+    return rows(Basis.SUSY_NEW, j + 1, x, order)[:, j]
 
 
 def new_eigenfunction_derivatives(model: SusyModel, j: int, x: Sequence[float],
                                   order: int = 2) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return new_weighted_rows(model, j, x, order=order) * np.exp(-x * x / 2.0)
+    model._require_explicit()
+    return rows(Basis.SUSY_NEW, j + 1, x, order, weighted=False)[:, j]
 
 
 def new_eigenfunction(model: SusyModel, j: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -832,10 +816,8 @@ def export_model_csv(model: SusyModel, path: str,
         grid = np.linspace(0.01, 8.0, 800)
     grid = np.asarray(grid, dtype=float)
     v = model.potential(grid)
-    new0 = new_eigenfunction_derivatives(model, 0, grid, order=0)[0]
-    new1 = new_eigenfunction_derivatives(model, 1, grid, order=0)[0]
-    iso = [iso_eigenfunction_derivatives(model, n, grid, order=0)[0]
-           for n in range(6)]
+    new0, new1 = rows(Basis.SUSY_NEW, 2, grid, weighted=False)[0]
+    iso = rows(Basis.SUSY_ISO, 6, grid, weighted=False)[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "V", "phi_E0", "phi_E1"]

@@ -203,6 +203,43 @@ def test_rejects_degenerate_grids_and_missing_output(tmp_path, run_cli):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--zmin", "--zmax", "--theta", "--phi"])
+def test_rejects_non_finite_scan_parameters(tmp_path, run_cli, flag, value):
+    out = tmp_path / "x.csv"
+    res = run_cli(["--command", "entropy", flag, value, "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert f"{flag} must be finite" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, minimum", [
+    (["--basis", "8"], 43),
+    (["--basis", "42"], 43),
+    (["--family", "susy-iso", "--model", "SUSY_Q4"], 67),
+])
+def test_entropy_cutoff_below_the_embedded_window_is_a_configuration_error(
+        tmp_path, run_cli, args, minimum):
+    res = run_cli(["--command", "entropy", *args,
+                   "--out", str(tmp_path / "x.csv")], tmp_path)
+    assert res.returncode == 2
+    assert f"needs basis_size >= {minimum}" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--zmax", "40"],
+    ["--family", "susy-iso", "--model", "SUSY_Q4", "--basis", "128",
+     "--zmin", "4", "--zmax", "4", "--steps", "2"],
+])
+def test_uncertainty_window_that_drops_probability_is_a_numerical_failure(
+        tmp_path, run_cli, args):
+    out = tmp_path / "x.csv"
+    res = run_cli(["--command", "uncertainty", *args, "--out", str(out)], tmp_path)
+    assert res.returncode == 3
+    assert "TruncationTooSmall" in res.stderr
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------------

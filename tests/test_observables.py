@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from truncosc.coherent import Family, build_cs
-from truncosc.errors import BasisMismatch
+from truncosc.errors import BasisMismatch, TruncationTooSmall, UnsupportedBasis
 from truncosc.fock import Basis, truncated_ladder
 from truncosc.observables import (
     ObservableKind,
@@ -147,6 +147,22 @@ def test_expectation_rejects_basis_mismatch():
     object.__setattr__(table, "basis", Basis.SUSY_ISO)
     with pytest.raises(BasisMismatch):
         expectation(table, cs, 8)
+
+
+def test_expectation_refuses_a_window_that_drops_probability():
+    table = build_table(ObservableKind.X2, 29)
+    # |z| = 3 keeps 2.5e-56 beyond 30 terms; |z| = 25 keeps 1.2e-9 there
+    expectation(table, build_cs(Family.LOWERING, SPEC, 3.0), 30)
+    with pytest.raises(TruncationTooSmall):
+        expectation(table, build_cs(Family.LOWERING, SPEC, 25.0), 30)
+
+
+def test_partner_tables_come_from_rows_and_single_elements_do_not():
+    table = build_table(ObservableKind.P2, 5, basis=Basis.SUSY_ISO)
+    assert table.basis == Basis.SUSY_ISO
+    assert np.all(np.diag(table.entries).real > 0.0)
+    with pytest.raises(UnsupportedBasis):
+        matrix_element_quadrature(ObservableKind.X, 0, 0, basis=Basis.SUSY_ISO)
 
 
 # ----------------------------------------------------------------------------
