@@ -9,9 +9,7 @@ squeezing direction flips.
 
 import numpy as np
 
-from truncosc import Family, truncated_ladder, uncertainty_scan
-
-SPEC = truncated_ladder()
+from truncosc import Family, uncertainty_scan
 
 
 def show(family, label, zs, truncation):
@@ -19,7 +17,7 @@ def show(family, label, zs, truncation):
     print(f"  {'|z|':>5}  {'sigma_x':>10}  {'sigma_p':>10}  {'product':>10}")
     flip = None
     prev = None
-    for rec in uncertainty_scan(family, SPEC, zs, truncation=truncation):
+    for rec in uncertainty_scan(family, zs, truncation=truncation):
         print(f"  {rec.z_modulus:5.2f}  {rec.sigma_x:10.6f}  "
               f"{rec.sigma_p:10.6f}  {rec.product:10.6f}")
         sign = np.sign(rec.sigma_x - rec.sigma_p)
@@ -38,7 +36,7 @@ show(Family.LIN_LOWERING, "linearised-lowering family (the label spreads the "
      "state faster, so the scan stops at |z| = 2)",
      np.linspace(0.25, 2.0, 8), truncation=96)
 
-recs = uncertainty_scan(Family.LOWERING, SPEC, ZS, truncation=64)
+recs = uncertainty_scan(Family.LOWERING, ZS, truncation=64)
 floor = min(r.product for r in recs)
 print(f"\nMinimum product over the scan: {floor:.6f} "
       f"(never below the 1/2 bound; approaches it from above as |z| grows)")

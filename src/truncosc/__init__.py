@@ -24,7 +24,6 @@ from .errors import (
     NonConvergence,
     NotNormalizable,
     PoleError,
-    QuadratureNonConvergence,
     SingularWronskian,
     TailTooFat,
     TruncOscError,
@@ -85,7 +84,7 @@ __all__ = [
     "__version__",
     # errors
     "TruncOscError", "DivergenceError", "PoleError", "ContourError",
-    "NonConvergence", "QuadratureNonConvergence", "BasisMismatch",
+    "NonConvergence", "BasisMismatch",
     "NotNormalizable", "TruncationTooSmall", "FamilyMismatch",
     "IndexOutOfRange", "UnsupportedBasis", "UnsupportedModel", "GammaPole",
     "SingularWronskian", "CutoffExceeded", "ExpansionResidualTooLarge",

@@ -32,17 +32,20 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .coherent import (
+    WINDOWS,
     Family,
     build_cs,
     displacement_norm_partial_sums,
     eigen_residual,
     energy_expectation,
+    family_state,
     identity_resolution_check,
     lowering_measure_corrected,
     lowering_measure_reference,
@@ -59,12 +62,11 @@ from .entangle import (
 )
 from .errors import SingularWronskian, TruncOscError
 from .fock import Basis, rows as eigen_rows, truncated_ladder
-from .numerics import gauss_halfline
+from .numerics import gauss_halfline, gauss_halfline_size
 from .observables import (
     ObservableKind,
     build_table,
     discrepancy_report,
-    expectation,
     matrix_element_closed,
     uncertainty_scan,
 )
@@ -90,14 +92,40 @@ EXIT_NUMERICAL = 3
 _DENSITY_GRID_POINTS = 600
 _DENSITY_X_MAX = 12.0
 
+# Largest single array a run may allocate; entropy at basis 80, the largest
+# run in the tests and the benchmark, needs about 12 MB.
+_MEMORY_BUDGET = 1 << 30
+
 
 class ConfigError(Exception):
     """A run configuration that violates the CLI contract."""
 
 
-def _entropy_terms(family: str) -> int:
-    """Levels of the coherent state that an entropy scan embeds (its window)."""
-    return 32 if family == "susy-iso" else 20
+def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
+    """Bytes of the largest array or text a run allocates, from the layout alone:
+    states of `basis` amplitudes, the CSV text (about 20 bytes a cell),
+    density's basis x 600 rows, and entropy's P x P two-mode matrices and
+    P-level Gram Hermite table, P = 2 int(1.5 basis) - 1 (padded refined cutoff).
+    """
+    cells = _DENSITY_GRID_POINTS * (steps + 1) if command == "density" else 6 * steps
+    sizes = [20 * cells, 16 * basis]
+    if command == "density":
+        sizes.append(8 * basis * _DENSITY_GRID_POINTS)
+    elif command == "entropy":
+        padded = 2 * int(basis * 1.5) - 1
+        sizes += [16 * padded * padded, 8 * padded * gauss_halfline_size(2 * padded + 16)]
+    return max(sizes)
+
+
+def _limit(command: str, flag: str) -> int:
+    """Largest --basis or --steps within the memory budget, the other at its default."""
+    lo, hi = 8, _MEMORY_BUDGET
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        basis, steps = (mid, 9) if flag == "--basis" else (64, mid)
+        lo, hi = ((mid, hi) if _largest_array_bytes(command, basis, steps)
+                  <= _MEMORY_BUDGET else (lo, mid - 1))
+    return lo
 
 
 @dataclass(frozen=True)
@@ -130,7 +158,7 @@ class RunConfig:
         if self.basis_size < 8:
             raise ConfigError("basis_size must be at least 8")
         if self.command == "entropy":
-            n_terms = _entropy_terms(self.family)
+            n_terms = WINDOWS[Family(self.family)].entropy_terms
             if self.basis_size < 2 * n_terms + 3:
                 raise ConfigError(
                     f"entropy for family {self.family} embeds {n_terms} levels and "
@@ -143,17 +171,24 @@ class RunConfig:
             raise ConfigError("theta must lie in [0, pi)")
         if self.command != "validate" and self.output_path is None:
             raise ConfigError(f"--out is required for --command {self.command}")
-        if self.family in ("susy-iso", "susy-new") and self.model != "SUSY_Q4":
+        partner = WINDOWS[Family(self.family)].basis != Basis.TRUNCATED
+        if partner and self.model != "SUSY_Q4":
             raise ConfigError(f"family {self.family} requires --model SUSY_Q4")
-        if self.model == "SUSY_Q4" and self.family not in ("susy-iso", "susy-new"):
+        if self.model == "SUSY_Q4" and not partner:
             raise ConfigError("model SUSY_Q4 requires a susy-iso or susy-new family")
+        size = _largest_array_bytes(self.command, self.basis_size, self.z_steps)
+        if size > _MEMORY_BUDGET:
+            raise ConfigError(f"{self.command} needs a {size >> 20} MiB array, above the "
+                              f"{_MEMORY_BUDGET >> 20} MiB budget (see --help for the maxima)")
 
     def config_hash(self) -> str:
+        """Hash of every input: the flags and the bytes of the seed config."""
+        seed = ("" if self.seed_config is None else
+                hashlib.sha256(Path(self.seed_config).read_bytes()).hexdigest())
         payload = "|".join([
             self.command, self.family, self.model,
             f"{self.z_min:.17g}", f"{self.z_max:.17g}", str(self.z_steps),
-            str(self.basis_size), f"{self.theta:.17g}", f"{self.phi:.17g}",
-            self.seed_config or "",
+            str(self.basis_size), f"{self.theta:.17g}", f"{self.phi:.17g}", seed,
         ])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
@@ -175,17 +210,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", default="TRUNC", choices=["TRUNC", "SUSY_Q4"])
     parser.add_argument("--zmin", type=float, default=0.0, dest="z_min")
     parser.add_argument("--zmax", type=float, default=2.0, dest="z_max")
-    parser.add_argument("--steps", type=int, default=9, dest="z_steps")
+    parser.add_argument("--steps", type=int, default=9, dest="z_steps",
+                        help=f"|z| grid points (default 9, at least 2; at most "
+                             f"{_limit('density', '--steps')} for density and "
+                             f"{_limit('entropy', '--steps')} otherwise)")
     parser.add_argument("--basis", type=int, default=64, dest="basis_size",
                         help="basis size / two-mode level cutoff (default 64, "
                              "at least 8; entropy needs >= 43, or >= 67 for "
-                             "susy-iso; susy entropy scans want >= 80)")
+                             "susy-iso; susy entropy scans want >= 80; at most "
+                             f"{_limit('entropy', '--basis')} for entropy, "
+                             f"{_limit('density', '--basis')} for density and "
+                             f"{_limit('uncertainty', '--basis')} otherwise, so "
+                             f"that no array exceeds {_MEMORY_BUDGET >> 20} MiB)")
     parser.add_argument("--theta", type=float, default=math.pi / 2.0)
     parser.add_argument("--phi", type=float, default=0.0)
     parser.add_argument("--out", dest="output_path", default=None)
     parser.add_argument("--seed-config", dest="seed_config", default=None,
                         help="text file of 'epsilon nu' pairs for a custom "
-                             "factorization-energy grid (validate only)")
+                             "factorization-energy grid (checked by validate; "
+                             "every run parses it and hashes its bytes)")
     return parser
 
 
@@ -226,18 +269,11 @@ def _density_grid() -> np.ndarray:
     return np.linspace(step, _DENSITY_X_MAX, _DENSITY_GRID_POINTS)
 
 
-def _density_state(config: RunConfig, z_abs: float):
-    if config.model == "TRUNC":
-        return build_cs(Family(config.family), truncated_ladder(), z_abs,
-                        truncation=config.basis_size)
-    return _susy.susy_cs(_susy.q4_model(), Basis(config.family), z_abs,
-                         truncation=config.basis_size)
-
-
 def cmd_density(config: RunConfig) -> int:
     x = _density_grid()
     zs = config.z_grid
-    states = [_density_state(config, float(z)).vector for z in zs]
+    states = [family_state(config.family, float(z), config.basis_size).vector
+              for z in zs]
     n_levels = max(v.amplitudes.size for v in states)
     table = eigen_rows(states[0].basis, n_levels, x, weighted=False)[0]
     profiles = [np.abs(v.amplitudes @ table[:v.amplitudes.size]) ** 2 for v in states]
@@ -253,35 +289,10 @@ def cmd_density(config: RunConfig) -> int:
 # uncertainty
 # ----------------------------------------------------------------------------
 
-def _susy_uncertainty_rows(config: RunConfig) -> list:
-    model = _susy.q4_model()
-    basis = Basis(config.family)
-    n_terms = 2 if basis == Basis.SUSY_NEW else min(config.basis_size, 48)
-    rule = gauss_halfline(degree=4 * (2 * n_terms + 3) + 32)
-    tables = {kind: build_table(kind, n_terms - 1, basis=basis, rule=rule)
-              for kind in (ObservableKind.X, ObservableKind.X2,
-                           ObservableKind.P, ObservableKind.P2)}
-    rows = []
-    for z in config.z_grid:
-        cs = _susy.susy_cs(model, basis, float(z), truncation=config.basis_size)
-        ex = expectation(tables[ObservableKind.X], cs, n_terms)
-        ex2 = expectation(tables[ObservableKind.X2], cs, n_terms)
-        ep = expectation(tables[ObservableKind.P], cs, n_terms)
-        ep2 = expectation(tables[ObservableKind.P2], cs, n_terms)
-        sx = math.sqrt(ex2 - ex * ex)
-        sp = math.sqrt(ep2 - ep * ep)
-        rows.append([float(z), sx, sp, sx * sp])
-    return rows
-
-
 def cmd_uncertainty(config: RunConfig) -> int:
-    if config.model == "SUSY_Q4":
-        rows = _susy_uncertainty_rows(config)
-    else:
-        records = uncertainty_scan(Family(config.family), truncated_ladder(),
-                                   [float(z) for z in config.z_grid],
-                                   truncation=config.basis_size)
-        rows = [[r.z_modulus, r.sigma_x, r.sigma_p, r.product] for r in records]
+    records = uncertainty_scan(config.family, [float(z) for z in config.z_grid],
+                               truncation=config.basis_size)
+    rows = [[r.z_modulus, r.sigma_x, r.sigma_p, r.product] for r in records]
     _write_csv(config, ["z_abs", "sigma_x", "sigma_p", "product"], rows)
     print(f"uncertainty: wrote {len(rows)} scan rows to {config.output_path}",
           file=sys.stderr)
@@ -296,8 +307,7 @@ def cmd_entropy(config: RunConfig) -> int:
     setting = BeamSplitterSetting(config.theta, config.phi)
     model = _susy.q4_model() if config.model == "SUSY_Q4" else None
     records = entropy_scan(Family(config.family), config.z_grid, setting=setting,
-                           cutoff=config.basis_size,
-                           n_terms=_entropy_terms(config.family), model=model)
+                           cutoff=config.basis_size, model=model)
     rows = [[r.z_abs, r.theta, r.phi, r.entropy, r.converged, r.cutoff]
             for r in records]
     _write_csv(config, ["z_abs", "theta", "phi", "S", "S_converged", "cutoff"], rows)
@@ -406,8 +416,8 @@ def _check_x2p2_offdiag(config: RunConfig):
 
 
 def _check_uncertainty_floor(config: RunConfig):
-    records = uncertainty_scan(Family.LOWERING, truncated_ladder(),
-                               [0.5, 2.0, 5.0], truncation=config.basis_size)
+    records = uncertainty_scan(Family.LOWERING, [0.5, 2.0, 5.0],
+                               truncation=config.basis_size)
     floor_ok = all(r.product >= 0.5 - 5e-3 for r in records)
     tail_ok = abs(records[-1].product - 0.5) < 0.05
     return ("PASS" if floor_ok and tail_ok else "FAIL",
@@ -416,7 +426,7 @@ def _check_uncertainty_floor(config: RunConfig):
 
 
 def _check_lin_crossing(config: RunConfig):
-    records = uncertainty_scan(Family.LIN_LOWERING, truncated_ladder(), [1.0],
+    records = uncertainty_scan(Family.LIN_LOWERING, [1.0],
                                truncation=config.basis_size)
     gap = abs(records[0].sigma_x - records[0].sigma_p)
     return ("PASS" if gap < 0.02 else "FAIL",
@@ -686,8 +696,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        output_path=args.output_path, seed_config=args.seed_config)
     try:
         config.validate()
-        if config.seed_config is not None and config.command == "validate":
-            parse_seed_config(config.seed_config)  # surface parse errors early
+        if config.seed_config is not None:
+            parse_seed_config(config.seed_config)  # surface unreadable seeds early
         return _HANDLERS[config.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

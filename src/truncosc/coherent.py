@@ -18,7 +18,9 @@ is always computed from the direct amplitude sum; closed forms are
 cross-checks, not inputs.
 
 The SUSY families ("susy-iso", "susy-new") are assembled in the susy
-module using the same CoherentState container.
+module using the same CoherentState container.  family_state is the one
+place that picks a family's constructor, and WINDOWS the one table of the
+level windows its scans use.
 """
 from __future__ import annotations
 
@@ -36,11 +38,14 @@ from .errors import (
     TailTooFat,
     TruncationTooSmall,
 )
-from .fock import Basis, FockVector, LadderSpec, ladder_apply
+from .fock import Basis, FockVector, LadderSpec, ladder_apply, truncated_ladder
 
 __all__ = [
     "Family",
     "CoherentState",
+    "Windows",
+    "WINDOWS",
+    "family_state",
     "Measure",
     "build_cs",
     "displacement_norm_partial_sums",
@@ -169,6 +174,52 @@ def build_cs(family: Family, spec: LadderSpec, z: complex, alpha: float = 2.0,
     vec = FockVector(spec.basis, c / norm)
     return CoherentState(family=family, z=complex(z), alpha=float(alpha),
                          vector=vec, norm_constant=1.0 / norm, spec=spec)
+
+
+# ----------------------------------------------------------------------------
+# family dispatch: each family's state and level windows
+# ----------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Windows:
+    """A family's basis, the levels its uncertainty expectations sum over
+    (on a partner tower also capped by the truncation) and the levels of
+    the state an entropy scan embeds."""
+
+    basis: Basis
+    uncertainty_terms: int
+    entropy_terms: int
+
+    def uncertainty(self, truncation: int) -> tuple[int, int]:
+        """(n_terms, Gauss degree of the rule the operator tables use)."""
+        if self.basis == Basis.TRUNCATED:
+            return self.uncertainty_terms, 4 * (self.uncertainty_terms - 1) + 16
+        n_terms = min(truncation, self.uncertainty_terms)
+        return n_terms, 4 * (2 * n_terms + 3) + 32
+
+
+WINDOWS = {
+    **dict.fromkeys((Family.LOWERING, Family.DISPLACEMENT, Family.LIN_LOWERING,
+                     Family.LIN_DISPLACEMENT), Windows(Basis.TRUNCATED, 30, 20)),
+    Family.SUSY_ISO: Windows(Basis.SUSY_ISO, 48, 32),
+    Family.SUSY_NEW: Windows(Basis.SUSY_NEW, 2, 20),
+}
+
+
+def family_state(family: Family, z: complex, truncation: int = 64) -> CoherentState:
+    """The normalized coherent state of any of the six families.
+
+    The four truncated-oscillator families come from build_cs on the
+    half-line ladder, the two partner towers from susy.susy_cs on the
+    frozen fourth-order model (the finite tower always holds its two
+    levels, whatever the truncation).
+    """
+    family = Family(family)
+    basis = WINDOWS[family].basis
+    if basis == Basis.TRUNCATED:
+        return build_cs(family, truncated_ladder(), z, truncation=truncation)
+    from . import susy  # susy builds on this module
+    return susy.susy_cs(susy.q4_model(), basis, z, truncation=truncation)
 
 
 def eigen_residual(cs: CoherentState) -> float:

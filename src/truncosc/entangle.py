@@ -46,14 +46,14 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
-from .coherent import CoherentState, Family, build_cs
+from .coherent import WINDOWS, CoherentState, Family, family_state
 from .errors import (
     CutoffExceeded,
     ExpansionResidualTooLarge,
     GramNotPSD,
 )
-from .fock import Basis, LadderSpec, hermite_normalized, rows, truncated_ladder
-from .numerics import QuadratureRule, gauss_halfline
+from .fock import Basis, hermite_normalized, rows
+from .numerics import gauss_halfline
 
 __all__ = [
     "GramMatrix",
@@ -183,14 +183,6 @@ class TwoModeState:
 
     def fullline_norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def halfline_norm(self, gram: GramMatrix) -> float:
-        """Norm under the half-line metric G (x) G."""
-        if gram.size != self.cutoff:
-            raise ValueError("Gram size must match the cutoff")
-        a, g = self.amplitudes, gram.entries
-        val = np.trace(g @ a.conj() @ g @ a.T).real
-        return math.sqrt(max(val, 0.0))
 
 
 @dataclass(frozen=True)
@@ -429,18 +421,9 @@ class EntropyRecord:
 
 
 def _entropy_single(family: Family, z_abs: float, setting: BeamSplitterSetting,
-                    cutoff: int, n_terms: int, model, alpha: float) -> float:
-    family = Family(family)
-    if family in (Family.SUSY_ISO, Family.SUSY_NEW):
-        from . import susy as _susy
-        subspace = Basis.SUSY_ISO if family == Family.SUSY_ISO else Basis.SUSY_NEW
-        cs = _susy.susy_cs(model, subspace, z_abs,
-                           truncation=n_terms if subspace == Basis.SUSY_ISO else 64)
-        state = embed_cs_in_two_modes(cs, cutoff=cutoff, model=model)
-    else:
-        cs = build_cs(family, truncated_ladder(), z_abs, alpha=alpha,
-                      truncation=n_terms)
-        state = embed_cs_in_two_modes(cs, cutoff=cutoff)
+                    cutoff: int, n_terms: int, model) -> float:
+    cs = family_state(family, z_abs, truncation=n_terms)
+    state = embed_cs_in_two_modes(cs, cutoff=cutoff, model=model)
     # both modes can populate levels up to cutoff-1, so splitter blocks
     # reach total 2*cutoff-2; pad so no block spills over the edge
     padded_size = 2 * cutoff - 1
@@ -453,23 +436,24 @@ def _entropy_single(family: Family, z_abs: float, setting: BeamSplitterSetting,
 
 def entropy_scan(family: Family, z_moduli: Sequence[float],
                  setting: Optional[BeamSplitterSetting] = None,
-                 cutoff: int = 64, n_terms: int = 20, model=None,
-                 alpha: float = 2.0) -> list[EntropyRecord]:
+                 cutoff: int = 64, n_terms: Optional[int] = None,
+                 model=None) -> list[EntropyRecord]:
     """Linear entropy against |z| with a 1.5x-cutoff convergence probe.
 
-    Records are flagged unconverged when the two cutoffs disagree by
-    5e-3 or more.  The Gram matrices and splitter blocks are cached and
-    shared across points.
+    States keep n_terms levels (default: the family's coherent.WINDOWS
+    entry).  Records are flagged unconverged when the two cutoffs disagree
+    by 5e-3 or more.  Gram matrices and splitter blocks are cached.
     """
     if setting is None:
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
+    if n_terms is None:
+        n_terms = WINDOWS[Family(family)].entropy_terms
     refined_cutoff = int(cutoff * 1.5)
     records = []
     for z_abs in z_moduli:
-        s0 = _entropy_single(family, float(z_abs), setting, cutoff,
-                             n_terms, model, alpha)
+        s0 = _entropy_single(family, float(z_abs), setting, cutoff, n_terms, model)
         s1 = _entropy_single(family, float(z_abs), setting, refined_cutoff,
-                             n_terms, model, alpha)
+                             n_terms, model)
         records.append(EntropyRecord(z_abs=float(z_abs), theta=setting.theta,
                                      phi=setting.phi, entropy=s0,
                                      entropy_refined=s1,

@@ -21,10 +21,6 @@ class NonConvergence(TruncOscError):
     """Adaptive quadrature stalled before reaching the requested tolerance."""
 
 
-class QuadratureNonConvergence(NonConvergence):
-    """A quadrature-based matrix element failed its degree-doubling check."""
-
-
 class BasisMismatch(TruncOscError):
     """Two vectors (or a vector and an operator) live in different bases."""
 

@@ -35,6 +35,7 @@ __all__ = [
     "rising_factorial",
     "meijer_g_2012",
     "gauss_halfline",
+    "gauss_halfline_size",
     "adaptive_halfline",
     "integrate_halfline",
 ]
@@ -226,9 +227,9 @@ def meijer_g_2012(a1: float, x, config: SpecialFunctionConfig = DEFAULT_CONFIG,
 # Quadrature on (0, inf)
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes/weights for half-line integration.
+    """Nodes/weights for half-line integration (compared and hashed by identity).
 
     kind "gauss-halfline": Gauss rule for the weight e^{-x^2} on (0, inf);
     the weight is folded into the weights, so sum(w * f(x)) approximates
@@ -275,6 +276,21 @@ def _panel_rule(edges: np.ndarray, points_per_panel: int):
     return nodes, weights
 
 
+def _halfline_panels(degree: int) -> tuple[float, int]:
+    """(x_max, panel count) of the gauss_halfline layout."""
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
+    x_max = 2.0 * math.sqrt(float(degree)) + 10.0
+    return x_max, int(math.ceil(x_max / (0.25 * min(1.0, 200.0 / degree))))
+
+
+def gauss_halfline_size(degree: int) -> int:
+    """Upper bound on the node count of gauss_halfline(degree), from its layout:
+    24 a panel, none past x = 27.3, where e^{-x^2} underflows to zero."""
+    x_max, n_panels = _halfline_panels(degree)
+    return 24 * min(n_panels, math.ceil(27.3 * n_panels / x_max))
+
+
 @lru_cache(maxsize=8)
 def gauss_halfline(degree: int = 200) -> QuadratureRule:
     """Rule of exactness parameter `degree` for the weight e^{-x^2} on (0, inf).
@@ -289,11 +305,7 @@ def gauss_halfline(degree: int = 200) -> QuadratureRule:
     weights underflow and their rounding noise poisons high-degree
     integrands, which is why this construction is used instead.
     """
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
-    x_max = 2.0 * math.sqrt(float(degree)) + 10.0
-    width = 0.25 * min(1.0, 200.0 / degree)
-    n_panels = int(math.ceil(x_max / width))
+    x_max, n_panels = _halfline_panels(degree)
     edges = np.linspace(0.0, x_max, n_panels + 1)
     nodes, weights = _panel_rule(edges, 24)
     weights = weights * np.exp(-nodes * nodes)

@@ -23,15 +23,15 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coherent import CoherentState, Family, build_cs
+from .coherent import WINDOWS, CoherentState, Family, family_state
 from .errors import (
     BasisMismatch,
     IndexOutOfRange,
-    QuadratureNonConvergence,
     TruncationTooSmall,
     UnsupportedBasis,
 )
@@ -187,8 +187,7 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int,
 
 def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
                               basis: Basis = Basis.TRUNCATED,
-                              rule: Optional[QuadratureRule] = None,
-                              check_convergence: bool = False) -> complex:
+                              rule: Optional[QuadratureRule] = None) -> complex:
     """Directed integral <n| (x | x^2 | -i d/dx | p^2) |m> by Gauss quadrature.
 
     The single-element oracle of the half-line eigenbasis; tables in any
@@ -204,45 +203,51 @@ def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
                                f"not {basis}; use build_table")
     if rule is None:
         rule = gauss_halfline(degree=4 * max(n, m) + 16)
+    x, w = rule.nodes, rule.weights
+    fn = weighted_eigenfunction_derivatives(n, x, order=1)
+    fm = weighted_eigenfunction_derivatives(m, x, order=1)
+    if kind == ObservableKind.X:
+        return complex(np.sum(w * x * fn[0] * fm[0]))
+    if kind == ObservableKind.X2:
+        return complex(np.sum(w * x * x * fn[0] * fm[0]))
+    if kind == ObservableKind.P:
+        return complex(-1j * np.sum(w * fn[0] * fm[1]))
+    return complex(np.sum(w * fn[1] * fm[1]))
 
-    def entry(r: QuadratureRule) -> complex:
-        x, w = r.nodes, r.weights
-        fn = weighted_eigenfunction_derivatives(n, x, order=1)
-        fm = weighted_eigenfunction_derivatives(m, x, order=1)
-        if kind == ObservableKind.X:
-            return complex(np.sum(w * x * fn[0] * fm[0]))
-        if kind == ObservableKind.X2:
-            return complex(np.sum(w * x * x * fn[0] * fm[0]))
-        if kind == ObservableKind.P:
-            return complex(-1j * np.sum(w * fn[0] * fm[1]))
-        return complex(np.sum(w * fn[1] * fm[1]))
 
-    val = entry(rule)
-    if check_convergence:
-        finer = gauss_halfline(degree=2 * rule.degree)
-        val2 = entry(finer)
-        if abs(val - val2) > 1e-9 * (1.0 + abs(val2)):
-            raise QuadratureNonConvergence(
-                f"{kind.value}[{n},{m}] moved by {abs(val - val2):.2e} under node doubling")
-    return val
+_QUADRATURE_KINDS = (ObservableKind.X, ObservableKind.X2, ObservableKind.P, ObservableKind.P2)
+
+
+@lru_cache(maxsize=8)
+def _quadrature_tables(n_max: int, basis: Basis, rule: QuadratureRule) -> dict:
+    """The X, X2, P and P2 tables of levels 0..n_max from one fock.rows call,
+    cached per rule.  The clean-up strips last-bit quadrature noise, keeps
+    the honest n > m half and fills the rest per the module's convention."""
+    x, w = rule.nodes, rule.weights
+    vals, ders = rows(basis, n_max + 1, x, order=1)
+    p = -1j * (vals * w) @ ders.T
+    lower = np.tril(1j * ((p - p.T) / 2.0).imag, -1)
+    entries = {ObservableKind.P: lower - np.conj(lower).T}
+    for kind, raw in ((ObservableKind.X, (vals * (w * x)) @ vals.T),
+                      (ObservableKind.X2, (vals * (w * x * x)) @ vals.T),
+                      (ObservableKind.P2, (ders * w) @ ders.T)):
+        entries[kind] = ((raw + raw.T) / 2.0).real.astype(complex)
+    for ent in entries.values():
+        ent.flags.writeable = False  # the cache hands these to every caller
+    return {kind: MatrixElementTable(kind, ent, "quadrature", basis)
+            for kind, ent in entries.items()}
 
 
 def build_table(kind: ObservableKind, n_max: int, source: str = "quadrature",
                 basis: Basis = Basis.TRUNCATED,
-                rule: Optional[QuadratureRule] = None,
-                verify: bool = False) -> MatrixElementTable:
-    """Assemble an operator table up to n_max from either source.
-
-    Quadrature tables take the weighted rows of all levels from one
-    fock.rows call (single matrix product per operator).  verify=True
-    spot-checks the corner entries against a doubled-degree rule
-    (truncated basis only).
-    """
+                rule: Optional[QuadratureRule] = None) -> MatrixElementTable:
+    """Assemble an operator table up to n_max from either source; quadrature
+    tables are looked up among the four of _quadrature_tables."""
     kind = ObservableKind(kind)
-    ent = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     if source == "closed-form":
         if basis != Basis.TRUNCATED:
             raise UnsupportedBasis(f"no closed forms exist in basis {basis}")
+        ent = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         for n in range(n_max + 1):
             for m in range(n + 1):
                 ent[n, m] = matrix_element_closed(kind, n, m)
@@ -254,32 +259,9 @@ def build_table(kind: ObservableKind, n_max: int, source: str = "quadrature",
         raise ValueError(f"unknown source {source!r}")
     if kind == ObservableKind.H:
         raise UnsupportedBasis("H tables are diagonal by construction; use energy_table")
-
     if rule is None:
         rule = gauss_halfline(degree=4 * n_max + 16)
-    x, w = rule.nodes, rule.weights
-    vals, ders = rows(basis, n_max + 1, x, order=1)
-    if kind == ObservableKind.X:
-        raw = (vals * (w * x)) @ vals.T
-    elif kind == ObservableKind.X2:
-        raw = (vals * (w * x * x)) @ vals.T
-    elif kind == ObservableKind.P:
-        raw = -1j * (vals * w) @ ders.T
-    else:
-        raw = (ders * w) @ ders.T
-
-    # structural clean-up: strip last-bit quadrature noise, keep the honest
-    # n > m half, and fill the rest per the table convention (module docstring)
-    if kind == ObservableKind.P:
-        lower = np.tril(1j * ((raw - raw.T) / 2.0).imag, -1)
-        ent = lower - np.conj(lower).T
-    else:
-        ent = ((raw + raw.T) / 2.0).real.astype(complex)
-    table = MatrixElementTable(kind, ent, "quadrature", basis)
-    if verify:
-        for (a, b) in ((0, 0), (n_max, n_max), (n_max, 0)):
-            matrix_element_quadrature(kind, a, b, basis, rule, check_convergence=True)
-    return table
+    return _quadrature_tables(n_max, Basis(basis), rule)[kind]
 
 
 def energy_table(ladder: LadderSpec, n_max: int) -> MatrixElementTable:
@@ -368,24 +350,22 @@ def expectation(table: MatrixElementTable, cs: CoherentState,
     return float(total.real)
 
 
-def uncertainty_scan(family: Family, ladder: LadderSpec,
-                     z_moduli: Sequence[float], n_terms: int = 30,
-                     truncation: int = 64, alpha: float = 2.0,
-                     tables: Optional[dict] = None) -> list[UncertaintyRecord]:
-    """sigma_x, sigma_p and their product along a |z| grid.
+def uncertainty_scan(family: Family, z_moduli: Sequence[float],
+                     truncation: int = 64) -> list[UncertaintyRecord]:
+    """sigma_x, sigma_p and their product along a |z| grid, for any family.
 
-    Tables are quadrature-sourced (authoritative) and built once; the
-    default n_terms matches the truncate-at-30 convention used in the
-    reference plots of the uncertainty products.
+    The family's coherent.WINDOWS entry sets the levels the expectations
+    sum over (30 on the truncated oscillator, as in the reference plots)
+    and the rule of the quadrature tables, which are built once.
     """
-    if tables is None:
-        rule = gauss_halfline(degree=4 * (n_terms - 1) + 16)
-        tables = {kind: build_table(kind, n_terms - 1, rule=rule)
-                  for kind in (ObservableKind.X, ObservableKind.X2,
-                               ObservableKind.P, ObservableKind.P2)}
+    windows = WINDOWS[Family(family)]
+    n_terms, degree = windows.uncertainty(truncation)
+    rule = gauss_halfline(degree=degree)
+    tables = {kind: build_table(kind, n_terms - 1, basis=windows.basis, rule=rule)
+              for kind in _QUADRATURE_KINDS}
     records = []
     for r in z_moduli:
-        cs = build_cs(family, ladder, r, alpha=alpha, truncation=truncation)
+        cs = family_state(family, r, truncation=truncation)
         ex = expectation(tables[ObservableKind.X], cs, n_terms)
         ex2 = expectation(tables[ObservableKind.X2], cs, n_terms)
         ep = expectation(tables[ObservableKind.P], cs, n_terms)

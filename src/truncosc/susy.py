@@ -34,7 +34,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
@@ -72,10 +72,8 @@ __all__ = [
     "wronskian_values",
     "wronskian_potential",
     "transformed_eigenfunction_rows",
-    "iso_eigenfunction",
     "iso_eigenfunction_derivatives",
     "iso_weighted_rows",
-    "new_eigenfunction",
     "new_eigenfunction_derivatives",
     "new_weighted_rows",
     "ladder_for",
@@ -412,12 +410,6 @@ class SusyModel:
         d = _DEN(x)
         return x * x / 2.0 - 4.0 * _V_NUM(x) / (d * d)
 
-    def eta(self, j: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Intertwiner coefficient function eta_j, j in 0..3."""
-        self._require_explicit()
-        rat = _Rational(_ETA_NUM[j], _DEN)
-        return rat
-
 
 @lru_cache(maxsize=1)
 def q4_model() -> SusyModel:
@@ -509,18 +501,6 @@ def iso_eigenfunction_derivatives(model: SusyModel, n: int, x: Sequence[float],
     return rows(Basis.SUSY_ISO, n + 1, x, order, weighted=False)[:, n]
 
 
-def iso_eigenfunction(model: SusyModel, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """phi_n as a plain callable x -> value."""
-    model._require_explicit()
-
-    def evaluate(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = iso_eigenfunction_derivatives(model, n, x_arr, order=0)[0]
-        return vals if np.ndim(x) else float(vals[0])
-
-    return evaluate
-
-
 def new_weighted_rows(model: SusyModel, j: int, x: Sequence[float],
                       order: int = 1) -> np.ndarray:
     """Rows phi_Ej^{(k)} e^{+x^2/2} for the finite tower (j = 0 or 1)."""
@@ -532,18 +512,6 @@ def new_eigenfunction_derivatives(model: SusyModel, j: int, x: Sequence[float],
                                   order: int = 2) -> np.ndarray:
     model._require_explicit()
     return rows(Basis.SUSY_NEW, j + 1, x, order, weighted=False)[:, j]
-
-
-def new_eigenfunction(model: SusyModel, j: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The finite-tower bound state phi_Ej as a plain callable."""
-    model._require_explicit()
-
-    def evaluate(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = new_eigenfunction_derivatives(model, j, x_arr, order=0)[0]
-        return vals if np.ndim(x) else float(vals[0])
-
-    return evaluate
 
 
 # ----------------------------------------------------------------------------
@@ -564,12 +532,6 @@ class SusyLadder:
     kappa: int
     new_energies: tuple[float, ...]
     delta1: float
-
-    @property
-    def gamma_roots(self) -> tuple[float, float, float, float, float]:
-        """Roots of the inverse-square-root normalizer gamma(H)."""
-        e = self.seed_energies
-        return (0.5, e[0], e[1], e[-2] + 2.0, e[-1] + 2.0)
 
     def six_factor(self, energy: float) -> float:
         """The degree-six product whose square root scales the full ladder."""

@@ -150,10 +150,10 @@ def test_criterion_06_matrix_elements(criterion):
 def test_criterion_07_uncertainty_products(criterion):
     start = time.monotonic()
     zs = np.linspace(0.1, 5.0, 40)
-    recs = uncertainty_scan(Family.LOWERING, SPEC, zs, truncation=64)
+    recs = uncertainty_scan(Family.LOWERING, zs, truncation=64)
     floor = min(r.product for r in recs)
     at5 = recs[-1].product
-    crossing = uncertainty_scan(Family.LIN_LOWERING, SPEC, [1.0])[0]
+    crossing = uncertainty_scan(Family.LIN_LOWERING, [1.0])[0]
     gap = abs(crossing.sigma_x - crossing.sigma_p)
     elapsed = time.monotonic() - start
     ok = (floor >= 0.5 - 5e-3 and abs(at5 - 0.5) < 0.05

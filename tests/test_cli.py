@@ -5,15 +5,21 @@ test starts `python -m truncosc` as a child to cover the entry point, and
 the import-path guard at the end starts a fresh interpreter.
 """
 
+import hashlib
+import json
 import math
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from truncosc.cli import main
+from truncosc import cli, observables
+from truncosc.cli import RunConfig, main
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def run_cli_process(args, cwd, env):
@@ -185,6 +191,51 @@ def test_config_hash_tracks_the_configuration(tmp_path, run_cli):
     assert hash_a != hash_b
 
 
+def test_config_hash_covers_the_seed_config_contents(tmp_path):
+    seeds = "-5.5 inf\n-4.5 0\n-3.5 inf\n-2.5 0\n"
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(seeds)
+    b.write_text(seeds)
+
+    def digest(path):
+        return RunConfig("validate", seed_config=str(path)).config_hash()
+
+    assert digest(a) == digest(b)
+    b.write_text(seeds.replace("-2.5 0", "-2.25 0"))
+    assert digest(a) != digest(b)
+
+
+def _recorded_runs():
+    return sorted(json.loads(DIGESTS.read_text()).items())
+
+
+@pytest.mark.parametrize("key, digest", _recorded_runs(),
+                         ids=[key.split()[-1] for key, _ in _recorded_runs()])
+def test_seed_runs_write_the_recorded_csv_bytes(tmp_path, run_cli, key, digest):
+    # the benchmark's seed-0 invocations; their CSVs must stay byte-identical
+    args = key.split()
+    out = tmp_path / args[args.index("--out") + 1]
+    assert run_cli(args, tmp_path).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_partner_uncertainty_builds_its_tables_from_one_row_call(tmp_path, run_cli,
+                                                                 monkeypatch):
+    calls = []
+    rows = observables.rows
+
+    def counting_rows(*args, **kwargs):
+        calls.append(args[:2])
+        return rows(*args, **kwargs)
+
+    observables._quadrature_tables.cache_clear()
+    monkeypatch.setattr(observables, "rows", counting_rows)
+    res = run_cli(["--command", "uncertainty", "--family", "susy-iso",
+                   "--model", "SUSY_Q4", "--out", str(tmp_path / "u.csv")], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert calls == [("susy-iso", 48)]
+
+
 # ----------------------------------------------------------------------------
 # configuration errors
 # ----------------------------------------------------------------------------
@@ -211,6 +262,35 @@ def test_rejects_non_finite_scan_parameters(tmp_path, run_cli, flag, value):
     assert res.returncode == 2
     assert f"{flag} must be finite" in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "entropy", "--basis", "1500"],
+    ["--command", "density", "--basis", "300000"],
+    ["--command", "density", "--steps", "100000"],
+    ["--command", "uncertainty", "--steps", "1000000000"],
+    ["--command", "uncertainty", "--basis", "100000000"],
+])
+def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli, args):
+    # sized from the layout: nothing is allocated before the rejection
+    out = tmp_path / "x.csv"
+    res = run_cli([*args, "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "MiB budget" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["density", "uncertainty", "entropy"])
+@pytest.mark.parametrize("flag", ["--basis", "--steps"])
+def test_help_states_the_largest_accepted_sizes(command, flag):
+    limit = cli._limit(command, flag)
+    assert str(limit) in cli.build_parser().format_help().replace("\n", " ")
+
+    def fits(value):
+        basis, steps = (value, 9) if flag == "--basis" else (64, value)
+        return cli._largest_array_bytes(command, basis, steps) <= cli._MEMORY_BUDGET
+
+    assert fits(limit) and not fits(limit + 1)
 
 
 @pytest.mark.parametrize("args, minimum", [
@@ -281,6 +361,16 @@ def test_validate_fails_on_inadmissible_seed_energies(tmp_path, run_cli):
                    "--out", str(tmp_path / "v.csv")], tmp_path)
     assert res.returncode == 1
     assert "FAIL" in res.stderr
+
+
+def test_every_command_rejects_an_unreadable_seed_config(tmp_path, run_cli):
+    # the config hash reads the seed file, so no command may start without it
+    out = tmp_path / "d.csv"
+    res = run_cli(["--command", "density", "--seed-config", str(tmp_path / "none.txt"),
+                   "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "cannot read seed config" in res.stderr
+    assert not out.exists()
 
 
 def test_validate_rejects_unparsable_seed_config(tmp_path, run_cli):

