@@ -92,8 +92,8 @@ EXIT_NUMERICAL = 3
 _DENSITY_GRID_POINTS = 600
 _DENSITY_X_MAX = 12.0
 
-# Largest single array a run may allocate; entropy at basis 80, the largest
-# run in the tests and the benchmark, needs about 12 MB.
+# Largest array, text or cache a run may hold; entropy at basis 80, the largest
+# run in the tests and the benchmark, needs about 18 MB (its eigenvector cache).
 _MEMORY_BUDGET = 1 << 30
 
 
@@ -102,18 +102,23 @@ class ConfigError(Exception):
 
 
 def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
-    """Bytes of the largest array or text a run allocates, from the layout alone:
-    states of `basis` amplitudes, the CSV text (about 20 bytes a cell),
-    density's basis x 600 rows, and entropy's P x P two-mode matrices and
-    P-level Gram Hermite table, P = 2 int(1.5 basis) - 1 (padded refined cutoff).
+    """Bytes of the largest array, text or cache a run holds, from the layout
+    alone: states of `basis` amplitudes, the CSV text (about 20 bytes a cell),
+    density's basis x 600 rows, and entropy's P x P two-mode matrices,
+    P-level Gram Hermite table and splitter eigenvector cache, with
+    c = int(1.5 basis) the refined cutoff and P = 2c - 1 its padded size.
+    The cache holds one real (t+1)^2 eigenvector matrix per even total
+    t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all.
     """
     cells = _DENSITY_GRID_POINTS * (steps + 1) if command == "density" else 6 * steps
     sizes = [20 * cells, 16 * basis]
     if command == "density":
         sizes.append(8 * basis * _DENSITY_GRID_POINTS)
     elif command == "entropy":
-        padded = 2 * int(basis * 1.5) - 1
-        sizes += [16 * padded * padded, 8 * padded * gauss_halfline_size(2 * padded + 16)]
+        refined = int(basis * 1.5)
+        padded = 2 * refined - 1
+        sizes += [16 * padded * padded, 8 * padded * gauss_halfline_size(2 * padded + 16),
+                  8 * refined * (4 * refined * refined - 1) // 3]
     return max(sizes)
 
 
@@ -311,6 +316,11 @@ def cmd_entropy(config: RunConfig) -> int:
     rows = [[r.z_abs, r.theta, r.phi, r.entropy, r.converged, r.cutoff]
             for r in records]
     _write_csv(config, ["z_abs", "theta", "phi", "S", "S_converged", "cutoff"], rows)
+    for r in records:
+        if not r.converged:
+            print(f"warning: unconverged row at |z| = {_fmt(r.z_abs)}: S = "
+                  f"{_fmt(r.entropy)} at cutoff {r.cutoff}, entropy_refined = "
+                  f"{_fmt(r.entropy_refined)}", file=sys.stderr)
     print(f"entropy: wrote {len(rows)} scan rows to {config.output_path}",
           file=sys.stderr)
     return EXIT_OK

@@ -29,6 +29,14 @@ exponentiates its spectrum, which is unitary to machine precision at
 any block size; the factorized triangular form is kept as
 `beamsplitter_block_bch` for cross-checks on small blocks.
 
+The generator's eigenpairs (lambda, V) depend on the block's total
+alone, not on theta or phi, so they are cached per total.  Applying the
+splitter never forms a block: each anti-diagonal x of the amplitudes
+becomes phase * V (e^{i theta lambda} * V^T (conj(phase) * x)), with
+the real and imaginary parts passed through the real V separately.
+The partner-tower projections onto the half-line basis do not depend
+on |z| either and are built once per cutoff.
+
 Half-line geometry: restrictions of full-line levels to (0, inf) are
 not orthogonal across parities; their normalized overlaps form the Gram
 matrix.  Restricted odd levels, scaled by sqrt(2), are orthonormal AND
@@ -220,6 +228,26 @@ class BeamSplitterSetting:
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=512)
+def _splitter_modes(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lambda and real eigenvectors V of the rotation generator S
+    of the fixed-total block (real symmetric tridiagonal, off-diagonal
+    entries sqrt((k+1)(total-k))/2).  S does not depend on the splitter
+    setting, so one read-only pair per total serves every theta and phi.
+    """
+    k = np.arange(total + 1)
+    off = 0.5 * np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
+    lam, vec = eigh_tridiagonal(np.zeros(total + 1), off)
+    lam.flags.writeable = False
+    vec.flags.writeable = False
+    return lam, vec
+
+
+def _block_phase(total: int, phi: float) -> np.ndarray:
+    """Diagonal phases e^{i(phi - pi/2)k} that make the generator i theta S."""
+    return np.exp(1j * (phi - 0.5 * math.pi) * np.arange(total + 1))
+
+
+@lru_cache(maxsize=512)
 def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
     """(total+1)^2 unitary on the fixed-total block, basis |k, total-k>.
 
@@ -229,16 +257,12 @@ def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
     sqrt((k+1)(total-k))/2), so the block is V e^{i theta lambda} V^T
     dressed with those phases.  Unitary to machine precision at any
     block size, unlike the triangular factorized form (see
-    `beamsplitter_block_bch`).
+    `beamsplitter_block_bch`).  `beamsplitter_apply` uses the same
+    factors without forming the block.
     """
-    n = total + 1
-    if n == 1:
-        return np.ones((1, 1), dtype=complex)
-    k = np.arange(n)
-    off = 0.5 * np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
-    lam, vec = eigh_tridiagonal(np.zeros(n), off)
+    lam, vec = _splitter_modes(total)
     core = (vec * np.exp(1j * theta * lam)) @ vec.T
-    phase = np.exp(1j * (phi - 0.5 * math.pi) * k)
+    phase = _block_phase(total, phi)
     return core * np.outer(phase, phase.conj())
 
 
@@ -283,10 +307,18 @@ def beamsplitter_block_oracle(total: int, setting: BeamSplitterSetting) -> np.nd
     return expm(gen)
 
 
+def _real_times_complex(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for real m and complex z: the real and imaginary parts of z go
+    through m separately, so no complex copy of m is made."""
+    return m @ z.real + 1j * (m @ z.imag)
+
+
 def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
                        ) -> TwoModeState:
     """Apply the splitter; exact block structure, total photons conserved.
 
+    Each populated anti-diagonal is rotated in the block's eigenbasis
+    (see the module docstring); no (total+1)^2 complex block is formed.
     Raises CutoffExceeded when a populated entry's total photon number
     reaches the cutoff (its block would spill outside the matrix).
     """
@@ -301,9 +333,11 @@ def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
     populated_totals = sorted(set((rows + cols).tolist()))
     for total in populated_totals:
         k = np.arange(total + 1)
-        vec = a[k, total - k]
-        block = beamsplitter_block(total, setting.theta, setting.phi)
-        out[k, total - k] = block @ vec
+        lam, vec = _splitter_modes(total)
+        phase = _block_phase(total, setting.phi)
+        c = _real_times_complex(vec.T, a[k, total - k] * phase.conj())
+        c *= np.exp(1j * setting.theta * lam)
+        out[k, total - k] = phase * _real_times_complex(vec, c)
     return TwoModeState(out)
 
 
@@ -311,12 +345,15 @@ def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
 # embedding coherent states
 # ----------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndarray:
     """Coefficients of the tower states over the restricted odd basis.
 
     Row n holds <e_k, phi_n> for e_k = sqrt(2) x (level 2k+1 restricted),
     k < cutoff // 2, via the shared Gauss rule (orthonormal basis, so the
-    Gram inverse is the identity here).
+    Gram inverse is the identity here).  They do not depend on |z|, so
+    they are built once per (basis, n_levels, cutoff); the cached array
+    is read-only.
     """
     k_count = cutoff // 2
     rule = gauss_halfline(2 * cutoff + 64)
@@ -324,7 +361,9 @@ def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndar
     bw = (math.sqrt(2.0) / math.pi ** 0.25) * h[1::2, :] * rule.weights
     ws = rows(basis, n_levels, rule.nodes)[0]
     # one product per level: a single matrix product rounds differently
-    return np.array([bw @ ws[n] for n in range(n_levels)])
+    proj = np.array([bw @ ws[n] for n in range(n_levels)])
+    proj.flags.writeable = False
+    return proj
 
 
 def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64,
@@ -442,7 +481,8 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
 
     States keep n_terms levels (default: the family's coherent.WINDOWS
     entry).  Records are flagged unconverged when the two cutoffs disagree
-    by 5e-3 or more.  Gram matrices and splitter blocks are cached.
+    by 5e-3 or more.  Gram matrices, splitter eigenpairs and partner-tower
+    projections are cached.
     """
     if setting is None:
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from truncosc import cli, observables
+from truncosc import cli, entangle, observables
 from truncosc.cli import RunConfig, main
+from truncosc.entangle import EntropyRecord
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -167,6 +168,37 @@ def test_entropy_partner_tower_band(tmp_path, run_cli):
     assert float(rows[0][3]) == pytest.approx(0.539369533205, abs=1e-6)
 
 
+def test_entropy_warns_once_per_unconverged_row(tmp_path, run_cli, monkeypatch):
+    # no configuration inside the size bounds was found unconverged, so the
+    # scan records are stubbed: the middle row misses the 5e-3 probe
+    def scan(family, z_moduli, setting, cutoff, model):
+        return [EntropyRecord(z_abs=float(z), theta=setting.theta, phi=setting.phi,
+                              entropy=0.25, entropy_refined=0.25 + 0.01 * (i == 1),
+                              converged=i != 1, cutoff=cutoff)
+                for i, z in enumerate(z_moduli)]
+
+    monkeypatch.setattr(cli, "entropy_scan", scan)
+    out = tmp_path / "ent.csv"
+    res = run_cli(["--command", "entropy", "--zmin", "0", "--zmax", "1", "--steps", "3",
+                   "--out", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    warnings = [line for line in res.stderr.splitlines() if line.startswith("warning")]
+    assert warnings == ["warning: unconverged row at |z| = 0.5: S = 0.25 at cutoff 64, "
+                        "entropy_refined = 0.26"]
+    # the CSV holds the flag only, as before
+    _, header, rows = read_csv(out)
+    assert header == ["z_abs", "theta", "phi", "S", "S_converged", "cutoff"]
+    assert [row[4] for row in rows] == ["true", "false", "true"]
+    assert "0.26" not in out.read_text()
+
+
+def test_converged_entropy_scans_print_no_warning(tmp_path, run_cli):
+    res = run_cli(["--command", "entropy", "--zmin", "0", "--zmax", "1", "--steps", "2",
+                   "--out", str(tmp_path / "ent.csv")], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "warning" not in res.stderr
+
+
 # ----------------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------------
@@ -278,6 +310,28 @@ def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli
     assert res.returncode == 2
     assert "MiB budget" in res.stderr
     assert not out.exists()
+
+
+def test_entropy_above_the_eigenvector_cache_budget_is_rejected_before_any_solve(
+        tmp_path, run_cli):
+    # basis 400 passes every single-array bound; its splitter eigenvector
+    # cache (refined cutoff 600) would hold about 2.1 GiB
+    entangle._splitter_modes.cache_clear()
+    out = tmp_path / "x.csv"
+    res = run_cli(["--command", "entropy", "--basis", "400", "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "MiB budget" in res.stderr
+    assert not out.exists()
+    assert entangle._splitter_modes.cache_info().currsize == 0
+
+
+def test_entropy_basis_maximum_keeps_every_total_in_the_eigenvector_cache():
+    basis = cli._limit("entropy", "--basis")
+    refined = int(1.5 * basis)
+    # embedded states sit on odd levels below the refined cutoff, so a scan
+    # populates at most the even totals 2 .. 2 * refined - 2
+    totals = len(range(2, 2 * refined - 1, 2))
+    assert totals <= entangle._splitter_modes.cache_parameters()["maxsize"]
 
 
 @pytest.mark.parametrize("command", ["density", "uncertainty", "entropy"])
