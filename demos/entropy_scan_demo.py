@@ -10,7 +10,7 @@ states sits close to S = 0.5 and saturates as |z| grows.
 
 import math
 
-from truncosc import BeamSplitterSetting, Family, entropy_scan, q4_model
+from truncosc import BeamSplitterSetting, Family, entropy_scan
 
 ZS = [0.0, 0.5, 1.0, 1.5, 2.0]
 BALANCED = BeamSplitterSetting(math.pi / 2, 0.0)
@@ -34,8 +34,7 @@ show(entropy_scan(Family.LOWERING, ZS, cutoff=64, n_terms=24,
                   setting=BeamSplitterSetting(1.0, 0.0)),
      "truncated oscillator, unbalanced splitter (theta = 1.0)")
 
-show(entropy_scan(Family.SUSY_NEW, ZS, cutoff=80, model=q4_model(),
-                  setting=BALANCED),
+show(entropy_scan(Family.SUSY_NEW, ZS, cutoff=80, setting=BALANCED),
      "two-level tower of new partner states, balanced splitter")
 
 trivial = entropy_scan(Family.LOWERING, [0.7], cutoff=32, n_terms=12,

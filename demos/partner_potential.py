@@ -15,7 +15,6 @@ import numpy as np
 from truncosc import (
     Basis,
     Q4_SEED_ENERGIES,
-    ladder_for,
     q4_model,
     susy_cs,
     susy_ladder_action,
@@ -47,13 +46,12 @@ dev = float(np.max(np.abs(wronskian_potential(model.seeds, dense)
 print(f"\nWronskian construction vs closed rational form: "
       f"max |difference| = {dev:.2e} on [0.1, 6]")
 
-ladder = ladder_for(model)
-coeff, target = susy_ladder_action(ladder, Basis.SUSY_ISO, "lower", 1,
+coeff, target = susy_ladder_action(model, Basis.SUSY_ISO, "lower", 1,
                                    operator="full")
 print(f"\nfull ladder lowering the first isospectral excitation: "
       f"coefficient {coeff:.6f} = sqrt(8640) "
       f"(sqrt check: {math.sqrt(8640.0):.6f}), lands on level {target}")
-coeff0, target0 = susy_ladder_action(ladder, Basis.SUSY_ISO, "lower", 0,
+coeff0, target0 = susy_ladder_action(model, Basis.SUSY_ISO, "lower", 0,
                                      operator="full")
 print(f"lowering the isospectral ground state: coefficient {coeff0} "
       f"(annihilated, target {target0})")

@@ -56,9 +56,7 @@ from .susy import (
     Q4_SEED_ASYMMETRY,
     Q4_SEED_ENERGIES,
     SeedSolution,
-    SusyLadder,
     SusyModel,
-    ladder_for,
     q4_model,
     seed_solution,
     susy_cs,
@@ -98,8 +96,8 @@ __all__ = [
     "ObservableKind", "MatrixElementTable", "UncertaintyRecord",
     "matrix_element_closed", "build_table", "expectation", "uncertainty_scan",
     # partner machinery
-    "SeedSolution", "SusyModel", "SusyLadder", "seed_solution", "q4_model",
-    "ladder_for", "susy_ladder_action", "susy_cs", "wronskian_potential",
+    "SeedSolution", "SusyModel", "seed_solution", "q4_model",
+    "susy_ladder_action", "susy_cs", "wronskian_potential",
     "Q4_SEED_ENERGIES", "Q4_SEED_ASYMMETRY",
     # entanglement
     "GramMatrix", "TwoModeState", "BeamSplitterSetting", "EntropyRecord",

@@ -12,8 +12,9 @@ basis size, and the tool version, followed by a header row; identical
 configs rerun to byte-identical files (fixed grids, fixed float
 formatting, no timestamps).  Scan points are mutually independent and
 are assembled in index order, so the output does not depend on
-evaluation order; shared tables (Gram matrices, splitter blocks,
-operator tables) are built once and reused immutably.
+evaluation order; shared tables (Gram matrices, splitter eigenpairs per
+block total, partner-tower projections, operator tables) are built once
+and reused immutably.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.  All progress and diagnostics go to standard
@@ -92,9 +93,15 @@ EXIT_NUMERICAL = 3
 _DENSITY_GRID_POINTS = 600
 _DENSITY_X_MAX = 12.0
 
-# Largest array, text or cache a run may hold; entropy at basis 80, the largest
-# run in the tests and the benchmark, needs about 18 MB (its eigenvector cache).
+# Memory a run may hold in all; entropy at basis 80, the largest run in the
+# tests and the benchmark, holds about 20 MB, mostly its eigenvector cache.
 _MEMORY_BUDGET = 1 << 30
+
+# Bytes a run keeps per |z| point besides its state (record, CSV row and text;
+# a 600-cell column for density): the growth of the tracemalloc peak between
+# --steps 600 and 1200 (density, basis 64) or 20000 and 60000 (the others, scan
+# stubbed so that its transients do not hide the growth), rounded up.
+_POINT_BYTES = {"density": 57_000, "uncertainty": 600, "entropy": 600}
 
 
 class ConfigError(Exception):
@@ -102,24 +109,29 @@ class ConfigError(Exception):
 
 
 def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
-    """Bytes of the largest array, text or cache a run holds, from the layout
-    alone: states of `basis` amplitudes, the CSV text (about 20 bytes a cell),
-    density's basis x 600 rows, and entropy's P x P two-mode matrices,
-    P-level Gram Hermite table and splitter eigenvector cache, with
-    c = int(1.5 basis) the refined cutoff and P = 2c - 1 its padded size.
-    The cache holds one real (t+1)^2 eigenvector matrix per even total
-    t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all.
+    """Bytes a run holds at once, from the layout alone: the per-point
+    records and CSV text, the states of `basis` amplitudes (density keeps
+    one per point), density's basis x 600 rows, and entropy's P x P
+    two-mode matrix, P-level Gram Hermite table and splitter eigenvector
+    cache, with c = int(1.5 basis) the refined cutoff and P = 2c - 1 its
+    padded size.  The cache holds one real (t+1)^2 eigenvector matrix per
+    even total t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all.
     """
-    cells = _DENSITY_GRID_POINTS * (steps + 1) if command == "density" else 6 * steps
-    sizes = [20 * cells, 16 * basis]
+    states = steps if command == "density" else 1
+    total = _POINT_BYTES.get(command, 0) * steps + 16 * basis * states
     if command == "density":
-        sizes.append(8 * basis * _DENSITY_GRID_POINTS)
+        total += 8 * basis * _DENSITY_GRID_POINTS
     elif command == "entropy":
         refined = int(basis * 1.5)
         padded = 2 * refined - 1
-        sizes += [16 * padded * padded, 8 * padded * gauss_halfline_size(2 * padded + 16),
-                  8 * refined * (4 * refined * refined - 1) // 3]
-    return max(sizes)
+        total += (16 * padded * padded + 8 * padded * gauss_halfline_size(2 * padded + 16)
+                  + 8 * refined * (4 * refined * refined - 1) // 3)
+    return total
+
+
+def _entropy_min_basis(family) -> int:
+    """Smallest entropy cutoff that holds the family's embedded window."""
+    return 2 * WINDOWS[Family(family)].entropy_terms + 3
 
 
 def _limit(command: str, flag: str) -> int:
@@ -127,7 +139,8 @@ def _limit(command: str, flag: str) -> int:
     lo, hi = 8, _MEMORY_BUDGET
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        basis, steps = (mid, 9) if flag == "--basis" else (64, mid)
+        basis, steps = ((mid, RunConfig.z_steps) if flag == "--basis"
+                        else (RunConfig.basis_size, mid))
         lo, hi = ((mid, hi) if _largest_array_bytes(command, basis, steps)
                   <= _MEMORY_BUDGET else (lo, mid - 1))
     return lo
@@ -162,12 +175,11 @@ class RunConfig:
             raise ConfigError("z_steps must be at least 2")
         if self.basis_size < 8:
             raise ConfigError("basis_size must be at least 8")
-        if self.command == "entropy":
-            n_terms = WINDOWS[Family(self.family)].entropy_terms
-            if self.basis_size < 2 * n_terms + 3:
-                raise ConfigError(
-                    f"entropy for family {self.family} embeds {n_terms} levels and "
-                    f"needs basis_size >= {2 * n_terms + 3}")
+        if self.command == "entropy" and self.basis_size < _entropy_min_basis(self.family):
+            raise ConfigError(
+                f"entropy for family {self.family} embeds "
+                f"{WINDOWS[Family(self.family)].entropy_terms} levels and "
+                f"needs basis_size >= {_entropy_min_basis(self.family)}")
         if not (self.z_min <= self.z_max):
             raise ConfigError("z_min must not exceed z_max")
         if self.z_min < 0.0:
@@ -183,7 +195,7 @@ class RunConfig:
             raise ConfigError("model SUSY_Q4 requires a susy-iso or susy-new family")
         size = _largest_array_bytes(self.command, self.basis_size, self.z_steps)
         if size > _MEMORY_BUDGET:
-            raise ConfigError(f"{self.command} needs a {size >> 20} MiB array, above the "
+            raise ConfigError(f"{self.command} would hold {size >> 20} MiB, above the "
                               f"{_MEMORY_BUDGET >> 20} MiB budget (see --help for the maxima)")
 
     def config_hash(self) -> str:
@@ -203,34 +215,39 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; options left out fall back to the RunConfig defaults."""
     parser = argparse.ArgumentParser(
         prog="truncosc",
         description="Half-line oscillator coherent states: CSV data and validation.",
+        argument_default=argparse.SUPPRESS,
     )
+    entropy_min = {f.value: _entropy_min_basis(f) for f in Family}
+    low = min(entropy_min.values())
+    higher = ", ".join(f">= {n} for {f}" for f, n in entropy_min.items() if n > low)
     parser.add_argument("--command", required=True,
                         choices=["density", "uncertainty", "entropy", "validate"])
-    parser.add_argument("--family", default="lowering",
-                        choices=[f.value for f in Family],
+    parser.add_argument("--family", choices=[f.value for f in Family],
                         help="coherent-state family (susy-* require --model SUSY_Q4)")
-    parser.add_argument("--model", default="TRUNC", choices=["TRUNC", "SUSY_Q4"])
-    parser.add_argument("--zmin", type=float, default=0.0, dest="z_min")
-    parser.add_argument("--zmax", type=float, default=2.0, dest="z_max")
-    parser.add_argument("--steps", type=int, default=9, dest="z_steps",
-                        help=f"|z| grid points (default 9, at least 2; at most "
-                             f"{_limit('density', '--steps')} for density and "
-                             f"{_limit('entropy', '--steps')} otherwise)")
-    parser.add_argument("--basis", type=int, default=64, dest="basis_size",
-                        help="basis size / two-mode level cutoff (default 64, "
-                             "at least 8; entropy needs >= 43, or >= 67 for "
-                             "susy-iso; susy entropy scans want >= 80; at most "
-                             f"{_limit('entropy', '--basis')} for entropy, "
-                             f"{_limit('density', '--basis')} for density and "
-                             f"{_limit('uncertainty', '--basis')} otherwise, so "
-                             f"that no array exceeds {_MEMORY_BUDGET >> 20} MiB)")
-    parser.add_argument("--theta", type=float, default=math.pi / 2.0)
-    parser.add_argument("--phi", type=float, default=0.0)
-    parser.add_argument("--out", dest="output_path", default=None)
-    parser.add_argument("--seed-config", dest="seed_config", default=None,
+    parser.add_argument("--model", choices=["TRUNC", "SUSY_Q4"])
+    parser.add_argument("--zmin", type=float, dest="z_min")
+    parser.add_argument("--zmax", type=float, dest="z_max")
+    parser.add_argument("--steps", type=int, dest="z_steps",
+                        help=f"|z| grid points (default {RunConfig.z_steps}, at least "
+                             f"2; at most {_limit('density', '--steps')} for density, "
+                             f"{_limit('uncertainty', '--steps')} for uncertainty "
+                             f"and {_limit('entropy', '--steps')} for entropy)")
+    parser.add_argument("--basis", type=int, dest="basis_size",
+                        help=f"basis size / two-mode level cutoff (default "
+                             f"{RunConfig.basis_size}, at least 8; entropy needs "
+                             f">= {low}, or {higher}; susy entropy scans want "
+                             f">= 80; at most {_limit('entropy', '--basis')} for "
+                             f"entropy, {_limit('density', '--basis')} for density "
+                             f"and {_limit('uncertainty', '--basis')} otherwise, so "
+                             f"that a run holds at most {_MEMORY_BUDGET >> 20} MiB)")
+    parser.add_argument("--theta", type=float)
+    parser.add_argument("--phi", type=float)
+    parser.add_argument("--out", dest="output_path")
+    parser.add_argument("--seed-config", dest="seed_config",
                         help="text file of 'epsilon nu' pairs for a custom "
                              "factorization-energy grid (checked by validate; "
                              "every run parses it and hashes its bytes)")
@@ -310,9 +327,8 @@ def cmd_uncertainty(config: RunConfig) -> int:
 
 def cmd_entropy(config: RunConfig) -> int:
     setting = BeamSplitterSetting(config.theta, config.phi)
-    model = _susy.q4_model() if config.model == "SUSY_Q4" else None
     records = entropy_scan(Family(config.family), config.z_grid, setting=setting,
-                           cutoff=config.basis_size, model=model)
+                           cutoff=config.basis_size)
     rows = [[r.z_abs, r.theta, r.phi, r.entropy, r.converged, r.cutoff]
             for r in records]
     _write_csv(config, ["z_abs", "theta", "phi", "S", "S_converged", "cutoff"], rows)
@@ -478,11 +494,10 @@ def _check_susy_eigen(config: RunConfig):
 
 def _check_susy_ladder(config: RunConfig):
     model = _susy.q4_model()
-    ladder = _susy.ladder_for(model)
     spec = _susy.iso_linear_ladder()
     comm_dev = max(abs((spec.raise_sq(n + 1) - spec.lower_sq(n)) - 2.0)
                    for n in range(21))
-    full_e1 = _susy.susy_ladder_action(ladder, Basis.SUSY_ISO, "lower", 1,
+    full_e1 = _susy.susy_ladder_action(model, Basis.SUSY_ISO, "lower", 1,
                                        operator="full")[0]
     six_ok = full_e1 == math.sqrt(8640.0)
     h_dev = 0.0
@@ -698,12 +713,7 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(command=args.command, family=args.family, model=args.model,
-                       z_min=args.z_min, z_max=args.z_max, z_steps=args.z_steps,
-                       basis_size=args.basis_size, theta=args.theta, phi=args.phi,
-                       output_path=args.output_path, seed_config=args.seed_config)
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         config.validate()
         if config.seed_config is not None:

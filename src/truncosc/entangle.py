@@ -2,9 +2,9 @@
 
 Pipeline: embed a coherent state (and the relevant extremal state) into
 full-line oscillator levels, apply the su(2) beam splitter in its
-factorized form, re-express both modes in the orthonormal half-line
-basis built from odd full-line levels, partial-trace, and take the
-linear entropy.
+spectral form (cached generator eigenpairs per block total, see below),
+re-express both modes in the orthonormal half-line basis built from odd
+full-line levels, partial-trace, and take the linear entropy.
 
 The splitter exp(tau K+ - tau* K-) with tau = (theta/2) e^{i phi}
 factorizes as
@@ -62,6 +62,7 @@ from .errors import (
 )
 from .fock import Basis, hermite_normalized, rows
 from .numerics import gauss_halfline
+from .susy import q4_model
 
 __all__ = [
     "GramMatrix",
@@ -124,9 +125,10 @@ class GramMatrix:
     """Half-line overlaps of NORMALIZED full-line levels, size x size.
 
     Odd-odd (and even-even) blocks are diagonal with value 1/2; the
-    parity-mixing entries are the nontrivial content.  Positive
-    definiteness is a construction invariant (restricted levels are
-    linearly independent).
+    parity-mixing entries are the nontrivial content.  The matrix is
+    positive definite (restricted levels are linearly independent), but
+    its smallest eigenvalue falls below rounding from size 16 on, so
+    construction checks positive semidefiniteness to 1e-10.
     """
 
     entries: np.ndarray
@@ -382,33 +384,24 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64,
     """
     basis = cs.vector.basis
     amps = cs.vector.amplitudes
-    if basis == Basis.TRUNCATED:
-        if cutoff < 2 * amps.size + 3:
-            raise ValueError("cutoff must be at least 2*truncation + 3")
-        u = np.zeros(cutoff, dtype=complex)
-        v = np.zeros(cutoff, dtype=complex)
-        u[1] = 1.0
-        v[1:2 * amps.size + 1:2] = amps
-        return TwoModeState(np.outer(u, v))
-    if basis not in (Basis.SUSY_ISO, Basis.SUSY_NEW):
-        raise ValueError(f"cannot embed states over basis {basis}")
-    if model is None:
-        raise ValueError("partner-tower embedding needs the model")
-    model._require_explicit()
     if cutoff < 2 * amps.size + 3:
         raise ValueError("cutoff must be at least 2*truncation + 3")
-    proj = _susy_level_projections(basis, amps.size, cutoff)
-    if basis == Basis.SUSY_NEW:
-        mode_a = proj[0]
-    else:
+    if basis == Basis.TRUNCATED:
+        mode_a, mode_b = np.ones(1), amps
+    elif basis in (Basis.SUSY_ISO, Basis.SUSY_NEW):
+        if model is None:
+            raise ValueError("partner-tower embedding needs the model")
+        model._require_explicit()
         mode_a = _susy_level_projections(Basis.SUSY_NEW, 1, cutoff)[0]
-    recovered_a = float(np.sum(mode_a ** 2))
-    mode_b = amps @ proj
-    recovered_b = float(np.linalg.norm(mode_b) ** 2)
-    if recovered_a < 1.0 - 1e-6 or recovered_b < 1.0 - 1e-6:
-        raise ExpansionResidualTooLarge(
-            f"projection recovers {min(recovered_a, recovered_b):.8f} of the norm "
-            f"at cutoff {cutoff}")
+        mode_b = amps @ _susy_level_projections(basis, amps.size, cutoff)
+        recovered_a = float(np.sum(mode_a ** 2))
+        recovered_b = float(np.linalg.norm(mode_b) ** 2)
+        if recovered_a < 1.0 - 1e-6 or recovered_b < 1.0 - 1e-6:
+            raise ExpansionResidualTooLarge(
+                f"projection recovers {min(recovered_a, recovered_b):.8f} of the "
+                f"norm at cutoff {cutoff}")
+    else:
+        raise ValueError(f"cannot embed states over basis {basis}")
     u = np.zeros(cutoff, dtype=complex)
     v = np.zeros(cutoff, dtype=complex)
     u[1:2 * mode_a.size:2] = mode_a
@@ -460,9 +453,9 @@ class EntropyRecord:
 
 
 def _entropy_single(family: Family, z_abs: float, setting: BeamSplitterSetting,
-                    cutoff: int, n_terms: int, model) -> float:
+                    cutoff: int, n_terms: int) -> float:
     cs = family_state(family, z_abs, truncation=n_terms)
-    state = embed_cs_in_two_modes(cs, cutoff=cutoff, model=model)
+    state = embed_cs_in_two_modes(cs, cutoff=cutoff, model=q4_model())
     # both modes can populate levels up to cutoff-1, so splitter blocks
     # reach total 2*cutoff-2; pad so no block spills over the edge
     padded_size = 2 * cutoff - 1
@@ -475,14 +468,15 @@ def _entropy_single(family: Family, z_abs: float, setting: BeamSplitterSetting,
 
 def entropy_scan(family: Family, z_moduli: Sequence[float],
                  setting: Optional[BeamSplitterSetting] = None,
-                 cutoff: int = 64, n_terms: Optional[int] = None,
-                 model=None) -> list[EntropyRecord]:
+                 cutoff: int = 64, n_terms: Optional[int] = None
+                 ) -> list[EntropyRecord]:
     """Linear entropy against |z| with a 1.5x-cutoff convergence probe.
 
     States keep n_terms levels (default: the family's coherent.WINDOWS
-    entry).  Records are flagged unconverged when the two cutoffs disagree
-    by 5e-3 or more.  Gram matrices, splitter eigenpairs and partner-tower
-    projections are cached.
+    entry); as in family_state, the partner towers are those of the
+    frozen fourth-order model.  Records are flagged unconverged when the
+    two cutoffs disagree by 5e-3 or more.  Gram matrices, splitter
+    eigenpairs and partner-tower projections are cached.
     """
     if setting is None:
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
@@ -491,9 +485,8 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     refined_cutoff = int(cutoff * 1.5)
     records = []
     for z_abs in z_moduli:
-        s0 = _entropy_single(family, float(z_abs), setting, cutoff, n_terms, model)
-        s1 = _entropy_single(family, float(z_abs), setting, refined_cutoff,
-                             n_terms, model)
+        s0 = _entropy_single(family, float(z_abs), setting, cutoff, n_terms)
+        s1 = _entropy_single(family, float(z_abs), setting, refined_cutoff, n_terms)
         records.append(EntropyRecord(z_abs=float(z_abs), theta=setting.theta,
                                      phi=setting.phi, entropy=s0,
                                      entropy_refined=s1,

@@ -9,7 +9,7 @@ squared ladder operators close on this basis with step coefficients
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -25,8 +25,6 @@ __all__ = [
     "oscillator_ladder",
     "hermite_normalized",
     "ho_eigenfunction",
-    "eigenfunction",
-    "eigenfunction_derivatives",
     "weighted_eigenfunction_derivatives",
     "rows",
     "energy",
@@ -225,16 +223,6 @@ def _truncated_block(n_levels: int, x: np.ndarray, order: int,
         out[1:] *= gauss
         out[0] = math.sqrt(2.0) * ((math.pi ** -0.25 * gauss) * h[start])
     return out
-
-
-def eigenfunction(k: int, x):
-    """Half-line oscillator eigenfunction: sqrt(2) * (full-line level 2k+1)."""
-    return rows(Basis.TRUNCATED, k + 1, x, weighted=False)[0, k]
-
-
-def eigenfunction_derivatives(k: int, x, order: int = 2) -> np.ndarray:
-    """Values of psi_k and its first `order` derivatives, shape (order+1, len(x))."""
-    return rows(Basis.TRUNCATED, k + 1, x, order, weighted=False)[:, k]
 
 
 def weighted_eigenfunction_derivatives(k: int, x, order: int = 2) -> np.ndarray:

@@ -50,7 +50,6 @@ from .fock import (
     Basis,
     FockVector,
     LadderSpec,
-    eigenfunction_derivatives,
     rows,
 )
 from .numerics import (
@@ -66,17 +65,11 @@ __all__ = [
     "SeedSolution",
     "seed_solution",
     "SusyModel",
-    "SusyLadder",
     "q4_model",
     "iso_linear_ladder",
     "wronskian_values",
     "wronskian_potential",
     "transformed_eigenfunction_rows",
-    "iso_eigenfunction_derivatives",
-    "iso_weighted_rows",
-    "new_eigenfunction_derivatives",
-    "new_weighted_rows",
-    "ladder_for",
     "susy_ladder_action",
     "susy_cs",
     "new_norm_constant_closed",
@@ -111,6 +104,9 @@ class SeedSolution:
     config: SpecialFunctionConfig = field(default=DEFAULT_CONFIG, compare=False)
 
     def __post_init__(self) -> None:
+        if math.isnan(self.epsilon) or math.isnan(self.nu):
+            raise ValueError(f"seed parameters must not be NaN: epsilon={self.epsilon}, "
+                             f"nu={self.nu}")
         if math.isfinite(self.nu) and self.nu != 0.0:
             if _is_nonpositive_integer(self._a_even) or _is_nonpositive_integer(self._a_odd):
                 raise GammaPole(
@@ -236,19 +232,13 @@ def _det_over_columns(stack: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     return np.linalg.det(minor)
 
 
-def wronskian_values(seeds: Sequence[SeedSolution], x: Sequence[float]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, W', W'') of the seed Wronskian, all from analytic derivative rows.
+def _wronskian_triple(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, W', W'') of the q functions in stack, shape (q, >= q+2, nx).
 
     W' bumps the last derivative column by one; W'' adds the twice-bumped
     column determinant and (when q >= 2) the doubly-single-bumped one.
     """
-    q = len(seeds)
-    x = np.asarray(x, dtype=float)
-    if q == 0:
-        ones = np.ones_like(x)
-        return ones, np.zeros_like(x), np.zeros_like(x)
-    stack = np.array([s.derivatives(x, order=q + 1) for s in seeds])
+    q = stack.shape[0]
     base = list(range(q))
     w = _det_over_columns(stack, base)
     wp = _det_over_columns(stack, base[:-1] + [q])
@@ -256,6 +246,17 @@ def wronskian_values(seeds: Sequence[SeedSolution], x: Sequence[float]
     if q >= 2:
         wpp = wpp + _det_over_columns(stack, base[:-2] + [q - 1, q])
     return w, wp, wpp
+
+
+def wronskian_values(seeds: Sequence[SeedSolution], x: Sequence[float]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, W', W'') of the seed Wronskian, all from analytic derivative rows."""
+    q = len(seeds)
+    x = np.asarray(x, dtype=float)
+    if q == 0:
+        ones = np.ones_like(x)
+        return ones, np.zeros_like(x), np.zeros_like(x)
+    return _wronskian_triple(np.array([s.derivatives(x, order=q + 1) for s in seeds]))
 
 
 def wronskian_potential(seeds: Sequence[SeedSolution], grid: Sequence[float]) -> np.ndarray:
@@ -310,22 +311,10 @@ def transformed_eigenfunction_rows(seeds: Sequence[SeedSolution], n: int,
         raise ValueError("need at least one seed")
     x = np.asarray(x, dtype=float)
     order = q + 2
-    stack = np.empty((q + 1, order + 1, x.size))
-    for i, s in enumerate(seeds):
-        stack[i] = s.derivatives(x, order=order)
-    stack[q] = eigenfunction_derivatives(n, x, order=order)
-    big = list(range(q + 1))
-    a = _det_over_columns(stack, big)
-    ap = _det_over_columns(stack, big[:-1] + [q + 1])
-    app = _det_over_columns(stack, big[:-1] + [q + 2])
-    app = app + _det_over_columns(stack, big[:-2] + [q, q + 1])
-    seed_stack = stack[:q]
-    base = list(range(q))
-    b = _det_over_columns(seed_stack, base)
-    bp = _det_over_columns(seed_stack, base[:-1] + [q])
-    bpp = _det_over_columns(seed_stack, base[:-1] + [q + 1])
-    if q >= 2:
-        bpp = bpp + _det_over_columns(seed_stack, base[:-2] + [q - 1, q])
+    stack = np.array([s.derivatives(x, order=order) for s in seeds]
+                     + [rows(Basis.TRUNCATED, n + 1, x, order, weighted=False)[:, n]])
+    a, ap, app = _wronskian_triple(stack)
+    b, bp, bpp = _wronskian_triple(stack[:q])
     _raise_if_singular(b, x)
     phi = a / b
     phip = (ap - phi * bp) / b
@@ -402,6 +391,12 @@ class SusyModel:
         if self.q != 4 or tuple(s.epsilon for s in self.seeds) != Q4_SEED_ENERGIES:
             raise UnsupportedModel("explicit closed-form data exists only for "
                                    "the frozen fourth-order model")
+
+    def six_factor(self, energy: float) -> float:
+        """The degree-six product whose square root scales the full ladder."""
+        e = [s.epsilon for s in self.seeds]
+        return ((energy - 0.5) * (energy - 1.5) * (energy - e[0]) * (energy - e[1])
+                * (energy - e[-2] - 2.0) * (energy - e[-1] - 2.0))
 
     def potential(self, x) -> np.ndarray:
         """Partner potential x^2/2 - 4 num / den^2 (closed form)."""
@@ -487,33 +482,6 @@ def _new_block(n_levels: int, x: np.ndarray, order: int,
     return out if weighted else out * np.exp(-x * x / 2.0)
 
 
-def iso_weighted_rows(model: SusyModel, n: int, x: Sequence[float],
-                      order: int = 1) -> np.ndarray:
-    """Rows phi_n^{(k)} e^{+x^2/2}, k = 0..order <= 2 (see fock.rows)."""
-    model._require_explicit()
-    return rows(Basis.SUSY_ISO, n + 1, x, order)[:, n]
-
-
-def iso_eigenfunction_derivatives(model: SusyModel, n: int, x: Sequence[float],
-                                  order: int = 2) -> np.ndarray:
-    """Rows phi_n, phi_n', ..., as plain values (weighted rows times e^{-x^2/2})."""
-    model._require_explicit()
-    return rows(Basis.SUSY_ISO, n + 1, x, order, weighted=False)[:, n]
-
-
-def new_weighted_rows(model: SusyModel, j: int, x: Sequence[float],
-                      order: int = 1) -> np.ndarray:
-    """Rows phi_Ej^{(k)} e^{+x^2/2} for the finite tower (j = 0 or 1)."""
-    model._require_explicit()
-    return rows(Basis.SUSY_NEW, j + 1, x, order)[:, j]
-
-
-def new_eigenfunction_derivatives(model: SusyModel, j: int, x: Sequence[float],
-                                  order: int = 2) -> np.ndarray:
-    model._require_explicit()
-    return rows(Basis.SUSY_NEW, j + 1, x, order, weighted=False)[:, j]
-
-
 # ----------------------------------------------------------------------------
 # ladder operators on the partner towers
 # ----------------------------------------------------------------------------
@@ -524,83 +492,40 @@ def iso_linear_ladder() -> LadderSpec:
                       level_energy=lambda k: 2.0 * k + 1.5, basis=Basis.SUSY_ISO)
 
 
-@dataclass(frozen=True)
-class SusyLadder:
-    """Coefficient engine for the sixth-order and linearised ladders."""
-
-    seed_energies: tuple[float, float, float, float]
-    kappa: int
-    new_energies: tuple[float, ...]
-    delta1: float
-
-    def six_factor(self, energy: float) -> float:
-        """The degree-six product whose square root scales the full ladder."""
-        e = self.seed_energies
-        return ((energy - 0.5) * (energy - 1.5) * (energy - e[0]) * (energy - e[1])
-                * (energy - e[-2] - 2.0) * (energy - e[-1] - 2.0))
-
-    def full_coefficient(self, energy_target: float) -> complex:
-        val = self.six_factor(energy_target)
-        root = complex(np.sqrt(complex(val)))
-        return root.real if abs(root.imag) < 1e-14 else root
-
-    def lin_coeff_iso(self, n: int) -> float:
-        return math.sqrt(2.0 * n)
-
-    def lin_coeff_new(self, j: int) -> complex:
-        return complex(np.sqrt(complex(2.0 * j - self.delta1)))
-
-
-def ladder_for(model: SusyModel) -> SusyLadder:
-    return SusyLadder(seed_energies=tuple(s.epsilon for s in model.seeds),
-                      kappa=model.kappa, new_energies=model.new_energies,
-                      delta1=model.delta1)
-
-
-def susy_ladder_action(ladder: SusyLadder, subspace: Basis, direction: str,
+def susy_ladder_action(model: SusyModel, subspace: Basis, direction: str,
                        index: int, operator: str = "linearized"
                        ) -> tuple[complex, Optional[int]]:
     """(coefficient, target index) of a ladder step; annihilation -> (0, None).
 
     subspace is the infinite tower (susy-iso) or the finite one (susy-new);
-    operator selects the sixth-order ("full") or linearised form.
+    operator selects the sixth-order ("full") or linearised form.  With u
+    the upper level of the step and E_u its energy, the coefficient is
+    sqrt(six_factor(E_u)) or sqrt(E_u - 3/2) on the principal branch, real
+    when its imaginary part is below 1e-14.  E_u - 3/2 is 2u on the
+    infinite tower and 2u - delta1 on the finite one.  Lowering level 0
+    annihilates, and so does raising the top of the finite tower (the
+    linearised coefficient would not vanish there by itself).
     """
     subspace = Basis(subspace)
+    if subspace not in (Basis.SUSY_ISO, Basis.SUSY_NEW):
+        raise ValueError(f"subspace must be a partner-tower basis, got {subspace}")
     if direction not in ("lower", "raise"):
         raise ValueError("direction must be 'lower' or 'raise'")
     if operator not in ("full", "linearized"):
         raise ValueError("operator must be 'full' or 'linearized'")
     if index < 0:
         raise IndexOutOfRange("index must be non-negative")
-    if subspace == Basis.SUSY_ISO:
-        if direction == "lower":
-            if index == 0:
-                return 0.0, None
-            coeff = (ladder.full_coefficient(2.0 * index + 1.5)
-                     if operator == "full" else ladder.lin_coeff_iso(index))
-            return coeff, index - 1
-        coeff = (ladder.full_coefficient(2.0 * (index + 1) + 1.5)
-                 if operator == "full" else math.sqrt(2.0 * index + 2.0))
-        return coeff, index + 1
-    if subspace == Basis.SUSY_NEW:
-        if index >= ladder.kappa:
-            raise IndexOutOfRange(f"finite tower has {ladder.kappa} levels")
-        energies = ladder.new_energies
-        if direction == "lower":
-            if index == 0:
-                return 0.0, None
-            coeff = (ladder.full_coefficient(energies[index])
-                     if operator == "full" else ladder.lin_coeff_new(index))
-            return coeff, index - 1
-        if index == ladder.kappa - 1:
-            # explicit annihilation at the tower top (the linearised
-            # coefficient sqrt(2j+2-delta1) does not vanish by itself)
-            return 0.0, None
-        coeff = (ladder.full_coefficient(energies[index] + 2.0)
-                 if operator == "full"
-                 else complex(np.sqrt(complex(2.0 * index + 2.0 - ladder.delta1))))
-        return coeff, index + 1
-    raise ValueError(f"subspace must be a partner-tower basis, got {subspace}")
+    finite = subspace == Basis.SUSY_NEW
+    if finite and index >= model.kappa:
+        raise IndexOutOfRange(f"finite tower has {model.kappa} levels")
+    target = index - 1 if direction == "lower" else index + 1
+    if target < 0 or (finite and target == model.kappa):
+        return 0.0, None
+    upper = max(index, target)
+    energy = model.new_energies[upper] if finite else 2.0 * upper + 1.5
+    root = complex(np.sqrt(complex(
+        model.six_factor(energy) if operator == "full" else energy - 1.5)))
+    return (root.real if abs(root.imag) < 1e-14 else root), target
 
 
 # ----------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from truncosc.entangle import (
     gram_matrix,
     halfline_overlap,
 )
-from truncosc.fock import Basis, truncated_ladder
+from truncosc.fock import Basis, rows, truncated_ladder
 from truncosc.numerics import gauss_halfline
 from truncosc.observables import (
     ObservableKind,
@@ -47,9 +47,6 @@ from truncosc.observables import (
 from truncosc.susy import (
     iso_linear_ladder,
     iso_measure_check,
-    iso_weighted_rows,
-    ladder_for,
-    new_weighted_rows,
     q4_model,
     susy_cs,
     susy_ladder_action,
@@ -174,25 +171,23 @@ def test_criterion_08_wronskian_potential(criterion):
 
 
 def test_criterion_09_partner_eigenfunctions(criterion):
-    from truncosc.susy import (iso_eigenfunction_derivatives,
-                               new_eigenfunction_derivatives)
     grid = np.linspace(0.1, 6.0, 241)
     v = MODEL.potential(grid)
     worst = 0.0
     for j, energy in enumerate(MODEL.new_energies):
-        phi, _, phi2 = new_eigenfunction_derivatives(MODEL, j, grid, order=2)
+        phi, _, phi2 = rows(Basis.SUSY_NEW, j + 1, grid, 2, weighted=False)[:, j]
         worst = max(worst, float(np.max(np.abs(
             -0.5 * phi2 + v * phi - energy * phi))))
     for n in range(6):
-        phi, _, phi2 = iso_eigenfunction_derivatives(MODEL, n, grid, order=2)
+        phi, _, phi2 = rows(Basis.SUSY_ISO, n + 1, grid, 2, weighted=False)[:, n]
         worst = max(worst, float(np.max(np.abs(
             -0.5 * phi2 + v * phi - (2 * n + 1.5) * phi))))
     rule = gauss_halfline(degree=120)
-    rows = [new_weighted_rows(MODEL, j, rule.nodes, order=0)[0] for j in (0, 1)]
-    rows += [iso_weighted_rows(MODEL, n, rule.nodes, order=0)[0]
+    vals = [rows(Basis.SUSY_NEW, j + 1, rule.nodes)[0, j] for j in (0, 1)]
+    vals += [rows(Basis.SUSY_ISO, n + 1, rule.nodes)[0, n]
              for n in range(6)]
-    rows = np.array(rows)
-    gram_dev = float(np.max(np.abs((rows * rule.weights) @ rows.T - np.eye(8))))
+    vals = np.array(vals)
+    gram_dev = float(np.max(np.abs((vals * rule.weights) @ vals.T - np.eye(8))))
     ok = worst < 1e-6 and gram_dev < 1e-8
     criterion(9, ok,
           f"eigen residual sup {worst:.2e} (limit 1e-6) for levels "
@@ -204,7 +199,7 @@ def test_criterion_10_ladder_algebra(criterion):
     spec = iso_linear_ladder()
     comm_exact = all(spec.raise_sq(n + 1) - spec.lower_sq(n) == 2.0
                      for n in range(21))
-    coeff, _ = susy_ladder_action(ladder_for(MODEL), Basis.SUSY_ISO, "lower",
+    coeff, _ = susy_ladder_action(MODEL, Basis.SUSY_ISO, "lower",
                                   1, operator="full")
     six_dev = abs(coeff - math.sqrt(8640.0))
     worst = 0.0
@@ -277,7 +272,7 @@ def test_criterion_13_entropy_properties(criterion):
     start = time.monotonic()
     zs = [0.0, 0.5, 1.0, 1.5, 2.0]
     trunc = entropy_scan(Family.LOWERING, zs, cutoff=64, n_terms=24)
-    new = entropy_scan(Family.SUSY_NEW, zs, cutoff=80, model=MODEL)
+    new = entropy_scan(Family.SUSY_NEW, zs, cutoff=80)
     theta0 = entropy_scan(Family.LOWERING, [0.7],
                           setting=BeamSplitterSetting(0.0, 0.0),
                           cutoff=32, n_terms=12)[0]

@@ -171,7 +171,7 @@ def test_entropy_partner_tower_band(tmp_path, run_cli):
 def test_entropy_warns_once_per_unconverged_row(tmp_path, run_cli, monkeypatch):
     # no configuration inside the size bounds was found unconverged, so the
     # scan records are stubbed: the middle row misses the 5e-3 probe
-    def scan(family, z_moduli, setting, cutoff, model):
+    def scan(family, z_moduli, setting, cutoff):
         return [EntropyRecord(z_abs=float(z), theta=setting.theta, phi=setting.phi,
                               entropy=0.25, entropy_refined=0.25 + 0.01 * (i == 1),
                               converged=i != 1, cutoff=cutoff)
@@ -302,6 +302,10 @@ def test_rejects_non_finite_scan_parameters(tmp_path, run_cli, flag, value):
     ["--command", "density", "--steps", "100000"],
     ["--command", "uncertainty", "--steps", "1000000000"],
     ["--command", "uncertainty", "--basis", "100000000"],
+    # each of these items fits alone, but together they exceed the budget
+    ["--command", "entropy", "--basis", "300"],
+    ["--command", "density", "--steps", "50000"],
+    ["--command", "uncertainty", "--steps", "5000000"],
 ])
 def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli, args):
     # sized from the layout: nothing is allocated before the rejection

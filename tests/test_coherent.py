@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from truncosc import coherent
 from truncosc.coherent import (
@@ -38,6 +40,7 @@ from truncosc.errors import (
     IndexOutOfRange,
     NotNormalizable,
     TailTooFat,
+    TruncOscError,
     TruncationTooSmall,
 )
 from truncosc.fock import truncated_ladder
@@ -269,6 +272,47 @@ def test_family_state_uses_each_family_constructor(family):
     else:
         direct = susy_cs(q4_model(), windows.basis, 0.2, truncation=64)
     assert np.array_equal(state.vector.amplitudes, direct.vector.amplitudes)
+
+
+def _window_state(family, window, r, angle):
+    """family_state over the family's entropy or uncertainty window, or
+    None where the tail guard rejects |z| as past the window's reach."""
+    terms = getattr(coherent.WINDOWS[family], f"{window}_terms")
+    try:
+        return coherent.family_state(family, cmath.rect(r, angle), truncation=terms)
+    except TruncOscError:
+        return None
+
+
+WINDOW_STATES = dict(family=st.sampled_from(list(Family)),
+                     window=st.sampled_from(["entropy", "uncertainty"]),
+                     r=st.floats(0.0, 3.0), angle=st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**WINDOW_STATES)
+def test_family_states_are_unit_vectors_or_rejected(family, window, r, angle):
+    # within its reach a window holds a normalized state; past it the tail
+    # guard raises rather than returning a clipped vector
+    state = _window_state(family, window, r, angle)
+    if state is None:
+        assert r > 0.05
+    else:
+        assert state.vector.norm() == pytest.approx(1.0, abs=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**WINDOW_STATES)
+def test_every_family_revives_at_half_period(family, window, r, angle):
+    # every family's level energies are spaced by 2, so t = pi multiplies
+    # each amplitude by one common phase
+    state = _window_state(family, window, r, angle)
+    assume(state is not None)
+    out = evolve(state, math.pi)
+    overlap = np.vdot(state.vector.amplitudes, out.vector.amplitudes)
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(out.vector.amplitudes
+                         - overlap * state.vector.amplitudes)) < 1e-12
 
 
 def test_windows_hold_the_scan_windows_of_every_family():

@@ -106,6 +106,21 @@ def test_gram_matrix_structure():
     assert ent[0, 1] == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=15, deadline=None)
+@given(size=st.integers(1, 64))
+def test_gram_matrix_is_positive_definite_with_half_diagonal_blocks(size):
+    # the smallest eigenvalue falls like 1e-3, 4e-8, 1e-12 at sizes 4, 8,
+    # 12 and below rounding from 16 on, so larger matrices are only
+    # positive semidefinite to rounding
+    ent = gram_matrix(size).entries
+    if size <= 12:
+        np.linalg.cholesky(ent)
+    assert np.min(np.linalg.eigvalsh(ent)) > -1e-14
+    for parity in (0, 1):
+        block = ent[parity::2, parity::2]
+        assert np.allclose(block, 0.5 * np.eye(block.shape[0]), rtol=0, atol=1e-12)
+
+
 def test_gram_odd_rows_give_an_orthonormal_basis():
     g = gram_matrix(12)
     t = g.odd_rows_scaled()
@@ -405,13 +420,34 @@ def test_entropy_scan_regressions_truncated():
 
 
 def test_entropy_scan_regressions_partner_towers():
-    new = entropy_scan(Family.SUSY_NEW, [1.0], cutoff=80, model=MODEL)[0]
+    new = entropy_scan(Family.SUSY_NEW, [1.0], cutoff=80)[0]
     assert new.entropy == pytest.approx(0.539369533205, abs=1e-9)
     assert new.converged
-    iso = entropy_scan(Family.SUSY_ISO, [0.5], cutoff=96, n_terms=32,
-                       model=MODEL)[0]
+    iso = entropy_scan(Family.SUSY_ISO, [0.5], cutoff=96, n_terms=32)[0]
     assert iso.entropy == pytest.approx(0.524544928481, abs=1e-9)
     assert iso.converged
+
+
+# |z| each family's entropy window reaches with its tail guard satisfied
+ENTROPY_REACH = {Family.LOWERING: 2.0, Family.DISPLACEMENT: 0.1,
+                 Family.LIN_LOWERING: 0.9, Family.LIN_DISPLACEMENT: 0.45,
+                 Family.SUSY_ISO: 1.0, Family.SUSY_NEW: 2.0}
+
+
+@settings(max_examples=8, deadline=None)
+@given(family=st.sampled_from(list(Family)), fraction=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi, exclude_max=True),
+       phi=st.floats(-math.pi, math.pi))
+def test_linear_entropy_lies_in_the_unit_interval(family, fraction, theta, phi):
+    # the partner towers need cutoff 80 before their projections recover
+    # the norm; the truncated families run at their 43-level minimum
+    partner = family in (Family.SUSY_ISO, Family.SUSY_NEW)
+    rec = entropy_scan(family, [fraction * ENTROPY_REACH[family]],
+                       setting=BeamSplitterSetting(theta, phi),
+                       cutoff=80 if partner else 43)[0]
+    # a product state's purity is 1 up to rounding, so S may read -4e-16
+    assert -1e-14 <= rec.entropy < 1.0
+    assert -1e-14 <= rec.entropy_refined < 1.0
 
 
 def test_entropy_vanishes_at_zero_mixing_angle():
@@ -511,13 +547,13 @@ def test_partner_scan_builds_projections_once_and_solves_each_total_once(monkeyp
     monkeypatch.setattr(entangle, "rows", counting_rows)
     monkeypatch.setattr(entangle, "eigh_tridiagonal", counting_eigh)
     z = np.linspace(0.0, 1.0, 9)
-    entropy_scan(Family.SUSY_ISO, z, cutoff=80, model=MODEL)
+    entropy_scan(Family.SUSY_ISO, z, cutoff=80)
     # (susy-iso, 32 levels) and (susy-new, 1 level) at cutoffs 80 and 120
     assert len(row_calls) == 4
     # even totals 2..238 of the refined padded size 239
     assert len(solves) == len(set(solves)) == 119
     entropy_scan(Family.SUSY_ISO, z, setting=BeamSplitterSetting(1.2, 0.3),
-                 cutoff=80, model=MODEL)
+                 cutoff=80)
     assert len(row_calls) == 4 and len(solves) == 119
     proj = entangle._susy_level_projections(Basis.SUSY_ISO, 32, 80)
     assert not proj.flags.writeable

@@ -13,8 +13,6 @@ from truncosc.fock import (
     Basis,
     FockVector,
     commutator_check,
-    eigenfunction,
-    eigenfunction_derivatives,
     energy,
     hermite_normalized,
     ho_eigenfunction,
@@ -34,7 +32,7 @@ from truncosc.numerics import gauss_halfline
 def test_halfline_levels_are_scaled_odd_fullline_levels():
     x = np.linspace(0.05, 5.0, 40)
     for k in range(4):
-        assert np.allclose(eigenfunction(k, x),
+        assert np.allclose(rows(Basis.TRUNCATED, k + 1, x, weighted=False)[0, k],
                            math.sqrt(2.0) * ho_eigenfunction(2 * k + 1, x),
                            rtol=0, atol=1e-14)
 
@@ -59,14 +57,14 @@ def test_energy_ladder():
 
 def test_eigenfunction_vanishes_at_the_wall():
     for k in range(5):
-        assert abs(eigenfunction(k, 0.0)[0]) < 1e-15
+        assert abs(rows(Basis.TRUNCATED, k + 1, 0.0, weighted=False)[0, k, 0]) < 1e-15
 
 
 def test_derivative_rows_satisfy_the_schroedinger_equation():
     # -phi''/2 + (x^2/2) phi = E phi pointwise
     x = np.linspace(0.1, 4.0, 60)
     for k in range(5):
-        phi, _, phi2 = eigenfunction_derivatives(k, x, order=2)
+        phi, _, phi2 = rows(Basis.TRUNCATED, k + 1, x, 2, weighted=False)[:, k]
         residual = -0.5 * phi2 + 0.5 * x * x * phi - energy(k) * phi
         assert np.max(np.abs(residual)) < 1e-10, f"level {k}"
 
@@ -75,15 +73,16 @@ def test_first_derivative_row_matches_finite_differences():
     x = np.linspace(0.3, 3.0, 12)
     h = 1e-6
     for k in (0, 2):
-        _, d1 = eigenfunction_derivatives(k, x, order=1)
-        fd = (eigenfunction(k, x + h) - eigenfunction(k, x - h)) / (2 * h)
+        _, d1 = rows(Basis.TRUNCATED, k + 1, x, 1, weighted=False)[:, k]
+        fd = (rows(Basis.TRUNCATED, k + 1, x + h, weighted=False)[0, k]
+              - rows(Basis.TRUNCATED, k + 1, x - h, weighted=False)[0, k]) / (2 * h)
         assert np.allclose(d1, fd, rtol=1e-7, atol=1e-7)
 
 
 def test_weighted_rows_are_plain_rows_times_gaussian():
     x = np.linspace(0.2, 3.5, 17)
     w = weighted_eigenfunction_derivatives(3, x, order=2)
-    plain = eigenfunction_derivatives(3, x, order=2)
+    plain = rows(Basis.TRUNCATED, 4, x, 2, weighted=False)[:, 3]
     assert np.allclose(w * np.exp(-0.5 * x * x), plain, rtol=1e-13, atol=1e-13)
 
 

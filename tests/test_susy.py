@@ -18,7 +18,7 @@ from truncosc.errors import (
     SingularWronskian,
     UnsupportedModel,
 )
-from truncosc.fock import Basis, eigenfunction_derivatives, rows
+from truncosc.fock import Basis, rows
 from truncosc.numerics import gauss_halfline, rising_factorial
 from truncosc.susy import (
     Q4_SEED_ASYMMETRY,
@@ -26,15 +26,10 @@ from truncosc.susy import (
     SusyModel,
     export_model_csv,
     g_moment,
-    iso_eigenfunction_derivatives,
     iso_linear_ladder,
     iso_measure_check,
-    iso_weighted_rows,
-    ladder_for,
-    new_eigenfunction_derivatives,
     new_measure_check,
     new_norm_constant_closed,
-    new_weighted_rows,
     q4_model,
     seed_solution,
     susy_cs,
@@ -92,6 +87,15 @@ def test_seed_gamma_pole_guard():
     # the pure parity branches stay usable at the same energy
     seed_solution(1.5, 0.0)
     seed_solution(1.5, math.inf)
+
+
+@pytest.mark.parametrize("epsilon, nu", [(-5.5, math.nan), (math.nan, 0.0),
+                                         (math.nan, math.inf)])
+def test_seed_rejects_nan_parameters(epsilon, nu):
+    # a NaN nu would silently pick the odd branch (the values of nu = inf),
+    # and a NaN epsilon would fail only after the full series budget
+    with pytest.raises(ValueError, match="NaN"):
+        seed_solution(epsilon, nu)
 
 
 def test_seed_derivative_recurrence_consistency():
@@ -172,7 +176,7 @@ def test_general_route_matches_the_intertwiner_route():
 def test_iso_tower_solves_the_partner_hamiltonian():
     v = MODEL.potential(GRID)
     for n in range(4):
-        phi, _, phi2 = iso_eigenfunction_derivatives(MODEL, n, GRID, order=2)
+        phi, _, phi2 = rows(Basis.SUSY_ISO, n + 1, GRID, 2, weighted=False)[:, n]
         residual = -0.5 * phi2 + v * phi - (2 * n + 1.5) * phi
         assert np.max(np.abs(residual)) < 1e-8, f"iso level {n}"
 
@@ -180,24 +184,24 @@ def test_iso_tower_solves_the_partner_hamiltonian():
 def test_new_tower_solves_the_partner_hamiltonian():
     v = MODEL.potential(GRID)
     for j, energy in enumerate(MODEL.new_energies):
-        phi, _, phi2 = new_eigenfunction_derivatives(MODEL, j, GRID, order=2)
+        phi, _, phi2 = rows(Basis.SUSY_NEW, j + 1, GRID, 2, weighted=False)[:, j]
         residual = -0.5 * phi2 + v * phi - energy * phi
         assert np.max(np.abs(residual)) < 1e-8, f"new level {j}"
 
 
 def test_partner_levels_are_orthonormal():
     rule = gauss_halfline(degree=120)
-    rows = [new_weighted_rows(MODEL, j, rule.nodes, order=0)[0] for j in (0, 1)]
-    rows += [iso_weighted_rows(MODEL, n, rule.nodes, order=0)[0] for n in range(6)]
-    rows = np.array(rows)
-    gram = (rows * rule.weights) @ rows.T
+    vals = [rows(Basis.SUSY_NEW, j + 1, rule.nodes)[0, j] for j in (0, 1)]
+    vals += [rows(Basis.SUSY_ISO, n + 1, rule.nodes)[0, n] for n in range(6)]
+    vals = np.array(vals)
+    gram = (vals * rule.weights) @ vals.T
     assert np.max(np.abs(gram - np.eye(8))) < 1e-8
 
 
 def test_weighted_rows_are_the_gaussian_scaled_plain_rows():
     x = np.linspace(0.3, 3.0, 11)
-    w = iso_weighted_rows(MODEL, 2, x, order=2)
-    plain = iso_eigenfunction_derivatives(MODEL, 2, x, order=2)
+    w = rows(Basis.SUSY_ISO, 3, x, 2)[:, 2]
+    plain = rows(Basis.SUSY_ISO, 3, x, 2, weighted=False)[:, 2]
     assert np.allclose(w * np.exp(-x * x / 2.0), plain, rtol=1e-12, atol=1e-12)
 
 
@@ -235,29 +239,43 @@ def test_linearised_commutator_is_exactly_two():
 
 
 def test_six_factor_on_the_first_excited_level():
-    ladder = ladder_for(MODEL)
-    coeff, target = susy_ladder_action(ladder, Basis.SUSY_ISO, "lower", 1,
+    coeff, target = susy_ladder_action(MODEL, Basis.SUSY_ISO, "lower", 1,
                                        operator="full")
     assert target == 0
     assert coeff == pytest.approx(math.sqrt(8640.0), rel=1e-13)
-    assert ladder.six_factor(3.5) == pytest.approx(8640.0, rel=1e-13)
+    assert MODEL.six_factor(3.5) == pytest.approx(8640.0, rel=1e-13)
 
 
 def test_ladder_annihilation_points():
-    ladder = ladder_for(MODEL)
-    assert susy_ladder_action(ladder, Basis.SUSY_ISO, "lower", 0) == (0.0, None)
-    assert susy_ladder_action(ladder, Basis.SUSY_NEW, "lower", 0) == (0.0, None)
+    assert susy_ladder_action(MODEL, Basis.SUSY_ISO, "lower", 0) == (0.0, None)
+    assert susy_ladder_action(MODEL, Basis.SUSY_NEW, "lower", 0) == (0.0, None)
     # raising annihilates the top of the finite tower explicitly
-    coeff, target = susy_ladder_action(ladder, Basis.SUSY_NEW, "raise",
+    coeff, target = susy_ladder_action(MODEL, Basis.SUSY_NEW, "raise",
                                        MODEL.kappa - 1)
     assert coeff == 0.0 and target is None
     with pytest.raises(IndexOutOfRange):
-        susy_ladder_action(ladder, Basis.SUSY_NEW, "lower", MODEL.kappa)
+        susy_ladder_action(MODEL, Basis.SUSY_NEW, "lower", MODEL.kappa)
+
+
+@pytest.mark.parametrize("subspace, steps", [(Basis.SUSY_ISO, 12),
+                                             (Basis.SUSY_NEW, MODEL.kappa - 1)])
+@pytest.mark.parametrize("operator", ["full", "linearized"])
+def test_raising_and_lowering_share_one_step_rule(subspace, steps, operator):
+    # both directions of the step k <-> k+1 scale by the same coefficient,
+    # fixed by the upper level u = k+1: the linearised one squares to
+    # E_u - 3/2, i.e. 2u on the infinite tower and 2u - delta1 on the finite
+    shift = MODEL.delta1 if subspace == Basis.SUSY_NEW else 0.0
+    for k in range(steps):
+        up, up_target = susy_ladder_action(MODEL, subspace, "raise", k, operator)
+        down, down_target = susy_ladder_action(MODEL, subspace, "lower", k + 1, operator)
+        assert (up_target, down_target) == (k + 1, k)
+        assert up == down
+        if operator == "linearized":
+            assert up ** 2 == pytest.approx(2.0 * (k + 1) - shift, abs=1e-12)
 
 
 def test_finite_tower_linearised_step_is_imaginary():
-    ladder = ladder_for(MODEL)
-    coeff, target = susy_ladder_action(ladder, Basis.SUSY_NEW, "lower", 1)
+    coeff, target = susy_ladder_action(MODEL, Basis.SUSY_NEW, "lower", 1)
     assert target == 0
     # principal branch of sqrt(2j - delta1) at j = 1: sqrt(-4) = 2i
     assert coeff == pytest.approx(2.0j, abs=1e-13)
