@@ -586,7 +586,7 @@ def _check_iso_measure(config: RunConfig):
 
 
 def parse_seed_config(path: str) -> tuple:
-    """Read 'epsilon nu' pairs; nu accepts inf/-inf for the odd branch."""
+    """Read 'epsilon nu' pairs: epsilon finite, nu also inf/-inf for the odd branch."""
     pairs = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -605,6 +605,9 @@ def parse_seed_config(path: str) -> tuple:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
                 if math.isnan(eps) or math.isnan(nu):
                     raise ConfigError(f"{path}:{lineno}: NaN is not a value")
+                if not math.isfinite(eps):
+                    raise ConfigError(
+                        f"{path}:{lineno}: epsilon must be finite, got {eps}")
                 pairs.append((eps, nu))
     except OSError as exc:
         raise ConfigError(f"cannot read seed config {path}: {exc}") from exc
@@ -632,7 +635,7 @@ def _check_seed_config(config: RunConfig):
         u2 = seed.second_derivative_direct(sample)
         res = float(np.max(np.abs(-0.5 * u2 + (0.5 * sample ** 2 - e) * u)))
         scale = float(np.max(np.abs(u)))
-        if res > 1e-8 * max(scale, 1.0):
+        if not res <= 1e-8 * max(scale, 1.0):  # a NaN residual fails too
             return "FAIL", (f"seed (epsilon={e}, nu={nu}) misses its defining "
                             f"equation by {res:.3e}")
         seeds.append(seed)

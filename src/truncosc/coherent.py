@@ -109,10 +109,9 @@ class Measure:
 
 def _raw_amplitudes(family: Family, spec: LadderSpec, z: complex, alpha: float,
                     truncation: int) -> np.ndarray:
-    n = truncation if spec.dim is None else min(truncation, spec.dim)
-    c = np.zeros(n, dtype=complex)
+    c = np.zeros(truncation, dtype=complex)
     c[0] = 1.0
-    for k in range(1, n):
+    for k in range(1, truncation):
         if family == Family.LOWERING:
             step = spec.lower_sq(k)
             if step <= 0:
@@ -162,13 +161,13 @@ def build_cs(family: Family, spec: LadderSpec, z: complex, alpha: float = 2.0,
     c = _raw_amplitudes(family, spec, z, alpha, truncation)
 
     mags = np.abs(c)
-    if spec.dim is None and family == Family.DISPLACEMENT:
+    if family == Family.DISPLACEMENT:
         tail = mags[-6:]
         if np.all(np.diff(tail) >= 0) and tail[-1] > 0:
             raise NotNormalizable(
                 f"displacement norm series diverges at |z| = {abs(z):.4g}")
     norm = float(np.linalg.norm(c))
-    if spec.dim is None and mags[-1] > 1e-12 * norm:
+    if mags[-1] > 1e-12 * norm:
         raise TruncationTooSmall(
             f"amplitude at the truncation edge is {mags[-1] / norm:.2e} of the norm")
     vec = FockVector(spec.basis, c / norm)
@@ -301,7 +300,7 @@ def iso_measure() -> Measure:
 
 def identity_resolution_check(family: Family, spec: LadderSpec, measure: Measure,
                               n_max: int = 10, r_max: float = 40.0,
-                              alpha: float = 2.0, truncation: int = 64) -> float:
+                              truncation: int = 64) -> float:
     """Max deviation |M_nn - 1| of the resolution-of-identity moments.
 
     M_mn = int d^2 z mu(z) <m|z><z|n>; the phase integral kills all
@@ -320,7 +319,7 @@ def identity_resolution_check(family: Family, spec: LadderSpec, measure: Measure
 
     def level_weights(r: float) -> np.ndarray:
         if r not in weights_at:
-            cs = build_cs(family, spec, r, alpha=alpha, truncation=truncation)
+            cs = build_cs(family, spec, r, truncation=truncation)
             weights_at[r] = np.abs(cs.vector.amplitudes[: n_max + 1]) ** 2
         return weights_at[r]
 

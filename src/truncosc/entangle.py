@@ -154,7 +154,7 @@ class GramMatrix:
 
 
 @lru_cache(maxsize=8)
-def gram_matrix(size: int, degree: Optional[int] = None) -> GramMatrix:
+def gram_matrix(size: int) -> GramMatrix:
     """Gram matrix of the first `size` restricted normalized levels.
 
     Gauss half-line quadrature is exact here (pure polynomial integrands
@@ -163,7 +163,7 @@ def gram_matrix(size: int, degree: Optional[int] = None) -> GramMatrix:
     """
     if size < 1:
         raise ValueError("size must be positive")
-    rule = gauss_halfline(2 * size + 16 if degree is None else degree)
+    rule = gauss_halfline(2 * size + 16)
     h = hermite_normalized(size - 1, rule.nodes)
     g = (h * rule.weights) @ h.T / math.sqrt(math.pi)
     return GramMatrix(0.5 * (g + g.T))

@@ -11,23 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import BasisMismatch, IndexOutOfRange, UnsupportedBasis
+from .errors import BasisMismatch, IndexOutOfRange
 
 __all__ = [
     "Basis",
     "LadderSpec",
     "FockVector",
     "truncated_ladder",
-    "oscillator_ladder",
     "hermite_normalized",
-    "ho_eigenfunction",
     "weighted_eigenfunction_derivatives",
     "rows",
-    "energy",
     "ladder_apply",
     "commutator_check",
 ]
@@ -37,35 +34,22 @@ class Basis(str, Enum):
     TRUNCATED = "truncated"
     SUSY_ISO = "susy-iso"
     SUSY_NEW = "susy-new"
-    FULL_LINE = "full-line"
 
 
 @dataclass(frozen=True)
 class LadderSpec:
-    """Abstract ladder data on a number basis.
+    """Abstract ladder data on an infinite number basis.
 
     lower_sq(k) is the squared coefficient of the lowering step
     (lower|k> = sqrt(lower_sq(k)) |k-1>), raise_sq(k) the squared
     coefficient with which raising reaches |k> from |k-1>, and
-    level_energy(k) the eigenvalue ladder.  dim is None for an infinite
-    tower, else the dimension (raising annihilates the top level).
+    level_energy(k) the eigenvalue ladder.
     """
 
     lower_sq: Callable[[int], float]
     raise_sq: Callable[[int], float]
     level_energy: Callable[[int], float]
-    dim: Optional[int] = None
     basis: Basis = Basis.TRUNCATED
-
-    def validate(self, n_check: int = 16) -> None:
-        if self.lower_sq(0) != 0.0:
-            raise ValueError("lowering must annihilate the bottom level: lower_sq(0) == 0")
-        top = self.dim if self.dim is not None else n_check
-        for k in range(1, top):
-            if self.lower_sq(k) < 0 or self.raise_sq(k) < 0:
-                raise ValueError("step coefficients must be nonnegative")
-        if self.dim is not None and self.raise_sq(self.dim) != 0.0:
-            raise ValueError("raising must annihilate the top level of a finite tower")
 
 
 def truncated_ladder() -> LadderSpec:
@@ -74,19 +58,7 @@ def truncated_ladder() -> LadderSpec:
         lower_sq=lambda k: 2.0 * k * (2 * k + 1),
         raise_sq=lambda k: 2.0 * k * (2 * k + 1),
         level_energy=lambda k: 2.0 * k + 1.5,
-        dim=None,
         basis=Basis.TRUNCATED,
-    )
-
-
-def oscillator_ladder() -> LadderSpec:
-    """Standard full-line oscillator ladder (steps k, energies k + 1/2)."""
-    return LadderSpec(
-        lower_sq=lambda k: float(k),
-        raise_sq=lambda k: float(k),
-        level_energy=lambda k: k + 0.5,
-        dim=None,
-        basis=Basis.FULL_LINE,
     )
 
 
@@ -109,12 +81,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.basis, self.amplitudes / n)
-
 
 # ----------------------------------------------------------------------------
 # eigenfunctions
@@ -135,20 +101,6 @@ def hermite_normalized(n_max: int, x) -> np.ndarray:
         out[n + 1] = x * math.sqrt(2.0 / (n + 1)) * out[n] \
             - math.sqrt(n / (n + 1.0)) * out[n - 1]
     return out
-
-
-def ho_eigenfunction(n: int, x):
-    """Full-line oscillator eigenfunction psi_n(x) (unit L2(R) norm)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = hermite_normalized(n, x)[n]
-    return math.pi ** -0.25 * np.exp(-0.5 * x * x) * h
-
-
-def energy(k: int) -> float:
-    """E_k = 2k + 3/2."""
-    if k < 0:
-        raise IndexOutOfRange(f"level index {k} is negative")
-    return 2.0 * k + 1.5
 
 
 # Nodes per block in rows(): keeps the Hermite table and the partner
@@ -174,13 +126,11 @@ def rows(basis: Basis, n_levels: int, x, order: int = 0,
         raise ValueError("derivative order must be non-negative")
     if basis == Basis.TRUNCATED:
         block = _truncated_block
-    elif basis in (Basis.SUSY_ISO, Basis.SUSY_NEW):
+    else:
         if order > 2:
             raise ValueError("partner rows available up to second derivative")
         from . import susy
         block = susy._iso_block if basis == Basis.SUSY_ISO else susy._new_block
-    else:
-        raise UnsupportedBasis(f"no eigenfunction rows for basis {basis}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((order + 1, n_levels, x.size))
     for i in range(0, x.size, _ROW_CHUNK):
@@ -246,25 +196,20 @@ def ladder_apply(spec: LadderSpec, direction: str, v: FockVector) -> FockVector:
         for k in range(1, a.size):
             out[k - 1] = math.sqrt(spec.lower_sq(k)) * a[k]
     else:
-        top = a.size if spec.dim is None else min(a.size, spec.dim)
-        for k in range(1, top):
+        for k in range(1, a.size):
             out[k] = math.sqrt(spec.raise_sq(k)) * a[k - 1]
     return FockVector(v.basis, out)
 
 
-def commutator_check(spec: LadderSpec, n_max: int,
-                     target: Callable[[int], float] | None = None) -> float:
-    """Deviation of [lower, raise] from its target on levels k <= n_max.
+def commutator_check(spec: LadderSpec, n_max: int) -> float:
+    """Deviation of [lower, raise] from 4H on levels k <= n_max.
 
-    On |k> the commutator acts as raise_sq(k+1) - lower_sq(k).  The default
-    target is 4 * level_energy(k), the closure relation of the half-line
-    oscillator's squared ladder; pass another callable to check e.g. the
-    standard oscillator's constant 1.
+    On |k> the commutator acts as raise_sq(k+1) - lower_sq(k); the closure
+    relation of the half-line oscillator's squared ladder is
+    4 * level_energy(k).
     """
-    if target is None:
-        target = lambda k: 4.0 * spec.level_energy(k)
     dev = 0.0
     for k in range(n_max + 1):
         got = spec.raise_sq(k + 1) - spec.lower_sq(k)
-        dev = max(dev, abs(got - target(k)))
+        dev = max(dev, abs(got - 4.0 * spec.level_energy(k)))
     return dev

@@ -4,14 +4,13 @@ Everything downstream (eigenfunctions, coherent-state norms, measures,
 SUSY seeds) is built on the routines here: plain series evaluations of the
 hypergeometric family, a signed log-gamma, rising factorials as explicit
 products (never gamma quotients), a Mellin-Barnes evaluator for the
-G^{2,0}_{1,2} kernel, and Gauss/adaptive rules on (0, inf).
+G^{2,0}_{1,2} kernel, and a Gauss rule on (0, inf).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 from scipy import special as sps
@@ -24,10 +23,7 @@ from .errors import (
 )
 
 __all__ = [
-    "SpecialFunctionConfig",
-    "DEFAULT_CONFIG",
     "QuadratureRule",
-    "hermite_phys",
     "hyp1f1",
     "hyp2f1_terminating",
     "hyp2f2",
@@ -36,66 +32,29 @@ __all__ = [
     "meijer_g_2012",
     "gauss_halfline",
     "gauss_halfline_size",
-    "adaptive_halfline",
-    "integrate_halfline",
 ]
 
 
-@dataclass(frozen=True)
-class SpecialFunctionConfig:
-    """Knobs for the series and contour evaluators.
-
-    series_tolerance is a relative stop criterion, max_terms the hard term
-    budget.  The Mellin-Barnes contour runs at Re s = max(1, 1 - a1) +
-    mellin_contour_offset with mellin_nodes trapezoid points on
-    Im s in [-60, 60].
-    """
-
-    series_tolerance: float = 1e-15
-    max_terms: int = 512
-    mellin_contour_offset: float = 0.5
-    mellin_nodes: int = 2048
-
-    def __post_init__(self):
-        if not (0.0 < self.series_tolerance <= 1e-6):
-            raise ValueError("series_tolerance must lie in (0, 1e-6]")
-        if self.max_terms < 64:
-            raise ValueError("max_terms must be at least 64")
-        if self.mellin_nodes < 128:
-            raise ValueError("mellin_nodes must be at least 128")
-
-
-DEFAULT_CONFIG = SpecialFunctionConfig()
+# Series stop rule: a relative term size below _SERIES_TOLERANCE twice in a
+# row, within a hard budget of _MAX_TERMS terms.  The Mellin-Barnes contour
+# runs at Re s = max(1, 1 - a1) + _MELLIN_OFFSET with _MELLIN_NODES
+# trapezoid points on Im s in [-60, 60].
+_SERIES_TOLERANCE = 1e-15
+_MAX_TERMS = 512
+_MELLIN_OFFSET = 0.5
+_MELLIN_NODES = 2048
 
 
 def _is_nonpositive_integer(a: float) -> bool:
     return a <= 0 and float(a) == math.floor(a)
 
 
-def hermite_phys(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
-
-    Accepts scalar or ndarray x.  Not overflow-protected; for normalized
-    oscillator eigenfunctions use fock.hermite_normalized instead.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
-
-
-def hyp1f1(a: float, b: float, x: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def hyp1f1(a: float, b: float, x: float) -> float:
     """Kummer 1F1(a; b; x) by direct series.
 
     Terminates exactly when a is a nonpositive integer.  Raises PoleError
     when the series runs into b = nonpositive integer first, and
-    DivergenceError when max_terms is exhausted.
+    DivergenceError when the term budget is exhausted.
     """
     if _is_nonpositive_integer(b) and not (_is_nonpositive_integer(a) and a > b):
         # the (b)_k factor hits zero before the numerator terminates
@@ -103,7 +62,7 @@ def hyp1f1(a: float, b: float, x: float, config: SpecialFunctionConfig = DEFAULT
     term = 1.0
     total = 1.0
     small_run = 0
-    for k in range(config.max_terms):
+    for k in range(_MAX_TERMS):
         if a + k == 0.0:
             return total
         denom = (b + k) * (k + 1)
@@ -111,13 +70,13 @@ def hyp1f1(a: float, b: float, x: float, config: SpecialFunctionConfig = DEFAULT
             raise PoleError(f"1F1 pole: b = {b} reached at term {k + 1}")
         term *= (a + k) * x / denom
         total += term
-        if abs(term) <= config.series_tolerance * max(1.0, abs(total)):
+        if abs(term) <= _SERIES_TOLERANCE * max(1.0, abs(total)):
             small_run += 1
             if small_run >= 2:
                 return total
         else:
             small_run = 0
-    raise DivergenceError(f"1F1({a}, {b}, {x}) did not converge in {config.max_terms} terms")
+    raise DivergenceError(f"1F1({a}, {b}, {x}) did not converge in {_MAX_TERMS} terms")
 
 
 def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
@@ -140,13 +99,12 @@ def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
     return total
 
 
-def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float,
-           config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float) -> float:
     """2F2(a1, a2; b1, b2; x) by direct series with the same stop rules as hyp1f1."""
     term = 1.0
     total = 1.0
     small_run = 0
-    for k in range(config.max_terms):
+    for k in range(_MAX_TERMS):
         if a1 + k == 0.0 or a2 + k == 0.0:
             return total
         denom = (b1 + k) * (b2 + k) * (k + 1)
@@ -154,13 +112,13 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float,
             raise PoleError(f"2F2 pole: denominator parameter reached zero at term {k + 1}")
         term *= (a1 + k) * (a2 + k) * x / denom
         total += term
-        if abs(term) <= config.series_tolerance * max(1.0, abs(total)):
+        if abs(term) <= _SERIES_TOLERANCE * max(1.0, abs(total)):
             small_run += 1
             if small_run >= 2:
                 return total
         else:
             small_run = 0
-    raise DivergenceError(f"2F2 did not converge in {config.max_terms} terms")
+    raise DivergenceError(f"2F2 did not converge in {_MAX_TERMS} terms")
 
 
 def log_gamma_signed(x: float) -> tuple[float, float]:
@@ -188,8 +146,7 @@ def rising_factorial(a: float, j: int) -> float:
 # Meijer G^{2,0}_{1,2}(x | a1; 0, 0) via a Mellin-Barnes contour
 # ----------------------------------------------------------------------------
 
-def meijer_g_2012(a1: float, x, config: SpecialFunctionConfig = DEFAULT_CONFIG,
-                  contour_re: float | None = None):
+def meijer_g_2012(a1: float, x, contour_re: float | None = None):
     """G^{2,0}_{1,2}(x | a1; 0, 0) = (1/2*pi*i) int Gamma(s)^2/Gamma(a1+s) x^{-s} ds.
 
     The contour is the vertical line Re s = max(1, 1 - a1) + offset,
@@ -209,8 +166,8 @@ def meijer_g_2012(a1: float, x, config: SpecialFunctionConfig = DEFAULT_CONFIG,
             raise ValueError("contour_re must be positive")
         c = float(contour_re)
     else:
-        c = max(1.0, 1.0 - a1) + config.mellin_contour_offset
-    t = np.linspace(-60.0, 60.0, config.mellin_nodes)
+        c = max(1.0, 1.0 - a1) + _MELLIN_OFFSET
+    t = np.linspace(-60.0, 60.0, _MELLIN_NODES)
     s = c + 1j * t
     log_integrand = 2.0 * sps.loggamma(s)[:, None] - sps.loggamma(a1 + s)[:, None] \
         - np.outer(s, np.log(x_arr))
@@ -229,30 +186,14 @@ def meijer_g_2012(a1: float, x, config: SpecialFunctionConfig = DEFAULT_CONFIG,
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes/weights for half-line integration (compared and hashed by identity).
-
-    kind "gauss-halfline": Gauss rule for the weight e^{-x^2} on (0, inf);
-    the weight is folded into the weights, so sum(w * f(x)) approximates
-    int_0^inf f(x) e^{-x^2} dx.  kind "adaptive": composite Gauss-Legendre
-    panels on (0, x_max] with no weight folded in; integrate_halfline
-    refines the panels until the value settles, starting from the layout
-    (x_max, panels, points_per_panel) the rule carries.
-    """
+    """Nodes/weights of the Gauss rule for the weight e^{-x^2} on (0, inf)
+    (compared and hashed by identity).  The weight is folded into the
+    weights, so sum(w * f(x)) approximates int_0^inf f(x) e^{-x^2} dx."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    degree: int
-    x_max: Optional[float] = None
-    panels: Optional[int] = None
-    points_per_panel: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("gauss-halfline", "adaptive"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "adaptive" and None in (self.x_max, self.panels,
-                                                 self.points_per_panel):
-            raise ValueError("an adaptive rule needs its panel layout")
         if np.any(self.nodes <= 0) or np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly positive and increasing")
         if np.any(self.weights <= 0):
@@ -315,55 +256,5 @@ def gauss_halfline(degree: int = 200) -> QuadratureRule:
     mass = float(np.sum(weights))
     if abs(mass - math.sqrt(math.pi) / 2.0) > 1e-12:
         raise NonConvergence(f"half-line rule mass off: {mass}")
-    return QuadratureRule(nodes=nodes, weights=weights, kind="gauss-halfline", degree=degree)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
-
-def adaptive_halfline(x_max: float = 40.0, panels: int = 64,
-                      points_per_panel: int = 16) -> QuadratureRule:
-    """Composite Gauss-Legendre panel rule on (0, x_max], refinable."""
-    edges = np.linspace(0.0, float(x_max), panels + 1)
-    nodes, weights = _panel_rule(edges, points_per_panel)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="adaptive", degree=nodes.size,
-                          x_max=float(x_max), panels=panels,
-                          points_per_panel=points_per_panel)
-
-
-def _eval_on(f: Callable, x: np.ndarray) -> np.ndarray:
-    vals = f(x)
-    vals = np.asarray(vals)
-    if vals.shape[-1:] != x.shape:
-        raise ValueError("integrand must return one value per node (vectorized)")
-    return vals
-
-
-def integrate_halfline(f: Callable, rule: QuadratureRule, *, rtol: float = 1e-10,
-                       max_refine: int = 12):
-    """Integrate f over (0, inf) with the given rule.
-
-    Gauss kind: returns sum(w f(x)), approximating the integral of
-    f(x) e^{-x^2} (the weight is folded into w).  Adaptive kind: integrates
-    f itself over (0, x_max], doubling the panel count until the value
-    moves by less than rtol (relative), else raises NonConvergence.
-    f must be vectorized over the node array; it may return a vector per
-    node (shape (..., n_nodes)), in which case a vector is returned.
-    """
-    if rule.kind == "gauss-halfline":
-        vals = _eval_on(f, rule.nodes)
-        out = vals @ rule.weights
-        return float(out) if np.ndim(out) == 0 else out
-
-    panels = rule.panels
-    prev = None
-    for _ in range(max_refine):
-        edges = np.linspace(0.0, rule.x_max, panels + 1)
-        nodes, weights = _panel_rule(edges, rule.points_per_panel)
-        vals = _eval_on(f, nodes)
-        cur = vals @ weights
-        if prev is not None:
-            scale = np.max(np.abs(cur)) if np.ndim(cur) else abs(cur)
-            diff = np.max(np.abs(cur - prev)) if np.ndim(cur) else abs(cur - prev)
-            if diff <= rtol * max(scale, 1e-300):
-                return float(cur) if np.ndim(cur) == 0 else cur
-        prev = cur
-        panels *= 2
-    raise NonConvergence("adaptive half-line integration did not settle")

@@ -19,7 +19,6 @@ no expectation value depends on that half.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +34,7 @@ from .errors import (
     TruncationTooSmall,
     UnsupportedBasis,
 )
-from .fock import Basis, LadderSpec, rows, weighted_eigenfunction_derivatives
+from .fock import Basis, rows, weighted_eigenfunction_derivatives
 from .numerics import (
     QuadratureRule,
     gauss_halfline,
@@ -50,9 +49,7 @@ __all__ = [
     "matrix_element_closed",
     "matrix_element_quadrature",
     "build_table",
-    "energy_table",
     "discrepancy_report",
-    "write_discrepancy_csv",
     "expectation",
     "uncertainty_scan",
 ]
@@ -63,7 +60,6 @@ class ObservableKind(str, Enum):
     X2 = "X2"
     P = "P"
     P2 = "P2"
-    H = "H"
 
 
 @dataclass(frozen=True)
@@ -72,14 +68,14 @@ class MatrixElementTable:
 
     kind: ObservableKind
     entries: np.ndarray
-    source: str  # "closed-form" | "quadrature" | "diagonal"
+    source: str  # "closed-form" | "quadrature"
     basis: Basis
 
     def __post_init__(self) -> None:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if self.kind in (ObservableKind.X, ObservableKind.X2, ObservableKind.H):
+        if self.kind in (ObservableKind.X, ObservableKind.X2):
             if np.max(np.abs(e - e.T)) > 1e-10 or np.max(np.abs(e.imag)) > 1e-10:
                 raise ValueError(f"{self.kind.value} table must be real symmetric")
         elif self.kind == ObservableKind.P2:
@@ -171,8 +167,6 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int,
     kind = ObservableKind(kind)
     if basis != Basis.TRUNCATED:
         raise UnsupportedBasis(f"no closed forms exist in basis {basis}")
-    if kind == ObservableKind.H:
-        return complex(2 * n + 1.5) if n == m else 0.0
     if n < 0 or m < 0:
         raise IndexOutOfRange("matrix element indices must be non-negative")
     if n >= m:
@@ -196,8 +190,6 @@ def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
     functions vanish at the origin).
     """
     kind = ObservableKind(kind)
-    if kind == ObservableKind.H:
-        raise UnsupportedBasis("H tables are diagonal by construction; use energy_table")
     if basis != Basis.TRUNCATED:
         raise UnsupportedBasis(f"single elements exist only in the truncated basis, "
                                f"not {basis}; use build_table")
@@ -213,9 +205,6 @@ def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
     if kind == ObservableKind.P:
         return complex(-1j * np.sum(w * fn[0] * fm[1]))
     return complex(np.sum(w * fn[1] * fm[1]))
-
-
-_QUADRATURE_KINDS = (ObservableKind.X, ObservableKind.X2, ObservableKind.P, ObservableKind.P2)
 
 
 @lru_cache(maxsize=8)
@@ -257,17 +246,9 @@ def build_table(kind: ObservableKind, n_max: int, source: str = "quadrature",
         return MatrixElementTable(kind, ent, "closed-form", basis)
     if source != "quadrature":
         raise ValueError(f"unknown source {source!r}")
-    if kind == ObservableKind.H:
-        raise UnsupportedBasis("H tables are diagonal by construction; use energy_table")
     if rule is None:
         rule = gauss_halfline(degree=4 * n_max + 16)
     return _quadrature_tables(n_max, Basis(basis), rule)[kind]
-
-
-def energy_table(ladder: LadderSpec, n_max: int) -> MatrixElementTable:
-    """Diagonal Hamiltonian table from a ladder's level energies."""
-    ent = np.diag([complex(ladder.level_energy(k)) for k in range(n_max + 1)])
-    return MatrixElementTable(ObservableKind.H, ent, "diagonal", ladder.basis)
 
 
 # ----------------------------------------------------------------------------
@@ -282,7 +263,7 @@ def discrepancy_report(n_max: int = 8, tol: float = 1e-8) -> list[dict]:
     """
     rule = gauss_halfline(degree=4 * n_max + 16)
     rows = []
-    for kind in (ObservableKind.X, ObservableKind.X2, ObservableKind.P, ObservableKind.P2):
+    for kind in ObservableKind:
         quad_table = build_table(kind, n_max, rule=rule)
         for n in range(n_max + 1):
             for m in range(n + 1):
@@ -294,24 +275,6 @@ def discrepancy_report(n_max: int = 8, tol: float = 1e-8) -> list[dict]:
                                  "closed_form": cf, "quadrature": qv,
                                  "abs_diff": diff})
     return rows
-
-
-def _fmt_complex(v: complex) -> str:
-    if abs(v.imag) < 1e-14:
-        return f"{v.real:.12g}"
-    return f"{v.real:.12g}{v.imag:+.12g}j"
-
-
-def write_discrepancy_csv(path: str, n_max: int = 8, tol: float = 1e-8) -> int:
-    """Write the closed-form/quadrature discrepancy report; returns row count."""
-    rows = discrepancy_report(n_max=n_max, tol=tol)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "n", "m", "closed_form", "quadrature", "abs_diff"])
-        for r in rows:
-            writer.writerow([r["kind"], r["n"], r["m"], _fmt_complex(r["closed_form"]),
-                             _fmt_complex(r["quadrature"]), f"{r['abs_diff']:.6e}"])
-    return len(rows)
 
 
 # ----------------------------------------------------------------------------
@@ -362,7 +325,7 @@ def uncertainty_scan(family: Family, z_moduli: Sequence[float],
     n_terms, degree = windows.uncertainty(truncation)
     rule = gauss_halfline(degree=degree)
     tables = {kind: build_table(kind, n_terms - 1, basis=windows.basis, rule=rule)
-              for kind in _QUADRATURE_KINDS}
+              for kind in ObservableKind}
     records = []
     for r in z_moduli:
         cs = family_state(family, r, truncation=truncation)

@@ -30,9 +30,8 @@ printed in the source material evaluates to the SIGNED series
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -53,10 +52,9 @@ from .fock import (
     rows,
 )
 from .numerics import (
-    DEFAULT_CONFIG,
-    SpecialFunctionConfig,
     _panel_rule,
     hyp1f1,
+    hyp2f2,
     meijer_g_2012,
     rising_factorial,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "new_measure_check",
     "iso_measure_check",
     "g_moment",
-    "export_model_csv",
     "Q4_SEED_ENERGIES",
     "Q4_SEED_ASYMMETRY",
 ]
@@ -101,7 +98,6 @@ class SeedSolution:
 
     epsilon: float
     nu: float
-    config: SpecialFunctionConfig = field(default=DEFAULT_CONFIG, compare=False)
 
     def __post_init__(self) -> None:
         if math.isnan(self.epsilon) or math.isnan(self.nu):
@@ -133,7 +129,7 @@ class SeedSolution:
         return 2.0 * self.nu * sign * math.exp(log_ratio)
 
     def _series(self, a: float, b: float, x: np.ndarray) -> np.ndarray:
-        return np.array([hyp1f1(a, b, float(t) * float(t), self.config) for t in x])
+        return np.array([hyp1f1(a, b, float(t) * float(t)) for t in x])
 
     def _value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ae, ao = self._a_even, self._a_odd
@@ -213,10 +209,9 @@ class SeedSolution:
         return self.derivatives(x, order=0)[0]
 
 
-def seed_solution(epsilon: float, nu: float,
-                  config: SpecialFunctionConfig = DEFAULT_CONFIG) -> SeedSolution:
+def seed_solution(epsilon: float, nu: float) -> SeedSolution:
     """Factory for SeedSolution (see the dataclass for conventions)."""
-    return SeedSolution(epsilon=epsilon, nu=nu, config=config)
+    return SeedSolution(epsilon=epsilon, nu=nu)
 
 
 # ----------------------------------------------------------------------------
@@ -565,8 +560,7 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
                          energies=model.new_energies)
 
 
-def new_norm_constant_closed(model: SusyModel, z: complex,
-                             config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def new_norm_constant_closed(model: SusyModel, z: complex) -> float:
     """The closed-form norm constant of the finite-tower state, as printed.
 
     For the explicit model this evaluates to the signed series
@@ -576,13 +570,12 @@ def new_norm_constant_closed(model: SusyModel, z: complex,
     """
     kappa, d = model.kappa, model.delta1
     u = 2.0 * abs(z) ** 2
-    first = hyp1f1(-d / 2.0, 1.0, u, config)
+    first = hyp1f1(-d / 2.0, 1.0, u)
     # the gamma ratio Gamma(kappa - d/2) / Gamma(-d/2) is a rising factorial
     ratio = rising_factorial(-d / 2.0, kappa)
-    from .numerics import hyp2f2
     second = (abs(z) ** (2 * kappa) * 2.0 ** kappa * ratio
               / math.factorial(kappa) ** 2
-              * hyp2f2(1.0, kappa - d / 2.0, kappa + 1.0, kappa + 1.0, u, config))
+              * hyp2f2(1.0, kappa - d / 2.0, kappa + 1.0, kappa + 1.0, u))
     return float(first - second)
 
 
@@ -593,7 +586,7 @@ def new_norm_constant_closed(model: SusyModel, z: complex,
 # Layout of the fixed kernel rule: geometric panels with edges 2^-20 .. 1
 # absorb the log singularity of G at t -> 0; uniform panels in u = sqrt(t)
 # follow the exp(-2 sqrt t) decay out to t_max.  Kernel values are computed
-# 32 nodes per meijer_g_2012 call so each (mellin_nodes x chunk) complex
+# 32 nodes per meijer_g_2012 call so each (contour nodes x chunk) complex
 # temporary stays near 1 MB.
 _KERNEL_POINTS = 12
 _KERNEL_DEPTH = 20
@@ -601,14 +594,13 @@ _KERNEL_OUTER_PANELS = 32
 _KERNEL_CHUNK = 32
 
 
-def _kernel_values(a1: float, t: np.ndarray, config: SpecialFunctionConfig,
-                   contour_re: Optional[float]) -> np.ndarray:
+def _kernel_values(a1: float, t: np.ndarray, contour_re: Optional[float]) -> np.ndarray:
     return np.concatenate([
-        meijer_g_2012(a1, t[i:i + _KERNEL_CHUNK], config, contour_re=contour_re)
+        meijer_g_2012(a1, t[i:i + _KERNEL_CHUNK], contour_re=contour_re)
         for i in range(0, t.size, _KERNEL_CHUNK)])
 
 
-def _kernel_rule(a1: float, t_max: float, config: SpecialFunctionConfig):
+def _kernel_rule(a1: float, t_max: float):
     """Nodes t, weights w and G(t) on a fixed composite Gauss-Legendre rule.
 
     sum(w * t^j * G) approximates int_0^t_max t^j G^{2,0}_{1,2}(t | a1; 0, 0) dt.
@@ -624,25 +616,23 @@ def _kernel_rule(a1: float, t_max: float, config: SpecialFunctionConfig):
     outer = np.linspace(1.0, math.sqrt(t_max), _KERNEL_OUTER_PANELS + 1)
     u, w_u = _panel_rule(outer, _KERNEL_POINTS)
     t_hi, w_hi = u * u, 2.0 * u * w_u
-    g = np.concatenate((_kernel_values(a1, t_lo, config, 0.6),
-                        _kernel_values(a1, t_hi, config, None)))
+    g = np.concatenate((_kernel_values(a1, t_lo, 0.6),
+                        _kernel_values(a1, t_hi, None)))
     return np.concatenate((t_lo, t_hi)), np.concatenate((w_lo, w_hi)), g
 
 
-def g_moment(j: int, a1: float, t_max: float = 900.0,
-             config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def g_moment(j: int, a1: float, t_max: float = 900.0) -> float:
     """int_0^t_max t^j G(t) dt for the Mellin-contour kernel at parameter a1.
 
     Evaluated on the fixed kernel rule (_kernel_rule): 636 nodes, with
     the kernel computed in vectorized chunks rather than once per
     adaptive quadrature node.
     """
-    t, w, g = _kernel_rule(a1, t_max, config)
+    t, w, g = _kernel_rule(a1, t_max)
     return float(w @ (t ** j * g))
 
 
-def new_measure_check(model: SusyModel, n_max: int = 5, r_max: float = 20.0,
-                      config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def new_measure_check(model: SusyModel, n_max: int = 5, r_max: float = 20.0) -> float:
     """Deviation of the finite-tower measure's diagonal moments from 1.
 
     The printed measure carries a Gamma(-delta1/2) prefactor that is a
@@ -659,7 +649,7 @@ def new_measure_check(model: SusyModel, n_max: int = 5, r_max: float = 20.0,
     d = model.delta1
     a1 = -(d + 2.0) / 2.0
     t_max = min(900.0, 2.0 * r_max * r_max)
-    t, w, g = _kernel_rule(a1, t_max, config)
+    t, w, g = _kernel_rule(a1, t_max)
     for j in range(min(n_max, 5) + 1):
         target = 0.0
         arg = j - d / 2.0
@@ -690,26 +680,3 @@ def iso_measure_check(n_max: int = 10, r_max: float = 8.0,
                                      iso_measure(), n_max=n_max, r_max=r_max,
                                      truncation=truncation)
 
-
-# ----------------------------------------------------------------------------
-# export
-# ----------------------------------------------------------------------------
-
-def export_model_csv(model: SusyModel, path: str,
-                     grid: Optional[Sequence[float]] = None) -> None:
-    """Write x, V, the two finite-tower states, and phi_0..phi_5 as CSV."""
-    model._require_explicit()
-    if grid is None:
-        grid = np.linspace(0.01, 8.0, 800)
-    grid = np.asarray(grid, dtype=float)
-    v = model.potential(grid)
-    new0, new1 = rows(Basis.SUSY_NEW, 2, grid, weighted=False)[0]
-    iso = rows(Basis.SUSY_ISO, 6, grid, weighted=False)[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "V", "phi_E0", "phi_E1"]
-                        + [f"phi_{n}" for n in range(6)])
-        for i, xv in enumerate(grid):
-            writer.writerow([f"{xv:.8g}", f"{v[i]:.12g}", f"{new0[i]:.12g}",
-                             f"{new1[i]:.12g}"]
-                            + [f"{iso[n][i]:.12g}" for n in range(6)])

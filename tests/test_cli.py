@@ -421,6 +421,30 @@ def test_validate_fails_on_inadmissible_seed_energies(tmp_path, run_cli):
     assert "FAIL" in res.stderr
 
 
+def test_validate_rejects_an_infinite_seed_energy(tmp_path, run_cli):
+    cfg = tmp_path / "seeds.txt"
+    cfg.write_text("-inf 0\n-2.5 0\n")
+    res = run_cli(["--command", "validate", "--seed-config", str(cfg),
+                   "--out", str(tmp_path / "v.csv")], tmp_path)
+    assert res.returncode == 2
+    assert "epsilon must be finite" in res.stderr
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_validate_fails_a_seed_whose_residual_is_nan(tmp_path, run_cli):
+    # at epsilon = -1e308 the seed overflows (u = inf) and its residual is NaN
+    cfg = tmp_path / "seeds.txt"
+    cfg.write_text("-1e308 0\n-2.5 0\n")
+    out = tmp_path / "v.csv"
+    res = run_cli(["--command", "validate", "--seed-config", str(cfg),
+                   "--out", str(out)], tmp_path)
+    assert res.returncode == 1
+    _, _, rows = read_csv(out)
+    row = next(r for r in rows if r[0] == "seed-config-model")
+    assert row[1] == "FAIL"
+    assert "misses its defining equation" in ",".join(row[2:])
+
+
 def test_every_command_rejects_an_unreadable_seed_config(tmp_path, run_cli):
     # the config hash reads the seed file, so no command may start without it
     out = tmp_path / "d.csv"

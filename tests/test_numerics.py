@@ -7,20 +7,17 @@ no runtime dependency on it.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from truncosc.errors import DivergenceError, PoleError
 from truncosc.numerics import (
-    SpecialFunctionConfig,
-    adaptive_halfline,
     gauss_halfline,
     gauss_halfline_size,
-    hermite_phys,
     hyp1f1,
     hyp2f1_terminating,
     hyp2f2,
-    integrate_halfline,
     log_gamma_signed,
     meijer_g_2012,
     rising_factorial,
@@ -59,16 +56,8 @@ def test_hyp1f1_terminating_series_passes_through_denominator_pole_guard():
 
 
 def test_hyp1f1_divergence_error_when_terms_exhausted():
-    cfg = SpecialFunctionConfig(max_terms=64)
     with pytest.raises(DivergenceError):
-        hyp1f1(0.5, 1.5, 500.0, cfg)
-
-
-def test_config_rejects_unusable_budgets():
-    with pytest.raises(ValueError):
-        SpecialFunctionConfig(max_terms=10)
-    with pytest.raises(ValueError):
-        SpecialFunctionConfig(series_tolerance=0.5)
+        hyp1f1(0.5, 1.5, 500.0)
 
 
 @pytest.mark.parametrize("a, b, c, x, expected", [
@@ -97,7 +86,6 @@ def test_hyp2f2_frozen_values(a1, a2, b1, b2, x, expected):
 @pytest.mark.parametrize("b", [0.5, 1.5, 2.5])
 def test_hyp1f1_against_mpmath(a, b):
     # worst relative deviation seen on this grid: 4.4e-13 (cancellation at x = -4)
-    mpmath = pytest.importorskip("mpmath")
     for x in (-4.0, -0.5, 0.3, 2.0, 10.0, 40.0):
         expected = float(mpmath.hyp1f1(a, b, x))
         assert hyp1f1(a, b, x) == pytest.approx(expected, rel=2e-12), x
@@ -107,7 +95,6 @@ def test_hyp1f1_against_mpmath(a, b):
 @pytest.mark.parametrize("a2", [-1.0, 1.5, 2.5])
 def test_hyp2f2_against_mpmath(a1, a2):
     # worst relative deviation seen on this grid: 6.6e-15
-    mpmath = pytest.importorskip("mpmath")
     for b1 in (3.0, 0.5):
         for b2 in (3.0, 1.5):
             for x in (-2.0, 0.7, 5.0):
@@ -192,7 +179,6 @@ def test_meijer_kernel_vectorizes_over_x():
 def test_meijer_kernel_against_mpmath(a1, x, contour_re):
     # the kernel rule evaluates t <= 1 on the low contour and t >= 1 on the
     # default one; absolute noise of the default contour sits near 1e-19
-    mpmath = pytest.importorskip("mpmath")
     expected = float(mpmath.meijerg([[], [a1]], [[0, 0], []], x))
     got = meijer_g_2012(a1, x, contour_re=contour_re)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-18)
@@ -230,42 +216,3 @@ def test_gauss_halfline_handles_high_degree():
     got = float(np.sum(rule.weights * rule.nodes ** 200))
     expected = 0.5 * math.exp(math.lgamma(100.5))
     assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_adaptive_rule_integrates_plain_functions():
-    rule = adaptive_halfline(x_max=30.0)
-    val = integrate_halfline(lambda x: np.exp(-x), rule)
-    assert val == pytest.approx(1.0, rel=1e-10)
-
-
-def test_adaptive_rule_refines_from_its_own_layout():
-    # the refinement used to assume 16 points per panel and returned 9.99855
-    rule = adaptive_halfline(x_max=10.0, points_per_panel=8)
-    val = integrate_halfline(lambda x: np.ones_like(x), rule)
-    assert val == pytest.approx(10.0, abs=1e-12)
-
-
-def test_integrate_halfline_gauss_kind_folds_the_weight():
-    rule = gauss_halfline(degree=40)
-    val = integrate_halfline(lambda x: x * x, rule)
-    assert val == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-12)
-
-
-# ----------------------------------------------------------------------------
-# Hermite recurrence
-# ----------------------------------------------------------------------------
-
-def test_hermite_phys_low_orders():
-    x = np.linspace(-2.0, 2.0, 9)
-    assert np.allclose(hermite_phys(0, x), np.ones_like(x))
-    assert np.allclose(hermite_phys(1, x), 2.0 * x)
-    assert np.allclose(hermite_phys(2, x), 4.0 * x * x - 2.0)
-    assert np.allclose(hermite_phys(3, x), 8.0 * x ** 3 - 12.0 * x)
-
-
-def test_hermite_phys_three_term_recurrence(rng):
-    x = rng.uniform(-3.0, 3.0, size=20)
-    for n in range(1, 12):
-        lhs = hermite_phys(n + 1, x)
-        rhs = 2.0 * x * hermite_phys(n, x) - 2.0 * n * hermite_phys(n - 1, x)
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-8)

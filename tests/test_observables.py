@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,12 +14,10 @@ from truncosc.observables import (
     ObservableKind,
     build_table,
     discrepancy_report,
-    energy_table,
     expectation,
     matrix_element_closed,
     matrix_element_quadrature,
     uncertainty_scan,
-    write_discrepancy_csv,
 )
 
 
@@ -70,7 +69,6 @@ def _mp_level(k, mpmath):
 def test_closed_forms_match_mpmath_integrals():
     # independent of the package's rows and rules: mpmath.quad on (0, inf);
     # the worst deviation seen is 7.9e-11, on the vanishing P[8, 8]
-    mpmath = pytest.importorskip("mpmath")
     levels = [_mp_level(k, mpmath) for k in range(9)]
     with mpmath.workdps(15):
         for n in range(9):
@@ -140,22 +138,6 @@ def test_discrepancy_report_flags_only_p2_near_diagonal_entries():
     assert corner["quadrature"] == pytest.approx(1.5)
     for key in ("kind", "n", "m", "closed_form", "quadrature", "abs_diff"):
         assert key in rows[0]
-
-
-def test_discrepancy_csv_roundtrip(tmp_path):
-    path = tmp_path / "report.csv"
-    count = write_discrepancy_csv(str(path), n_max=8)
-    text = path.read_text().strip().splitlines()
-    assert count == 17
-    assert len(text) == 18  # header + rows
-    assert text[0].startswith("kind,")
-
-
-def test_energy_table_is_diagonal_with_level_energies():
-    t = energy_table(SPEC, 6)
-    assert np.allclose(np.diag(t.entries), [2 * k + 1.5 for k in range(7)])
-    off = t.entries - np.diag(np.diag(t.entries))
-    assert np.max(np.abs(off)) == 0.0
 
 
 # ----------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from truncosc.susy import (
     Q4_SEED_ASYMMETRY,
     Q4_SEED_ENERGIES,
     SusyModel,
-    export_model_csv,
     g_moment,
     iso_linear_ladder,
     iso_measure_check,
@@ -373,15 +372,3 @@ def test_pochhammer_fold_identity():
     signs = [rising_factorial(-3.0, j) for j in range(2)]
     assert signs[0] == 1.0 and signs[1] == -3.0
 
-
-# ----------------------------------------------------------------------------
-# export
-# ----------------------------------------------------------------------------
-
-def test_export_model_csv(tmp_path):
-    path = tmp_path / "model.csv"
-    grid = np.linspace(0.1, 4.0, 12)
-    export_model_csv(MODEL, str(path), grid=grid)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,V,phi_E0,phi_E1,phi_0,phi_1,phi_2,phi_3,phi_4,phi_5"
-    assert len(lines) == 13
