@@ -9,7 +9,7 @@ the state outward.
 
 import numpy as np
 
-from truncosc import Basis, Family, build_cs, q4_model, susy_cs, truncated_ladder
+from truncosc import Basis, Family, build_cs, q4_model, susy_cs
 from truncosc.fock import rows
 
 X = np.linspace(0.02, 12.0, 600)
@@ -22,7 +22,7 @@ def density_of(cs):
 
 
 def trunc_density(z):
-    return density_of(build_cs(Family.LOWERING, truncated_ladder(), z, truncation=48))
+    return density_of(build_cs(Family.LOWERING, z, truncation=48))
 
 
 def susy_density(basis, z):

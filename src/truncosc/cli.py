@@ -61,8 +61,8 @@ from .entangle import (
     entropy_scan,
     halfline_overlap,
 )
-from .errors import SingularWronskian, TruncOscError
-from .fock import Basis, rows as eigen_rows, truncated_ladder
+from .errors import DivergenceError, SingularWronskian, TruncOscError
+from .fock import Basis, level_energy, rows as eigen_rows
 from .numerics import gauss_halfline, gauss_halfline_size
 from .observables import (
     ObservableKind,
@@ -356,8 +356,7 @@ class _Check:
 def _check_lowering_norm(config: RunConfig):
     worst = 0.0
     for r in (0.1, 1.0, 2.0):
-        cs = build_cs(Family.LOWERING, truncated_ladder(), r,
-                      truncation=config.basis_size)
+        cs = build_cs(Family.LOWERING, r, truncation=config.basis_size)
         closed = math.sqrt(r / math.sinh(r))
         worst = max(worst, abs(cs.norm_constant - closed) / closed)
     status = "PASS" if worst < 1e-10 else "FAIL"
@@ -369,11 +368,10 @@ def _check_displacement_norm(config: RunConfig):
     for r in (0.1, 0.3, 0.45):
         # the norm series converges slowly near the 1/2 radius, so sum it
         # directly instead of building a truncated state
-        total = float(displacement_norm_partial_sums(truncated_ladder(), r,
-                                                     n_terms=400)[-1])
+        total = float(displacement_norm_partial_sums(r, n_terms=400)[-1])
         closed = (1.0 - 4.0 * r * r) ** 0.75
         worst = max(worst, abs(total ** -0.5 - closed) / closed)
-    sums = displacement_norm_partial_sums(truncated_ladder(), 0.6, n_terms=80)
+    sums = displacement_norm_partial_sums(0.6, n_terms=80)
     diverges = float(np.max(sums)) > 1e6
     ok = worst < 1e-8 and diverges
     return ("PASS" if ok else "FAIL",
@@ -384,7 +382,7 @@ def _check_displacement_norm(config: RunConfig):
 def _check_mean_energy(config: RunConfig):
     worst = 0.0
     for r in (0.3, 0.8, 1.5, 2.2, 3.0):
-        cs = build_cs(Family.LOWERING, truncated_ladder(), r, truncation=60)
+        cs = build_cs(Family.LOWERING, r, truncation=60)
         closed = 0.5 + r / math.tanh(r)
         worst = max(worst, abs(energy_expectation(cs) - closed) / closed)
     return ("PASS" if worst < 1e-8 else "FAIL",
@@ -394,25 +392,22 @@ def _check_mean_energy(config: RunConfig):
 def _check_eigenrelation(config: RunConfig):
     worst = 0.0
     for z in (0.5, 1.0 + 0.5j, 2.0j, 2.0):
-        cs = build_cs(Family.LOWERING, truncated_ladder(), z,
-                      truncation=config.basis_size)
+        cs = build_cs(Family.LOWERING, z, truncation=config.basis_size)
         worst = max(worst, eigen_residual(cs))
     return ("PASS" if worst < 1e-10 else "FAIL",
             f"max residual {worst:.3e} (tol 1e-10)")
 
 
 def _check_identity_corrected(config: RunConfig):
-    dev = identity_resolution_check(Family.LOWERING, truncated_ladder(),
-                                    lowering_measure_corrected(), n_max=6,
-                                    r_max=60.0, truncation=128)
+    dev = identity_resolution_check(Family.LOWERING, lowering_measure_corrected(),
+                                    n_max=6, r_max=60.0, truncation=128)
     return ("PASS" if dev < 1e-6 else "FAIL",
             f"max moment deviation {dev:.3e} (tol 1e-6)")
 
 
 def _check_identity_reference(config: RunConfig):
-    dev = identity_resolution_check(Family.LOWERING, truncated_ladder(),
-                                    lowering_measure_reference(), n_max=6,
-                                    r_max=60.0, truncation=128)
+    dev = identity_resolution_check(Family.LOWERING, lowering_measure_reference(),
+                                    n_max=6, r_max=60.0, truncation=128)
     return "REPORT", (f"reference candidate density misses the moment test "
                       f"by {dev:.4g} (expected discrepancy, not a failure)")
 
@@ -477,7 +472,7 @@ def _check_susy_eigen(config: RunConfig):
     v = model.potential(grid)
     worst = 0.0
     for basis, energies in ((Basis.SUSY_NEW, np.array(model.new_energies)),
-                            (Basis.SUSY_ISO, 2 * np.arange(6) + 1.5)):
+                            (Basis.SUSY_ISO, level_energy(np.arange(6)))):
         phi, _, phi2 = eigen_rows(basis, energies.size, grid, order=2, weighted=False)
         worst = max(worst, float(np.max(np.abs(
             -0.5 * phi2 + v * phi - energies[:, None] * phi))))
@@ -494,18 +489,17 @@ def _check_susy_eigen(config: RunConfig):
 
 def _check_susy_ladder(config: RunConfig):
     model = _susy.q4_model()
-    spec = _susy.iso_linear_ladder()
-    comm_dev = max(abs((spec.raise_sq(n + 1) - spec.lower_sq(n)) - 2.0)
-                   for n in range(21))
+    # squared linearised steps E_u - 3/2 on levels u <= 21; [lower, raise]
+    # on level n is their difference between u = n + 1 and u = n
+    lin_sq = level_energy(np.arange(22)) - 1.5
+    comm_dev = float(np.max(np.abs(np.diff(lin_sq) - 2.0)))
     full_e1 = _susy.susy_ladder_action(model, Basis.SUSY_ISO, "lower", 1,
                                        operator="full")[0]
     six_ok = full_e1 == math.sqrt(8640.0)
     h_dev = 0.0
     for r in (0.4, 1.1, 2.0):
         cs = _susy.susy_cs(model, Basis.SUSY_ISO, r, truncation=64)
-        mean = sum(abs(a) ** 2 * (2 * k + 1.5)
-                   for k, a in enumerate(cs.vector.amplitudes))
-        h_dev = max(h_dev, abs(mean - (1.5 + 4.0 * r * r)))
+        h_dev = max(h_dev, abs(energy_expectation(cs) - (1.5 + 4.0 * r * r)))
     ok = comm_dev == 0.0 and six_ok and h_dev < 1e-8
     return ("PASS" if ok else "FAIL",
             f"commutator deviation {comm_dev:.1e} (exact), six-factor on level 1 "
@@ -631,8 +625,12 @@ def _check_seed_config(config: RunConfig):
     seeds = []
     for e, nu in pairs:
         seed = _susy.seed_solution(e, nu)
-        u = seed(sample)
-        u2 = seed.second_derivative_direct(sample)
+        try:
+            u = seed(sample)
+            u2 = seed.second_derivative_direct(sample)
+        except DivergenceError as exc:
+            return "FAIL", (f"seed (epsilon={e}, nu={nu}) misses its defining "
+                            f"equation: {exc}")
         res = float(np.max(np.abs(-0.5 * u2 + (0.5 * sample ** 2 - e) * u)))
         scale = float(np.max(np.abs(u)))
         if not res <= 1e-8 * max(scale, 1.0):  # a NaN residual fails too
@@ -699,7 +697,8 @@ def cmd_validate(config: RunConfig) -> int:
           file=sys.stderr)
     if config.output_path is not None:
         _write_csv(config, ["check", "status", "detail"],
-                   [[name, status, f'"{detail}"'] for name, status, detail in results])
+                   [[name, status, '"' + detail.replace('"', '""') + '"']
+                    for name, status, detail in results])
     return EXIT_VALIDATION if n_fail else EXIT_OK
 
 

@@ -1,15 +1,17 @@
-"""Coherent-state families over an abstract ladder.
+"""Coherent-state families over the half-line ladder.
 
 Four families are built here directly:
 
 * "lowering"         -- eigenstates of the lowering operator,
-                        amplitudes z^k / sqrt(prod_{j<=k} lower_sq(j)),
+                        amplitudes z^k / sqrt(prod_{j<=k} step(j)),
 * "displacement"     -- displacement-type series with the raising-step
-                        weights, amplitudes z^k sqrt(prod raise_sq)/k!,
+                        weights, amplitudes z^k sqrt(prod step)/k!,
 * "lin-lowering"     -- the linearised ladder (steps sqrt(alpha k)),
                         amplitudes (z/sqrt(alpha))^k / sqrt(k!),
 * "lin-displacement" -- same ladder, displacement form,
-                        amplitudes (sqrt(alpha) z)^k / sqrt(k!).
+                        amplitudes (sqrt(alpha) z)^k / sqrt(k!),
+
+with step(j) = 2j(2j+1) the squared half-line step (fock.ladder_step_sq).
 
 For the half-line oscillator, the lowering-family norm constant has the
 closed form [sinh|z| / |z|]^{-1/2} and the displacement family exists
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .errors import (
     TailTooFat,
     TruncationTooSmall,
 )
-from .fock import Basis, FockVector, LadderSpec, ladder_apply, truncated_ladder
+from .fock import Basis, FockVector, ladder_apply, ladder_step_sq, level_energy
 
 __all__ = [
     "Family",
@@ -75,8 +77,7 @@ class CoherentState:
 
     norm_constant is the realized normalization factor (what multiplies
     the raw series amplitudes), computed from the direct sum.  energies
-    carries per-level eigenvalues when no LadderSpec applies (the finite
-    SUSY-new tower); otherwise spec.level_energy is used.
+    holds the eigenvalue of each level the vector spans.
     """
 
     family: Family
@@ -84,15 +85,7 @@ class CoherentState:
     alpha: float
     vector: FockVector
     norm_constant: float
-    spec: Optional[LadderSpec] = None
-    energies: Optional[tuple[float, ...]] = None
-
-    def level_energy(self, k: int) -> float:
-        if self.spec is not None:
-            return self.spec.level_energy(k)
-        if self.energies is None:
-            raise FamilyMismatch("state carries no energy information")
-        return self.energies[k]
+    energies: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,45 +100,47 @@ class Measure:
     radial_density: Callable[[float], float]
 
 
-def _raw_amplitudes(family: Family, spec: LadderSpec, z: complex, alpha: float,
+def _raw_amplitudes(family: Family, z: complex, alpha: float,
                     truncation: int) -> np.ndarray:
+    """Unnormalized amplitudes c[k] = c[k-1] * w * up[k] / down[k].
+
+    Each family is one factor triple; up is None where the family has no
+    raising weight, so that no multiply by 1 touches the signs of zeros.
+    """
+    k = np.arange(truncation)
+    up = None
+    if family == Family.LOWERING:
+        w, down = z, np.sqrt(ladder_step_sq(k))
+    elif family == Family.DISPLACEMENT:
+        w, up, down = z, np.sqrt(ladder_step_sq(k)), k
+    elif family == Family.LIN_LOWERING:
+        w, down = z / math.sqrt(alpha), np.sqrt(k)
+    elif family == Family.LIN_DISPLACEMENT:
+        w, down = math.sqrt(alpha) * z, np.sqrt(k)
+    else:
+        raise FamilyMismatch(f"build_cs does not construct family {family}")
     c = np.zeros(truncation, dtype=complex)
     c[0] = 1.0
-    for k in range(1, truncation):
-        if family == Family.LOWERING:
-            step = spec.lower_sq(k)
-            if step <= 0:
-                raise NotNormalizable(f"lowering step vanishes at k={k}; tower ends")
-            c[k] = c[k - 1] * z / math.sqrt(step)
-        elif family == Family.DISPLACEMENT:
-            c[k] = c[k - 1] * z * math.sqrt(spec.raise_sq(k)) / k
-        elif family == Family.LIN_LOWERING:
-            c[k] = c[k - 1] * (z / math.sqrt(alpha)) / math.sqrt(k)
-        elif family == Family.LIN_DISPLACEMENT:
-            c[k] = c[k - 1] * (math.sqrt(alpha) * z) / math.sqrt(k)
-        else:
-            raise FamilyMismatch(f"build_cs does not construct family {family}")
+    for j in range(1, truncation):
+        step = c[j - 1] * w
+        c[j] = (step if up is None else step * up[j]) / down[j]
     return c
 
 
-def displacement_norm_partial_sums(spec: LadderSpec, r: float, n_terms: int = 80) -> np.ndarray:
+def displacement_norm_partial_sums(r: float, n_terms: int = 80) -> np.ndarray:
     """Partial sums of the displacement-family norm series at |z| = r.
 
+    Term k is the product of the ratios r^2 step(j) / j^2 over j <= k.
     Outside the convergence radius the partial sums grow without bound;
     this is the diagnostic behind the NotNormalizable error.
     """
-    total = 0.0
-    term = 1.0
-    out = np.empty(n_terms)
-    for k in range(n_terms):
-        if k > 0:
-            term *= (r * r) * spec.raise_sq(k) / (k * k)
-        total += term
-        out[k] = total
-    return out
+    k = np.arange(1, n_terms)
+    ratios = np.ones(n_terms)
+    ratios[1:] = (r * r) * ladder_step_sq(k) / (k * k)
+    return np.cumsum(np.cumprod(ratios))
 
 
-def build_cs(family: Family, spec: LadderSpec, z: complex, alpha: float = 2.0,
+def build_cs(family: Family, z: complex, alpha: float = 2.0,
              truncation: int = 64) -> CoherentState:
     """Construct a normalized coherent state of the given family.
 
@@ -158,7 +153,7 @@ def build_cs(family: Family, spec: LadderSpec, z: complex, alpha: float = 2.0,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     family = Family(family)
-    c = _raw_amplitudes(family, spec, z, alpha, truncation)
+    c = _raw_amplitudes(family, z, alpha, truncation)
 
     mags = np.abs(c)
     if family == Family.DISPLACEMENT:
@@ -170,9 +165,10 @@ def build_cs(family: Family, spec: LadderSpec, z: complex, alpha: float = 2.0,
     if mags[-1] > 1e-12 * norm:
         raise TruncationTooSmall(
             f"amplitude at the truncation edge is {mags[-1] / norm:.2e} of the norm")
-    vec = FockVector(spec.basis, c / norm)
+    vec = FockVector(Basis.TRUNCATED, c / norm)
     return CoherentState(family=family, z=complex(z), alpha=float(alpha),
-                         vector=vec, norm_constant=1.0 / norm, spec=spec)
+                         vector=vec, norm_constant=1.0 / norm,
+                         energies=level_energy(np.arange(truncation)))
 
 
 # ----------------------------------------------------------------------------
@@ -216,7 +212,7 @@ def family_state(family: Family, z: complex, truncation: int = 64) -> CoherentSt
     family = Family(family)
     basis = WINDOWS[family].basis
     if basis == Basis.TRUNCATED:
-        return build_cs(family, truncated_ladder(), z, truncation=truncation)
+        return build_cs(family, z, truncation=truncation)
     from . import susy  # susy builds on this module
     return susy.susy_cs(susy.q4_model(), basis, z, truncation=truncation)
 
@@ -227,16 +223,15 @@ def eigen_residual(cs: CoherentState) -> float:
     Defined for the lowering and lin-lowering families (the displacement
     families are not lowering eigenstates).
     """
+    a = cs.vector.amplitudes
     if cs.family == Family.LOWERING:
-        lowered = ladder_apply(cs.spec, "lower", cs.vector).amplitudes
+        lowered = ladder_apply("lower", cs.vector).amplitudes
     elif cs.family == Family.LIN_LOWERING:
-        a = cs.vector.amplitudes
         lowered = np.zeros_like(a)
-        for k in range(1, a.size):
-            lowered[k - 1] = math.sqrt(cs.alpha * k) * a[k]
+        lowered[:-1] = np.sqrt(cs.alpha * np.arange(1, a.size)) * a[1:]
     else:
         raise FamilyMismatch(f"eigen_residual is undefined for family {cs.family}")
-    return float(np.linalg.norm(lowered - cs.z * cs.vector.amplitudes))
+    return float(np.linalg.norm(lowered - cs.z * a))
 
 
 def state_probability(cs: CoherentState, n: int) -> float:
@@ -247,9 +242,9 @@ def state_probability(cs: CoherentState, n: int) -> float:
 
 
 def energy_expectation(cs: CoherentState) -> float:
-    """<H> = sum_k p_k E_k from the stored amplitudes."""
+    """<H> = sum_k p_k E_k from the stored amplitudes, summed in level order."""
     p = np.abs(cs.vector.amplitudes) ** 2
-    return float(sum(p[k] * cs.level_energy(k) for k in range(p.size)))
+    return float(np.cumsum(p * cs.energies)[-1])
 
 
 def evolve(cs: CoherentState, t: float) -> CoherentState:
@@ -259,12 +254,10 @@ def evolve(cs: CoherentState, t: float) -> CoherentState:
     global phase e^{-i E_0 t}) the state built at z e^{-2 i t}: the family
     is temporally stable.
     """
-    phases = np.array([np.exp(-1j * cs.level_energy(k) * t)
-                       for k in range(cs.vector.truncation)])
+    phases = np.exp(-1j * cs.energies * t)
     vec = FockVector(cs.vector.basis, cs.vector.amplitudes * phases)
     return CoherentState(family=cs.family, z=cs.z, alpha=cs.alpha, vector=vec,
-                         norm_constant=cs.norm_constant, spec=cs.spec,
-                         energies=cs.energies)
+                         norm_constant=cs.norm_constant, energies=cs.energies)
 
 
 # ----------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def iso_measure() -> Measure:
     return Measure("iso-flat", lambda r: 2.0 / math.pi)
 
 
-def identity_resolution_check(family: Family, spec: LadderSpec, measure: Measure,
+def identity_resolution_check(family: Family, measure: Measure,
                               n_max: int = 10, r_max: float = 40.0,
                               truncation: int = 64) -> float:
     """Max deviation |M_nn - 1| of the resolution-of-identity moments.
@@ -319,7 +312,7 @@ def identity_resolution_check(family: Family, spec: LadderSpec, measure: Measure
 
     def level_weights(r: float) -> np.ndarray:
         if r not in weights_at:
-            cs = build_cs(family, spec, r, truncation=truncation)
+            cs = build_cs(family, r, truncation=truncation)
             weights_at[r] = np.abs(cs.vector.amplitudes[: n_max + 1]) ** 2
         return weights_at[r]
 

@@ -1,17 +1,17 @@
-"""Half-line oscillator eigenbasis, abstract ladder algebra, Fock vectors.
+"""Half-line oscillator eigenbasis, its ladder data, Fock vectors.
 
 The half-line (truncated) oscillator has V = x^2/2 on x > 0 with a hard
 wall at the origin.  Its k-th eigenfunction is sqrt(2) times the full-line
 oscillator level 2k+1 restricted to x > 0, with energy 2k + 3/2.  The
 squared ladder operators close on this basis with step coefficients
-2k(2k+1) and commutator 4H.
+2k(2k+1) and commutator 4H.  The ladder data are plain functions of the
+level index, so they take an int or an index array alike.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -19,14 +19,13 @@ from .errors import BasisMismatch, IndexOutOfRange
 
 __all__ = [
     "Basis",
-    "LadderSpec",
     "FockVector",
-    "truncated_ladder",
+    "ladder_step_sq",
+    "level_energy",
     "hermite_normalized",
     "weighted_eigenfunction_derivatives",
     "rows",
     "ladder_apply",
-    "commutator_check",
 ]
 
 
@@ -36,30 +35,19 @@ class Basis(str, Enum):
     SUSY_NEW = "susy-new"
 
 
-@dataclass(frozen=True)
-class LadderSpec:
-    """Abstract ladder data on an infinite number basis.
+def ladder_step_sq(k):
+    """Squared half-line ladder step 2k(2k+1) between levels k-1 and k.
 
-    lower_sq(k) is the squared coefficient of the lowering step
-    (lower|k> = sqrt(lower_sq(k)) |k-1>), raise_sq(k) the squared
-    coefficient with which raising reaches |k> from |k-1>, and
-    level_energy(k) the eigenvalue ladder.
+    lower|k> = sqrt(ladder_step_sq(k)) |k-1> and
+    raise|k-1> = sqrt(ladder_step_sq(k)) |k>.
     """
-
-    lower_sq: Callable[[int], float]
-    raise_sq: Callable[[int], float]
-    level_energy: Callable[[int], float]
-    basis: Basis = Basis.TRUNCATED
+    return 2.0 * k * (2 * k + 1)
 
 
-def truncated_ladder() -> LadderSpec:
-    """Ladder data of the half-line oscillator: steps 2k(2k+1), energies 2k+3/2."""
-    return LadderSpec(
-        lower_sq=lambda k: 2.0 * k * (2 * k + 1),
-        raise_sq=lambda k: 2.0 * k * (2 * k + 1),
-        level_energy=lambda k: 2.0 * k + 1.5,
-        basis=Basis.TRUNCATED,
-    )
+def level_energy(k):
+    """Energy 2k + 3/2 of level k, shared by the half-line oscillator and
+    the infinite tower of its isospectral partner."""
+    return 2.0 * k + 1.5
 
 
 @dataclass
@@ -184,32 +172,17 @@ def weighted_eigenfunction_derivatives(k: int, x, order: int = 2) -> np.ndarray:
 # ladder action
 # ----------------------------------------------------------------------------
 
-def ladder_apply(spec: LadderSpec, direction: str, v: FockVector) -> FockVector:
-    """Apply the lowering or raising ladder to a Fock vector."""
-    if v.basis != spec.basis:
-        raise BasisMismatch(f"vector basis {v.basis} != spec basis {spec.basis}")
+def ladder_apply(direction: str, v: FockVector) -> FockVector:
+    """Apply the half-line lowering or raising ladder to a Fock vector."""
+    if v.basis != Basis.TRUNCATED:
+        raise BasisMismatch(f"vector basis {v.basis} is not the half-line basis")
     if direction not in ("lower", "raise"):
         raise ValueError("direction must be 'lower' or 'raise'")
     a = v.amplitudes
+    steps = np.sqrt(ladder_step_sq(np.arange(1, a.size)))
     out = np.zeros_like(a)
     if direction == "lower":
-        for k in range(1, a.size):
-            out[k - 1] = math.sqrt(spec.lower_sq(k)) * a[k]
+        out[:-1] = steps * a[1:]
     else:
-        for k in range(1, a.size):
-            out[k] = math.sqrt(spec.raise_sq(k)) * a[k - 1]
+        out[1:] = steps * a[:-1]
     return FockVector(v.basis, out)
-
-
-def commutator_check(spec: LadderSpec, n_max: int) -> float:
-    """Deviation of [lower, raise] from 4H on levels k <= n_max.
-
-    On |k> the commutator acts as raise_sq(k+1) - lower_sq(k); the closure
-    relation of the half-line oscillator's squared ladder is
-    4 * level_energy(k).
-    """
-    dev = 0.0
-    for k in range(n_max + 1):
-        got = spec.raise_sq(k + 1) - spec.lower_sq(k)
-        dev = max(dev, abs(got - 4.0 * spec.level_energy(k)))
-    return dev

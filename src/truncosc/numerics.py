@@ -54,7 +54,8 @@ def hyp1f1(a: float, b: float, x: float) -> float:
 
     Terminates exactly when a is a nonpositive integer.  Raises PoleError
     when the series runs into b = nonpositive integer first, and
-    DivergenceError when the term budget is exhausted.
+    DivergenceError when the term budget is exhausted or the terms
+    overflow (a non-finite total).
     """
     if _is_nonpositive_integer(b) and not (_is_nonpositive_integer(a) and a > b):
         # the (b)_k factor hits zero before the numerator terminates
@@ -64,7 +65,7 @@ def hyp1f1(a: float, b: float, x: float) -> float:
     small_run = 0
     for k in range(_MAX_TERMS):
         if a + k == 0.0:
-            return total
+            break
         denom = (b + k) * (k + 1)
         if denom == 0.0:
             raise PoleError(f"1F1 pole: b = {b} reached at term {k + 1}")
@@ -73,10 +74,14 @@ def hyp1f1(a: float, b: float, x: float) -> float:
         if abs(term) <= _SERIES_TOLERANCE * max(1.0, abs(total)):
             small_run += 1
             if small_run >= 2:
-                return total
+                break
         else:
             small_run = 0
-    raise DivergenceError(f"1F1({a}, {b}, {x}) did not converge in {_MAX_TERMS} terms")
+    else:
+        raise DivergenceError(f"1F1({a}, {b}, {x}) did not converge in {_MAX_TERMS} terms")
+    if not math.isfinite(total):
+        raise DivergenceError(f"1F1({a}, {b}, {x}) overflows to {total}")
+    return total
 
 
 def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
@@ -100,13 +105,14 @@ def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
 
 
 def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float) -> float:
-    """2F2(a1, a2; b1, b2; x) by direct series with the same stop rules as hyp1f1."""
+    """2F2(a1, a2; b1, b2; x) by direct series with the same stop and
+    overflow rules as hyp1f1."""
     term = 1.0
     total = 1.0
     small_run = 0
     for k in range(_MAX_TERMS):
         if a1 + k == 0.0 or a2 + k == 0.0:
-            return total
+            break
         denom = (b1 + k) * (b2 + k) * (k + 1)
         if denom == 0.0:
             raise PoleError(f"2F2 pole: denominator parameter reached zero at term {k + 1}")
@@ -115,10 +121,14 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float) -> float:
         if abs(term) <= _SERIES_TOLERANCE * max(1.0, abs(total)):
             small_run += 1
             if small_run >= 2:
-                return total
+                break
         else:
             small_run = 0
-    raise DivergenceError(f"2F2 did not converge in {_MAX_TERMS} terms")
+    else:
+        raise DivergenceError(f"2F2 did not converge in {_MAX_TERMS} terms")
+    if not math.isfinite(total):
+        raise DivergenceError(f"2F2({a1}, {a2}; {b1}, {b2}; {x}) overflows to {total}")
+    return total
 
 
 def log_gamma_signed(x: float) -> tuple[float, float]:

@@ -48,7 +48,7 @@ from .errors import (
 from .fock import (
     Basis,
     FockVector,
-    LadderSpec,
+    level_energy,
     rows,
 )
 from .numerics import (
@@ -64,7 +64,6 @@ __all__ = [
     "seed_solution",
     "SusyModel",
     "q4_model",
-    "iso_linear_ladder",
     "wronskian_values",
     "wronskian_potential",
     "transformed_eigenfunction_rows",
@@ -481,12 +480,6 @@ def _new_block(n_levels: int, x: np.ndarray, order: int,
 # ladder operators on the partner towers
 # ----------------------------------------------------------------------------
 
-def iso_linear_ladder() -> LadderSpec:
-    """Linearised ladder on the infinite partner tower: steps sqrt(2n)."""
-    return LadderSpec(lower_sq=lambda k: 2.0 * k, raise_sq=lambda k: 2.0 * k,
-                      level_energy=lambda k: 2.0 * k + 1.5, basis=Basis.SUSY_ISO)
-
-
 def susy_ladder_action(model: SusyModel, subspace: Basis, direction: str,
                        index: int, operator: str = "linearized"
                        ) -> tuple[complex, Optional[int]]:
@@ -517,7 +510,7 @@ def susy_ladder_action(model: SusyModel, subspace: Basis, direction: str,
     if target < 0 or (finite and target == model.kappa):
         return 0.0, None
     upper = max(index, target)
-    energy = model.new_energies[upper] if finite else 2.0 * upper + 1.5
+    energy = model.new_energies[upper] if finite else level_energy(upper)
     root = complex(np.sqrt(complex(
         model.six_factor(energy) if operator == "full" else energy - 1.5)))
     return (root.real if abs(root.imag) < 1e-14 else root), target
@@ -540,11 +533,10 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
     subspace = Basis(subspace)
     z = complex(z)
     if subspace == Basis.SUSY_ISO:
-        cs = build_cs(Family.LIN_DISPLACEMENT, iso_linear_ladder(), z,
-                      alpha=2.0, truncation=truncation)
+        cs = build_cs(Family.LIN_DISPLACEMENT, z, alpha=2.0, truncation=truncation)
         return CoherentState(family=Family.SUSY_ISO, z=z, alpha=2.0,
-                             vector=cs.vector, norm_constant=cs.norm_constant,
-                             spec=cs.spec)
+                             vector=FockVector(Basis.SUSY_ISO, cs.vector.amplitudes),
+                             norm_constant=cs.norm_constant, energies=cs.energies)
     if subspace != Basis.SUSY_NEW:
         raise ValueError(f"subspace must be a partner-tower basis, got {subspace}")
     kappa = model.kappa
@@ -556,8 +548,8 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
     norm = float(np.linalg.norm(c))
     vec = FockVector(Basis.SUSY_NEW, c / norm)
     return CoherentState(family=Family.SUSY_NEW, z=z, alpha=2.0, vector=vec,
-                         norm_constant=1.0 / norm, spec=None,
-                         energies=model.new_energies)
+                         norm_constant=1.0 / norm,
+                         energies=np.array(model.new_energies))
 
 
 def new_norm_constant_closed(model: SusyModel, z: complex) -> float:
@@ -675,8 +667,6 @@ def iso_measure_check(n_max: int = 10, r_max: float = 8.0,
     The infinite-tower amplitudes coincide with the linearised
     displacement series, so the existing radial moment checker applies.
     """
-    from .fock import truncated_ladder
-    return identity_resolution_check(Family.LIN_DISPLACEMENT, truncated_ladder(),
-                                     iso_measure(), n_max=n_max, r_max=r_max,
-                                     truncation=truncation)
+    return identity_resolution_check(Family.LIN_DISPLACEMENT, iso_measure(),
+                                     n_max=n_max, r_max=r_max, truncation=truncation)
 

@@ -5,6 +5,7 @@ test starts `python -m truncosc` as a child to cover the entry point, and
 the import-path guard at the end starts a fresh interpreter.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -443,6 +444,21 @@ def test_validate_fails_a_seed_whose_residual_is_nan(tmp_path, run_cli):
     row = next(r for r in rows if r[0] == "seed-config-model")
     assert row[1] == "FAIL"
     assert "misses its defining equation" in ",".join(row[2:])
+
+
+def test_validate_doubles_the_quotes_of_a_detail(tmp_path, run_cli, monkeypatch):
+    # a crashed check reports its exception text, which may hold quotes
+    def crash(config):
+        raise ValueError('bad "x", y')
+
+    monkeypatch.setattr(cli, "_CHECKS", (cli._Check("crashes", 0, crash),))
+    out = tmp_path / "v.csv"
+    res = run_cli(["--command", "validate", "--out", str(out)], tmp_path)
+    assert res.returncode == 1
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [["check", "status", "detail"],
+                        ["crashes", "FAIL", 'ValueError: bad "x", y']]
 
 
 def test_every_command_rejects_an_unreadable_seed_config(tmp_path, run_cli):

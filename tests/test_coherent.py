@@ -14,6 +14,7 @@ all obtained by summing the explicit amplitude series in closed form.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,9 +22,7 @@ from hypothesis import strategies as st
 
 from truncosc import coherent
 from truncosc.coherent import (
-    CoherentState,
     Family,
-    Measure,
     build_cs,
     displacement_norm_partial_sums,
     energy_expectation,
@@ -43,11 +42,6 @@ from truncosc.errors import (
     TruncOscError,
     TruncationTooSmall,
 )
-from truncosc.fock import truncated_ladder
-
-
-SPEC = truncated_ladder()
-
 
 # ----------------------------------------------------------------------------
 # norm constants against closed forms
@@ -55,7 +49,7 @@ SPEC = truncated_ladder()
 
 @pytest.mark.parametrize("r", [0.1, 0.7, 1.0, 2.0])
 def test_lowering_norm_constant_closed_form(r):
-    cs = build_cs(Family.LOWERING, SPEC, r)
+    cs = build_cs(Family.LOWERING, r)
     expected = math.sqrt(r / math.sinh(r))
     assert cs.norm_constant == pytest.approx(expected, rel=1e-12)
 
@@ -64,15 +58,15 @@ def test_lowering_norm_constant_closed_form(r):
 def test_displacement_norm_constant_closed_form(r):
     # near the radius the amplitude decay slows to (2r)^k, so r = 0.45
     # needs ~300 levels before the 1e-12 tail guard is satisfied
-    cs = build_cs(Family.DISPLACEMENT, SPEC, r, truncation=320)
+    cs = build_cs(Family.DISPLACEMENT, r, truncation=320)
     expected = (1.0 - 4.0 * r * r) ** 0.75
     assert cs.norm_constant == pytest.approx(expected, rel=1e-8)
 
 
 def test_linearised_norm_constants():
     r, alpha = 0.8, 2.0
-    low = build_cs(Family.LIN_LOWERING, SPEC, r, alpha=alpha)
-    dis = build_cs(Family.LIN_DISPLACEMENT, SPEC, r, alpha=alpha)
+    low = build_cs(Family.LIN_LOWERING, r, alpha=alpha)
+    dis = build_cs(Family.LIN_DISPLACEMENT, r, alpha=alpha)
     assert low.norm_constant == pytest.approx(math.exp(-r * r / (2 * alpha)), rel=1e-12)
     assert dis.norm_constant == pytest.approx(math.exp(-alpha * r * r / 2), rel=1e-12)
 
@@ -80,10 +74,43 @@ def test_linearised_norm_constants():
 def test_states_are_unit_vectors():
     for fam in (Family.LOWERING, Family.DISPLACEMENT,
                 Family.LIN_LOWERING, Family.LIN_DISPLACEMENT):
-        cs = build_cs(fam, SPEC, 0.3)
+        cs = build_cs(fam, 0.3)
         assert cs.vector.norm() == pytest.approx(1.0, abs=1e-13)
         total = sum(state_probability(cs, n) for n in range(cs.vector.truncation))
         assert total == pytest.approx(1.0, abs=1e-13)
+
+
+# Each family's amplitude k at alpha = 2 as an mpmath closed form, and the
+# largest |z| drawn for it: the displacement disk ends at 1/2, and the other
+# families hold their state within 200 levels well past the values used.
+AMPLITUDE_CLOSED_FORMS = {
+    Family.LOWERING: (lambda z, k: z ** k / mp.sqrt(mp.factorial(2 * k + 1)), 6.0),
+    Family.DISPLACEMENT: (lambda z, k: z ** k * mp.sqrt(mp.factorial(2 * k + 1))
+                          / mp.factorial(k), 0.4),
+    Family.LIN_LOWERING: (lambda z, k: (z / mp.sqrt(2)) ** k / mp.sqrt(mp.factorial(k)), 4.0),
+    Family.LIN_DISPLACEMENT: (lambda z, k: (mp.sqrt(2) * z) ** k
+                              / mp.sqrt(mp.factorial(k)), 2.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(list(AMPLITUDE_CLOSED_FORMS)), reach=st.floats(0.0, 1.0),
+       angle=st.floats(-math.pi, math.pi), truncation=st.integers(2, 200))
+def test_amplitudes_match_the_normalized_closed_forms(family, reach, angle, truncation):
+    closed_form, r_max = AMPLITUDE_CLOSED_FORMS[family]
+    z = cmath.rect(reach * r_max, angle)
+    try:
+        cs = build_cs(family, z, alpha=2.0, truncation=truncation)
+    except TruncationTooSmall:
+        assume(False)
+    with mp.workdps(40):
+        raw = [closed_form(mp.mpc(z), k) for k in range(truncation)]
+        norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in raw))
+        expected = np.array([complex(c / norm) for c in raw])
+    # amplitudes below 1e-290 sit near the end of the double range, where
+    # relative precision runs out; there both sides only need to be tiny
+    error = np.abs(cs.vector.amplitudes - expected)
+    assert np.all(error <= 1e-12 * np.abs(expected) + 1e-290)
 
 
 # ----------------------------------------------------------------------------
@@ -92,50 +119,50 @@ def test_states_are_unit_vectors():
 
 @pytest.mark.parametrize("z", [0.25, 1.0, 2.0, 0.3 + 0.4j, -1.2 + 0.5j])
 def test_lowering_states_are_ladder_eigenstates(z):
-    cs = build_cs(Family.LOWERING, SPEC, z)
+    cs = build_cs(Family.LOWERING, z)
     assert eigen_residual(cs) < 1e-10
 
 
 def test_lin_lowering_states_satisfy_deformed_eigenrelation():
-    cs = build_cs(Family.LIN_LOWERING, SPEC, 0.9 + 0.2j)
+    cs = build_cs(Family.LIN_LOWERING, 0.9 + 0.2j)
     assert eigen_residual(cs) < 1e-10
 
 
 def test_eigen_residual_rejects_displacement_families():
-    cs = build_cs(Family.DISPLACEMENT, SPEC, 0.2)
+    cs = build_cs(Family.DISPLACEMENT, 0.2)
     with pytest.raises(FamilyMismatch):
         eigen_residual(cs)
 
 
 def test_displacement_family_diverges_outside_its_radius():
     with pytest.raises(NotNormalizable):
-        build_cs(Family.DISPLACEMENT, SPEC, 0.6, truncation=128)
+        build_cs(Family.DISPLACEMENT, 0.6, truncation=128)
 
 
 def test_displacement_partial_sums_blow_up_at_r_06():
-    sums = displacement_norm_partial_sums(SPEC, 0.6, n_terms=80)
+    sums = displacement_norm_partial_sums(0.6, n_terms=80)
     assert sums[-1] > 1e6
     assert np.all(np.diff(sums) > 0)
 
 
 def test_displacement_partial_sums_converge_inside_the_radius():
-    sums = displacement_norm_partial_sums(SPEC, 0.3, n_terms=80)
+    sums = displacement_norm_partial_sums(0.3, n_terms=80)
     expected = (1.0 - 4.0 * 0.09) ** -1.5
     assert sums[-1] == pytest.approx(expected, rel=1e-10)
 
 
 def test_truncation_guard_fires_when_the_tail_is_heavy():
     with pytest.raises(TruncationTooSmall):
-        build_cs(Family.LOWERING, SPEC, 6.0, truncation=16)
+        build_cs(Family.LOWERING, 6.0, truncation=16)
 
 
 def test_build_cs_input_validation():
     with pytest.raises(ValueError):
-        build_cs(Family.LOWERING, SPEC, 0.5, truncation=1)
+        build_cs(Family.LOWERING, 0.5, truncation=1)
     with pytest.raises(ValueError):
-        build_cs(Family.LIN_LOWERING, SPEC, 0.5, alpha=0.0)
+        build_cs(Family.LIN_LOWERING, 0.5, alpha=0.0)
     with pytest.raises(FamilyMismatch):
-        build_cs(Family.SUSY_ISO, SPEC, 0.5)
+        build_cs(Family.SUSY_ISO, 0.5)
 
 
 # ----------------------------------------------------------------------------
@@ -144,7 +171,7 @@ def test_build_cs_input_validation():
 
 @pytest.mark.parametrize("r", [0.4, 1.1, 2.5])
 def test_lowering_mean_energy_closed_form(r):
-    cs = build_cs(Family.LOWERING, SPEC, r)
+    cs = build_cs(Family.LOWERING, r)
     expected = 0.5 + r / math.tanh(r)
     assert energy_expectation(cs) == pytest.approx(expected, rel=1e-10)
 
@@ -152,12 +179,12 @@ def test_lowering_mean_energy_closed_form(r):
 def test_lin_displacement_mean_energy_closed_form():
     # Poisson level statistics with mean alpha r^2: <H> = 2 alpha r^2 + 3/2
     r, alpha = 0.6, 2.0
-    cs = build_cs(Family.LIN_DISPLACEMENT, SPEC, r, alpha=alpha)
+    cs = build_cs(Family.LIN_DISPLACEMENT, r, alpha=alpha)
     assert energy_expectation(cs) == pytest.approx(2 * alpha * r * r + 1.5, rel=1e-10)
 
 
 def test_evolution_preserves_level_populations():
-    cs = build_cs(Family.LOWERING, SPEC, 1.2)
+    cs = build_cs(Family.LOWERING, 1.2)
     moved = evolve(cs, 0.37)
     assert np.allclose(np.abs(moved.vector.amplitudes),
                        np.abs(cs.vector.amplitudes), rtol=0, atol=1e-14)
@@ -165,7 +192,7 @@ def test_evolution_preserves_level_populations():
 
 def test_evolution_revives_after_half_period():
     # level spacing 2 means t = pi restores the state up to a global phase
-    cs = build_cs(Family.LOWERING, SPEC, 1.2)
+    cs = build_cs(Family.LOWERING, 1.2)
     out = evolve(cs, math.pi)
     overlap = np.vdot(cs.vector.amplitudes, out.vector.amplitudes)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
@@ -173,7 +200,7 @@ def test_evolution_revives_after_half_period():
 
 
 def test_evolution_dephases_between_revivals():
-    cs = build_cs(Family.LOWERING, SPEC, 1.2)
+    cs = build_cs(Family.LOWERING, 1.2)
     out = evolve(cs, math.pi / 3.0)
     overlap = abs(np.vdot(cs.vector.amplitudes, out.vector.amplitudes))
     assert overlap < 0.999
@@ -182,15 +209,15 @@ def test_evolution_dephases_between_revivals():
 def test_evolved_lowering_state_tracks_the_rotated_label():
     # temporal stability: evolve(z, t) matches the state built at z e^{-2it}
     z, t = 0.9, 0.8
-    moved = evolve(build_cs(Family.LOWERING, SPEC, z), t)
-    rebuilt = build_cs(Family.LOWERING, SPEC, z * cmath.exp(-2j * t))
+    moved = evolve(build_cs(Family.LOWERING, z), t)
+    rebuilt = build_cs(Family.LOWERING, z * cmath.exp(-2j * t))
     phase = cmath.exp(-1.5j * t)
     assert np.allclose(moved.vector.amplitudes,
                        phase * rebuilt.vector.amplitudes, atol=1e-12)
 
 
 def test_state_probability_bounds_check():
-    cs = build_cs(Family.LOWERING, SPEC, 0.5, truncation=16)
+    cs = build_cs(Family.LOWERING, 0.5, truncation=16)
     with pytest.raises(IndexOutOfRange):
         state_probability(cs, 16)
 
@@ -201,7 +228,7 @@ def test_state_probability_bounds_check():
 
 def test_corrected_lowering_measure_resolves_identity():
     dev = identity_resolution_check(
-        Family.LOWERING, SPEC, lowering_measure_corrected(),
+        Family.LOWERING, lowering_measure_corrected(),
         n_max=6, r_max=60.0, truncation=128)
     assert dev < 1e-6
 
@@ -209,7 +236,7 @@ def test_corrected_lowering_measure_resolves_identity():
 def test_reference_lowering_measure_deviation_is_large():
     # moments come out (2k+3)(2k+2)/4, so level 6 deviates by ~55
     dev = identity_resolution_check(
-        Family.LOWERING, SPEC, lowering_measure_reference(),
+        Family.LOWERING, lowering_measure_reference(),
         n_max=6, r_max=60.0, truncation=128)
     assert dev == pytest.approx((2 * 6 + 3) * (2 * 6 + 2) / 4.0 - 1.0, rel=1e-6)
 
@@ -217,13 +244,13 @@ def test_reference_lowering_measure_deviation_is_large():
 def test_identity_check_builds_each_radius_once(monkeypatch):
     radii = []
 
-    def counting_build_cs(family, spec, z, **kwargs):
+    def counting_build_cs(family, z, **kwargs):
         radii.append(z)
-        return build_cs(family, spec, z, **kwargs)
+        return build_cs(family, z, **kwargs)
 
     monkeypatch.setattr(coherent, "build_cs", counting_build_cs)
     dev = identity_resolution_check(
-        Family.LOWERING, SPEC, lowering_measure_corrected(),
+        Family.LOWERING, lowering_measure_corrected(),
         n_max=6, r_max=60.0, truncation=128)
     assert dev < 1e-6
     assert radii and len(radii) == len(set(radii))
@@ -232,7 +259,7 @@ def test_identity_check_builds_each_radius_once(monkeypatch):
 def test_tail_guard_rejects_short_integration_ranges():
     with pytest.raises(TailTooFat):
         identity_resolution_check(
-            Family.LOWERING, SPEC, lowering_measure_corrected(),
+            Family.LOWERING, lowering_measure_corrected(),
             n_max=10, r_max=10.0, truncation=64)
 
 
@@ -268,7 +295,7 @@ def test_family_state_uses_each_family_constructor(family):
     assert state.family == family
     assert state.vector.basis == windows.basis
     if windows.basis == Basis.TRUNCATED:
-        direct = build_cs(family, SPEC, 0.2, truncation=64)
+        direct = build_cs(family, 0.2, truncation=64)
     else:
         direct = susy_cs(q4_model(), windows.basis, 0.2, truncation=64)
     assert np.array_equal(state.vector.amplitudes, direct.vector.amplitudes)

@@ -36,7 +36,7 @@ from truncosc.entangle import (
     reduced_density,
 )
 from truncosc.errors import CutoffExceeded, ExpansionResidualTooLarge, GramNotPSD
-from truncosc.fock import Basis, rows, truncated_ladder
+from truncosc.fock import Basis, rows
 from truncosc.numerics import gauss_halfline
 from truncosc.susy import q4_model, susy_cs
 
@@ -304,7 +304,7 @@ def test_apply_preserves_the_norm_of_random_states(amp, theta, phi):
 def test_apply_leaves_no_complex_blocks_behind():
     entangle.beamsplitter_block.cache_clear()
     state = embed_cs_in_two_modes(
-        build_cs(Family.LOWERING, truncated_ladder(), 0.8, truncation=12), cutoff=32)
+        build_cs(Family.LOWERING, 0.8, truncation=12), cutoff=32)
     beamsplitter_apply(state, BeamSplitterSetting(1.1, 0.4))
     assert entangle.beamsplitter_block.cache_info().currsize == 0
     lam, vec = entangle._splitter_modes(20)
@@ -317,7 +317,7 @@ def test_apply_leaves_no_complex_blocks_behind():
 # ----------------------------------------------------------------------------
 
 def test_truncated_embedding_structure():
-    cs = build_cs(Family.LOWERING, truncated_ladder(), 0.7, truncation=12)
+    cs = build_cs(Family.LOWERING, 0.7, truncation=12)
     state = embed_cs_in_two_modes(cs, cutoff=32)
     amp = state.amplitudes
     assert amp.shape == (32, 32)
@@ -332,7 +332,7 @@ def test_truncated_embedding_structure():
 
 
 def test_embedding_requires_capacity():
-    cs = build_cs(Family.LOWERING, truncated_ladder(), 0.5, truncation=16)
+    cs = build_cs(Family.LOWERING, 0.5, truncation=16)
     with pytest.raises(ValueError):
         embed_cs_in_two_modes(cs, cutoff=20)
 
@@ -375,7 +375,7 @@ def test_iso_embedding_at_zero_label_is_the_lowest_pair():
 # ----------------------------------------------------------------------------
 
 def test_reduced_density_of_a_product_state_is_pure():
-    cs = build_cs(Family.LOWERING, truncated_ladder(), 0.9, truncation=16)
+    cs = build_cs(Family.LOWERING, 0.9, truncation=16)
     state = embed_cs_in_two_modes(cs, cutoff=40)
     rho = reduced_density(state, gram_matrix(40))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -384,7 +384,7 @@ def test_reduced_density_of_a_product_state_is_pure():
 
 
 def test_reduced_density_checks_gram_size():
-    cs = build_cs(Family.LOWERING, truncated_ladder(), 0.5, truncation=12)
+    cs = build_cs(Family.LOWERING, 0.5, truncation=12)
     state = embed_cs_in_two_modes(cs, cutoff=32)
     with pytest.raises(ValueError):
         reduced_density(state, gram_matrix(16))
@@ -401,7 +401,7 @@ def test_linear_entropy_reference_points():
 
 
 def test_splitter_generates_entanglement_from_the_embedded_pair():
-    cs = build_cs(Family.LOWERING, truncated_ladder(), 0.9, truncation=16)
+    cs = build_cs(Family.LOWERING, 0.9, truncation=16)
     state = embed_cs_in_two_modes(cs, cutoff=40)
     out = beamsplitter_apply(state, BeamSplitterSetting(math.pi / 2, 0.0))
     rho = reduced_density(out, gram_matrix(40))

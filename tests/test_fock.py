@@ -12,11 +12,11 @@ from truncosc.errors import BasisMismatch, IndexOutOfRange
 from truncosc.fock import (
     Basis,
     FockVector,
-    commutator_check,
     hermite_normalized,
     ladder_apply,
+    ladder_step_sq,
+    level_energy,
     rows,
-    truncated_ladder,
     weighted_eigenfunction_derivatives,
 )
 from truncosc.numerics import gauss_halfline
@@ -164,41 +164,40 @@ def test_partner_rows_stay_within_a_chunked_memory_bound():
 # ----------------------------------------------------------------------------
 
 def test_truncated_ladder_step_coefficients():
-    spec = truncated_ladder()
-    assert spec.lower_sq(0) == 0.0
-    assert spec.lower_sq(1) == 6.0
-    assert spec.raise_sq(2) == 20.0
-    assert spec.level_energy(2) == 5.5
+    assert ladder_step_sq(0) == 0.0
+    assert ladder_step_sq(1) == 6.0
+    assert ladder_step_sq(2) == 20.0
+    assert level_energy(2) == 5.5
 
 
 def test_squared_ladder_commutator_closes_on_the_energy():
-    # raise_sq(k+1) - lower_sq(k) = 8k + 6 = 4 E_k, exactly in floats
-    assert commutator_check(truncated_ladder(), n_max=40) == 0.0
+    # step(k+1) - step(k) = 8k + 6 = 4 E_k, exactly in floats
+    k = np.arange(41)
+    assert np.max(np.abs(ladder_step_sq(k + 1) - ladder_step_sq(k)
+                         - 4.0 * level_energy(k))) == 0.0
 
 
 def test_ladder_apply_lowering_and_raising():
-    spec = truncated_ladder()
     v = FockVector(Basis.TRUNCATED, np.array([0.0, 0.0, 1.0]))
-    low = ladder_apply(spec, "lower", v)
+    low = ladder_apply("lower", v)
     assert low.amplitudes[1] == pytest.approx(math.sqrt(20.0))
-    up = ladder_apply(spec, "raise", FockVector(Basis.TRUNCATED, [1.0, 0.0, 0.0]))
+    up = ladder_apply("raise", FockVector(Basis.TRUNCATED, [1.0, 0.0, 0.0]))
     assert up.amplitudes[1] == pytest.approx(math.sqrt(6.0))
     assert up.amplitudes[0] == 0.0
 
 
 def test_lowering_annihilates_the_ground_level():
-    spec = truncated_ladder()
     v = FockVector(Basis.TRUNCATED, np.array([1.0, 0.0]))
-    low = ladder_apply(spec, "lower", v)
+    low = ladder_apply("lower", v)
     assert low.norm() == 0.0
 
 
 def test_ladder_apply_rejects_basis_mismatch():
     v = FockVector(Basis.SUSY_ISO, np.array([1.0, 0.0]))
     with pytest.raises(BasisMismatch):
-        ladder_apply(truncated_ladder(), "lower", v)
+        ladder_apply("lower", v)
     with pytest.raises(ValueError):
-        ladder_apply(truncated_ladder(), "sideways",
+        ladder_apply("sideways",
                      FockVector(Basis.TRUNCATED, np.array([1.0, 0.0])))
 
 

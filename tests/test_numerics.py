@@ -60,6 +60,18 @@ def test_hyp1f1_divergence_error_when_terms_exhausted():
         hyp1f1(0.5, 1.5, 500.0)
 
 
+@pytest.mark.parametrize("series, args", [
+    (hyp1f1, (5e307, 0.5, 0.01)),
+    (hyp1f1, (1e300, 1.5, 4.0)),
+    (hyp2f2, (1e200, 1e200, 1.0, 1.0, 1.0)),
+])
+def test_series_whose_terms_overflow_raise_instead_of_returning_inf(series, args):
+    # once the total is inf the relative stop rule holds, so the series
+    # would otherwise stop and return it
+    with pytest.raises(DivergenceError):
+        series(*args)
+
+
 @pytest.mark.parametrize("a, b, c, x, expected", [
     (-2.0, 0.5, 1.5, 0.8, 0.59466666666666667),
     (-4.0, 2.0, 0.5, -1.3, 267.63222857142857),

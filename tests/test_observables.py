@@ -8,7 +8,7 @@ import pytest
 
 from truncosc.coherent import Family, build_cs
 from truncosc.errors import BasisMismatch, TruncationTooSmall, UnsupportedBasis
-from truncosc.fock import Basis, truncated_ladder
+from truncosc.fock import Basis
 from truncosc.numerics import gauss_halfline
 from truncosc.observables import (
     ObservableKind,
@@ -21,7 +21,6 @@ from truncosc.observables import (
 )
 
 
-SPEC = truncated_ladder()
 
 
 # ----------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def test_discrepancy_report_flags_only_p2_near_diagonal_entries():
 # ----------------------------------------------------------------------------
 
 def test_expectation_values_are_real_for_real_labels():
-    cs = build_cs(Family.LOWERING, SPEC, 0.8)
+    cs = build_cs(Family.LOWERING, 0.8)
     for kind in (ObservableKind.X, ObservableKind.X2,
                  ObservableKind.P, ObservableKind.P2):
         table = build_table(kind, 20)
@@ -155,13 +154,13 @@ def test_expectation_values_are_real_for_real_labels():
 
 def test_ground_level_moments_via_expectation():
     # z -> 0 collapses the state onto the bottom level
-    cs = build_cs(Family.LOWERING, SPEC, 1e-8)
+    cs = build_cs(Family.LOWERING, 1e-8)
     x2 = expectation(build_table(ObservableKind.X2, 10), cs, 11)
     assert x2 == pytest.approx(1.5, rel=1e-8)
 
 
 def test_expectation_rejects_basis_mismatch():
-    cs = build_cs(Family.LOWERING, SPEC, 0.5)
+    cs = build_cs(Family.LOWERING, 0.5)
     table = build_table(ObservableKind.X, 10)
     object.__setattr__(table, "basis", Basis.SUSY_ISO)
     with pytest.raises(BasisMismatch):
@@ -171,9 +170,9 @@ def test_expectation_rejects_basis_mismatch():
 def test_expectation_refuses_a_window_that_drops_probability():
     table = build_table(ObservableKind.X2, 29)
     # |z| = 3 keeps 2.5e-56 beyond 30 terms; |z| = 25 keeps 1.2e-9 there
-    expectation(table, build_cs(Family.LOWERING, SPEC, 3.0), 30)
+    expectation(table, build_cs(Family.LOWERING, 3.0), 30)
     with pytest.raises(TruncationTooSmall):
-        expectation(table, build_cs(Family.LOWERING, SPEC, 25.0), 30)
+        expectation(table, build_cs(Family.LOWERING, 25.0), 30)
 
 
 def test_quadrature_tables_match_single_element_quadrature():

@@ -1,6 +1,7 @@
 """The package's public surface: exported names resolve, imports are used.
 
 No linter ships with the toolchain, so these two checks stand in for one.
+The unused-import check also covers the tests and the demos.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 import truncosc
 
 PACKAGE_DIR = Path(truncosc.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["truncosc"] + [f"truncosc.{m.name}" for m in pkgutil.iter_modules(truncosc.__path__)
                           if not m.name.startswith("_")]
 
@@ -31,7 +33,13 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+# package modules are named by file name, tests and demos by directory/file
+SOURCES = {p.name: p for p in sorted(PACKAGE_DIR.glob("*.py"))}
+SOURCES.update({f"{d}/{p.name}": p for d in ("tests", "demos")
+                for p in sorted((ROOT / d).glob("*.py"))})
+
+
+@pytest.mark.parametrize("path", list(SOURCES.values()), ids=list(SOURCES))
 def test_no_module_imports_a_name_it_never_uses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
