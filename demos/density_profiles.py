@@ -17,8 +17,8 @@ BAR_WIDTH = 48
 
 
 def density_of(cs):
-    amps = cs.vector.amplitudes
-    return np.abs(amps @ rows(cs.vector.basis, amps.size, X, weighted=False)[0]) ** 2
+    amps = cs.amplitudes
+    return np.abs(amps @ rows(cs.basis, amps.size, X, weighted=False)[0]) ** 2
 
 
 def trunc_density(z):

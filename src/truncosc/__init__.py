@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedBasis,
     UnsupportedModel,
 )
-from .fock import Basis, FockVector, ladder_step_sq, level_energy
+from .fock import Basis, ladder_step_sq, level_energy
 from .coherent import (
     CoherentState,
     Family,
@@ -88,7 +88,7 @@ __all__ = [
     "SingularWronskian", "CutoffExceeded", "ExpansionResidualTooLarge",
     "GramNotPSD", "TailTooFat",
     # number basis and states
-    "Basis", "FockVector", "ladder_step_sq", "level_energy",
+    "Basis", "ladder_step_sq", "level_energy",
     "Family", "CoherentState", "Measure", "build_cs", "eigen_residual",
     "state_probability", "energy_expectation", "evolve",
     "identity_resolution_check",

@@ -64,13 +64,7 @@ from .entangle import (
 from .errors import DivergenceError, SingularWronskian, TruncOscError
 from .fock import Basis, level_energy, rows as eigen_rows
 from .numerics import gauss_halfline, gauss_halfline_size
-from .observables import (
-    ObservableKind,
-    build_table,
-    discrepancy_report,
-    matrix_element_closed,
-    uncertainty_scan,
-)
+from .observables import discrepancy_report, uncertainty_scan
 from . import susy as _susy
 
 __all__ = [
@@ -294,11 +288,10 @@ def _density_grid() -> np.ndarray:
 def cmd_density(config: RunConfig) -> int:
     x = _density_grid()
     zs = config.z_grid
-    states = [family_state(config.family, float(z), config.basis_size).vector
-              for z in zs]
-    n_levels = max(v.amplitudes.size for v in states)
+    states = [family_state(config.family, float(z), config.basis_size) for z in zs]
+    n_levels = max(cs.amplitudes.size for cs in states)
     table = eigen_rows(states[0].basis, n_levels, x, weighted=False)[0]
-    profiles = [np.abs(v.amplitudes @ table[:v.amplitudes.size]) ** 2 for v in states]
+    profiles = [np.abs(cs.amplitudes @ table[:cs.amplitudes.size]) ** 2 for cs in states]
     header = ["x"] + [f"P[z={_fmt(float(z))}]" for z in zs]
     rows = [[x[i]] + [p[i] for p in profiles] for i in range(x.size)]
     _write_csv(config, header, rows)
@@ -413,14 +406,8 @@ def _check_identity_reference(config: RunConfig):
 
 
 def _check_matrix_elements(config: RunConfig):
-    rule = gauss_halfline(degree=4 * 8 + 16)
-    worst = 0.0
-    for kind in (ObservableKind.X, ObservableKind.P):
-        quad = build_table(kind, 8, rule=rule)
-        for n in range(9):
-            for m in range(n + 1):
-                worst = max(worst, abs(matrix_element_closed(kind, n, m)
-                                       - quad.entries[n, m]))
+    worst = max((r["abs_diff"] for r in discrepancy_report(n_max=8, tol=0.0)
+                 if r["kind"] in ("X", "P")), default=0.0)
     return ("PASS" if worst < 1e-8 else "FAIL",
             f"X and P closed vs quadrature, max |diff| {worst:.3e} (tol 1e-8)")
 
@@ -457,9 +444,7 @@ def _check_lin_crossing(config: RunConfig):
 def _check_susy_potential(config: RunConfig):
     model = _susy.q4_model()
     grid = np.linspace(0.1, 6.0, 400)
-    seeds = tuple(_susy.seed_solution(e, n) for e, n in
-                  zip(_susy.Q4_SEED_ENERGIES, _susy.Q4_SEED_ASYMMETRY))
-    dev = float(np.max(np.abs(_susy.wronskian_potential(seeds, grid)
+    dev = float(np.max(np.abs(_susy.wronskian_potential(model.seeds, grid)
                               - model.potential(grid))))
     return ("PASS" if dev < 1e-6 else "FAIL",
             f"Wronskian-built vs closed-form potential, max |diff| {dev:.3e} "
@@ -513,7 +498,7 @@ def _check_susy_new_norm(config: RunConfig):
         closed = _susy.new_norm_constant_closed(model, r)
         worst = max(worst, abs(closed - (1.0 - 6.0 * r * r)))
         cs = _susy.susy_cs(model, Basis.SUSY_NEW, r, truncation=8)
-        direct = float(np.sum(np.abs(cs.vector.amplitudes) ** 2))
+        direct = float(np.sum(np.abs(cs.amplitudes) ** 2))
         worst = max(worst, abs(direct - 1.0))
     return ("PASS" if worst < 1e-12 else "FAIL",
             f"signed closed sum vs 1 - 6|z|^2 and direct normalization, "

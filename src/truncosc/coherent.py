@@ -27,7 +27,7 @@ level windows its scans use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -40,7 +40,7 @@ from .errors import (
     TailTooFat,
     TruncationTooSmall,
 )
-from .fock import Basis, FockVector, ladder_apply, ladder_step_sq, level_energy
+from .fock import Basis, ladder_apply, ladder_step_sq, level_energy
 
 __all__ = [
     "Family",
@@ -75,17 +75,34 @@ class Family(str, Enum):
 class CoherentState:
     """A normalized coherent state with its construction metadata.
 
-    norm_constant is the realized normalization factor (what multiplies
-    the raw series amplitudes), computed from the direct sum.  energies
-    holds the eigenvalue of each level the vector spans.
+    amplitudes are the state's components over its family's basis (basis,
+    read from WINDOWS).  norm_constant is the realized normalization
+    factor (what multiplies the raw series amplitudes), computed from the
+    direct sum.  energies holds the eigenvalue of each level the state
+    spans.  Construction raises NotNormalizable unless the amplitudes form
+    a finite 1-d unit vector, so an overflowed or NaN series never
+    reaches a reader.
     """
 
     family: Family
     z: complex
     alpha: float
-    vector: FockVector
+    amplitudes: np.ndarray
     norm_constant: float
     energies: np.ndarray
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        if self.amplitudes.ndim != 1:
+            raise NotNormalizable("amplitudes must be a 1-d array")
+        norm = float(np.linalg.norm(self.amplitudes))
+        if not abs(norm - 1.0) <= 1e-12:
+            raise NotNormalizable(
+                f"{self.family.value} state at z = {self.z} has norm {norm:.6g}, not 1")
+
+    @property
+    def basis(self) -> Basis:
+        return WINDOWS[self.family].basis
 
 
 @dataclass(frozen=True)
@@ -165,9 +182,8 @@ def build_cs(family: Family, z: complex, alpha: float = 2.0,
     if mags[-1] > 1e-12 * norm:
         raise TruncationTooSmall(
             f"amplitude at the truncation edge is {mags[-1] / norm:.2e} of the norm")
-    vec = FockVector(Basis.TRUNCATED, c / norm)
     return CoherentState(family=family, z=complex(z), alpha=float(alpha),
-                         vector=vec, norm_constant=1.0 / norm,
+                         amplitudes=c / norm, norm_constant=1.0 / norm,
                          energies=level_energy(np.arange(truncation)))
 
 
@@ -223,9 +239,9 @@ def eigen_residual(cs: CoherentState) -> float:
     Defined for the lowering and lin-lowering families (the displacement
     families are not lowering eigenstates).
     """
-    a = cs.vector.amplitudes
+    a = cs.amplitudes
     if cs.family == Family.LOWERING:
-        lowered = ladder_apply("lower", cs.vector).amplitudes
+        lowered = ladder_apply("lower", a)
     elif cs.family == Family.LIN_LOWERING:
         lowered = np.zeros_like(a)
         lowered[:-1] = np.sqrt(cs.alpha * np.arange(1, a.size)) * a[1:]
@@ -236,14 +252,14 @@ def eigen_residual(cs: CoherentState) -> float:
 
 def state_probability(cs: CoherentState, n: int) -> float:
     """Probability of finding the state in level n."""
-    if not 0 <= n < cs.vector.truncation:
-        raise IndexOutOfRange(f"level {n} outside truncation {cs.vector.truncation}")
-    return float(abs(cs.vector.amplitudes[n]) ** 2)
+    if not 0 <= n < cs.amplitudes.size:
+        raise IndexOutOfRange(f"level {n} outside truncation {cs.amplitudes.size}")
+    return float(abs(cs.amplitudes[n]) ** 2)
 
 
 def energy_expectation(cs: CoherentState) -> float:
     """<H> = sum_k p_k E_k from the stored amplitudes, summed in level order."""
-    p = np.abs(cs.vector.amplitudes) ** 2
+    p = np.abs(cs.amplitudes) ** 2
     return float(np.cumsum(p * cs.energies)[-1])
 
 
@@ -254,10 +270,7 @@ def evolve(cs: CoherentState, t: float) -> CoherentState:
     global phase e^{-i E_0 t}) the state built at z e^{-2 i t}: the family
     is temporally stable.
     """
-    phases = np.exp(-1j * cs.energies * t)
-    vec = FockVector(cs.vector.basis, cs.vector.amplitudes * phases)
-    return CoherentState(family=cs.family, z=cs.z, alpha=cs.alpha, vector=vec,
-                         norm_constant=cs.norm_constant, energies=cs.energies)
+    return replace(cs, amplitudes=cs.amplitudes * np.exp(-1j * cs.energies * t))
 
 
 # ----------------------------------------------------------------------------
@@ -313,7 +326,7 @@ def identity_resolution_check(family: Family, measure: Measure,
     def level_weights(r: float) -> np.ndarray:
         if r not in weights_at:
             cs = build_cs(family, r, truncation=truncation)
-            weights_at[r] = np.abs(cs.vector.amplitudes[: n_max + 1]) ** 2
+            weights_at[r] = np.abs(cs.amplitudes[: n_max + 1]) ** 2
         return weights_at[r]
 
     for n in range(n_max + 1):

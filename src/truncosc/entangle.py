@@ -382,8 +382,8 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64,
     restricted odd basis by quadrature and must recover at least
     1 - 1e-6 of their norm (ExpansionResidualTooLarge otherwise).
     """
-    basis = cs.vector.basis
-    amps = cs.vector.amplitudes
+    basis = cs.basis
+    amps = cs.amplitudes
     if cutoff < 2 * amps.size + 3:
         raise ValueError("cutoff must be at least 2*truncation + 3")
     if basis == Basis.TRUNCATED:

@@ -1,4 +1,4 @@
-"""Half-line oscillator eigenbasis, its ladder data, Fock vectors.
+"""Half-line oscillator eigenbasis, its ladder data and ladder action.
 
 The half-line (truncated) oscillator has V = x^2/2 on x > 0 with a hard
 wall at the origin.  Its k-th eigenfunction is sqrt(2) times the full-line
@@ -10,16 +10,14 @@ level index, so they take an int or an index array alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import BasisMismatch, IndexOutOfRange
+from .errors import IndexOutOfRange
 
 __all__ = [
     "Basis",
-    "FockVector",
     "ladder_step_sq",
     "level_energy",
     "hermite_normalized",
@@ -48,26 +46,6 @@ def level_energy(k):
     """Energy 2k + 3/2 of level k, shared by the half-line oscillator and
     the infinite tower of its isospectral partner."""
     return 2.0 * k + 1.5
-
-
-@dataclass
-class FockVector:
-    """Amplitudes over a number basis."""
-
-    basis: Basis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 1:
-            raise ValueError("amplitudes must be a 1-d array")
-
-    @property
-    def truncation(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 # ----------------------------------------------------------------------------
@@ -172,17 +150,15 @@ def weighted_eigenfunction_derivatives(k: int, x, order: int = 2) -> np.ndarray:
 # ladder action
 # ----------------------------------------------------------------------------
 
-def ladder_apply(direction: str, v: FockVector) -> FockVector:
-    """Apply the half-line lowering or raising ladder to a Fock vector."""
-    if v.basis != Basis.TRUNCATED:
-        raise BasisMismatch(f"vector basis {v.basis} is not the half-line basis")
+def ladder_apply(direction: str, amplitudes) -> np.ndarray:
+    """Apply the half-line lowering or raising ladder to level amplitudes."""
     if direction not in ("lower", "raise"):
         raise ValueError("direction must be 'lower' or 'raise'")
-    a = v.amplitudes
+    a = np.asarray(amplitudes, dtype=complex)
     steps = np.sqrt(ladder_step_sq(np.arange(1, a.size)))
     out = np.zeros_like(a)
     if direction == "lower":
         out[:-1] = steps * a[1:]
     else:
         out[1:] = steps * a[:-1]
-    return FockVector(v.basis, out)
+    return out

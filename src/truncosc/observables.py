@@ -154,8 +154,7 @@ _CLOSED = {ObservableKind.X: _closed_x, ObservableKind.X2: _closed_x2,
            ObservableKind.P: _closed_p, ObservableKind.P2: _closed_p2}
 
 
-def matrix_element_closed(kind: ObservableKind, n: int, m: int,
-                          basis: Basis = Basis.TRUNCATED) -> complex:
+def matrix_element_closed(kind: ObservableKind, n: int, m: int) -> complex:
     """Closed-form matrix element in the half-line eigenbasis.
 
     Evaluated directly for n >= m; the n < m half follows the fill rule of
@@ -165,8 +164,6 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int,
     used instead.
     """
     kind = ObservableKind(kind)
-    if basis != Basis.TRUNCATED:
-        raise UnsupportedBasis(f"no closed forms exist in basis {basis}")
     if n < 0 or m < 0:
         raise IndexOutOfRange("matrix element indices must be non-negative")
     if n >= m:
@@ -180,7 +177,6 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int,
 # ----------------------------------------------------------------------------
 
 def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
-                              basis: Basis = Basis.TRUNCATED,
                               rule: Optional[QuadratureRule] = None) -> complex:
     """Directed integral <n| (x | x^2 | -i d/dx | p^2) |m> by Gauss quadrature.
 
@@ -190,9 +186,6 @@ def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
     functions vanish at the origin).
     """
     kind = ObservableKind(kind)
-    if basis != Basis.TRUNCATED:
-        raise UnsupportedBasis(f"single elements exist only in the truncated basis, "
-                               f"not {basis}; use build_table")
     if rule is None:
         rule = gauss_halfline(degree=4 * max(n, m) + 16)
     x, w = rule.nodes, rule.weights
@@ -291,14 +284,14 @@ def expectation(table: MatrixElementTable, cs: CoherentState,
     TruncationTooSmall is raised when the state holds more than 1e-12 of
     its probability beyond the n_terms window.
     """
-    if table.basis != cs.vector.basis:
-        raise BasisMismatch(f"table basis {table.basis} != state basis {cs.vector.basis}")
+    if table.basis != cs.basis:
+        raise BasisMismatch(f"table basis {table.basis} != state basis {cs.basis}")
     if n_terms > table.n_max + 1:
         raise IndexOutOfRange(f"n_terms={n_terms} exceeds table size {table.n_max + 1}")
-    c = cs.vector.amplitudes[:n_terms]
+    c = cs.amplitudes[:n_terms]
     if c.size < n_terms:
         raise IndexOutOfRange(f"state truncation {c.size} below n_terms={n_terms}")
-    dropped = float(np.sum(np.abs(cs.vector.amplitudes[n_terms:]) ** 2))
+    dropped = float(np.sum(np.abs(cs.amplitudes[n_terms:]) ** 2))
     if dropped > 1e-12:
         raise TruncationTooSmall(
             f"{dropped:.2e} of the probability lies beyond the {n_terms}-term window")

@@ -31,7 +31,7 @@ printed in the source material evaluates to the SIGNED series
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -47,7 +47,6 @@ from .errors import (
 )
 from .fock import (
     Basis,
-    FockVector,
     level_energy,
     rows,
 )
@@ -533,10 +532,8 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
     subspace = Basis(subspace)
     z = complex(z)
     if subspace == Basis.SUSY_ISO:
-        cs = build_cs(Family.LIN_DISPLACEMENT, z, alpha=2.0, truncation=truncation)
-        return CoherentState(family=Family.SUSY_ISO, z=z, alpha=2.0,
-                             vector=FockVector(Basis.SUSY_ISO, cs.vector.amplitudes),
-                             norm_constant=cs.norm_constant, energies=cs.energies)
+        return replace(build_cs(Family.LIN_DISPLACEMENT, z, alpha=2.0,
+                                truncation=truncation), family=Family.SUSY_ISO)
     if subspace != Basis.SUSY_NEW:
         raise ValueError(f"subspace must be a partner-tower basis, got {subspace}")
     kappa = model.kappa
@@ -546,8 +543,7 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
         c[j] = ((math.sqrt(2.0) * z) ** j / math.factorial(j)
                 * complex(np.sqrt(complex(poch))))
     norm = float(np.linalg.norm(c))
-    vec = FockVector(Basis.SUSY_NEW, c / norm)
-    return CoherentState(family=Family.SUSY_NEW, z=z, alpha=2.0, vector=vec,
+    return CoherentState(family=Family.SUSY_NEW, z=z, alpha=2.0, amplitudes=c / norm,
                          norm_constant=1.0 / norm,
                          energies=np.array(model.new_energies))
 

@@ -379,6 +379,24 @@ def test_uncertainty_window_that_drops_probability_is_a_numerical_failure(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    # the norm sum overflows: the amplitudes would come out all zero
+    ["--command", "uncertainty", "--zmin", "0", "--zmax", "1e6", "--steps", "2"],
+    # the amplitudes themselves overflow: the state would come out NaN
+    ["--command", "uncertainty", "--zmin", "0", "--zmax", "1e7", "--steps", "2"],
+    ["--command", "density", "--zmax", "1e7"],
+    ["--command", "density", "--family", "susy-iso", "--model", "SUSY_Q4",
+     "--zmax", "1e200"],
+])
+def test_labels_whose_state_overflows_are_a_numerical_failure(tmp_path, run_cli, args):
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):
+        res = run_cli([*args, "--out", str(out)], tmp_path)
+    assert res.returncode == 3
+    assert "NotNormalizable" in res.stderr
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------------

@@ -13,6 +13,7 @@ all obtained by summing the explicit amplitude series in closed form.
 
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -42,6 +43,8 @@ from truncosc.errors import (
     TruncOscError,
     TruncationTooSmall,
 )
+from truncosc.fock import Basis
+from truncosc.susy import q4_model, susy_cs
 
 # ----------------------------------------------------------------------------
 # norm constants against closed forms
@@ -75,9 +78,32 @@ def test_states_are_unit_vectors():
     for fam in (Family.LOWERING, Family.DISPLACEMENT,
                 Family.LIN_LOWERING, Family.LIN_DISPLACEMENT):
         cs = build_cs(fam, 0.3)
-        assert cs.vector.norm() == pytest.approx(1.0, abs=1e-13)
-        total = sum(state_probability(cs, n) for n in range(cs.vector.truncation))
+        assert np.linalg.norm(cs.amplitudes) == pytest.approx(1.0, abs=1e-13)
+        total = sum(state_probability(cs, n) for n in range(cs.amplitudes.size))
         assert total == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cs(Family.LOWERING, math.nan),
+    lambda: build_cs(Family.LIN_LOWERING, 0.3, alpha=math.nan),
+    lambda: susy_cs(q4_model(), Basis.SUSY_NEW, math.nan),
+    lambda: evolve(build_cs(Family.LOWERING, 0.5), math.nan),
+    # |z| = 1e6 overflows the norm sum, which would leave all-zero amplitudes
+    lambda: build_cs(Family.LOWERING, 1e6),
+], ids=["nan-label", "nan-alpha", "nan-partner-label", "nan-time", "overflow"])
+def test_states_that_are_not_finite_unit_vectors_are_rejected(make):
+    with np.errstate(all="ignore"):
+        with pytest.raises(NotNormalizable):
+            make()
+
+
+def test_a_state_record_holds_one_unit_vector_over_its_family_basis():
+    cs = build_cs(Family.LOWERING, 0.5)
+    assert cs.basis == Basis.TRUNCATED
+    with pytest.raises(NotNormalizable):
+        replace(cs, amplitudes=np.eye(2) / math.sqrt(2.0))
+    with pytest.raises(NotNormalizable):
+        replace(cs, amplitudes=2.0 * cs.amplitudes)
 
 
 # Each family's amplitude k at alpha = 2 as an mpmath closed form, and the
@@ -109,7 +135,7 @@ def test_amplitudes_match_the_normalized_closed_forms(family, reach, angle, trun
         expected = np.array([complex(c / norm) for c in raw])
     # amplitudes below 1e-290 sit near the end of the double range, where
     # relative precision runs out; there both sides only need to be tiny
-    error = np.abs(cs.vector.amplitudes - expected)
+    error = np.abs(cs.amplitudes - expected)
     assert np.all(error <= 1e-12 * np.abs(expected) + 1e-290)
 
 
@@ -186,15 +212,15 @@ def test_lin_displacement_mean_energy_closed_form():
 def test_evolution_preserves_level_populations():
     cs = build_cs(Family.LOWERING, 1.2)
     moved = evolve(cs, 0.37)
-    assert np.allclose(np.abs(moved.vector.amplitudes),
-                       np.abs(cs.vector.amplitudes), rtol=0, atol=1e-14)
+    assert np.allclose(np.abs(moved.amplitudes),
+                       np.abs(cs.amplitudes), rtol=0, atol=1e-14)
 
 
 def test_evolution_revives_after_half_period():
     # level spacing 2 means t = pi restores the state up to a global phase
     cs = build_cs(Family.LOWERING, 1.2)
     out = evolve(cs, math.pi)
-    overlap = np.vdot(cs.vector.amplitudes, out.vector.amplitudes)
+    overlap = np.vdot(cs.amplitudes, out.amplitudes)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
     assert abs(overlap - cmath.exp(-1.5j * math.pi)) < 1e-12
 
@@ -202,7 +228,7 @@ def test_evolution_revives_after_half_period():
 def test_evolution_dephases_between_revivals():
     cs = build_cs(Family.LOWERING, 1.2)
     out = evolve(cs, math.pi / 3.0)
-    overlap = abs(np.vdot(cs.vector.amplitudes, out.vector.amplitudes))
+    overlap = abs(np.vdot(cs.amplitudes, out.amplitudes))
     assert overlap < 0.999
 
 
@@ -212,8 +238,8 @@ def test_evolved_lowering_state_tracks_the_rotated_label():
     moved = evolve(build_cs(Family.LOWERING, z), t)
     rebuilt = build_cs(Family.LOWERING, z * cmath.exp(-2j * t))
     phase = cmath.exp(-1.5j * t)
-    assert np.allclose(moved.vector.amplitudes,
-                       phase * rebuilt.vector.amplitudes, atol=1e-12)
+    assert np.allclose(moved.amplitudes,
+                       phase * rebuilt.amplitudes, atol=1e-12)
 
 
 def test_state_probability_bounds_check():
@@ -287,18 +313,15 @@ def test_measure_density_factories_are_distinct():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_family_state_uses_each_family_constructor(family):
-    from truncosc.fock import Basis
-    from truncosc.susy import q4_model, susy_cs
-
     state = coherent.family_state(family.value, 0.2, truncation=64)
     windows = coherent.WINDOWS[family]
     assert state.family == family
-    assert state.vector.basis == windows.basis
+    assert state.basis == windows.basis
     if windows.basis == Basis.TRUNCATED:
         direct = build_cs(family, 0.2, truncation=64)
     else:
         direct = susy_cs(q4_model(), windows.basis, 0.2, truncation=64)
-    assert np.array_equal(state.vector.amplitudes, direct.vector.amplitudes)
+    assert np.array_equal(state.amplitudes, direct.amplitudes)
 
 
 def _window_state(family, window, r, angle):
@@ -325,7 +348,7 @@ def test_family_states_are_unit_vectors_or_rejected(family, window, r, angle):
     if state is None:
         assert r > 0.05
     else:
-        assert state.vector.norm() == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -336,10 +359,10 @@ def test_every_family_revives_at_half_period(family, window, r, angle):
     state = _window_state(family, window, r, angle)
     assume(state is not None)
     out = evolve(state, math.pi)
-    overlap = np.vdot(state.vector.amplitudes, out.vector.amplitudes)
+    overlap = np.vdot(state.amplitudes, out.amplitudes)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(out.vector.amplitudes
-                         - overlap * state.vector.amplitudes)) < 1e-12
+    assert np.max(np.abs(out.amplitudes
+                         - overlap * state.amplitudes)) < 1e-12
 
 
 def test_windows_hold_the_scan_windows_of_every_family():

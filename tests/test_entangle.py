@@ -323,7 +323,7 @@ def test_truncated_embedding_structure():
     assert amp.shape == (32, 32)
     # mode A is the ground level (full-line level 1); mode B carries the
     # state's amplitudes on odd levels 2n+1
-    assert np.allclose(amp[1, 1:25:2], cs.vector.amplitudes, atol=1e-13)
+    assert np.allclose(amp[1, 1:25:2], cs.amplitudes, atol=1e-13)
     amp_copy = amp.copy()
     amp_copy[1, :] = 0.0
     assert np.max(np.abs(amp_copy)) == 0.0
@@ -481,7 +481,7 @@ def _oracle_case(theta: float):
     setting = BeamSplitterSetting(theta, 0.0)
     records = entropy_scan(Family.LOWERING, _ORACLE_Z, setting=setting,
                            cutoff=_ORACLE_CUTOFF)
-    amps = [family_state(Family.LOWERING, z, truncation=20).vector.amplitudes
+    amps = [family_state(Family.LOWERING, z, truncation=20).amplitudes
             for z in _ORACLE_Z]
     rule = gauss_halfline(16)
     keep = rule.nodes <= 8.0

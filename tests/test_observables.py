@@ -190,8 +190,10 @@ def test_partner_tables_come_from_rows_and_single_elements_do_not():
     table = build_table(ObservableKind.P2, 5, basis=Basis.SUSY_ISO)
     assert table.basis == Basis.SUSY_ISO
     assert np.all(np.diag(table.entries).real > 0.0)
-    with pytest.raises(UnsupportedBasis):
+    with pytest.raises(TypeError):
         matrix_element_quadrature(ObservableKind.X, 0, 0, basis=Basis.SUSY_ISO)
+    with pytest.raises(UnsupportedBasis):
+        build_table(ObservableKind.X, 5, source="closed-form", basis=Basis.SUSY_ISO)
 
 
 # ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The package's public surface: exported names resolve, imports are used.
+"""The package's public surface: exported names resolve, imports are used,
+nothing is defined that nothing uses.
 
-No linter ships with the toolchain, so these two checks stand in for one.
+No linter ships with the toolchain, so these checks stand in for one.
 The unused-import check also covers the tests and the demos.
 """
 
@@ -50,3 +51,35 @@ def test_no_module_imports_a_name_it_never_uses(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used - _exported(tree)) == []
+
+
+def _read_names(node: ast.AST):
+    """Every name a node reads, as a bare name or as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("__"))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE_DIR.glob("*.py")))
+def test_every_module_level_definition_is_read_somewhere(name):
+    # import lists and __all__ strings are not reads, so an export alone
+    # does not keep a dead helper alive
+    paths = [*SOURCES.values(), *sorted((ROOT / "perfbench").glob("*.py"))]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    reads = [(top, set(_read_names(top))) for tree in trees.values() for top in tree.body]
+    orphans = [defined for defined, node in _definitions(trees[PACKAGE_DIR / name])
+               if not any(defined in names for top, names in reads if top is not node)]
+    assert orphans == []
