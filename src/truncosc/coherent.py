@@ -1,6 +1,6 @@
 """Coherent-state families over the half-line ladder.
 
-Four families are built here directly:
+Four families are built here directly (build_cs):
 
 * "lowering"         -- eigenstates of the lowering operator,
                         amplitudes z^k / sqrt(prod_{j<=k} step(j)),
@@ -20,7 +20,8 @@ is always computed from the direct amplitude sum; closed forms are
 cross-checks, not inputs.
 
 The SUSY families ("susy-iso", "susy-new") are assembled in the susy
-module using the same CoherentState container.  family_state is the one
+module using the same CoherentState container; the susy-iso amplitudes
+are the lin-displacement series at alpha = 2.  family_state is the one
 place that picks a family's constructor, and WINDOWS the one table of the
 level windows its scans use.
 """
@@ -132,10 +133,8 @@ def _raw_amplitudes(family: Family, z: complex, alpha: float,
         w, up, down = z, np.sqrt(ladder_step_sq(k)), k
     elif family == Family.LIN_LOWERING:
         w, down = z / math.sqrt(alpha), np.sqrt(k)
-    elif family == Family.LIN_DISPLACEMENT:
+    else:  # lin-displacement, and susy-iso, whose amplitudes are its series
         w, down = math.sqrt(alpha) * z, np.sqrt(k)
-    else:
-        raise FamilyMismatch(f"build_cs does not construct family {family}")
     c = np.zeros(truncation, dtype=complex)
     c[0] = 1.0
     for j in range(1, truncation):
@@ -159,32 +158,43 @@ def displacement_norm_partial_sums(r: float, n_terms: int = 80) -> np.ndarray:
 
 def build_cs(family: Family, z: complex, alpha: float = 2.0,
              truncation: int = 64) -> CoherentState:
-    """Construct a normalized coherent state of the given family.
+    """Construct a normalized coherent state of a truncated-oscillator family.
 
     Raises NotNormalizable when the norm series diverges (displacement
-    family outside its radius), and TruncationTooSmall when the last kept
-    amplitude still carries weight above 1e-12 of the norm.
+    family outside its radius) or overflows, and TruncationTooSmall when
+    the last kept amplitude still carries weight above 1e-12 of the norm.
     """
+    family = Family(family)
+    if WINDOWS[family].basis != Basis.TRUNCATED:
+        raise FamilyMismatch(f"build_cs does not construct family {family}")
+    return _series_state(family, z, alpha, truncation)
+
+
+def _series_state(family: Family, z: complex, alpha: float,
+                  truncation: int) -> CoherentState:
+    """build_cs for any family _raw_amplitudes has a series for, susy-iso
+    included; the state is recorded under that family."""
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    family = Family(family)
-    c = _raw_amplitudes(family, z, alpha, truncation)
-
-    mags = np.abs(c)
-    if family == Family.DISPLACEMENT:
-        tail = mags[-6:]
-        if np.all(np.diff(tail) >= 0) and tail[-1] > 0:
-            raise NotNormalizable(
-                f"displacement norm series diverges at |z| = {abs(z):.4g}")
-    norm = float(np.linalg.norm(c))
-    if mags[-1] > 1e-12 * norm:
-        raise TruncationTooSmall(
-            f"amplitude at the truncation edge is {mags[-1] / norm:.2e} of the norm")
-    return CoherentState(family=family, z=complex(z), alpha=float(alpha),
-                         amplitudes=c / norm, norm_constant=1.0 / norm,
-                         energies=level_energy(np.arange(truncation)))
+    # an overflowing series leaves an infinite norm or NaN amplitudes, which
+    # the record's unit-norm guard reports; numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _raw_amplitudes(family, z, alpha, truncation)
+        mags = np.abs(c)
+        if family == Family.DISPLACEMENT:
+            tail = mags[-6:]
+            if np.all(np.diff(tail) >= 0) and tail[-1] > 0:
+                raise NotNormalizable(
+                    f"displacement norm series diverges at |z| = {abs(z):.4g}")
+        norm = float(np.linalg.norm(c))
+        if mags[-1] > 1e-12 * norm:
+            raise TruncationTooSmall(
+                f"amplitude at the truncation edge is {mags[-1] / norm:.2e} of the norm")
+        return CoherentState(family=family, z=complex(z), alpha=float(alpha),
+                             amplitudes=c / norm, norm_constant=1.0 / norm,
+                             energies=level_energy(np.arange(truncation)))
 
 
 # ----------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+# at module level: every entropy run calls eigh_tridiagonal, so a lazy import saves nothing
 from scipy.linalg import eigh_tridiagonal, expm
 
 from .coherent import WINDOWS, CoherentState, Family, family_state

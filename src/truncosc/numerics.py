@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sps
 
 from .errors import (
     ContourError,
@@ -49,39 +48,53 @@ def _is_nonpositive_integer(a: float) -> bool:
     return a <= 0 and float(a) == math.floor(a)
 
 
-def hyp1f1(a: float, b: float, x: float) -> float:
-    """Kummer 1F1(a; b; x) by direct series.
+def hyp1f1(a: float, b: float, x):
+    """Kummer 1F1(a; b; x) by direct series, for scalar or array x.
 
     Terminates exactly when a is a nonpositive integer.  Raises PoleError
     when the series runs into b = nonpositive integer first, and
     DivergenceError when the term budget is exhausted or the terms
-    overflow (a non-finite total).
+    overflow (a non-finite total).  Each element of an array x keeps its
+    own stop rule and sees the same operations in the same order as a
+    scalar x, so it comes out bit-identical; the array raises if any
+    element would, with the message of the first such element.  A scalar
+    x returns a float.
     """
     if _is_nonpositive_integer(b) and not (_is_nonpositive_integer(a) and a > b):
         # the (b)_k factor hits zero before the numerator terminates
         raise PoleError(f"1F1 pole: b = {b}")
-    term = 1.0
-    total = 1.0
-    small_run = 0
-    for k in range(_MAX_TERMS):
-        if a + k == 0.0:
-            break
-        denom = (b + k) * (k + 1)
-        if denom == 0.0:
-            raise PoleError(f"1F1 pole: b = {b} reached at term {k + 1}")
-        term *= (a + k) * x / denom
-        total += term
-        if abs(term) <= _SERIES_TOLERANCE * max(1.0, abs(total)):
-            small_run += 1
-            if small_run >= 2:
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    total = np.ones(flat.size)
+    live = np.arange(flat.size)  # elements whose stop rule has not fired
+    term = np.ones(flat.size)
+    small_run = np.zeros(flat.size, dtype=int)
+    # an overflowing term leaves a non-finite total, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_MAX_TERMS):
+            if live.size == 0 or a + k == 0.0:
+                live = live[:0]  # a terminating series ends every element here
                 break
-        else:
-            small_run = 0
-    else:
-        raise DivergenceError(f"1F1({a}, {b}, {x}) did not converge in {_MAX_TERMS} terms")
-    if not math.isfinite(total):
-        raise DivergenceError(f"1F1({a}, {b}, {x}) overflows to {total}")
-    return total
+            denom = (b + k) * (k + 1)
+            if denom == 0.0:
+                raise PoleError(f"1F1 pole: b = {b} reached at term {k + 1}")
+            term *= (a + k) * flat[live] / denom
+            partial = total[live] + term
+            total[live] = partial
+            small = np.abs(term) <= _SERIES_TOLERANCE * np.fmax(1.0, np.abs(partial))
+            small_run = np.where(small, small_run + 1, 0)
+            going = small_run < 2
+            live, term, small_run = live[going], term[going], small_run[going]
+    failed = ~np.isfinite(total)
+    failed[live] = True
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        if i in live:
+            raise DivergenceError(
+                f"1F1({a}, {b}, {float(flat[i])}) did not converge in {_MAX_TERMS} terms")
+        raise DivergenceError(
+            f"1F1({a}, {b}, {float(flat[i])}) overflows to {float(total[i])}")
+    return float(total[0]) if xs.ndim == 0 else total.reshape(xs.shape)
 
 
 def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
@@ -135,6 +148,8 @@ def log_gamma_signed(x: float) -> tuple[float, float]:
     """Return (log|Gamma(x)|, sign(Gamma(x))) for real x off the poles."""
     if _is_nonpositive_integer(x):
         raise PoleError(f"Gamma pole at {x}")
+    # imported here so that loading the package does not pay for scipy.special
+    from scipy import special as sps
     return float(sps.gammaln(x)), float(sps.gammasgn(x))
 
 
@@ -177,6 +192,8 @@ def meijer_g_2012(a1: float, x, contour_re: float | None = None):
         c = float(contour_re)
     else:
         c = max(1.0, 1.0 - a1) + _MELLIN_OFFSET
+    # imported here so that loading the package does not pay for scipy.special
+    from scipy import special as sps
     t = np.linspace(-60.0, 60.0, _MELLIN_NODES)
     s = c + 1j * t
     log_integrand = 2.0 * sps.loggamma(s)[:, None] - sps.loggamma(a1 + s)[:, None] \
@@ -210,10 +227,33 @@ class QuadratureRule:
             raise ValueError("weights must be strictly positive")
 
 
-@lru_cache(maxsize=8)
-def _legendre_nodes(q: int):
-    xs, ws = sps.roots_legendre(q)
-    return xs, ws
+# The Gauss-Legendre rules on [-1, 1] of the two panel sizes in use: 12 points
+# (susy's Mellin kernel rule) and 24 (gauss_halfline).  The entries are the
+# positive nodes and their weights, exact float literals of
+# scipy.special.roots_legendre(q); its rules are exactly symmetric, so the
+# negative half is the mirror image.
+_LEGENDRE_HALF = {
+    12: ((0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
+          0.7699026741943047, 0.9041172563704749, 0.9815606342467192),
+         (0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
+          0.16007832854334608, 0.10693932599531782, 0.04717533638651319)),
+    24: ((0.06405689286260563, 0.19111886747361626, 0.31504267969616334,
+          0.4337935076260452, 0.5454214713888395, 0.6480936519369755,
+          0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+          0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+         (0.12793819534675197, 0.12583745634682822, 0.12167047292780316,
+          0.11550566805372539, 0.10744427011596587, 0.09761865210411405,
+          0.08619016153195355, 0.07334648141108017, 0.05929858491543661,
+          0.04427743881742018, 0.028531388628932657, 0.012341229799988262)),
+}
+
+
+def _legendre_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the frozen q-point Gauss-Legendre rule."""
+    if q not in _LEGENDRE_HALF:
+        raise ValueError(f"no frozen {q}-point Gauss-Legendre rule")
+    half_x, half_w = (np.array(v) for v in _LEGENDRE_HALF[q])
+    return np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
 
 
 def _panel_rule(edges: np.ndarray, points_per_panel: int):

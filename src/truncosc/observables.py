@@ -274,6 +274,14 @@ def discrepancy_report(n_max: int = 8, tol: float = 1e-8) -> list[dict]:
 # expectation values and uncertainty products
 # ----------------------------------------------------------------------------
 
+def _times(a: tuple, b: tuple) -> tuple:
+    """Complex product of (real, imaginary) array pairs with each real product
+    rounded on its own, as numpy's scalar complex multiply rounds it (its
+    array multiply may fuse a product into the sum)."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def expectation(table: MatrixElementTable, cs: CoherentState,
                 n_terms: int = 30) -> float:
     """<O> = sum_n L_nn O_nn + sum_{n>m} 2 Re(L_mn O_nm), L_mn = c_m conj(c_n).
@@ -295,15 +303,21 @@ def expectation(table: MatrixElementTable, cs: CoherentState,
     if dropped > 1e-12:
         raise TruncationTooSmall(
             f"{dropped:.2e} of the probability lies beyond the {n_terms}-term window")
-    total = 0.0 + 0.0j
-    for n in range(n_terms):
-        total += (c[n] * np.conj(c[n])) * table.entries[n, n]
-    for n in range(1, n_terms):
-        for m in range(n):
-            total += 2.0 * np.real(c[m] * np.conj(c[n]) * table.entries[n, m])
-    if abs(total.imag) > 1e-12 * (1.0 + abs(total.real)):
-        raise ValueError(f"expectation has imaginary residue {total.imag:.2e}")
-    return float(total.real)
+    # Every term is rounded as the defining double sum rounds it, taken term
+    # by term (diagonal first, then n > m row by row), and cumsum adds them
+    # in that order from 0.0: the result is that sum's, bit for bit.
+    entries = table.entries[:n_terms, :n_terms]
+    amp, conj = (c.real, c.imag), (c.real, -c.imag)
+    diag = np.diagonal(entries)
+    diag_re, diag_im = _times(_times(amp, conj), (diag.real, diag.imag))
+    n, m = np.tril_indices(n_terms, -1)
+    weights = _times((amp[0][m], amp[1][m]), (conj[0][n], conj[1][n]))
+    off = 2.0 * _times(weights, (entries[n, m].real, entries[n, m].imag))[0]
+    real = np.cumsum(np.concatenate(([0.0], diag_re, off)))[-1]
+    imag = np.cumsum(np.concatenate(([0.0], diag_im)))[-1]
+    if abs(imag) > 1e-12 * (1.0 + abs(real)):
+        raise ValueError(f"expectation has imaginary residue {imag:.2e}")
+    return float(real)
 
 
 def uncertainty_scan(family: Family, z_moduli: Sequence[float],

@@ -31,14 +31,19 @@ printed in the source material evaluates to the SIGNED series
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
-from .coherent import CoherentState, Family, build_cs, iso_measure, identity_resolution_check
+from .coherent import (
+    CoherentState,
+    Family,
+    _series_state,
+    identity_resolution_check,
+    iso_measure,
+)
 from .errors import (
     GammaPole,
     IndexOutOfRange,
@@ -54,6 +59,7 @@ from .numerics import (
     _panel_rule,
     hyp1f1,
     hyp2f2,
+    log_gamma_signed,
     meijer_g_2012,
     rising_factorial,
 )
@@ -122,12 +128,12 @@ class SeedSolution:
             return None
         if self.nu == 0.0:
             return 0.0
-        log_ratio = gammaln(self._a_odd) - gammaln(self._a_even)
-        sign = gammasgn(self._a_odd) * gammasgn(self._a_even)
-        return 2.0 * self.nu * sign * math.exp(log_ratio)
+        log_odd, sign_odd = log_gamma_signed(self._a_odd)
+        log_even, sign_even = log_gamma_signed(self._a_even)
+        return 2.0 * self.nu * (sign_odd * sign_even) * math.exp(log_odd - log_even)
 
     def _series(self, a: float, b: float, x: np.ndarray) -> np.ndarray:
-        return np.array([hyp1f1(a, b, float(t) * float(t)) for t in x])
+        return hyp1f1(a, b, x * x)
 
     def _value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ae, ao = self._a_even, self._a_odd
@@ -532,8 +538,7 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
     subspace = Basis(subspace)
     z = complex(z)
     if subspace == Basis.SUSY_ISO:
-        return replace(build_cs(Family.LIN_DISPLACEMENT, z, alpha=2.0,
-                                truncation=truncation), family=Family.SUSY_ISO)
+        return _series_state(Family.SUSY_ISO, z, 2.0, truncation)
     if subspace != Basis.SUSY_NEW:
         raise ValueError(f"subspace must be a partner-tower basis, got {subspace}")
     kappa = model.kappa
@@ -542,7 +547,8 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
         poch = rising_factorial(-model.delta1 / 2.0, j)
         c[j] = ((math.sqrt(2.0) * z) ** j / math.factorial(j)
                 * complex(np.sqrt(complex(poch))))
-    norm = float(np.linalg.norm(c))
+    with np.errstate(over="ignore"):  # an infinite norm leaves a zero state, rejected below
+        norm = float(np.linalg.norm(c))
     return CoherentState(family=Family.SUSY_NEW, z=z, alpha=2.0, amplitudes=c / norm,
                          norm_constant=1.0 / norm,
                          energies=np.array(model.new_energies))
@@ -642,7 +648,8 @@ def new_measure_check(model: SusyModel, n_max: int = 5, r_max: float = 20.0) -> 
         target = 0.0
         arg = j - d / 2.0
         if not _is_nonpositive_integer(arg):
-            target = math.factorial(j) ** 2 * gammasgn(arg) * math.exp(-gammaln(arg))
+            log_gamma, sign = log_gamma_signed(arg)
+            target = math.factorial(j) ** 2 * sign * math.exp(-log_gamma)
         got = float(w @ (t ** j * g))
         scale = max(1.0, abs(target))
         if abs(got - target) > 1e-4 * scale:

@@ -397,6 +397,31 @@ def test_labels_whose_state_overflows_are_a_numerical_failure(tmp_path, run_cli,
     assert not out.exists()
 
 
+def test_an_overflowing_susy_iso_state_is_named_as_such(tmp_path, run_cli):
+    # its amplitudes are the lin-displacement series, but the state is susy-iso's
+    out = tmp_path / "x.csv"
+    res = run_cli(["--command", "density", "--family", "susy-iso", "--model", "SUSY_Q4",
+                   "--zmax", "1e200", "--out", str(out)], tmp_path)
+    assert res.returncode == 3
+    assert "susy-iso state" in res.stderr
+    assert "lin-displacement" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "uncertainty", "--zmin", "0", "--zmax", "1e7", "--steps", "2"],
+    ["--command", "density", "--family", "susy-new", "--model", "SUSY_Q4",
+     "--zmax", "1e200"],
+])
+def test_an_overflowing_state_prints_no_numpy_warning(tmp_path, cli_env, args):
+    # a fresh interpreter, so that numpy's warnings reach stderr as a user sees them
+    res = run_cli_process([*args, "--out", "y.csv"], tmp_path, cli_env)
+    assert res.returncode == 3
+    assert "numerical failure (NotNormalizable)" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert not (tmp_path / "y.csv").exists()
+
+
 # ----------------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------------
@@ -509,3 +534,20 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, cli_env):
                          capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_cli_import_and_its_runs_leave_scipy_special_unloaded(tmp_path, cli_env):
+    # the Legendre rules are frozen; only validate's gamma and Mellin kernels load it
+    runs = [[*family, "--command", command, "--zmax", "0.8", "--steps", "3",
+             "--out", f"{command}-{i}.csv"]
+            for i, family in enumerate((
+                [], ["--family", "susy-iso", "--model", "SUSY_Q4", "--basis", "80"]))
+            for command in ("density", "uncertainty", "entropy")]
+    probe = ("import sys\nfrom truncosc.cli import main\n"
+             "print('scipy.special' in sys.modules)\n"
+             f"codes = [main(args) for args in {runs!r}]\n"
+             "print(codes, 'scipy.special' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=cli_env,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False", f"{[0] * len(runs)} False"]

@@ -6,13 +6,16 @@ no runtime dependency on it.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from truncosc.errors import DivergenceError, PoleError
 from truncosc.numerics import (
+    _legendre_nodes,
     gauss_halfline,
     gauss_halfline_size,
     hyp1f1,
@@ -70,6 +73,34 @@ def test_series_whose_terms_overflow_raise_instead_of_returning_inf(series, args
     # would otherwise stop and return it
     with pytest.raises(DivergenceError):
         series(*args)
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.25, 0.5), (-0.75, 1.5), (-3.0, 2.5), (1.5, 3.5), (5.0, 0.5), (-1.0, -2.0)])
+def test_hyp1f1_on_an_array_is_the_scalar_series_bit_for_bit(a, b):
+    # x = 0 stops after two zero terms, denormal and tiny x after the first
+    # terms; a = -3 and a = -1 terminate; each element keeps its own stop rule
+    x = np.array([0.0, 5e-324, 1e-300, 1e-12, 0.3, -4.0, 2.0, 17.5, 40.0, -40.0, 160.0])
+    scalar = np.array([hyp1f1(a, b, float(t)) for t in x])
+    got = hyp1f1(a, b, x)
+    assert got.tobytes() == scalar.tobytes()
+    assert hyp1f1(a, b, x.reshape(1, -1)).tobytes() == scalar.tobytes()
+    assert type(hyp1f1(a, b, 0.3)) is float
+
+
+@pytest.mark.parametrize("a, b, bad", [
+    (0.5, 1.5, 500.0),   # the term budget runs out
+    (5e307, 0.5, 0.01),  # the terms overflow
+    (1e300, 1.5, 4.0),
+])
+def test_hyp1f1_on_an_array_raises_as_its_failing_element_does(a, b, bad):
+    with pytest.raises(DivergenceError) as scalar:
+        hyp1f1(a, b, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow must not print a RuntimeWarning
+        with pytest.raises(DivergenceError) as array:
+            hyp1f1(a, b, np.array([0.0, bad, 0.0]))
+    assert str(array.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("a, b, c, x, expected", [
@@ -207,6 +238,14 @@ def test_meijer_kernel_contour_shift_is_benign():
 # ----------------------------------------------------------------------------
 # quadrature
 # ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [12, 24])
+def test_frozen_legendre_rules_are_scipys_bit_for_bit(q):
+    nodes, weights = _legendre_nodes(q)
+    expected_nodes, expected_weights = roots_legendre(q)
+    assert np.array_equal(nodes, expected_nodes)
+    assert np.array_equal(weights, expected_weights)
+
 
 def test_gauss_halfline_reproduces_gamma_moments():
     # int_0^inf x^k e^{-x^2} dx = Gamma((k+1)/2) / 2

@@ -5,12 +5,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from truncosc.coherent import Family, build_cs
+from truncosc.coherent import CoherentState, Family, build_cs
 from truncosc.errors import BasisMismatch, TruncationTooSmall, UnsupportedBasis
 from truncosc.fock import Basis
 from truncosc.numerics import gauss_halfline
 from truncosc.observables import (
+    MatrixElementTable,
     ObservableKind,
     build_table,
     discrepancy_report,
@@ -157,6 +161,55 @@ def test_ground_level_moments_via_expectation():
     cs = build_cs(Family.LOWERING, 1e-8)
     x2 = expectation(build_table(ObservableKind.X2, 10), cs, 11)
     assert x2 == pytest.approx(1.5, rel=1e-8)
+
+
+def _double_sum(table, cs, n_terms):
+    """The defining double sum, term by term: the diagonal, then n > m row by row."""
+    c = cs.amplitudes[:n_terms]
+    total = 0.0 + 0.0j
+    for n in range(n_terms):
+        total += (c[n] * np.conj(c[n])) * table.entries[n, n]
+    for n in range(1, n_terms):
+        for m in range(n):
+            total += 2.0 * np.real(c[m] * np.conj(c[n]) * table.entries[n, m])
+    return float(total.real)
+
+
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _expectation_cases(draw):
+    """(table, state, n_terms): a real symmetric X2 table or a complex
+    anti-Hermitian P table, up to 3 levels larger than the window, and a
+    random unit state whose levels past the window are empty."""
+    n_terms = draw(st.integers(2, 48))
+    size = n_terms + draw(st.integers(0, 3))
+    real = draw(arrays(np.float64, (size, size), elements=_ENTRIES))
+    if draw(st.booleans()):
+        table = MatrixElementTable(ObservableKind.X2, (real + real.T).astype(complex),
+                                   "quadrature", Basis.TRUNCATED)
+    else:
+        imag = draw(arrays(np.float64, (size, size), elements=_ENTRIES))
+        lower = np.tril(real + 1j * imag, -1)
+        table = MatrixElementTable(ObservableKind.P, lower - np.conj(lower).T,
+                                   "quadrature", Basis.TRUNCATED)
+    c = np.zeros(size, dtype=complex)
+    c[:n_terms] = draw(arrays(np.complex128, n_terms, elements=st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
+    norm = np.linalg.norm(c)
+    assume(norm > 1e-100)
+    state = CoherentState(family=Family.LOWERING, z=0.0, alpha=2.0, amplitudes=c / norm,
+                          norm_constant=1.0, energies=np.zeros(size))
+    return table, state, n_terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_expectation_cases())
+def test_expectation_is_the_double_sum_bit_for_bit(case):
+    table, cs, n_terms = case
+    got = expectation(table, cs, n_terms)
+    assert np.float64(got).tobytes() == np.float64(_double_sum(table, cs, n_terms)).tobytes()
 
 
 def test_expectation_rejects_basis_mismatch():

@@ -83,3 +83,18 @@ def test_every_module_level_definition_is_read_somewhere(name):
     orphans = [defined for defined, node in _definitions(trees[PACKAGE_DIR / name])
                if not any(defined in names for top, names in reads if top is not node)]
     assert orphans == []
+
+
+def test_the_only_module_level_scipy_import_is_entangles_linalg():
+    # the rest of scipy loads on first use, so importing the package stays cheap
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == [("entangle.py", "scipy.linalg")]
