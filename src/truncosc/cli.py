@@ -109,7 +109,10 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     two-mode matrix, P-level Gram Hermite table and splitter eigenvector
     cache, with c = int(1.5 basis) the refined cutoff and P = 2c - 1 its
     padded size.  The cache holds one real (t+1)^2 eigenvector matrix per
-    even total t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all.
+    even total t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all.  The solve
+    of the largest total, P levels, adds its transients: the dense
+    generator, LAPACK's copy of it, and dsyevd's 1 + 6P + 2P^2 real and
+    3 + 5P integer workspace, about 32 P^2 bytes.
     """
     states = steps if command == "density" else 1
     total = _POINT_BYTES.get(command, 0) * steps + 16 * basis * states
@@ -118,8 +121,10 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     elif command == "entropy":
         refined = int(basis * 1.5)
         padded = 2 * refined - 1
+        solve = 8 * (2 * padded * padded + (1 + 6 * padded + 2 * padded * padded)
+                     + (3 + 5 * padded))
         total += (16 * padded * padded + 8 * padded * gauss_halfline_size(2 * padded + 16)
-                  + 8 * refined * (4 * refined * refined - 1) // 3)
+                  + 8 * refined * (4 * refined * refined - 1) // 3 + solve)
     return total
 
 

@@ -30,7 +30,11 @@ any block size; the factorized triangular form is kept as
 `beamsplitter_block_bch` for cross-checks on small blocks.
 
 The generator's eigenpairs (lambda, V) depend on the block's total
-alone, not on theta or phi, so they are cached per total.  Applying the
+alone, not on theta or phi, so they are cached per total.  numpy's
+dense `eigh` solves for them, so entropy runs never load scipy; its
+dsyevd finds the matrix already tridiagonal and runs the same dstedc as
+scipy's eigh_tridiagonal, whose pairs it reproduces bit for bit on
+every total a scan populates (a test pins this).  Applying the
 splitter never forms a block: each anti-diagonal x of the amplitudes
 becomes phase * V (e^{i theta lambda} * V^T (conj(phase) * x)), with
 the real and imaginary parts passed through the real V separately.
@@ -52,8 +56,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-# at module level: every entropy run calls eigh_tridiagonal, so a lazy import saves nothing
-from scipy.linalg import eigh_tridiagonal, expm
 
 from .coherent import WINDOWS, CoherentState, Family, family_state
 from .errors import (
@@ -236,10 +238,16 @@ def _splitter_modes(total: int) -> tuple[np.ndarray, np.ndarray]:
     of the fixed-total block (real symmetric tridiagonal, off-diagonal
     entries sqrt((k+1)(total-k))/2).  S does not depend on the splitter
     setting, so one read-only pair per total serves every theta and phi.
+    The dense solve (see the module docstring) holds about 32 (total+1)^2
+    bytes of transients, which the CLI's memory model counts.
     """
     k = np.arange(total + 1)
     off = 0.5 * np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
-    lam, vec = eigh_tridiagonal(np.zeros(total + 1), off)
+    gen = np.diag(off, -1)
+    gen += gen.T
+    lam, vec = np.linalg.eigh(gen)
+    # LAPACK's column-major layout: BLAS sums V x in an order set by the layout
+    vec = np.asfortranarray(vec)
     lam.flags.writeable = False
     vec.flags.writeable = False
     return lam, vec
@@ -302,6 +310,8 @@ def beamsplitter_block_bch(total: int, theta: float, phi: float) -> np.ndarray:
 
 def beamsplitter_block_oracle(total: int, setting: BeamSplitterSetting) -> np.ndarray:
     """Same block by direct matrix exponential of tau K+ - tau* K-."""
+    # imported here: only validate and the tests form this oracle
+    from scipy.linalg import expm
     n = total + 1
     kp = np.zeros((n, n), dtype=complex)
     for k in range(total):

@@ -580,8 +580,8 @@ def new_norm_constant_closed(model: SusyModel, z: complex) -> float:
 # Layout of the fixed kernel rule: geometric panels with edges 2^-20 .. 1
 # absorb the log singularity of G at t -> 0; uniform panels in u = sqrt(t)
 # follow the exp(-2 sqrt t) decay out to t_max.  Kernel values are computed
-# 32 nodes per meijer_g_2012 call so each (contour nodes x chunk) complex
-# temporary stays near 1 MB.
+# 32 nodes per meijer_g_2012 call so each (contour nodes x chunk)
+# temporary stays near 130 kB.
 _KERNEL_POINTS = 12
 _KERNEL_DEPTH = 20
 _KERNEL_OUTER_PANELS = 32
