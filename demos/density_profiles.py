@@ -9,7 +9,7 @@ the state outward.
 
 import numpy as np
 
-from truncosc import Basis, Family, build_cs, q4_model, susy_cs
+from truncosc import Basis, Family, build_cs, susy_cs
 from truncosc.fock import rows
 
 X = np.linspace(0.02, 12.0, 600)
@@ -26,7 +26,7 @@ def trunc_density(z):
 
 
 def susy_density(basis, z):
-    return density_of(susy_cs(q4_model(), basis, z, truncation=48))
+    return density_of(susy_cs(basis, z, truncation=48))
 
 
 def sparkline(density):

@@ -15,25 +15,22 @@ import numpy as np
 from truncosc import (
     Basis,
     Q4_SEED_ENERGIES,
-    q4_model,
     susy_cs,
     susy_ladder_action,
     wronskian_potential,
 )
 from truncosc.coherent import energy_expectation
-
-model = q4_model()
+from truncosc.susy import NEW_ENERGIES, Q4_SEEDS, potential
 
 print("seed factorization energies:", Q4_SEED_ENERGIES)
-print("new bound states created:   ", model.new_energies)
-print("level spacing in the new tower:",
-      model.new_energies[1] - model.new_energies[0])
+print("new bound states created:   ", NEW_ENERGIES)
+print("level spacing in the new tower:", NEW_ENERGIES[1] - NEW_ENERGIES[0])
 
 grid = np.linspace(0.5, 8.0, 16)
 print(f"\n  {'x':>5}  {'x^2/2':>9}  {'partner V':>10}  {'difference':>10}")
 for x in grid:
     base = 0.5 * x * x
-    v = float(model.potential(np.array([x]))[0])
+    v = float(potential(np.array([x]))[0])
     print(f"  {x:5.2f}  {base:9.4f}  {v:10.4f}  {v - base:10.4f}")
 print("Near the wall the partner digs deep wells that hold the two new")
 print("states; past x ~ 2.5 the difference settles toward -4, so the tail")
@@ -41,23 +38,20 @@ print("is an oscillator shifted down by the four Darboux steps -- exactly")
 print("what lets it keep the original spectrum plus two deeper levels.")
 
 dense = np.linspace(0.1, 6.0, 241)
-dev = float(np.max(np.abs(wronskian_potential(model.seeds, dense)
-                          - model.potential(dense))))
+dev = float(np.max(np.abs(wronskian_potential(Q4_SEEDS, dense) - potential(dense))))
 print(f"\nWronskian construction vs closed rational form: "
       f"max |difference| = {dev:.2e} on [0.1, 6]")
 
-coeff, target = susy_ladder_action(model, Basis.SUSY_ISO, "lower", 1,
-                                   operator="full")
+coeff, target = susy_ladder_action(Basis.SUSY_ISO, "lower", 1, operator="full")
 print(f"\nfull ladder lowering the first isospectral excitation: "
       f"coefficient {coeff:.6f} = sqrt(8640) "
       f"(sqrt check: {math.sqrt(8640.0):.6f}), lands on level {target}")
-coeff0, target0 = susy_ladder_action(model, Basis.SUSY_ISO, "lower", 0,
-                                     operator="full")
+coeff0, target0 = susy_ladder_action(Basis.SUSY_ISO, "lower", 0, operator="full")
 print(f"lowering the isospectral ground state: coefficient {coeff0} "
       f"(annihilated, target {target0})")
 
 for r in (0.5, 1.0, 2.0):
-    cs = susy_cs(model, Basis.SUSY_ISO, r, truncation=64)
+    cs = susy_cs(Basis.SUSY_ISO, r, truncation=64)
     print(f"isospectral coherent state |z|={r}: <H> = "
           f"{energy_expectation(cs):.10f} vs closed form "
           f"{1.5 + 4 * r * r:.10f}")

@@ -29,7 +29,6 @@ from .errors import (
     TruncOscError,
     TruncationTooSmall,
     UnsupportedBasis,
-    UnsupportedModel,
 )
 from .fock import Basis, ladder_step_sq, level_energy
 from .coherent import (
@@ -56,9 +55,6 @@ from .susy import (
     Q4_SEED_ASYMMETRY,
     Q4_SEED_ENERGIES,
     SeedSolution,
-    SusyModel,
-    q4_model,
-    seed_solution,
     susy_cs,
     susy_ladder_action,
     wronskian_potential,
@@ -84,7 +80,7 @@ __all__ = [
     "TruncOscError", "DivergenceError", "PoleError", "ContourError",
     "NonConvergence", "BasisMismatch",
     "NotNormalizable", "TruncationTooSmall", "FamilyMismatch",
-    "IndexOutOfRange", "UnsupportedBasis", "UnsupportedModel", "GammaPole",
+    "IndexOutOfRange", "UnsupportedBasis", "GammaPole",
     "SingularWronskian", "CutoffExceeded", "ExpansionResidualTooLarge",
     "GramNotPSD", "TailTooFat",
     # number basis and states
@@ -96,8 +92,7 @@ __all__ = [
     "ObservableKind", "MatrixElementTable", "UncertaintyRecord",
     "matrix_element_closed", "build_table", "expectation", "uncertainty_scan",
     # partner machinery
-    "SeedSolution", "SusyModel", "seed_solution", "q4_model",
-    "susy_ladder_action", "susy_cs", "wronskian_potential",
+    "SeedSolution", "susy_ladder_action", "susy_cs", "wronskian_potential",
     "Q4_SEED_ENERGIES", "Q4_SEED_ASYMMETRY",
     # entanglement
     "GramMatrix", "TwoModeState", "BeamSplitterSetting", "EntropyRecord",

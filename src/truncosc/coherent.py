@@ -240,7 +240,7 @@ def family_state(family: Family, z: complex, truncation: int = 64) -> CoherentSt
     if basis == Basis.TRUNCATED:
         return build_cs(family, z, truncation=truncation)
     from . import susy  # susy builds on this module
-    return susy.susy_cs(susy.q4_model(), basis, z, truncation=truncation)
+    return susy.susy_cs(basis, z, truncation=truncation)
 
 
 def eigen_residual(cs: CoherentState) -> float:

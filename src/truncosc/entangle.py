@@ -65,7 +65,6 @@ from .errors import (
 )
 from .fock import Basis, hermite_normalized, rows
 from .numerics import gauss_halfline
-from .susy import q4_model
 
 __all__ = [
     "GramMatrix",
@@ -379,8 +378,7 @@ def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndar
     return proj
 
 
-def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64,
-                          model=None) -> TwoModeState:
+def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64) -> TwoModeState:
     """|extremal> (x) |cs> over full-line levels, both modes half-line states.
 
     Mode A carries the extremal state annihilated by the lowering
@@ -400,9 +398,6 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64,
     if basis == Basis.TRUNCATED:
         mode_a, mode_b = np.ones(1), amps
     elif basis in (Basis.SUSY_ISO, Basis.SUSY_NEW):
-        if model is None:
-            raise ValueError("partner-tower embedding needs the model")
-        model._require_explicit()
         mode_a = _susy_level_projections(Basis.SUSY_NEW, 1, cutoff)[0]
         mode_b = amps @ _susy_level_projections(basis, amps.size, cutoff)
         recovered_a = float(np.sum(mode_a ** 2))
@@ -466,7 +461,7 @@ class EntropyRecord:
 def _entropy_single(family: Family, z_abs: float, setting: BeamSplitterSetting,
                     cutoff: int, n_terms: int) -> float:
     cs = family_state(family, z_abs, truncation=n_terms)
-    state = embed_cs_in_two_modes(cs, cutoff=cutoff, model=q4_model())
+    state = embed_cs_in_two_modes(cs, cutoff=cutoff)
     # both modes can populate levels up to cutoff-1, so splitter blocks
     # reach total 2*cutoff-2; pad so no block spills over the edge
     padded_size = 2 * cutoff - 1

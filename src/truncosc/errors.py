@@ -45,10 +45,6 @@ class UnsupportedBasis(TruncOscError):
     """No closed form is available in this basis."""
 
 
-class UnsupportedModel(TruncOscError):
-    """The requested constants exist only for the bundled fourth-order model."""
-
-
 class GammaPole(PoleError):
     """A seed-solution coefficient hit a gamma pole with a finite mixing parameter."""
 

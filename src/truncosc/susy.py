@@ -6,12 +6,18 @@ Contents:
   with analytic derivatives to fifth order,
 * Wronskian partner potentials for any number of seeds, with analytic
   first and second determinant derivatives (no finite differences),
-* the explicit fourth-order model (seed energies -11/2..-5/2) as frozen
-  polynomial data: partner potential, fourth-order intertwiner
-  coefficients, and the two bound states of the finite tower,
+* the one partner model the package computes, the explicit fourth-order
+  model, as module data: its seeds (Q4_SEEDS, energies -11/2..-5/2), the
+  two new levels (NEW_ENERGIES) and their gap DELTA1 to the half-line
+  tower bottom, the closed-form partner potential and six-factor, the
+  fourth-order intertwiner coefficients and the two bound states of the
+  finite tower as frozen polynomial data,
 * sixth-order and linearised ladder coefficients on both towers,
 * coherent states on each tower and the measure diagnostics for the
   finite one.
+
+Other seed sets reach the package only through the general Wronskian
+routes, which `validate --seed-config` checks.
 
 Seed-parity constants for the explicit model were recovered numerically
 (the kernel of the printed intertwiner pins the log-derivative of each
@@ -44,12 +50,7 @@ from .coherent import (
     identity_resolution_check,
     iso_measure,
 )
-from .errors import (
-    GammaPole,
-    IndexOutOfRange,
-    SingularWronskian,
-    UnsupportedModel,
-)
+from .errors import GammaPole, IndexOutOfRange, SingularWronskian
 from .fock import (
     Basis,
     level_energy,
@@ -66,9 +67,6 @@ from .numerics import (
 
 __all__ = [
     "SeedSolution",
-    "seed_solution",
-    "SusyModel",
-    "q4_model",
     "wronskian_values",
     "wronskian_potential",
     "transformed_eigenfunction_rows",
@@ -80,6 +78,11 @@ __all__ = [
     "g_moment",
     "Q4_SEED_ENERGIES",
     "Q4_SEED_ASYMMETRY",
+    "Q4_SEEDS",
+    "NEW_ENERGIES",
+    "DELTA1",
+    "six_factor",
+    "potential",
 ]
 
 # ----------------------------------------------------------------------------
@@ -213,11 +216,6 @@ class SeedSolution:
         return self.derivatives(x, order=0)[0]
 
 
-def seed_solution(epsilon: float, nu: float) -> SeedSolution:
-    """Factory for SeedSolution (see the dataclass for conventions)."""
-    return SeedSolution(epsilon=epsilon, nu=nu)
-
-
 # ----------------------------------------------------------------------------
 # Wronskian machinery
 # ----------------------------------------------------------------------------
@@ -269,8 +267,6 @@ def wronskian_potential(seeds: Sequence[SeedSolution], grid: Sequence[float]) ->
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0):
         raise ValueError("grid points must be positive")
-    if len(seeds) == 0:
-        return grid * grid / 2.0
     w, wp, wpp = wronskian_values(seeds, grid)
     _raise_if_singular(w, grid)
     return grid * grid / 2.0 - (wpp * w - wp * wp) / (w * w)
@@ -359,88 +355,35 @@ class _Rational:
                          self.den * self.den)
 
 
-@dataclass(frozen=True)
-class SusyModel:
-    """A partner model: seed set plus (for q=4) frozen closed-form data."""
-
-    q: int
-    seeds: tuple[SeedSolution, ...]
-    kappa: int
-    new_energies: tuple[float, ...]
-    delta1: float
-
-    def __post_init__(self) -> None:
-        eps = [s.epsilon for s in self.seeds]
-        if sorted(eps) != eps or len(set(eps)) != len(eps):
-            raise ValueError("seed energies must be strictly increasing")
-        if eps and eps[-1] >= 0.5:
-            raise ValueError("largest seed energy must lie below 1/2")
-        if self.kappa != self.q // 2:
-            raise ValueError("kappa must be q // 2")
-        for j, e in enumerate(self.new_energies):
-            if abs(e - (self.new_energies[0] + 2.0 * j)) > 1e-12:
-                raise ValueError("added energies must be equally spaced by 2")
-        if self.new_energies and abs(
-                self.delta1 - (1.5 - self.new_energies[0])) > 1e-12:
-            raise ValueError("delta1 must equal 3/2 - lowest added energy")
-
-    # -- closed forms (q = 4 explicit model only) --------------------------
-
-    def _require_explicit(self) -> None:
-        if self.q != 4 or tuple(s.epsilon for s in self.seeds) != Q4_SEED_ENERGIES:
-            raise UnsupportedModel("explicit closed-form data exists only for "
-                                   "the frozen fourth-order model")
-
-    def six_factor(self, energy: float) -> float:
-        """The degree-six product whose square root scales the full ladder."""
-        e = [s.epsilon for s in self.seeds]
-        return ((energy - 0.5) * (energy - 1.5) * (energy - e[0]) * (energy - e[1])
-                * (energy - e[-2] - 2.0) * (energy - e[-1] - 2.0))
-
-    def potential(self, x) -> np.ndarray:
-        """Partner potential x^2/2 - 4 num / den^2 (closed form)."""
-        self._require_explicit()
-        x = np.asarray(x, dtype=float)
-        d = _DEN(x)
-        return x * x / 2.0 - 4.0 * _V_NUM(x) / (d * d)
+Q4_SEEDS = tuple(SeedSolution(e, nu) for e, nu in zip(Q4_SEED_ENERGIES, Q4_SEED_ASYMMETRY))
+# the two levels the seeds create below the half-line tower (kappa = 2 of
+# them, spaced by 2), and their gap to its bottom level 3/2
+NEW_ENERGIES = (-4.5, -2.5)
+DELTA1 = 1.5 - NEW_ENERGIES[0]
 
 
-@lru_cache(maxsize=1)
-def q4_model() -> SusyModel:
-    """The frozen explicit fourth-order model.
-
-    Seed parities (odd, even, odd, even) are the recovered constants; see
-    the module docstring for the recovery route.
-    """
-    seeds = tuple(SeedSolution(e, nu)
-                  for e, nu in zip(Q4_SEED_ENERGIES, Q4_SEED_ASYMMETRY))
-    model = SusyModel(q=4, seeds=seeds, kappa=2, new_energies=(-4.5, -2.5),
-                      delta1=6.0)
-    # non-singularity of the frozen denominator on the working half-line
-    grid = np.linspace(1e-3, 40.0, 4001)
-    if np.min(_DEN(grid)) <= 0:
-        raise SingularWronskian("frozen denominator vanishes on (0, 40]")
-    return model
+def six_factor(energy: float) -> float:
+    """The degree-six product whose square root scales the full ladder."""
+    e = Q4_SEED_ENERGIES
+    return ((energy - 0.5) * (energy - 1.5) * (energy - e[0]) * (energy - e[1])
+            * (energy - e[-2] - 2.0) * (energy - e[-1] - 2.0))
 
 
-@lru_cache(maxsize=1)
-def _eta_rationals() -> tuple:
-    """(eta_j, eta_j', eta_j'') rational evaluators for j = 0..3."""
-    out = []
-    for j in range(4):
-        r0 = _Rational(_ETA_NUM[j], _DEN)
-        r1 = r0.deriv()
-        r2 = r1.deriv()
-        out.append((r0, r1, r2))
-    return tuple(out)
+def potential(x) -> np.ndarray:
+    """Partner potential x^2/2 - 4 num / den^2 (closed form)."""
+    x = np.asarray(x, dtype=float)
+    d = _DEN(x)
+    return x * x / 2.0 - 4.0 * _V_NUM(x) / (d * d)
 
 
-@lru_cache(maxsize=2)
-def _phi_new_rationals(j: int) -> tuple:
-    r0 = _Rational(_PHI_NEW_NUM[j], _DEN)
+@lru_cache(maxsize=6)
+def _rationals(tower: Basis, j: int) -> tuple[_Rational, _Rational, _Rational]:
+    """(r, r', r'') of r = num_j / den: the intertwiner coefficient eta_j
+    (j = 0..3) for the infinite tower, the bound state j (j = 0, 1) for
+    the finite one."""
+    r0 = _Rational((_ETA_NUM if tower == Basis.SUSY_ISO else _PHI_NEW_NUM)[j], _DEN)
     r1 = r0.deriv()
-    r2 = r1.deriv()
-    return r0, r1, r2
+    return r0, r1, r1.deriv()
 
 
 def _iso_block(n_levels: int, x: np.ndarray, order: int,
@@ -451,7 +394,7 @@ def _iso_block(n_levels: int, x: np.ndarray, order: int,
     the Leibniz rule.  The eta rationals are evaluated once for all levels.
     """
     psi = rows(Basis.TRUNCATED, n_levels, x, 4 + order)
-    etas = [[r(x) for r in triple[:order + 1]] for triple in _eta_rationals()]
+    etas = [[r(x) for r in _rationals(Basis.SUSY_ISO, i)[:order + 1]] for i in range(4)]
     n = np.arange(n_levels)  # norm_n^2 = prod_i (E_n - eps_i)
     scale = 4.0 * np.sqrt((2 * n + 4) * (2 * n + 5) * (2 * n + 6) * (2 * n + 7))[:, None]
     out = np.empty((order + 1, n_levels, x.size))
@@ -471,7 +414,7 @@ def _new_block(n_levels: int, x: np.ndarray, order: int,
         raise IndexOutOfRange("finite tower has levels 0 and 1 only")
     out = np.empty((order + 1, n_levels, x.size))
     for j in range(n_levels):
-        r0, r1, r2 = _phi_new_rationals(j)
+        r0, r1, r2 = _rationals(Basis.SUSY_NEW, j)
         f = out[0, j] = r0(x)
         if order >= 1:
             f1 = r1(x)
@@ -485,9 +428,8 @@ def _new_block(n_levels: int, x: np.ndarray, order: int,
 # ladder operators on the partner towers
 # ----------------------------------------------------------------------------
 
-def susy_ladder_action(model: SusyModel, subspace: Basis, direction: str,
-                       index: int, operator: str = "linearized"
-                       ) -> tuple[complex, Optional[int]]:
+def susy_ladder_action(subspace: Basis, direction: str, index: int,
+                       operator: str = "linearized") -> tuple[complex, Optional[int]]:
     """(coefficient, target index) of a ladder step; annihilation -> (0, None).
 
     subspace is the infinite tower (susy-iso) or the finite one (susy-new);
@@ -509,15 +451,16 @@ def susy_ladder_action(model: SusyModel, subspace: Basis, direction: str,
     if index < 0:
         raise IndexOutOfRange("index must be non-negative")
     finite = subspace == Basis.SUSY_NEW
-    if finite and index >= model.kappa:
-        raise IndexOutOfRange(f"finite tower has {model.kappa} levels")
+    kappa = len(NEW_ENERGIES)
+    if finite and index >= kappa:
+        raise IndexOutOfRange(f"finite tower has {kappa} levels")
     target = index - 1 if direction == "lower" else index + 1
-    if target < 0 or (finite and target == model.kappa):
+    if target < 0 or (finite and target == kappa):
         return 0.0, None
     upper = max(index, target)
-    energy = model.new_energies[upper] if finite else level_energy(upper)
+    energy = NEW_ENERGIES[upper] if finite else level_energy(upper)
     root = complex(np.sqrt(complex(
-        model.six_factor(energy) if operator == "full" else energy - 1.5)))
+        six_factor(energy) if operator == "full" else energy - 1.5)))
     return (root.real if abs(root.imag) < 1e-14 else root), target
 
 
@@ -525,8 +468,7 @@ def susy_ladder_action(model: SusyModel, subspace: Basis, direction: str,
 # coherent states on the partner towers
 # ----------------------------------------------------------------------------
 
-def susy_cs(model: SusyModel, subspace: Basis, z: complex,
-            truncation: int = 64) -> CoherentState:
+def susy_cs(subspace: Basis, z: complex, truncation: int = 64) -> CoherentState:
     """Displacement-type coherent state on either partner tower.
 
     Infinite tower: amplitudes (sqrt(2) z)^n / sqrt(n!) (the linearised
@@ -541,20 +483,19 @@ def susy_cs(model: SusyModel, subspace: Basis, z: complex,
         return _series_state(Family.SUSY_ISO, z, 2.0, truncation)
     if subspace != Basis.SUSY_NEW:
         raise ValueError(f"subspace must be a partner-tower basis, got {subspace}")
-    kappa = model.kappa
-    c = np.zeros(kappa, dtype=complex)
-    for j in range(kappa):
-        poch = rising_factorial(-model.delta1 / 2.0, j)
+    c = np.zeros(len(NEW_ENERGIES), dtype=complex)
+    for j in range(c.size):
+        poch = rising_factorial(-DELTA1 / 2.0, j)
         c[j] = ((math.sqrt(2.0) * z) ** j / math.factorial(j)
                 * complex(np.sqrt(complex(poch))))
     with np.errstate(over="ignore"):  # an infinite norm leaves a zero state, rejected below
         norm = float(np.linalg.norm(c))
     return CoherentState(family=Family.SUSY_NEW, z=z, alpha=2.0, amplitudes=c / norm,
                          norm_constant=1.0 / norm,
-                         energies=np.array(model.new_energies))
+                         energies=np.array(NEW_ENERGIES))
 
 
-def new_norm_constant_closed(model: SusyModel, z: complex) -> float:
+def new_norm_constant_closed(z: complex) -> float:
     """The closed-form norm constant of the finite-tower state, as printed.
 
     For the explicit model this evaluates to the signed series
@@ -562,7 +503,7 @@ def new_norm_constant_closed(model: SusyModel, z: complex) -> float:
     squared norm; exposed for side-by-side logging against the direct
     normalization, never used in construction.
     """
-    kappa, d = model.kappa, model.delta1
+    kappa, d = len(NEW_ENERGIES), DELTA1
     u = 2.0 * abs(z) ** 2
     first = hyp1f1(-d / 2.0, 1.0, u)
     # the gamma ratio Gamma(kappa - d/2) / Gamma(-d/2) is a rising factorial
@@ -579,12 +520,14 @@ def new_norm_constant_closed(model: SusyModel, z: complex) -> float:
 
 # Layout of the fixed kernel rule: geometric panels with edges 2^-20 .. 1
 # absorb the log singularity of G at t -> 0; uniform panels in u = sqrt(t)
-# follow the exp(-2 sqrt t) decay out to t_max.  Kernel values are computed
-# 32 nodes per meijer_g_2012 call so each (contour nodes x chunk)
-# temporary stays near 130 kB.
+# cover [1, min(t_max, 64)].  G decays like t^-a1 e^-t, so for j <= 5 and
+# a1 >= -4 the moments lose less than 1e-15 relative beyond t = 64.
+# Kernel values are computed 32 nodes per meijer_g_2012 call so each
+# (contour nodes x chunk) temporary stays near 130 kB.
 _KERNEL_POINTS = 12
 _KERNEL_DEPTH = 20
-_KERNEL_OUTER_PANELS = 32
+_KERNEL_OUTER_PANELS = 12
+_KERNEL_T_END = 64.0
 _KERNEL_CHUNK = 32
 
 
@@ -599,15 +542,17 @@ def _kernel_rule(a1: float, t_max: float):
 
     sum(w * t^j * G) approximates int_0^t_max t^j G^{2,0}_{1,2}(t | a1; 0, 0) dt.
     On (0, 1] the kernel is taken on the low contour Re s = 0.6 (the
-    default contour loses digits to cancellation as t -> 0); on [1, t_max]
-    on the default one.  The rule reproduces (j!)^2 / Gamma(a1 + j + 1) to
-    better than 1e-7 relative for j <= 4 at t_max = 800.
+    default contour loses digits to cancellation as t -> 0); on
+    [1, min(t_max, 64)] on the default one.  The rule reproduces
+    (j!)^2 / Gamma(a1 + j + 1) to better than 1e-8 relative for j <= 4 at
+    a1 in {1.5, 0.5, -2.5, -4}.
     """
     if t_max <= 1.0:
         raise ValueError("t_max must exceed 1")
     inner = np.concatenate(([0.0], 2.0 ** np.arange(-_KERNEL_DEPTH, 1.0)))
     t_lo, w_lo = _panel_rule(inner, _KERNEL_POINTS)
-    outer = np.linspace(1.0, math.sqrt(t_max), _KERNEL_OUTER_PANELS + 1)
+    outer = np.linspace(1.0, math.sqrt(min(t_max, _KERNEL_T_END)),
+                        _KERNEL_OUTER_PANELS + 1)
     u, w_u = _panel_rule(outer, _KERNEL_POINTS)
     t_hi, w_hi = u * u, 2.0 * u * w_u
     g = np.concatenate((_kernel_values(a1, t_lo, 0.6),
@@ -618,7 +563,7 @@ def _kernel_rule(a1: float, t_max: float):
 def g_moment(j: int, a1: float, t_max: float = 900.0) -> float:
     """int_0^t_max t^j G(t) dt for the Mellin-contour kernel at parameter a1.
 
-    Evaluated on the fixed kernel rule (_kernel_rule): 636 nodes, with
+    Evaluated on the fixed kernel rule (_kernel_rule): 396 nodes, with
     the kernel computed in vectorized chunks rather than once per
     adaptive quadrature node.
     """
@@ -626,7 +571,7 @@ def g_moment(j: int, a1: float, t_max: float = 900.0) -> float:
     return float(w @ (t ** j * g))
 
 
-def new_measure_check(model: SusyModel, n_max: int = 5, r_max: float = 20.0) -> float:
+def new_measure_check(n_max: int = 5, r_max: float = 20.0) -> float:
     """Deviation of the finite-tower measure's diagonal moments from 1.
 
     The printed measure carries a Gamma(-delta1/2) prefactor that is a
@@ -640,7 +585,7 @@ def new_measure_check(model: SusyModel, n_max: int = 5, r_max: float = 20.0) -> 
     not patched: the value 2 for the explicit model documents the signed
     measure's failure against honest probabilities).
     """
-    d = model.delta1
+    d = DELTA1
     a1 = -(d + 2.0) / 2.0
     t_max = min(900.0, 2.0 * r_max * r_max)
     t, w, g = _kernel_rule(a1, t_max)
@@ -656,7 +601,7 @@ def new_measure_check(model: SusyModel, n_max: int = 5, r_max: float = 20.0) -> 
             raise ValueError(
                 f"kernel moment {j} is {got:.6g}, expected {target:.6g}")
     deviation = 0.0
-    for j in range(model.kappa):
+    for j in range(len(NEW_ENERGIES)):
         poch = rising_factorial(-d / 2.0, j)
         m_jj = abs(poch) / poch
         deviation = max(deviation, abs(m_jj - 1.0))

@@ -43,15 +43,14 @@ from truncosc.observables import (
     uncertainty_scan,
 )
 from truncosc.susy import (
+    NEW_ENERGIES,
+    Q4_SEEDS,
     iso_measure_check,
-    q4_model,
+    potential,
     susy_cs,
     susy_ladder_action,
     wronskian_potential,
 )
-
-
-MODEL = q4_model()
 
 
 def test_criterion_01_lowering_norm_constant(criterion):
@@ -159,8 +158,8 @@ def test_criterion_07_uncertainty_products(criterion):
 
 def test_criterion_08_wronskian_potential(criterion):
     grid = np.linspace(0.1, 6.0, 241)
-    dev = float(np.max(np.abs(wronskian_potential(MODEL.seeds, grid)
-                              - MODEL.potential(grid))))
+    dev = float(np.max(np.abs(wronskian_potential(Q4_SEEDS, grid)
+                              - potential(grid))))
     criterion(8, dev < 1e-6,
           f"fourth-order Wronskian potential vs frozen rational form: "
           f"max abs dev {dev:.2e} on [0.1, 6] (limit 1e-6)")
@@ -168,9 +167,9 @@ def test_criterion_08_wronskian_potential(criterion):
 
 def test_criterion_09_partner_eigenfunctions(criterion):
     grid = np.linspace(0.1, 6.0, 241)
-    v = MODEL.potential(grid)
+    v = potential(grid)
     worst = 0.0
-    for j, energy in enumerate(MODEL.new_energies):
+    for j, energy in enumerate(NEW_ENERGIES):
         phi, _, phi2 = rows(Basis.SUSY_NEW, j + 1, grid, 2, weighted=False)[:, j]
         worst = max(worst, float(np.max(np.abs(
             -0.5 * phi2 + v * phi - energy * phi))))
@@ -195,12 +194,12 @@ def test_criterion_10_ladder_algebra(criterion):
     # the squared linearised step onto level u is E_u - 3/2
     comm_exact = all((level_energy(n + 1) - 1.5) - (level_energy(n) - 1.5) == 2.0
                      for n in range(21))
-    coeff, _ = susy_ladder_action(MODEL, Basis.SUSY_ISO, "lower",
+    coeff, _ = susy_ladder_action(Basis.SUSY_ISO, "lower",
                                   1, operator="full")
     six_dev = abs(coeff - math.sqrt(8640.0))
     worst = 0.0
     for r in (0.3, 0.8, 1.5, 2.0):
-        cs = susy_cs(MODEL, Basis.SUSY_ISO, r, truncation=64)
+        cs = susy_cs(Basis.SUSY_ISO, r, truncation=64)
         closed = 1.5 + 4.0 * r * r
         worst = max(worst, abs(energy_expectation(cs) - closed) / closed)
     ok = comm_exact and six_dev < 1e-10 and worst < 1e-8

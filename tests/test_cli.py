@@ -439,10 +439,22 @@ def test_validate_suite_passes_at_default_basis(tmp_path, run_cli):
 
 
 def test_validate_skips_truncation_sensitive_checks_at_tiny_basis(tmp_path, run_cli):
+    # only the four checks that read --basis skip; every other row is the
+    # default run's row
     res = run_cli(["--command", "validate", "--basis", "8",
                    "--out", str(tmp_path / "v.csv")], tmp_path)
     assert res.returncode == 0, res.stderr
-    assert "skipped" in res.stderr
+    assert "4 skipped" in res.stderr
+    default = run_cli(["--command", "validate", "--out", str(tmp_path / "d.csv")], tmp_path)
+    assert default.returncode == 0, default.stderr
+    tiny_rows = read_csv(tmp_path / "v.csv")[2]
+    default_rows = read_csv(tmp_path / "d.csv")[2]
+    assert [r[0] for r in tiny_rows] == [r[0] for r in default_rows]
+    skipped = {r[0] for r in tiny_rows if r[1] == "SKIP"}
+    assert skipped == {"lowering-norm-closed", "lowering-eigenrelation",
+                       "uncertainty-floor", "linearised-crossing"}
+    assert ([r for r in tiny_rows if r[0] not in skipped]
+            == [r for r in default_rows if r[0] not in skipped])
 
 
 def test_validate_accepts_a_well_formed_seed_config(tmp_path, run_cli):

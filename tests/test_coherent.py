@@ -44,7 +44,7 @@ from truncosc.errors import (
     TruncationTooSmall,
 )
 from truncosc.fock import Basis
-from truncosc.susy import q4_model, susy_cs
+from truncosc.susy import susy_cs
 
 # ----------------------------------------------------------------------------
 # norm constants against closed forms
@@ -86,7 +86,7 @@ def test_states_are_unit_vectors():
 @pytest.mark.parametrize("make", [
     lambda: build_cs(Family.LOWERING, math.nan),
     lambda: build_cs(Family.LIN_LOWERING, 0.3, alpha=math.nan),
-    lambda: susy_cs(q4_model(), Basis.SUSY_NEW, math.nan),
+    lambda: susy_cs(Basis.SUSY_NEW, math.nan),
     lambda: evolve(build_cs(Family.LOWERING, 0.5), math.nan),
     # |z| = 1e6 overflows the norm sum, which would leave all-zero amplitudes
     lambda: build_cs(Family.LOWERING, 1e6),
@@ -320,7 +320,7 @@ def test_family_state_uses_each_family_constructor(family):
     if windows.basis == Basis.TRUNCATED:
         direct = build_cs(family, 0.2, truncation=64)
     else:
-        direct = susy_cs(q4_model(), windows.basis, 0.2, truncation=64)
+        direct = susy_cs(windows.basis, 0.2, truncation=64)
     assert np.array_equal(state.amplitudes, direct.amplitudes)
 
 

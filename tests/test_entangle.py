@@ -38,10 +38,7 @@ from truncosc.entangle import (
 from truncosc.errors import CutoffExceeded, ExpansionResidualTooLarge, GramNotPSD
 from truncosc.fock import Basis, rows
 from truncosc.numerics import gauss_halfline
-from truncosc.susy import q4_model, susy_cs
-
-
-MODEL = q4_model()
+from truncosc.susy import susy_cs
 
 
 # ----------------------------------------------------------------------------
@@ -356,34 +353,27 @@ def test_embedding_requires_capacity():
         embed_cs_in_two_modes(cs, cutoff=20)
 
 
-def test_partner_embedding_needs_the_model():
-    cs = susy_cs(MODEL, Basis.SUSY_NEW, 0.5)
-    with pytest.raises(ValueError):
-        embed_cs_in_two_modes(cs, cutoff=64)
-
-
 def test_partner_embedding_residual_guard():
     # the finite-tower functions need ~40 odd levels before the expansion
     # recovers 1 - 1e-6 of the norm: cutoff 60 still fails, 80 passes
-    cs = susy_cs(MODEL, Basis.SUSY_NEW, 1.0)
+    cs = susy_cs(Basis.SUSY_NEW, 1.0)
     for cutoff in (40, 60):
         with pytest.raises(ExpansionResidualTooLarge):
-            embed_cs_in_two_modes(cs, cutoff=cutoff, model=MODEL)
-    state = embed_cs_in_two_modes(cs, cutoff=80, model=MODEL)
+            embed_cs_in_two_modes(cs, cutoff=cutoff)
+    state = embed_cs_in_two_modes(cs, cutoff=80)
     assert state.cutoff == 80
 
 
 def test_iso_embedding_at_zero_label_is_the_lowest_pair():
     # z = 0 collapses the infinite-tower state onto its bottom level, so
     # the embedding is the product (lowest new level) x (tower-bottom image)
-    cs = susy_cs(MODEL, Basis.SUSY_ISO, 0.0, truncation=16)
-    state = embed_cs_in_two_modes(cs, cutoff=96, model=MODEL)
+    cs = susy_cs(Basis.SUSY_ISO, 0.0, truncation=16)
+    state = embed_cs_in_two_modes(cs, cutoff=96)
     u_mat, sing, v_mat = np.linalg.svd(state.amplitudes)
     assert sing[0] == pytest.approx(1.0, abs=1e-6)
     assert sing[1] < 1e-12  # exactly rank one
     # mode A carries the same extremal state for either partner tower
-    new_state = embed_cs_in_two_modes(susy_cs(MODEL, Basis.SUSY_NEW, 0.0),
-                                      cutoff=96, model=MODEL)
+    new_state = embed_cs_in_two_modes(susy_cs(Basis.SUSY_NEW, 0.0), cutoff=96)
     u_new = np.linalg.svd(new_state.amplitudes)[0][:, 0]
     cos = abs(np.vdot(u_mat[:, 0], u_new))
     assert cos == pytest.approx(1.0, abs=1e-8)

@@ -12,24 +12,23 @@ import numpy as np
 import pytest
 
 from truncosc.coherent import Family
-from truncosc.errors import (
-    GammaPole,
-    IndexOutOfRange,
-    SingularWronskian,
-    UnsupportedModel,
-)
+from truncosc.errors import GammaPole, IndexOutOfRange, SingularWronskian
 from truncosc.fock import Basis, level_energy, rows
 from truncosc.numerics import gauss_halfline, rising_factorial
 from truncosc.susy import (
+    _DEN,
+    DELTA1,
+    NEW_ENERGIES,
     Q4_SEED_ASYMMETRY,
     Q4_SEED_ENERGIES,
-    SusyModel,
+    Q4_SEEDS,
+    SeedSolution,
     g_moment,
     iso_measure_check,
     new_measure_check,
     new_norm_constant_closed,
-    q4_model,
-    seed_solution,
+    potential,
+    six_factor,
     susy_cs,
     susy_ladder_action,
     transformed_eigenfunction_rows,
@@ -38,7 +37,6 @@ from truncosc.susy import (
 )
 
 
-MODEL = q4_model()
 GRID = np.linspace(0.1, 6.0, 119)
 
 
@@ -49,7 +47,7 @@ GRID = np.linspace(0.1, 6.0, 119)
 def test_seed_solves_the_oscillator_equation_at_negative_energy():
     x = np.linspace(0.05, 4.0, 50)
     for eps, nu in ((-5.5, math.inf), (-4.5, 0.0), (-1.3, 0.7), (-2.0, -1.4)):
-        s = seed_solution(eps, nu)
+        s = SeedSolution(eps, nu)
         rows = s.derivatives(x, order=2)
         residual = -0.5 * rows[2] + 0.5 * x * x * rows[0] - eps * rows[0]
         scale = np.max(np.abs(rows[0]))
@@ -58,21 +56,21 @@ def test_seed_solves_the_oscillator_equation_at_negative_energy():
 
 def test_seed_second_derivative_routes_agree():
     x = np.linspace(0.2, 3.0, 30)
-    s = seed_solution(-3.5, math.inf)
+    s = SeedSolution(-3.5, math.inf)
     assert np.allclose(s.derivatives(x, order=2)[2],
                        s.second_derivative_direct(x), rtol=1e-10, atol=1e-10)
 
 
 def test_seed_parity_branches():
     x = np.array([0.4, 1.1])
-    odd = seed_solution(-2.5, math.inf)
-    even = seed_solution(-2.5, 0.0)
+    odd = SeedSolution(-2.5, math.inf)
+    even = SeedSolution(-2.5, 0.0)
     # the odd branch vanishes at the origin like x, the even branch does not
     small = 1e-5
     assert abs(odd.derivatives(np.array([small]), order=0)[0, 0]) < 1e-4
     assert abs(even.derivatives(np.array([small]), order=0)[0, 0] - 1.0) < 1e-4
     # nu = -inf flips the odd branch sign
-    flipped = seed_solution(-2.5, -math.inf)
+    flipped = SeedSolution(-2.5, -math.inf)
     assert np.allclose(flipped.derivatives(x, order=0)[0],
                        -odd.derivatives(x, order=0)[0], rtol=1e-12)
 
@@ -81,10 +79,10 @@ def test_seed_gamma_pole_guard():
     # finite nonzero asymmetry hits the gamma-ratio pole when
     # (3 - 2 eps)/4 is a nonpositive integer
     with pytest.raises(GammaPole):
-        seed_solution(1.5, 1.0)
+        SeedSolution(1.5, 1.0)
     # the pure parity branches stay usable at the same energy
-    seed_solution(1.5, 0.0)
-    seed_solution(1.5, math.inf)
+    SeedSolution(1.5, 0.0)
+    SeedSolution(1.5, math.inf)
 
 
 @pytest.mark.parametrize("epsilon, nu", [(-5.5, math.nan), (math.nan, 0.0),
@@ -93,13 +91,13 @@ def test_seed_rejects_nan_parameters(epsilon, nu):
     # a NaN nu would silently pick the odd branch (the values of nu = inf),
     # and a NaN epsilon would fail only after the full series budget
     with pytest.raises(ValueError, match="NaN"):
-        seed_solution(epsilon, nu)
+        SeedSolution(epsilon, nu)
 
 
 def test_seed_derivative_recurrence_consistency():
     # high derivative rows must satisfy u'' = (x^2 - 2 eps) u applied twice
     x = np.linspace(0.3, 2.5, 17)
-    s = seed_solution(-4.5, 0.0)
+    s = SeedSolution(-4.5, 0.0)
     rows = s.derivatives(x, order=4)
     lhs = rows[4]
     rhs = (x * x - 2 * s.epsilon) * rows[2] + 4 * x * rows[1] + 2 * rows[0]
@@ -111,13 +109,13 @@ def test_seed_derivative_recurrence_consistency():
 # ----------------------------------------------------------------------------
 
 def test_wronskian_potential_matches_the_frozen_rational_form():
-    v_wronskian = wronskian_potential(MODEL.seeds, GRID)
-    v_closed = MODEL.potential(GRID)
+    v_wronskian = wronskian_potential(Q4_SEEDS, GRID)
+    v_closed = potential(GRID)
     assert np.max(np.abs(v_wronskian - v_closed)) < 1e-6
 
 
 def test_wronskian_is_nodeless_for_the_recovered_parities():
-    w, _, _ = wronskian_values(MODEL.seeds, GRID)
+    w, _, _ = wronskian_values(Q4_SEEDS, GRID)
     assert np.all(w != 0)
     assert np.all(np.sign(w) == np.sign(w[0]))
 
@@ -129,10 +127,10 @@ def test_seed_parity_recovery_is_unique():
     # reproduces the frozen rational form
     import itertools
 
-    v_frozen = MODEL.potential(GRID)
+    v_frozen = potential(GRID)
     matches = []
     for pattern in itertools.product([math.inf, 0.0], repeat=4):
-        seeds = tuple(seed_solution(e, nu)
+        seeds = tuple(SeedSolution(e, nu)
                       for e, nu in zip(Q4_SEED_ENERGIES, pattern))
         try:
             v = wronskian_potential(seeds, GRID)
@@ -150,7 +148,7 @@ def test_partner_potential_shifts_down_by_four_at_large_x():
     # four seeds push the asymptotic branch to x^2/2 - 4, consistent
     # with the downshifted level set {-9/2, -5/2} + {2k - 5/2}
     x = np.array([8.0, 10.0, 12.0])
-    diff = MODEL.potential(x) - x * x / 2.0
+    diff = potential(x) - x * x / 2.0
     assert np.all(np.abs(diff + 4.0) < 0.15)
     # the approach is monotone from above
     assert np.all(np.diff(np.abs(diff + 4.0)) < 0)
@@ -162,7 +160,7 @@ def test_general_route_matches_the_intertwiner_route():
     x = np.linspace(0.4, 4.0, 23)
     explicit = rows(Basis.SUSY_ISO, 10, x, weighted=False)[0]
     for n in range(10):
-        general = transformed_eigenfunction_rows(MODEL.seeds, n, x)[0]
+        general = transformed_eigenfunction_rows(Q4_SEEDS, n, x)[0]
         ratio = general / explicit[n]
         assert np.max(np.abs(ratio - ratio[0])) < 1e-8 * abs(ratio[0]), n
 
@@ -172,7 +170,7 @@ def test_general_route_matches_the_intertwiner_route():
 # ----------------------------------------------------------------------------
 
 def test_iso_tower_solves_the_partner_hamiltonian():
-    v = MODEL.potential(GRID)
+    v = potential(GRID)
     for n in range(4):
         phi, _, phi2 = rows(Basis.SUSY_ISO, n + 1, GRID, 2, weighted=False)[:, n]
         residual = -0.5 * phi2 + v * phi - (2 * n + 1.5) * phi
@@ -180,8 +178,8 @@ def test_iso_tower_solves_the_partner_hamiltonian():
 
 
 def test_new_tower_solves_the_partner_hamiltonian():
-    v = MODEL.potential(GRID)
-    for j, energy in enumerate(MODEL.new_energies):
+    v = potential(GRID)
+    for j, energy in enumerate(NEW_ENERGIES):
         phi, _, phi2 = rows(Basis.SUSY_NEW, j + 1, GRID, 2, weighted=False)[:, j]
         residual = -0.5 * phi2 + v * phi - energy * phi
         assert np.max(np.abs(residual)) < 1e-8, f"new level {j}"
@@ -203,25 +201,15 @@ def test_weighted_rows_are_the_gaussian_scaled_plain_rows():
     assert np.allclose(w * np.exp(-x * x / 2.0), plain, rtol=1e-12, atol=1e-12)
 
 
-def test_model_validation_guards():
-    seeds = MODEL.seeds
-    with pytest.raises(ValueError):
-        SusyModel(q=4, seeds=seeds[::-1], kappa=2,
-                  new_energies=(-4.5, -2.5), delta1=6.0)
-    with pytest.raises(ValueError):
-        SusyModel(q=4, seeds=seeds, kappa=3,
-                  new_energies=(-4.5, -2.5), delta1=6.0)
-    with pytest.raises(ValueError):
-        SusyModel(q=4, seeds=seeds, kappa=2,
-                  new_energies=(-4.5, -2.0), delta1=6.0)
-    with pytest.raises(ValueError):
-        SusyModel(q=4, seeds=seeds, kappa=2,
-                  new_energies=(-4.5, -2.5), delta1=5.0)
-    # closed forms exist only for the frozen seed set
-    other = SusyModel(q=2, seeds=seeds[:2], kappa=1,
-                      new_energies=(-4.5,), delta1=6.0)
-    with pytest.raises(UnsupportedModel):
-        other.potential(GRID)
+def test_frozen_model_constants_are_consistent():
+    eps = [s.epsilon for s in Q4_SEEDS]
+    assert eps == list(Q4_SEED_ENERGIES)
+    assert all(e2 > e1 for e1, e2 in zip(eps, eps[1:])) and eps[-1] < 0.5
+    assert len(NEW_ENERGIES) == len(Q4_SEEDS) // 2
+    assert np.all(np.diff(NEW_ENERGIES) == 2.0)
+    assert DELTA1 == 6.0
+    # the frozen denominator has no zero on the working half-line
+    assert np.min(_DEN(np.linspace(1e-3, 40.0, 4001))) > 0
 
 
 # ----------------------------------------------------------------------------
@@ -233,41 +221,41 @@ def test_linearised_commutator_is_exactly_two():
     # infinite partner tower's ladder takes exactly its square root
     for n in range(21):
         assert (level_energy(n + 1) - 1.5) - (level_energy(n) - 1.5) == 2.0
-        assert susy_ladder_action(MODEL, Basis.SUSY_ISO, "raise", n)[0] \
+        assert susy_ladder_action(Basis.SUSY_ISO, "raise", n)[0] \
             == math.sqrt(level_energy(n + 1) - 1.5)
     assert level_energy(3) == 7.5
 
 
 def test_six_factor_on_the_first_excited_level():
-    coeff, target = susy_ladder_action(MODEL, Basis.SUSY_ISO, "lower", 1,
+    coeff, target = susy_ladder_action(Basis.SUSY_ISO, "lower", 1,
                                        operator="full")
     assert target == 0
     assert coeff == pytest.approx(math.sqrt(8640.0), rel=1e-13)
-    assert MODEL.six_factor(3.5) == pytest.approx(8640.0, rel=1e-13)
+    assert six_factor(3.5) == pytest.approx(8640.0, rel=1e-13)
 
 
 def test_ladder_annihilation_points():
-    assert susy_ladder_action(MODEL, Basis.SUSY_ISO, "lower", 0) == (0.0, None)
-    assert susy_ladder_action(MODEL, Basis.SUSY_NEW, "lower", 0) == (0.0, None)
+    assert susy_ladder_action(Basis.SUSY_ISO, "lower", 0) == (0.0, None)
+    assert susy_ladder_action(Basis.SUSY_NEW, "lower", 0) == (0.0, None)
     # raising annihilates the top of the finite tower explicitly
-    coeff, target = susy_ladder_action(MODEL, Basis.SUSY_NEW, "raise",
-                                       MODEL.kappa - 1)
+    coeff, target = susy_ladder_action(Basis.SUSY_NEW, "raise",
+                                       len(NEW_ENERGIES) - 1)
     assert coeff == 0.0 and target is None
     with pytest.raises(IndexOutOfRange):
-        susy_ladder_action(MODEL, Basis.SUSY_NEW, "lower", MODEL.kappa)
+        susy_ladder_action(Basis.SUSY_NEW, "lower", len(NEW_ENERGIES))
 
 
 @pytest.mark.parametrize("subspace, steps", [(Basis.SUSY_ISO, 12),
-                                             (Basis.SUSY_NEW, MODEL.kappa - 1)])
+                                             (Basis.SUSY_NEW, len(NEW_ENERGIES) - 1)])
 @pytest.mark.parametrize("operator", ["full", "linearized"])
 def test_raising_and_lowering_share_one_step_rule(subspace, steps, operator):
     # both directions of the step k <-> k+1 scale by the same coefficient,
     # fixed by the upper level u = k+1: the linearised one squares to
     # E_u - 3/2, i.e. 2u on the infinite tower and 2u - delta1 on the finite
-    shift = MODEL.delta1 if subspace == Basis.SUSY_NEW else 0.0
+    shift = DELTA1 if subspace == Basis.SUSY_NEW else 0.0
     for k in range(steps):
-        up, up_target = susy_ladder_action(MODEL, subspace, "raise", k, operator)
-        down, down_target = susy_ladder_action(MODEL, subspace, "lower", k + 1, operator)
+        up, up_target = susy_ladder_action(subspace, "raise", k, operator)
+        down, down_target = susy_ladder_action(subspace, "lower", k + 1, operator)
         assert (up_target, down_target) == (k + 1, k)
         assert up == down
         if operator == "linearized":
@@ -275,7 +263,7 @@ def test_raising_and_lowering_share_one_step_rule(subspace, steps, operator):
 
 
 def test_finite_tower_linearised_step_is_imaginary():
-    coeff, target = susy_ladder_action(MODEL, Basis.SUSY_NEW, "lower", 1)
+    coeff, target = susy_ladder_action(Basis.SUSY_NEW, "lower", 1)
     assert target == 0
     # principal branch of sqrt(2j - delta1) at j = 1: sqrt(-4) = 2i
     assert coeff == pytest.approx(2.0j, abs=1e-13)
@@ -287,7 +275,7 @@ def test_finite_tower_linearised_step_is_imaginary():
 
 def test_iso_state_amplitudes_are_the_linearised_series():
     z = 0.4 + 0.3j
-    cs = susy_cs(MODEL, Basis.SUSY_ISO, z, truncation=48)
+    cs = susy_cs(Basis.SUSY_ISO, z, truncation=48)
     raw = np.array([(math.sqrt(2.0) * z) ** n / math.sqrt(math.factorial(n))
                     for n in range(48)])
     raw /= np.linalg.norm(raw)
@@ -298,13 +286,13 @@ def test_iso_state_amplitudes_are_the_linearised_series():
 def test_iso_mean_energy_is_quadratic_in_the_label():
     from truncosc.coherent import energy_expectation
     for r in (0.3, 0.8, 1.5):
-        cs = susy_cs(MODEL, Basis.SUSY_ISO, r, truncation=64)
+        cs = susy_cs(Basis.SUSY_ISO, r, truncation=64)
         assert energy_expectation(cs) == pytest.approx(1.5 + 4.0 * r * r, rel=1e-8)
 
 
 def test_new_state_amplitudes_and_direct_normalization():
     z = 0.7
-    cs = susy_cs(MODEL, Basis.SUSY_NEW, z)
+    cs = susy_cs(Basis.SUSY_NEW, z)
     assert cs.amplitudes.size == 2
     # amplitudes 1 and sqrt(2) z sqrt((-3)_1) = sqrt(2) z i sqrt(3)
     direct = np.array([1.0, math.sqrt(2.0) * z * 1j * math.sqrt(3.0)])
@@ -312,7 +300,7 @@ def test_new_state_amplitudes_and_direct_normalization():
     assert np.max(np.abs(cs.amplitudes - direct)) < 1e-12
     assert cs.norm_constant == pytest.approx(1.0 / math.sqrt(1.0 + 6.0 * z * z),
                                              rel=1e-12)
-    assert np.array_equal(cs.energies, MODEL.new_energies)
+    assert np.array_equal(cs.energies, NEW_ENERGIES)
 
 
 def test_new_closed_norm_series_is_signed():
@@ -320,14 +308,14 @@ def test_new_closed_norm_series_is_signed():
     # |z| = 1/sqrt(6) and cannot be a squared norm; the constructor uses
     # the direct sum instead (previous test)
     for r in (0.1, 0.3, 0.9):
-        val = new_norm_constant_closed(MODEL, r)
+        val = new_norm_constant_closed(r)
         assert val == pytest.approx(1.0 - 6.0 * r * r, abs=5e-7)
-    assert new_norm_constant_closed(MODEL, 0.9) < 0
+    assert new_norm_constant_closed(0.9) < 0
 
 
 def test_new_state_level_populations_saturate():
-    lo = susy_cs(MODEL, Basis.SUSY_NEW, 0.05)
-    hi = susy_cs(MODEL, Basis.SUSY_NEW, 50.0)
+    lo = susy_cs(Basis.SUSY_NEW, 0.05)
+    hi = susy_cs(Basis.SUSY_NEW, 50.0)
     assert abs(lo.amplitudes[0]) > 0.99
     assert abs(hi.amplitudes[1]) > 0.99
 
@@ -343,7 +331,7 @@ def test_iso_flat_measure_resolves_identity():
 def test_new_measure_defect_is_exactly_two():
     # the finite-tower measure folds to sign((-3)_j) on the diagonal, so
     # the j = 1 moment is -1 and the defect |M_11 - 1| = 2 is structural
-    assert new_measure_check(MODEL, n_max=4) == 2.0
+    assert new_measure_check(n_max=4) == 2.0
 
 
 def test_kernel_moment_spot_value():
