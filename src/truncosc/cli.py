@@ -88,7 +88,9 @@ _DENSITY_GRID_POINTS = 600
 _DENSITY_X_MAX = 12.0
 
 # Memory a run may hold in all; entropy at basis 80, the largest run in the
-# tests and the benchmark, holds about 20 MB, mostly its eigenvector cache.
+# tests and the benchmark, peaks at about 25 MB (tracemalloc) while building
+# its refined Gram matrix, whose two Hermite tables are freed before the
+# splitter eigenvector cache fills to 18 MB.
 _MEMORY_BUDGET = 1 << 30
 
 # Bytes a run keeps per |z| point besides its state (record, CSV row and text;
@@ -103,16 +105,20 @@ class ConfigError(Exception):
 
 
 def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
-    """Bytes a run holds at once, from the layout alone: the per-point
-    records and CSV text, the states of `basis` amplitudes (density keeps
-    one per point), density's basis x 600 rows, and entropy's P x P
-    two-mode matrix, P-level Gram Hermite table and splitter eigenvector
-    cache, with c = int(1.5 basis) the refined cutoff and P = 2c - 1 its
-    padded size.  The cache holds one real (t+1)^2 eigenvector matrix per
-    even total t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all.  The solve
-    of the largest total, P levels, adds its transients: the dense
-    generator, LAPACK's copy of it, and dsyevd's 1 + 6P + 2P^2 real and
-    3 + 5P integer workspace, about 32 P^2 bytes.
+    """Upper bound on the bytes a run holds at once, from the layout alone:
+    the per-point records and CSV text, the states of `basis` amplitudes
+    (density keeps one per point) and density's basis x 600 rows.  Entropy,
+    with c = int(1.5 basis) the refined cutoff and P = 2c - 1 its padded
+    size, peaks either in `gram_matrix(P)`, which `entropy_scan` runs
+    before any splitter solve, holding two P x N Hermite tables (h and
+    h * w, N the nodes of its rule), or at the solve of the largest total,
+    P levels.  There the eigenvector cache is full, one real (t+1)^2 matrix
+    per even total t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all; the solve
+    adds the dense generator, LAPACK's copy of it and dsyevd's
+    1 + 6P + 2P^2 real and 3 + 5P integer workspace, about 32 P^2 bytes;
+    and the P x P two-mode matrix is live.  The two peaks are added, which
+    also covers the small arrays each leaves out (Gram matrices, the
+    rotated two-mode matrix, quadrature rules).
     """
     states = steps if command == "density" else 1
     total = _POINT_BYTES.get(command, 0) * steps + 16 * basis * states
@@ -123,7 +129,7 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
         padded = 2 * refined - 1
         solve = 8 * (2 * padded * padded + (1 + 6 * padded + 2 * padded * padded)
                      + (3 + 5 * padded))
-        total += (16 * padded * padded + 8 * padded * gauss_halfline_size(2 * padded + 16)
+        total += (16 * padded * padded + 16 * padded * gauss_halfline_size(2 * padded + 16)
                   + 8 * refined * (4 * refined * refined - 1) // 3 + solve)
     return total
 

@@ -41,6 +41,13 @@ the real and imaginary parts passed through the real V separately.
 The partner-tower projections onto the half-line basis do not depend
 on |z| either and are built once per cutoff.
 
+`entropy_scan` builds the Gram matrices of both cutoffs before its
+first splitter solve.  Building one holds two P x nodes Hermite tables
+(12 MB each at basis 80, P = 239), more than anything else a scan
+allocates; built first, they are freed before the eigenvector cache
+fills (18 MB) instead of sitting on top of it.  Each |z|'s coherent
+state is built once, before its solves, and serves both cutoffs.
+
 Half-line geometry: restrictions of full-line levels to (0, inf) are
 not orthogonal across parities; their normalized overlaps form the Gram
 matrix.  Restricted odd levels, scaled by sqrt(2), are orthonormal AND
@@ -130,13 +137,16 @@ class GramMatrix:
     parity-mixing entries are the nontrivial content.  The matrix is
     positive definite (restricted levels are linearly independent), but
     its smallest eigenvalue falls below rounding from size 16 on, so
-    construction checks positive semidefiniteness to 1e-10.
+    construction checks positive semidefiniteness to 1e-10.  The entries
+    are a read-only copy: gram_matrix's cache hands one record to every
+    caller.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.entries, dtype=float)
+        g = np.array(self.entries, dtype=float)
+        g.flags.writeable = False
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("Gram matrix must be square")
         if np.max(np.abs(g - g.T)) > 1e-12:
@@ -257,7 +267,6 @@ def _block_phase(total: int, phi: float) -> np.ndarray:
     return np.exp(1j * (phi - 0.5 * math.pi) * np.arange(total + 1))
 
 
-@lru_cache(maxsize=512)
 def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
     """(total+1)^2 unitary on the fixed-total block, basis |k, total-k>.
 
@@ -276,7 +285,6 @@ def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
     return core * np.outer(phase, phase.conj())
 
 
-@lru_cache(maxsize=64)
 def beamsplitter_block_bch(total: int, theta: float, phi: float) -> np.ndarray:
     """Same block from the factorized form: lowering sum, diagonal cos
     factor t^{total-2k}, raising sum, each as finite triangular matrices.
@@ -458,18 +466,13 @@ class EntropyRecord:
     cutoff: int
 
 
-def _entropy_single(family: Family, z_abs: float, setting: BeamSplitterSetting,
-                    cutoff: int, n_terms: int) -> float:
-    cs = family_state(family, z_abs, truncation=n_terms)
+def _entropy_single(cs: CoherentState, setting: BeamSplitterSetting,
+                    cutoff: int, gram: GramMatrix) -> float:
     state = embed_cs_in_two_modes(cs, cutoff=cutoff)
-    # both modes can populate levels up to cutoff-1, so splitter blocks
-    # reach total 2*cutoff-2; pad so no block spills over the edge
-    padded_size = 2 * cutoff - 1
-    padded = np.zeros((padded_size, padded_size), dtype=complex)
+    padded = np.zeros((gram.size, gram.size), dtype=complex)
     padded[:cutoff, :cutoff] = state.amplitudes
     out = beamsplitter_apply(TwoModeState(padded), setting)
-    rho = reduced_density(out, gram_matrix(padded_size))
-    return linear_entropy(rho)
+    return linear_entropy(reduced_density(out, gram))
 
 
 def entropy_scan(family: Family, z_moduli: Sequence[float],
@@ -481,18 +484,23 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     States keep n_terms levels (default: the family's coherent.WINDOWS
     entry); as in family_state, the partner towers are those of the
     frozen fourth-order model.  Records are flagged unconverged when the
-    two cutoffs disagree by 5e-3 or more.  Gram matrices, splitter
-    eigenpairs and partner-tower projections are cached.
+    two cutoffs disagree by 5e-3 or more.  Both Gram matrices are built
+    before the first splitter solve (see the module docstring), and each
+    |z|'s state serves both cutoffs.  Gram matrices, splitter eigenpairs
+    and partner-tower projections are cached.
     """
     if setting is None:
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
     if n_terms is None:
         n_terms = WINDOWS[Family(family)].entropy_terms
-    refined_cutoff = int(cutoff * 1.5)
+    # both modes can populate levels up to c-1, so splitter blocks reach
+    # total 2c-2; each state is padded to its Gram size 2c-1 so that no
+    # block spills over the edge
+    grams = [(c, gram_matrix(2 * c - 1)) for c in (cutoff, int(cutoff * 1.5))]
     records = []
     for z_abs in z_moduli:
-        s0 = _entropy_single(family, float(z_abs), setting, cutoff, n_terms)
-        s1 = _entropy_single(family, float(z_abs), setting, refined_cutoff, n_terms)
+        cs = family_state(family, float(z_abs), truncation=n_terms)
+        s0, s1 = (_entropy_single(cs, setting, c, gram) for c, gram in grams)
         records.append(EntropyRecord(z_abs=float(z_abs), theta=setting.theta,
                                      phi=setting.phi, entropy=s0,
                                      entropy_refined=s1,

@@ -219,12 +219,18 @@ def meijer_g_2012(a1: float, x, contour_re: float | None = None):
 class QuadratureRule:
     """Nodes/weights of the Gauss rule for the weight e^{-x^2} on (0, inf)
     (compared and hashed by identity).  The weight is folded into the
-    weights, so sum(w * f(x)) approximates int_0^inf f(x) e^{-x^2} dx."""
+    weights, so sum(w * f(x)) approximates int_0^inf f(x) e^{-x^2} dx.
+    Its arrays are read-only copies: gauss_halfline's cache hands one rule
+    to every caller."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if np.any(self.nodes <= 0) or np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly positive and increasing")
         if np.any(self.weights <= 0):

@@ -581,15 +581,22 @@ def new_measure_check(n_max: int = 5, r_max: float = 20.0) -> float:
     The kernel moments int t^j G dt = (j!)^2 / Gamma(j - d/2) are checked
     numerically to 1e-4 before the fold is trusted; the kernel rule is
     built once and every moment is read off it.  Off-diagonal moments
-    vanish by the phase integral.  Returns max_j |M_jj - 1| (reported,
-    not patched: the value 2 for the explicit model documents the signed
-    measure's failure against honest probabilities).
+    vanish by the phase integral.  Returns max_j |M_jj - 1| over the
+    finite tower's levels (reported, not patched: the value 2 for the
+    explicit model documents the signed measure's failure against honest
+    probabilities); it does not depend on n_max, which only sets the
+    highest kernel moment checked.  The kernel rule's cut tail is verified
+    negligible for moments 0..5 alone, so n_max outside 0..5 raises
+    ValueError.
     """
+    if not 0 <= n_max <= 5:
+        raise ValueError(f"n_max must lie in 0..5, the kernel moments the rule "
+                         f"is verified for; got {n_max}")
     d = DELTA1
     a1 = -(d + 2.0) / 2.0
     t_max = min(900.0, 2.0 * r_max * r_max)
     t, w, g = _kernel_rule(a1, t_max)
-    for j in range(min(n_max, 5) + 1):
+    for j in range(n_max + 1):
         target = 0.0
         arg = j - d / 2.0
         if not _is_nonpositive_integer(arg):

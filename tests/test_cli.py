@@ -9,8 +9,10 @@ import csv
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from truncosc.cli import RunConfig, main
 from truncosc.entangle import EntropyRecord
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli_process(args, cwd, env):
@@ -337,6 +340,35 @@ def test_entropy_basis_maximum_keeps_every_total_in_the_eigenvector_cache():
     # populates at most the even totals 2 .. 2 * refined - 2
     totals = len(range(2, 2 * refined - 1, 2))
     assert totals <= entangle._splitter_modes.cache_parameters()["maxsize"]
+
+
+@pytest.mark.parametrize("family, basis", [
+    ("lowering", 43), ("lowering", 64), ("susy-new", 80), ("susy-iso", 80)])
+def test_entropy_memory_model_bounds_the_traced_peak(family, basis):
+    # a 9-point scan from empty caches: the peak is either the refined Gram
+    # matrix's two Hermite tables or the full eigenvector cache at the
+    # largest solve, and the model must bound both
+    for cache in (entangle._splitter_modes, entangle.gram_matrix,
+                  entangle._susy_level_projections):
+        cache.cache_clear()
+    z_grid = np.linspace(0.0, 1.0 if family == "susy-iso" else 2.0, 9)
+    tracemalloc.start()
+    try:
+        entangle.entropy_scan(family, z_grid, cutoff=basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = cli._largest_array_bytes("entropy", basis, 9)
+    assert peak <= model, f"traced {peak / 1e6:.2f} MB, model {model / 1e6:.2f} MB"
+
+
+def test_readme_quotes_the_largest_accepted_sizes():
+    rows = re.findall(r"^\| (\w+) \| (\d+) \| (\d+) \|$",
+                      README.read_text(encoding="utf-8"), re.M)
+    assert sorted(command for command, *_ in rows) == ["density", "entropy", "uncertainty"]
+    for command, basis, steps in rows:
+        assert (int(basis), int(steps)) == (cli._limit(command, "--basis"),
+                                            cli._limit(command, "--steps")), command
 
 
 @pytest.mark.parametrize("command", ["density", "uncertainty", "entropy"])

@@ -125,6 +125,16 @@ def test_gram_odd_rows_give_an_orthonormal_basis():
     assert np.allclose(t[:, 1::2], np.eye(6) / math.sqrt(2.0), atol=1e-13)
 
 
+def test_gram_matrices_are_read_only_copies():
+    ent = gram_matrix(9).entries
+    assert not ent.flags.writeable
+    with pytest.raises(ValueError):
+        ent[0, 1] = 0.0
+    # a record built from a caller's array leaves that array writable
+    raw = np.eye(2) / 2.0
+    assert not GramMatrix(raw).entries.flags.writeable and raw.flags.writeable
+
+
 def test_gram_validation_rejects_bad_matrices():
     with pytest.raises(GramNotPSD):
         GramMatrix(np.array([[0.5, 0.2], [0.3, 0.5]]))
@@ -180,6 +190,14 @@ def test_block_limits():
     # total = 2 carries spin 1: the middle element is cos(theta)
     b = beamsplitter_block(2, 1.1, 0.0)
     assert b[1, 1] == pytest.approx(math.cos(1.1), abs=1e-13)
+
+
+@pytest.mark.parametrize("builder", [beamsplitter_block, beamsplitter_block_bch])
+def test_block_builders_hand_out_fresh_blocks(builder):
+    block = builder(2, 1.0, 0.0)
+    expected = block.copy()
+    block[0, 0] = 99.0
+    assert np.array_equal(builder(2, 1.0, 0.0), expected)
 
 
 def test_factorized_blocks_agree_at_small_totals():
@@ -298,12 +316,15 @@ def test_apply_preserves_the_norm_of_random_states(amp, theta, phi):
     assert abs(out.fullline_norm() - 1.0) <= 1e-12
 
 
-def test_apply_leaves_no_complex_blocks_behind():
-    entangle.beamsplitter_block.cache_clear()
+def test_apply_leaves_no_complex_blocks_behind(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("beamsplitter_apply formed a block")
+
+    monkeypatch.setattr(entangle, "beamsplitter_block", no_block)
+    monkeypatch.setattr(entangle, "beamsplitter_block_bch", no_block)
     state = embed_cs_in_two_modes(
         build_cs(Family.LOWERING, 0.8, truncation=12), cutoff=32)
     beamsplitter_apply(state, BeamSplitterSetting(1.1, 0.4))
-    assert entangle.beamsplitter_block.cache_info().currsize == 0
     lam, vec = entangle._splitter_modes(20)
     assert vec.dtype == np.float64
     assert not lam.flags.writeable and not vec.flags.writeable

@@ -262,6 +262,14 @@ def test_gauss_halfline_size_bounds_the_node_count_closely(degree):
     assert nodes <= gauss_halfline_size(degree) <= 1.01 * nodes + 24
 
 
+def test_gauss_halfline_hands_out_read_only_arrays():
+    rule = gauss_halfline(degree=60)
+    for arr in (rule.nodes, rule.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_gauss_halfline_handles_high_degree():
     rule = gauss_halfline(degree=400)
     got = float(np.sum(rule.weights * rule.nodes ** 200))

@@ -334,6 +334,14 @@ def test_new_measure_defect_is_exactly_two():
     assert new_measure_check(n_max=4) == 2.0
 
 
+@pytest.mark.parametrize("n_max", [-1, 6, 50])
+def test_new_measure_check_rejects_moments_outside_its_verified_range(n_max):
+    # the kernel rule's cut tail is verified for moments 0..5 only, so any
+    # other n_max must fail loudly rather than be clipped
+    with pytest.raises(ValueError, match=r"0\.\.5"):
+        new_measure_check(n_max=n_max)
+
+
 def test_kernel_moment_spot_value():
     # int t^j G dt = (j!)^2 / Gamma(j - 3): j = 4 gives 576, j in 0..3
     # hit the Gamma poles and integrate to zero
