@@ -1,15 +1,15 @@
 """Position densities of coherent states on the half line.
 
-Builds annihilation-eigenstate coherent states for the truncated
-oscillator and for both towers of its fourth-order partner, then prints
-where each density peaks and a coarse text profile.  The wall at x = 0
-keeps every density pinned to zero there; growing |z| pushes the bulk of
-the state outward.
+Builds the annihilation-eigenstate coherent states of the truncated
+oscillator and the displacement-type coherent states on both towers of
+its fourth-order partner, then prints where each density peaks and a
+coarse text profile.  The wall at x = 0 keeps every density pinned to
+zero there; growing |z| pushes the bulk of the state outward.
 """
 
 import numpy as np
 
-from truncosc import Basis, Family, build_cs, susy_cs
+from truncosc import Family, build_cs
 from truncosc.fock import rows
 
 X = np.linspace(0.02, 12.0, 600)
@@ -21,12 +21,8 @@ def density_of(cs):
     return np.abs(amps @ rows(cs.basis, amps.size, X, weighted=False)[0]) ** 2
 
 
-def trunc_density(z):
-    return density_of(build_cs(Family.LOWERING, z, truncation=48))
-
-
-def susy_density(basis, z):
-    return density_of(susy_cs(basis, z, truncation=48))
+def family_density(family, z):
+    return density_of(build_cs(family, z, truncation=48))
 
 
 def sparkline(density):
@@ -45,15 +41,15 @@ def report(label, density):
 
 print("truncated oscillator, annihilation-eigenstate family")
 for z in (0.0, 0.5, 1.5, 3.0):
-    report(f"|z| = {z}", trunc_density(z))
+    report(f"|z| = {z}", family_density(Family.LOWERING, z))
 
 print("\npartner Hamiltonian, isospectral tower")
 for z in (0.0, 0.5, 1.5):
-    report(f"|z| = {z}", susy_density(Basis.SUSY_ISO, z))
+    report(f"|z| = {z}", family_density(Family.SUSY_ISO, z))
 
 print("\npartner Hamiltonian, two-level tower of new bound states")
 for z in (0.0, 1.0, 10.0):
-    report(f"|z| = {z}", susy_density(Basis.SUSY_NEW, z))
+    report(f"|z| = {z}", family_density(Family.SUSY_NEW, z))
 
 print("\nThe new-state densities interpolate between the two bound levels;")
 print("large |z| weights the upper level and its extra node shows up as a")

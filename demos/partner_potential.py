@@ -14,8 +14,9 @@ import numpy as np
 
 from truncosc import (
     Basis,
+    Family,
     Q4_SEED_ENERGIES,
-    susy_cs,
+    build_cs,
     susy_ladder_action,
     wronskian_potential,
 )
@@ -51,7 +52,7 @@ print(f"lowering the isospectral ground state: coefficient {coeff0} "
       f"(annihilated, target {target0})")
 
 for r in (0.5, 1.0, 2.0):
-    cs = susy_cs(Basis.SUSY_ISO, r, truncation=64)
+    cs = build_cs(Family.SUSY_ISO, r, truncation=64)
     print(f"isospectral coherent state |z|={r}: <H> = "
           f"{energy_expectation(cs):.10f} vs closed form "
           f"{1.5 + 4 * r * r:.10f}")

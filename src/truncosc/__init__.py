@@ -55,7 +55,6 @@ from .susy import (
     Q4_SEED_ASYMMETRY,
     Q4_SEED_ENERGIES,
     SeedSolution,
-    susy_cs,
     susy_ladder_action,
     wronskian_potential,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "ObservableKind", "MatrixElementTable", "UncertaintyRecord",
     "matrix_element_closed", "build_table", "expectation", "uncertainty_scan",
     # partner machinery
-    "SeedSolution", "susy_ladder_action", "susy_cs", "wronskian_potential",
+    "SeedSolution", "susy_ladder_action", "wronskian_potential",
     "Q4_SEED_ENERGIES", "Q4_SEED_ASYMMETRY",
     # entanglement
     "GramMatrix", "TwoModeState", "BeamSplitterSetting", "EntropyRecord",

@@ -46,8 +46,8 @@ from .coherent import (
     displacement_norm_partial_sums,
     eigen_residual,
     energy_expectation,
-    family_state,
     identity_resolution_check,
+    iso_measure,
     lowering_measure_corrected,
     lowering_measure_reference,
 )
@@ -88,9 +88,9 @@ _DENSITY_GRID_POINTS = 600
 _DENSITY_X_MAX = 12.0
 
 # Memory a run may hold in all; entropy at basis 80, the largest run in the
-# tests and the benchmark, peaks at about 25 MB (tracemalloc) while building
-# its refined Gram matrix, whose two Hermite tables are freed before the
-# splitter eigenvector cache fills to 18 MB.
+# benchmark, peaks at about 25 MB (tracemalloc) while building its refined
+# Gram matrix, whose two Hermite tables are freed before the splitter
+# eigenvector cache fills to 18 MB.
 _MEMORY_BUDGET = 1 << 30
 
 # Bytes a run keeps per |z| point besides its state (record, CSV row and text;
@@ -99,6 +99,17 @@ _MEMORY_BUDGET = 1 << 30
 # stubbed so that its transients do not hide the growth), rounded up.
 _POINT_BYTES = {"density": 57_000, "uncertainty": 600, "entropy": 600}
 
+# Bytes per basis level at a run's peak besides the states density keeps: the
+# tracemalloc peak over the basis at 10^4 (density) and 10^5 (the others),
+# rounded up.  Density holds the susy-iso row table, its complex copy in the
+# profile product and the row engine's transients (66.3 kB); the others build
+# a state while the previous one is held (81 bytes).
+_LEVEL_BYTES = {"density": 67_000, "uncertainty": 88, "validate": 88}
+
+# Bytes density, uncertainty and validate may hold whatever the basis; the
+# largest such peak, 13 MB, builds the susy-iso uncertainty tables.
+_FIXED_BYTES = 16 << 20
+
 
 class ConfigError(Exception):
     """A run configuration that violates the CLI contract."""
@@ -106,10 +117,11 @@ class ConfigError(Exception):
 
 def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     """Upper bound on the bytes a run holds at once, from the layout alone:
-    the per-point records and CSV text, the states of `basis` amplitudes
-    (density keeps one per point) and density's basis x 600 rows.  Entropy,
-    with c = int(1.5 basis) the refined cutoff and P = 2c - 1 its padded
-    size, peaks either in `gram_matrix(P)`, which `entropy_scan` runs
+    the per-point records and CSV text; where states span the basis, the
+    fixed and per-level peaks above and the states density keeps (24 bytes
+    a level).  Entropy's states span its window, not the basis; with
+    c = int(1.5 basis) its refined cutoff and P = 2c - 1 its padded
+    size, it peaks either in `gram_matrix(P)`, which `entropy_scan` runs
     before any splitter solve, holding two P x N Hermite tables (h and
     h * w, N the nodes of its rule), or at the solve of the largest total,
     P levels.  There the eigenvector cache is full, one real (t+1)^2 matrix
@@ -118,20 +130,19 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     1 + 6P + 2P^2 real and 3 + 5P integer workspace, about 32 P^2 bytes;
     and the P x P two-mode matrix is live.  The two peaks are added, which
     also covers the small arrays each leaves out (Gram matrices, the
-    rotated two-mode matrix, quadrature rules).
+    rotated two-mode matrix, quadrature rules, the states).
     """
-    states = steps if command == "density" else 1
-    total = _POINT_BYTES.get(command, 0) * steps + 16 * basis * states
-    if command == "density":
-        total += 8 * basis * _DENSITY_GRID_POINTS
-    elif command == "entropy":
-        refined = int(basis * 1.5)
-        padded = 2 * refined - 1
-        solve = 8 * (2 * padded * padded + (1 + 6 * padded + 2 * padded * padded)
-                     + (3 + 5 * padded))
-        total += (16 * padded * padded + 16 * padded * gauss_halfline_size(2 * padded + 16)
-                  + 8 * refined * (4 * refined * refined - 1) // 3 + solve)
-    return total
+    total = _POINT_BYTES.get(command, 0) * steps
+    if command != "entropy":
+        kept = 24 * steps if command == "density" else 0
+        return total + _FIXED_BYTES + (_LEVEL_BYTES[command] + kept) * basis
+    refined = int(basis * 1.5)
+    padded = 2 * refined - 1
+    solve = 8 * (2 * padded * padded + (1 + 6 * padded + 2 * padded * padded)
+                 + (3 + 5 * padded))
+    return (total + 16 * padded * padded
+            + 16 * padded * gauss_halfline_size(2 * padded + 16)
+            + 8 * refined * (4 * refined * refined - 1) // 3 + solve)
 
 
 def _entropy_min_basis(family) -> int:
@@ -246,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{RunConfig.basis_size}, at least 8; entropy needs "
                              f">= {low}, or {higher}; susy entropy scans want "
                              f">= 80; at most {_limit('entropy', '--basis')} for "
-                             f"entropy, {_limit('density', '--basis')} for density "
-                             f"and {_limit('uncertainty', '--basis')} otherwise, so "
+                             f"entropy, {_limit('density', '--basis')} for density, "
+                             f"{_limit('uncertainty', '--basis')} for uncertainty "
+                             f"and {_limit('validate', '--basis')} for validate, so "
                              f"that a run holds at most {_MEMORY_BUDGET >> 20} MiB)")
     parser.add_argument("--theta", type=float)
     parser.add_argument("--phi", type=float)
@@ -299,7 +311,7 @@ def _density_grid() -> np.ndarray:
 def cmd_density(config: RunConfig) -> int:
     x = _density_grid()
     zs = config.z_grid
-    states = [family_state(config.family, float(z), config.basis_size) for z in zs]
+    states = [build_cs(config.family, float(z), truncation=config.basis_size) for z in zs]
     n_levels = max(cs.amplitudes.size for cs in states)
     table = eigen_rows(states[0].basis, n_levels, x, weighted=False)[0]
     profiles = [np.abs(cs.amplitudes @ table[:cs.amplitudes.size]) ** 2 for cs in states]
@@ -490,7 +502,7 @@ def _check_susy_ladder(config: RunConfig):
     six_ok = full_e1 == math.sqrt(8640.0)
     h_dev = 0.0
     for r in (0.4, 1.1, 2.0):
-        cs = _susy.susy_cs(Basis.SUSY_ISO, r, truncation=64)
+        cs = build_cs(Family.SUSY_ISO, r, truncation=64)
         h_dev = max(h_dev, abs(energy_expectation(cs) - (1.5 + 4.0 * r * r)))
     ok = comm_dev == 0.0 and six_ok and h_dev < 1e-8
     return ("PASS" if ok else "FAIL",
@@ -503,7 +515,7 @@ def _check_susy_new_norm(config: RunConfig):
     for r in (0.2, 0.35, 0.9):
         closed = _susy.new_norm_constant_closed(r)
         worst = max(worst, abs(closed - (1.0 - 6.0 * r * r)))
-        cs = _susy.susy_cs(Basis.SUSY_NEW, r, truncation=8)
+        cs = build_cs(Family.SUSY_NEW, r, truncation=8)
         direct = float(np.sum(np.abs(cs.amplitudes) ** 2))
         worst = max(worst, abs(direct - 1.0))
     return ("PASS" if worst < 1e-12 else "FAIL",
@@ -564,7 +576,8 @@ def _check_new_measure(config: RunConfig):
 
 
 def _check_iso_measure(config: RunConfig):
-    dev = _susy.iso_measure_check(n_max=6, r_max=8.0, truncation=320)
+    dev = identity_resolution_check(Family.SUSY_ISO, iso_measure(), n_max=6,
+                                    r_max=8.0, truncation=320)
     return ("PASS" if dev < 1e-6 else "FAIL",
             f"flat-density moment deviation {dev:.3e} (tol 1e-6)")
 

@@ -1,6 +1,6 @@
-"""Coherent-state families over the half-line ladder.
+"""Coherent-state families over the half-line ladder and its partner towers.
 
-Four families are built here directly (build_cs):
+build_cs constructs all six families:
 
 * "lowering"         -- eigenstates of the lowering operator,
                         amplitudes z^k / sqrt(prod_{j<=k} step(j)),
@@ -10,20 +10,21 @@ Four families are built here directly (build_cs):
                         amplitudes (z/sqrt(alpha))^k / sqrt(k!),
 * "lin-displacement" -- same ladder, displacement form,
                         amplitudes (sqrt(alpha) z)^k / sqrt(k!),
+* "susy-iso"         -- displacement-type, on the infinite partner tower:
+                        the lin-displacement series at alpha = 2,
+* "susy-new"         -- displacement-type, on the finite partner tower:
+                        (sqrt(2) z)^j / j! sqrt((-delta1/2)_j), j = 0, 1,
 
-with step(j) = 2j(2j+1) the squared half-line step (fock.ladder_step_sq).
+with step(j) = 2j(2j+1) the squared half-line step (fock.ladder_step_sq);
+the partner towers are those of the frozen fourth-order model (susy).
 
 For the half-line oscillator, the lowering-family norm constant has the
 closed form [sinh|z| / |z|]^{-1/2} and the displacement family exists
 only for |z| < 1/2 with norm constant (1 - 4|z|^2)^{3/4}.  Normalization
 is always computed from the direct amplitude sum; closed forms are
-cross-checks, not inputs.
-
-The SUSY families ("susy-iso", "susy-new") are assembled in the susy
-module using the same CoherentState container; the susy-iso amplitudes
-are the lin-displacement series at alpha = 2.  family_state is the one
-place that picks a family's constructor, and WINDOWS the one table of the
-level windows its scans use.
+cross-checks, not inputs.  The finite-tower state takes the principal
+branch of sqrt((-delta1/2)_j), which shows only in relative phases.
+WINDOWS is the one table of the level windows each family's scans use.
 """
 from __future__ import annotations
 
@@ -42,13 +43,14 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fock import Basis, ladder_apply, ladder_step_sq, level_energy
+from .numerics import rising_factorial
+from .susy import DELTA1, NEW_ENERGIES
 
 __all__ = [
     "Family",
     "CoherentState",
     "Windows",
     "WINDOWS",
-    "family_state",
     "Measure",
     "build_cs",
     "displacement_norm_partial_sums",
@@ -158,22 +160,29 @@ def displacement_norm_partial_sums(r: float, n_terms: int = 80) -> np.ndarray:
 
 def build_cs(family: Family, z: complex, alpha: float = 2.0,
              truncation: int = 64) -> CoherentState:
-    """Construct a normalized coherent state of a truncated-oscillator family.
+    """The normalized coherent state of any of the six families.
 
-    Raises NotNormalizable when the norm series diverges (displacement
-    family outside its radius) or overflows, and TruncationTooSmall when
-    the last kept amplitude still carries weight above 1e-12 of the norm.
+    The series families keep `truncation` levels; the finite tower
+    (susy-new) holds its two, whatever the truncation.  Raises ValueError
+    for a partner family at alpha != 2, NotNormalizable when the norm
+    series diverges (displacement outside its radius) or overflows, and
+    TruncationTooSmall when the last kept amplitude still carries weight
+    above 1e-12 of the norm.
     """
     family = Family(family)
-    if WINDOWS[family].basis != Basis.TRUNCATED:
-        raise FamilyMismatch(f"build_cs does not construct family {family}")
-    return _series_state(family, z, alpha, truncation)
-
-
-def _series_state(family: Family, z: complex, alpha: float,
-                  truncation: int) -> CoherentState:
-    """build_cs for any family _raw_amplitudes has a series for, susy-iso
-    included; the state is recorded under that family."""
+    if WINDOWS[family].basis != Basis.TRUNCATED and alpha != 2.0:
+        raise ValueError(f"{family.value} states exist at alpha = 2 only, got {alpha}")
+    if family == Family.SUSY_NEW:
+        z = complex(z)
+        c = np.zeros(len(NEW_ENERGIES), dtype=complex)
+        for j in range(c.size):
+            poch = rising_factorial(-DELTA1 / 2.0, j)
+            c[j] = ((math.sqrt(2.0) * z) ** j / math.factorial(j)
+                    * complex(np.sqrt(complex(poch))))
+        with np.errstate(over="ignore"):  # an infinite norm leaves a zero state, rejected below
+            norm = float(np.linalg.norm(c))
+        return CoherentState(family=family, z=z, alpha=2.0, amplitudes=c / norm,
+                             norm_constant=1.0 / norm, energies=np.array(NEW_ENERGIES))
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     if alpha <= 0:
@@ -198,7 +207,7 @@ def _series_state(family: Family, z: complex, alpha: float,
 
 
 # ----------------------------------------------------------------------------
-# family dispatch: each family's state and level windows
+# level windows
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -225,22 +234,6 @@ WINDOWS = {
     Family.SUSY_ISO: Windows(Basis.SUSY_ISO, 48, 32),
     Family.SUSY_NEW: Windows(Basis.SUSY_NEW, 2, 20),
 }
-
-
-def family_state(family: Family, z: complex, truncation: int = 64) -> CoherentState:
-    """The normalized coherent state of any of the six families.
-
-    The four truncated-oscillator families come from build_cs on the
-    half-line ladder, the two partner towers from susy.susy_cs on the
-    frozen fourth-order model (the finite tower always holds its two
-    levels, whatever the truncation).
-    """
-    family = Family(family)
-    basis = WINDOWS[family].basis
-    if basis == Basis.TRUNCATED:
-        return build_cs(family, z, truncation=truncation)
-    from . import susy  # susy builds on this module
-    return susy.susy_cs(basis, z, truncation=truncation)
 
 
 def eigen_residual(cs: CoherentState) -> float:

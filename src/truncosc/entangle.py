@@ -64,14 +64,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coherent import WINDOWS, CoherentState, Family, family_state
+from .coherent import WINDOWS, CoherentState, Family, build_cs
 from .errors import (
     CutoffExceeded,
     ExpansionResidualTooLarge,
     GramNotPSD,
 )
 from .fock import Basis, hermite_normalized, rows
-from .numerics import gauss_halfline
+from .numerics import gauss_halfline, hyp2f1_terminating
 
 __all__ = [
     "GramMatrix",
@@ -124,7 +124,6 @@ def halfline_overlap(alpha: int, beta: int, method: str = "auto") -> float:
             raise ValueError("closed form hits a Gamma pole; use quadrature")
         return _overlap_quadrature(alpha, beta)
     from scipy.special import gamma as _gamma
-    from .numerics import hyp2f1_terminating
     f = hyp2f1_terminating(-alpha, -beta, c, 0.5)
     return float(math.sqrt(math.pi) * f / (2.0 ** (1 - alpha - beta) * _gamma(c)))
 
@@ -482,7 +481,7 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     """Linear entropy against |z| with a 1.5x-cutoff convergence probe.
 
     States keep n_terms levels (default: the family's coherent.WINDOWS
-    entry); as in family_state, the partner towers are those of the
+    entry); as in build_cs, the partner towers are those of the
     frozen fourth-order model.  Records are flagged unconverged when the
     two cutoffs disagree by 5e-3 or more.  Both Gram matrices are built
     before the first splitter solve (see the module docstring), and each
@@ -499,7 +498,7 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     grams = [(c, gram_matrix(2 * c - 1)) for c in (cutoff, int(cutoff * 1.5))]
     records = []
     for z_abs in z_moduli:
-        cs = family_state(family, float(z_abs), truncation=n_terms)
+        cs = build_cs(family, float(z_abs), truncation=n_terms)
         s0, s1 = (_entropy_single(cs, setting, c, gram) for c, gram in grams)
         records.append(EntropyRecord(z_abs=float(z_abs), theta=setting.theta,
                                      phi=setting.phi, entropy=s0,

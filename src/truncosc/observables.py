@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coherent import WINDOWS, CoherentState, Family, family_state
+from .coherent import WINDOWS, CoherentState, Family, build_cs
 from .errors import (
     BasisMismatch,
     IndexOutOfRange,
@@ -335,7 +335,7 @@ def uncertainty_scan(family: Family, z_moduli: Sequence[float],
               for kind in ObservableKind}
     records = []
     for r in z_moduli:
-        cs = family_state(family, r, truncation=truncation)
+        cs = build_cs(family, r, truncation=truncation)
         ex = expectation(tables[ObservableKind.X], cs, n_terms)
         ex2 = expectation(tables[ObservableKind.X2], cs, n_terms)
         ep = expectation(tables[ObservableKind.P], cs, n_terms)

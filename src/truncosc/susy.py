@@ -13,8 +13,8 @@ Contents:
   fourth-order intertwiner coefficients and the two bound states of the
   finite tower as frozen polynomial data,
 * sixth-order and linearised ladder coefficients on both towers,
-* coherent states on each tower and the measure diagnostics for the
-  finite one.
+* the measure diagnostics of the finite tower (coherent.build_cs builds
+  the states on both towers; this module imports nothing from coherent).
 
 Other seed sets reach the package only through the general Wronskian
 routes, which `validate --seed-config` checks.
@@ -27,12 +27,10 @@ the seeds alternate odd, even, odd, even with increasing energy, i.e.
 asymmetry values (inf, 0, inf, 0); the plain-normalized Wronskian then
 satisfies W(x) e^{-2x^2} / den(x) = 16/45.
 
-The finite-tower coherent state uses the principal complex branch for
-square roots of negative rising factorials; probabilities use moduli,
-so the branch shows up only in relative phases.  Its normalization is
-always the direct modulus-squared sum; the closed-form norm constant
-printed in the source material evaluates to the SIGNED series
-1 - 6|z|^2 for this model and is exposed for side-by-side logging only.
+The finite-tower coherent state is normalized by the direct
+modulus-squared sum; the closed-form norm constant printed in the source
+material evaluates to the SIGNED series 1 - 6|z|^2 for this model and is
+exposed here (new_norm_constant_closed) for side-by-side logging only.
 """
 from __future__ import annotations
 
@@ -43,19 +41,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coherent import (
-    CoherentState,
-    Family,
-    _series_state,
-    identity_resolution_check,
-    iso_measure,
-)
 from .errors import GammaPole, IndexOutOfRange, SingularWronskian
-from .fock import (
-    Basis,
-    level_energy,
-    rows,
-)
+from .fock import Basis, level_energy, rows
 from .numerics import (
     _panel_rule,
     hyp1f1,
@@ -71,10 +58,8 @@ __all__ = [
     "wronskian_potential",
     "transformed_eigenfunction_rows",
     "susy_ladder_action",
-    "susy_cs",
     "new_norm_constant_closed",
     "new_measure_check",
-    "iso_measure_check",
     "g_moment",
     "Q4_SEED_ENERGIES",
     "Q4_SEED_ASYMMETRY",
@@ -465,35 +450,8 @@ def susy_ladder_action(subspace: Basis, direction: str, index: int,
 
 
 # ----------------------------------------------------------------------------
-# coherent states on the partner towers
+# the finite tower's printed norm, and measures on the partner towers
 # ----------------------------------------------------------------------------
-
-def susy_cs(subspace: Basis, z: complex, truncation: int = 64) -> CoherentState:
-    """Displacement-type coherent state on either partner tower.
-
-    Infinite tower: amplitudes (sqrt(2) z)^n / sqrt(n!) (the linearised
-    displacement series).  Finite tower: amplitudes
-    (sqrt(2) z)^j / j! * sqrt((-delta1/2)_j) under the principal branch,
-    truncated at kappa levels.  Both are normalized by the direct
-    modulus-squared sum.
-    """
-    subspace = Basis(subspace)
-    z = complex(z)
-    if subspace == Basis.SUSY_ISO:
-        return _series_state(Family.SUSY_ISO, z, 2.0, truncation)
-    if subspace != Basis.SUSY_NEW:
-        raise ValueError(f"subspace must be a partner-tower basis, got {subspace}")
-    c = np.zeros(len(NEW_ENERGIES), dtype=complex)
-    for j in range(c.size):
-        poch = rising_factorial(-DELTA1 / 2.0, j)
-        c[j] = ((math.sqrt(2.0) * z) ** j / math.factorial(j)
-                * complex(np.sqrt(complex(poch))))
-    with np.errstate(over="ignore"):  # an infinite norm leaves a zero state, rejected below
-        norm = float(np.linalg.norm(c))
-    return CoherentState(family=Family.SUSY_NEW, z=z, alpha=2.0, amplitudes=c / norm,
-                         norm_constant=1.0 / norm,
-                         energies=np.array(NEW_ENERGIES))
-
 
 def new_norm_constant_closed(z: complex) -> float:
     """The closed-form norm constant of the finite-tower state, as printed.
@@ -513,10 +471,6 @@ def new_norm_constant_closed(z: complex) -> float:
               * hyp2f2(1.0, kappa - d / 2.0, kappa + 1.0, kappa + 1.0, u))
     return float(first - second)
 
-
-# ----------------------------------------------------------------------------
-# measures on the partner towers
-# ----------------------------------------------------------------------------
 
 # Layout of the fixed kernel rule: geometric panels with edges 2^-20 .. 1
 # absorb the log singularity of G at t -> 0; uniform panels in u = sqrt(t)
@@ -613,15 +567,4 @@ def new_measure_check(n_max: int = 5, r_max: float = 20.0) -> float:
         m_jj = abs(poch) / poch
         deviation = max(deviation, abs(m_jj - 1.0))
     return deviation
-
-
-def iso_measure_check(n_max: int = 10, r_max: float = 8.0,
-                      truncation: int = 320) -> float:
-    """Flat-measure identity check for the infinite-tower state family.
-
-    The infinite-tower amplitudes coincide with the linearised
-    displacement series, so the existing radial moment checker applies.
-    """
-    return identity_resolution_check(Family.LIN_DISPLACEMENT, iso_measure(),
-                                     n_max=n_max, r_max=r_max, truncation=truncation)
 

@@ -21,6 +21,7 @@ from truncosc.coherent import (
     energy_expectation,
     eigen_residual,
     identity_resolution_check,
+    iso_measure,
     lowering_measure_corrected,
     lowering_measure_reference,
 )
@@ -45,9 +46,7 @@ from truncosc.observables import (
 from truncosc.susy import (
     NEW_ENERGIES,
     Q4_SEEDS,
-    iso_measure_check,
     potential,
-    susy_cs,
     susy_ladder_action,
     wronskian_potential,
 )
@@ -103,7 +102,8 @@ def test_criterion_04_lowering_eigenrelation(criterion, rng):
 
 
 def test_criterion_05_resolutions_of_identity(criterion):
-    dev_iso = iso_measure_check(n_max=10)
+    dev_iso = identity_resolution_check(Family.SUSY_ISO, iso_measure(), n_max=10,
+                                        r_max=8.0, truncation=320)
     dev_corrected = identity_resolution_check(
         Family.LOWERING, lowering_measure_corrected(),
         n_max=10, r_max=60.0, truncation=128)
@@ -199,7 +199,7 @@ def test_criterion_10_ladder_algebra(criterion):
     six_dev = abs(coeff - math.sqrt(8640.0))
     worst = 0.0
     for r in (0.3, 0.8, 1.5, 2.0):
-        cs = susy_cs(Basis.SUSY_ISO, r, truncation=64)
+        cs = build_cs(Family.SUSY_ISO, r, truncation=64)
         closed = 1.5 + 4.0 * r * r
         worst = max(worst, abs(energy_expectation(cs) - closed) / closed)
     ok = comm_exact and six_dev < 1e-10 and worst < 1e-8

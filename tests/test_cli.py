@@ -7,6 +7,7 @@ the import-path guard at the end starts a fresh interpreter.
 
 import csv
 import hashlib
+import importlib
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from truncosc import cli, entangle, observables
+from truncosc import cli, entangle, numerics, observables, susy
 from truncosc.cli import RunConfig, main
 from truncosc.entangle import EntropyRecord
 
@@ -362,20 +363,56 @@ def test_entropy_memory_model_bounds_the_traced_peak(family, basis):
     assert peak <= model, f"traced {peak / 1e6:.2f} MB, model {model / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize("command, family, basis, steps", [
+    ("density", "lowering", 1000, 9), ("density", "susy-iso", 500, 9),
+    ("uncertainty", "susy-iso", 250_000, 2), ("validate", "lowering", 20_000, 9)])
+def test_memory_model_bounds_the_traced_peak_of_basis_sized_runs(
+        tmp_path, command, family, basis, steps):
+    # from empty caches; in density and uncertainty the per-level term
+    # dominates the model (two uncertainty points already build one state
+    # next to another, and traced builds are slow), while validate's
+    # basis-independent checks peak above its per-level term.  scipy's
+    # module objects are loaded first, as they are no array of the run
+    for module in ("scipy.integrate", "scipy.linalg", "scipy.special"):
+        importlib.import_module(module)
+    for cache in (numerics.gauss_halfline, observables._quadrature_tables, susy._rationals,
+                  entangle.gram_matrix, entangle._splitter_modes,
+                  entangle._susy_level_projections):
+        cache.cache_clear()
+    config = RunConfig(command=command, family=family,
+                       model="SUSY_Q4" if family == "susy-iso" else "TRUNC",
+                       z_steps=steps, basis_size=basis,
+                       output_path=str(tmp_path / "x.csv"))
+    config.validate()
+    tracemalloc.start()
+    try:
+        cli._HANDLERS[command](config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = cli._largest_array_bytes(command, basis, steps)
+    assert peak <= model, f"traced {peak / 1e6:.2f} MB, model {model / 1e6:.2f} MB"
+
+
 def test_readme_quotes_the_largest_accepted_sizes():
-    rows = re.findall(r"^\| (\w+) \| (\d+) \| (\d+) \|$",
+    rows = re.findall(r"^\| (\w+) \| (\d+) \| (\d+|—) \|$",
                       README.read_text(encoding="utf-8"), re.M)
-    assert sorted(command for command, *_ in rows) == ["density", "entropy", "uncertainty"]
+    assert sorted(command for command, *_ in rows) == [
+        "density", "entropy", "uncertainty", "validate"]
     for command, basis, steps in rows:
-        assert (int(basis), int(steps)) == (cli._limit(command, "--basis"),
-                                            cli._limit(command, "--steps")), command
+        # validate scans no |z| grid, so --steps sizes nothing there
+        assert (int(basis), steps) == (
+            cli._limit(command, "--basis"),
+            "—" if command == "validate" else str(cli._limit(command, "--steps"))), command
 
 
-@pytest.mark.parametrize("command", ["density", "uncertainty", "entropy"])
-@pytest.mark.parametrize("flag", ["--basis", "--steps"])
+@pytest.mark.parametrize("flag, command", [
+    *((flag, command) for flag in ("--basis", "--steps")
+      for command in ("density", "uncertainty", "entropy")),
+    ("--basis", "validate")])
 def test_help_states_the_largest_accepted_sizes(command, flag):
     limit = cli._limit(command, flag)
-    assert str(limit) in cli.build_parser().format_help().replace("\n", " ")
+    assert f"{limit} for {command}" in " ".join(cli.build_parser().format_help().split())
 
     def fits(value):
         basis, steps = (value, 9) if flag == "--basis" else (64, value)

@@ -44,7 +44,7 @@ from truncosc.errors import (
     TruncationTooSmall,
 )
 from truncosc.fock import Basis
-from truncosc.susy import susy_cs
+from truncosc.susy import DELTA1
 
 # ----------------------------------------------------------------------------
 # norm constants against closed forms
@@ -86,7 +86,7 @@ def test_states_are_unit_vectors():
 @pytest.mark.parametrize("make", [
     lambda: build_cs(Family.LOWERING, math.nan),
     lambda: build_cs(Family.LIN_LOWERING, 0.3, alpha=math.nan),
-    lambda: susy_cs(Basis.SUSY_NEW, math.nan),
+    lambda: build_cs(Family.SUSY_NEW, math.nan),
     lambda: evolve(build_cs(Family.LOWERING, 0.5), math.nan),
     # |z| = 1e6 overflows the norm sum, which would leave all-zero amplitudes
     lambda: build_cs(Family.LOWERING, 1e6),
@@ -187,8 +187,9 @@ def test_build_cs_input_validation():
         build_cs(Family.LOWERING, 0.5, truncation=1)
     with pytest.raises(ValueError):
         build_cs(Family.LIN_LOWERING, 0.5, alpha=0.0)
-    with pytest.raises(FamilyMismatch):
-        build_cs(Family.SUSY_ISO, 0.5)
+    # the partner towers exist at alpha = 2 only
+    with pytest.raises(ValueError):
+        build_cs(Family.SUSY_ISO, 0.5, alpha=3.0)
 
 
 # ----------------------------------------------------------------------------
@@ -308,28 +309,48 @@ def test_measure_density_factories_are_distinct():
 
 
 # ----------------------------------------------------------------------------
-# family dispatch
+# partner towers and level windows
 # ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("family", list(Family))
-def test_family_state_uses_each_family_constructor(family):
-    state = coherent.family_state(family.value, 0.2, truncation=64)
-    windows = coherent.WINDOWS[family]
-    assert state.family == family
-    assert state.basis == windows.basis
-    if windows.basis == Basis.TRUNCATED:
-        direct = build_cs(family, 0.2, truncation=64)
-    else:
-        direct = susy_cs(windows.basis, 0.2, truncation=64)
-    assert np.array_equal(state.amplitudes, direct.amplitudes)
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(0.0, 2.0), angle=st.floats(-math.pi, math.pi),
+       truncation=st.integers(2, 128))
+def test_susy_iso_state_is_the_lin_displacement_series(r, angle, truncation):
+    z = cmath.rect(r, angle)
+    try:
+        series = build_cs(Family.LIN_DISPLACEMENT, z, alpha=2.0, truncation=truncation)
+    except TruncationTooSmall:
+        with pytest.raises(TruncationTooSmall):
+            build_cs(Family.SUSY_ISO, z, truncation=truncation)
+        return
+    state = build_cs(Family.SUSY_ISO, z, truncation=truncation)
+    assert np.array_equal(state.amplitudes, series.amplitudes)
+    assert state.family == Family.SUSY_ISO
+    assert state.basis == Basis.SUSY_ISO
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, 0.7 - 0.2j, -1.5j, 40.0])
+def test_susy_new_state_is_its_two_level_closed_form(z):
+    # (sqrt(2) z)^j / j! sqrt((-delta1/2)_j) on the principal branch, for
+    # j < 2, whatever the truncation
+    short = build_cs(Family.SUSY_NEW, z, truncation=8)
+    long = build_cs(Family.SUSY_NEW, z, truncation=64)
+    assert np.array_equal(short.amplitudes, long.amplitudes)
+    with mp.workdps(40):
+        raw = [(mp.sqrt(2) * mp.mpc(z)) ** j / mp.factorial(j)
+               * mp.sqrt(mp.rf(-mp.mpf(DELTA1) / 2, j)) for j in range(2)]
+        norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in raw))
+        expected = np.array([complex(c / norm) for c in raw])
+    assert np.max(np.abs(long.amplitudes - expected)) <= 1e-15
+    assert long.family == Family.SUSY_NEW
 
 
 def _window_state(family, window, r, angle):
-    """family_state over the family's entropy or uncertainty window, or
+    """build_cs over the family's entropy or uncertainty window, or
     None where the tail guard rejects |z| as past the window's reach."""
     terms = getattr(coherent.WINDOWS[family], f"{window}_terms")
     try:
-        return coherent.family_state(family, cmath.rect(r, angle), truncation=terms)
+        return build_cs(family, cmath.rect(r, angle), truncation=terms)
     except TruncOscError:
         return None
 

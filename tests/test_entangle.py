@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh_tridiagonal, expm
 
 from truncosc import entangle
-from truncosc.coherent import Family, build_cs, family_state
+from truncosc.coherent import Family, build_cs
 from truncosc.entangle import (
     BeamSplitterSetting,
     EntropyRecord,
@@ -38,7 +38,6 @@ from truncosc.entangle import (
 from truncosc.errors import CutoffExceeded, ExpansionResidualTooLarge, GramNotPSD
 from truncosc.fock import Basis, rows
 from truncosc.numerics import gauss_halfline
-from truncosc.susy import susy_cs
 
 
 # ----------------------------------------------------------------------------
@@ -377,7 +376,7 @@ def test_embedding_requires_capacity():
 def test_partner_embedding_residual_guard():
     # the finite-tower functions need ~40 odd levels before the expansion
     # recovers 1 - 1e-6 of the norm: cutoff 60 still fails, 80 passes
-    cs = susy_cs(Basis.SUSY_NEW, 1.0)
+    cs = build_cs(Family.SUSY_NEW, 1.0)
     for cutoff in (40, 60):
         with pytest.raises(ExpansionResidualTooLarge):
             embed_cs_in_two_modes(cs, cutoff=cutoff)
@@ -388,13 +387,13 @@ def test_partner_embedding_residual_guard():
 def test_iso_embedding_at_zero_label_is_the_lowest_pair():
     # z = 0 collapses the infinite-tower state onto its bottom level, so
     # the embedding is the product (lowest new level) x (tower-bottom image)
-    cs = susy_cs(Basis.SUSY_ISO, 0.0, truncation=16)
+    cs = build_cs(Family.SUSY_ISO, 0.0, truncation=16)
     state = embed_cs_in_two_modes(cs, cutoff=96)
     u_mat, sing, v_mat = np.linalg.svd(state.amplitudes)
     assert sing[0] == pytest.approx(1.0, abs=1e-6)
     assert sing[1] < 1e-12  # exactly rank one
     # mode A carries the same extremal state for either partner tower
-    new_state = embed_cs_in_two_modes(susy_cs(Basis.SUSY_NEW, 0.0), cutoff=96)
+    new_state = embed_cs_in_two_modes(build_cs(Family.SUSY_NEW, 0.0), cutoff=96)
     u_new = np.linalg.svd(new_state.amplitudes)[0][:, 0]
     cos = abs(np.vdot(u_mat[:, 0], u_new))
     assert cos == pytest.approx(1.0, abs=1e-8)
@@ -511,7 +510,7 @@ def _oracle_case(theta: float):
     setting = BeamSplitterSetting(theta, 0.0)
     records = entropy_scan(Family.LOWERING, _ORACLE_Z, setting=setting,
                            cutoff=_ORACLE_CUTOFF)
-    amps = [family_state(Family.LOWERING, z, truncation=20).amplitudes
+    amps = [build_cs(Family.LOWERING, z, truncation=20).amplitudes
             for z in _ORACLE_Z]
     rule = gauss_halfline(16)
     keep = rule.nodes <= 8.0

@@ -1,5 +1,6 @@
 """The package's public surface: exported names resolve, imports are used,
-nothing is defined that nothing uses.
+nothing is defined that nothing uses, the modules import each other without
+a cycle, and the benchmark's self-test passes.
 
 No linter ships with the toolchain, so these checks stand in for one.
 The unused-import check also covers the tests and the demos.
@@ -8,6 +9,8 @@ The unused-import check also covers the tests and the demos.
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +102,49 @@ def test_no_module_level_scipy_import():
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def _package_imports(node: ast.AST) -> list:
+    """The package modules an import statement loads, by file stem."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if node.module:
+            return [node.module.split(".")[0]]
+        return [a.name if (PACKAGE_DIR / f"{a.name}.py").exists() else "__init__"
+                for a in node.names]
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("truncosc."):
+        return [node.module.split(".")[1]]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("truncosc.")]
+    return []
+
+
+def test_modules_import_each_other_at_the_top_and_without_a_cycle():
+    # fock.rows defers its import of susy, whose partner rows build on fock's;
+    # every other package import sits at the top of its module
+    graph, deferred = {}, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        graph[path.stem] = set()
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = [t for node in ast.walk(top) for t in _package_imports(node)]
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                deferred += [(path.stem, top.name, t) for t in targets]
+            else:
+                graph[path.stem] |= set(targets)
+    assert deferred == [("fock", "rows", "susy")]
+    # grow each module's targets to all it reaches; a cycle reaches itself
+    grown = True
+    while grown:
+        grown = False
+        for targets in graph.values():
+            more = set().union(*(graph[t] for t in targets)) - targets
+            grown |= bool(more)
+            targets |= more
+    assert sorted(module for module, targets in graph.items() if module in targets) == []
+
+
+def test_benchmark_self_test_passes(cli_env):
+    # the benchmark pins names of this package (traced functions, a cache, the
+    # table builder), so renaming one fails here as well as in the benchmark
+    res = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=cli_env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-4000:]

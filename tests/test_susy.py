@@ -11,7 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from truncosc.coherent import Family
+from truncosc.coherent import (
+    Family,
+    build_cs,
+    identity_resolution_check,
+    iso_measure,
+)
 from truncosc.errors import GammaPole, IndexOutOfRange, SingularWronskian
 from truncosc.fock import Basis, level_energy, rows
 from truncosc.numerics import gauss_halfline, rising_factorial
@@ -24,12 +29,10 @@ from truncosc.susy import (
     Q4_SEEDS,
     SeedSolution,
     g_moment,
-    iso_measure_check,
     new_measure_check,
     new_norm_constant_closed,
     potential,
     six_factor,
-    susy_cs,
     susy_ladder_action,
     transformed_eigenfunction_rows,
     wronskian_potential,
@@ -275,7 +278,7 @@ def test_finite_tower_linearised_step_is_imaginary():
 
 def test_iso_state_amplitudes_are_the_linearised_series():
     z = 0.4 + 0.3j
-    cs = susy_cs(Basis.SUSY_ISO, z, truncation=48)
+    cs = build_cs(Family.SUSY_ISO, z, truncation=48)
     raw = np.array([(math.sqrt(2.0) * z) ** n / math.sqrt(math.factorial(n))
                     for n in range(48)])
     raw /= np.linalg.norm(raw)
@@ -286,13 +289,13 @@ def test_iso_state_amplitudes_are_the_linearised_series():
 def test_iso_mean_energy_is_quadratic_in_the_label():
     from truncosc.coherent import energy_expectation
     for r in (0.3, 0.8, 1.5):
-        cs = susy_cs(Basis.SUSY_ISO, r, truncation=64)
+        cs = build_cs(Family.SUSY_ISO, r, truncation=64)
         assert energy_expectation(cs) == pytest.approx(1.5 + 4.0 * r * r, rel=1e-8)
 
 
 def test_new_state_amplitudes_and_direct_normalization():
     z = 0.7
-    cs = susy_cs(Basis.SUSY_NEW, z)
+    cs = build_cs(Family.SUSY_NEW, z)
     assert cs.amplitudes.size == 2
     # amplitudes 1 and sqrt(2) z sqrt((-3)_1) = sqrt(2) z i sqrt(3)
     direct = np.array([1.0, math.sqrt(2.0) * z * 1j * math.sqrt(3.0)])
@@ -314,8 +317,8 @@ def test_new_closed_norm_series_is_signed():
 
 
 def test_new_state_level_populations_saturate():
-    lo = susy_cs(Basis.SUSY_NEW, 0.05)
-    hi = susy_cs(Basis.SUSY_NEW, 50.0)
+    lo = build_cs(Family.SUSY_NEW, 0.05)
+    hi = build_cs(Family.SUSY_NEW, 50.0)
     assert abs(lo.amplitudes[0]) > 0.99
     assert abs(hi.amplitudes[1]) > 0.99
 
@@ -325,7 +328,8 @@ def test_new_state_level_populations_saturate():
 # ----------------------------------------------------------------------------
 
 def test_iso_flat_measure_resolves_identity():
-    assert iso_measure_check(n_max=10) < 1e-6
+    assert identity_resolution_check(Family.SUSY_ISO, iso_measure(), n_max=10,
+                                     r_max=8.0, truncation=320) < 1e-6
 
 
 def test_new_measure_defect_is_exactly_two():
