@@ -28,13 +28,11 @@ from .errors import (
     TailTooFat,
     TruncOscError,
     TruncationTooSmall,
-    UnsupportedBasis,
 )
 from .fock import Basis, ladder_step_sq, level_energy
 from .coherent import (
     CoherentState,
     Family,
-    Measure,
     build_cs,
     eigen_residual,
     energy_expectation,
@@ -79,12 +77,12 @@ __all__ = [
     "TruncOscError", "DivergenceError", "PoleError", "ContourError",
     "NonConvergence", "BasisMismatch",
     "NotNormalizable", "TruncationTooSmall", "FamilyMismatch",
-    "IndexOutOfRange", "UnsupportedBasis", "GammaPole",
+    "IndexOutOfRange", "GammaPole",
     "SingularWronskian", "CutoffExceeded", "ExpansionResidualTooLarge",
     "GramNotPSD", "TailTooFat",
     # number basis and states
     "Basis", "ladder_step_sq", "level_energy",
-    "Family", "CoherentState", "Measure", "build_cs", "eigen_residual",
+    "Family", "CoherentState", "build_cs", "eigen_residual",
     "state_probability", "energy_expectation", "evolve",
     "identity_resolution_check",
     # observables

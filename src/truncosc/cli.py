@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,15 +100,22 @@ _MEMORY_BUDGET = 1 << 30
 _POINT_BYTES = {"density": 57_000, "uncertainty": 600, "entropy": 600}
 
 # Bytes per basis level at a run's peak besides the states density keeps: the
-# tracemalloc peak over the basis at 10^4 (density) and 10^5 (the others),
+# tracemalloc peak over the basis at 10^4 (density) and 10^5 (uncertainty),
 # rounded up.  Density holds the susy-iso row table, its complex copy in the
-# profile product and the row engine's transients (66.3 kB); the others build
-# a state while the previous one is held (81 bytes).
-_LEVEL_BYTES = {"density": 67_000, "uncertainty": 88, "validate": 88}
+# profile product and the row engine's transients (66.3 kB); uncertainty
+# builds a state while the previous one is held (81 bytes).
+_LEVEL_BYTES = {"density": 67_000, "uncertainty": 88}
 
 # Bytes density, uncertainty and validate may hold whatever the basis; the
-# largest such peak, 13 MB, builds the susy-iso uncertainty tables.
+# largest such peak, 13 MB, builds the susy-iso uncertainty tables.  Validate
+# reads no basis, so this is its whole bound (its traced peak is 4.7 MB).
 _FIXED_BYTES = 16 << 20
+
+# Smallest entropy cutoff for the partner families: mode A, the lowest new
+# partner level, keeps 1 - 1.02e-6 of its norm in the 38 odd levels of
+# cutoffs 76 and 77, below the 1 - 1e-6 that embedding demands, and
+# 1 - 0.97e-6 in the 39 of cutoff 78.
+_PARTNER_ENTROPY_MIN = 78
 
 
 class ConfigError(Exception):
@@ -117,12 +124,12 @@ class ConfigError(Exception):
 
 def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     """Upper bound on the bytes a run holds at once, from the layout alone:
-    the per-point records and CSV text; where states span the basis, the
-    fixed and per-level peaks above and the states density keeps (24 bytes
-    a level).  Entropy's states span its window, not the basis; with
-    c = int(1.5 basis) its refined cutoff and P = 2c - 1 its padded
-    size, it peaks either in `gram_matrix(P)`, which `entropy_scan` runs
-    before any splitter solve, holding two P x N Hermite tables (h and
+    the per-point records and CSV text; outside entropy, the fixed peak
+    above; where states span the basis, the per-level peaks and the states
+    density keeps (24 bytes a level).  Entropy's states span its window,
+    not the basis; with c = int(1.5 basis) its refined cutoff and P = 2c - 1
+    its padded size, it peaks either in `gram_matrix(P)`, which
+    `entropy_scan` runs before any splitter solve, holding two P x N Hermite tables (h and
     h * w, N the nodes of its rule), or at the solve of the largest total,
     P levels.  There the eigenvector cache is full, one real (t+1)^2 matrix
     per even total t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all; the solve
@@ -135,7 +142,7 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     total = _POINT_BYTES.get(command, 0) * steps
     if command != "entropy":
         kept = 24 * steps if command == "density" else 0
-        return total + _FIXED_BYTES + (_LEVEL_BYTES[command] + kept) * basis
+        return total + _FIXED_BYTES + (_LEVEL_BYTES.get(command, 0) + kept) * basis
     refined = int(basis * 1.5)
     padded = 2 * refined - 1
     solve = 8 * (2 * padded * padded + (1 + 6 * padded + 2 * padded * padded)
@@ -146,8 +153,11 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
 
 
 def _entropy_min_basis(family) -> int:
-    """Smallest entropy cutoff that holds the family's embedded window."""
-    return 2 * WINDOWS[Family(family)].entropy_terms + 3
+    """Smallest entropy cutoff that holds the family's embedded window (and,
+    on a partner tower, that embeds mode A)."""
+    windows = WINDOWS[Family(family)]
+    least = 2 * windows.entropy_terms + 3
+    return least if windows.basis == Basis.TRUNCATED else max(least, _PARTNER_ENTROPY_MIN)
 
 
 def _limit(command: str, flag: str) -> int:
@@ -255,12 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--basis", type=int, dest="basis_size",
                         help=f"basis size / two-mode level cutoff (default "
                              f"{RunConfig.basis_size}, at least 8; entropy needs "
-                             f">= {low}, or {higher}; susy entropy scans want "
-                             f">= 80; at most {_limit('entropy', '--basis')} for "
-                             f"entropy, {_limit('density', '--basis')} for density, "
-                             f"{_limit('uncertainty', '--basis')} for uncertainty "
-                             f"and {_limit('validate', '--basis')} for validate, so "
-                             f"that a run holds at most {_MEMORY_BUDGET >> 20} MiB)")
+                             f">= {low}, or {higher}; at most "
+                             f"{_limit('entropy', '--basis')} for entropy, "
+                             f"{_limit('density', '--basis')} for density and "
+                             f"{_limit('uncertainty', '--basis')} for uncertainty, so "
+                             f"that a run holds at most {_MEMORY_BUDGET >> 20} MiB; "
+                             f"validate runs a fixed suite and reads no basis)")
     parser.add_argument("--theta", type=float)
     parser.add_argument("--phi", type=float)
     parser.add_argument("--out", dest="output_path")
@@ -362,24 +372,17 @@ def cmd_entropy(config: RunConfig) -> int:
 # validation suite
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Check:
-    name: str
-    min_basis: int
-    run: Callable[[RunConfig], tuple]  # -> (status, detail)
-
-
-def _check_lowering_norm(config: RunConfig):
+def _check_lowering_norm():
     worst = 0.0
     for r in (0.1, 1.0, 2.0):
-        cs = build_cs(Family.LOWERING, r, truncation=config.basis_size)
+        cs = build_cs(Family.LOWERING, r, truncation=64)
         closed = math.sqrt(r / math.sinh(r))
         worst = max(worst, abs(cs.norm_constant - closed) / closed)
     status = "PASS" if worst < 1e-10 else "FAIL"
     return status, f"max relative deviation {worst:.3e} (tol 1e-10)"
 
 
-def _check_displacement_norm(config: RunConfig):
+def _check_displacement_norm():
     worst = 0.0
     for r in (0.1, 0.3, 0.45):
         # the norm series converges slowly near the 1/2 radius, so sum it
@@ -395,7 +398,7 @@ def _check_displacement_norm(config: RunConfig):
             f"divergent partial sum at 0.6 reaches {float(np.max(sums)):.3e}")
 
 
-def _check_mean_energy(config: RunConfig):
+def _check_mean_energy():
     worst = 0.0
     for r in (0.3, 0.8, 1.5, 2.2, 3.0):
         cs = build_cs(Family.LOWERING, r, truncation=60)
@@ -405,37 +408,37 @@ def _check_mean_energy(config: RunConfig):
             f"max relative deviation {worst:.3e} (tol 1e-8)")
 
 
-def _check_eigenrelation(config: RunConfig):
+def _check_eigenrelation():
     worst = 0.0
     for z in (0.5, 1.0 + 0.5j, 2.0j, 2.0):
-        cs = build_cs(Family.LOWERING, z, truncation=config.basis_size)
+        cs = build_cs(Family.LOWERING, z, truncation=64)
         worst = max(worst, eigen_residual(cs))
     return ("PASS" if worst < 1e-10 else "FAIL",
             f"max residual {worst:.3e} (tol 1e-10)")
 
 
-def _check_identity_corrected(config: RunConfig):
-    dev = identity_resolution_check(Family.LOWERING, lowering_measure_corrected(),
+def _check_identity_corrected():
+    dev = identity_resolution_check(Family.LOWERING, lowering_measure_corrected,
                                     n_max=6, r_max=60.0, truncation=128)
     return ("PASS" if dev < 1e-6 else "FAIL",
             f"max moment deviation {dev:.3e} (tol 1e-6)")
 
 
-def _check_identity_reference(config: RunConfig):
-    dev = identity_resolution_check(Family.LOWERING, lowering_measure_reference(),
+def _check_identity_reference():
+    dev = identity_resolution_check(Family.LOWERING, lowering_measure_reference,
                                     n_max=6, r_max=60.0, truncation=128)
     return "REPORT", (f"reference candidate density misses the moment test "
                       f"by {dev:.4g} (expected discrepancy, not a failure)")
 
 
-def _check_matrix_elements(config: RunConfig):
+def _check_matrix_elements():
     worst = max((r["abs_diff"] for r in discrepancy_report(n_max=8, tol=0.0)
                  if r["kind"] in ("X", "P")), default=0.0)
     return ("PASS" if worst < 1e-8 else "FAIL",
             f"X and P closed vs quadrature, max |diff| {worst:.3e} (tol 1e-8)")
 
 
-def _check_x2p2_offdiag(config: RunConfig):
+def _check_x2p2_offdiag():
     rows = discrepancy_report(n_max=8, tol=1e-8)
     if not rows:
         return "REPORT", "no closed-form/quadrature mismatches above 1e-8"
@@ -446,9 +449,8 @@ def _check_x2p2_offdiag(config: RunConfig):
                       f"(expected discrepancy, quadrature is authoritative)")
 
 
-def _check_uncertainty_floor(config: RunConfig):
-    records = uncertainty_scan(Family.LOWERING, [0.5, 2.0, 5.0],
-                               truncation=config.basis_size)
+def _check_uncertainty_floor():
+    records = uncertainty_scan(Family.LOWERING, [0.5, 2.0, 5.0], truncation=64)
     floor_ok = all(r.product >= 0.5 - 5e-3 for r in records)
     tail_ok = abs(records[-1].product - 0.5) < 0.05
     return ("PASS" if floor_ok and tail_ok else "FAIL",
@@ -456,15 +458,14 @@ def _check_uncertainty_floor(config: RunConfig):
             f"tail |p-0.5| < 0.05")
 
 
-def _check_lin_crossing(config: RunConfig):
-    records = uncertainty_scan(Family.LIN_LOWERING, [1.0],
-                               truncation=config.basis_size)
+def _check_lin_crossing():
+    records = uncertainty_scan(Family.LIN_LOWERING, [1.0], truncation=64)
     gap = abs(records[0].sigma_x - records[0].sigma_p)
     return ("PASS" if gap < 0.02 else "FAIL",
             f"|sigma_x - sigma_p| = {gap:.4f} at |z| = 1 (tol 0.02)")
 
 
-def _check_susy_potential(config: RunConfig):
+def _check_susy_potential():
     grid = np.linspace(0.1, 6.0, 400)
     dev = float(np.max(np.abs(_susy.wronskian_potential(_susy.Q4_SEEDS, grid)
                               - _susy.potential(grid))))
@@ -473,7 +474,7 @@ def _check_susy_potential(config: RunConfig):
             f"(tol 1e-6)")
 
 
-def _check_susy_eigen(config: RunConfig):
+def _check_susy_eigen():
     grid = np.linspace(0.1, 6.0, 300)
     v = _susy.potential(grid)
     worst = 0.0
@@ -493,7 +494,7 @@ def _check_susy_eigen(config: RunConfig):
             f"8-function Gram vs identity {gram_dev:.3e} (tol 1e-8)")
 
 
-def _check_susy_ladder(config: RunConfig):
+def _check_susy_ladder():
     # squared linearised steps E_u - 3/2 on levels u <= 21; [lower, raise]
     # on level n is their difference between u = n + 1 and u = n
     lin_sq = level_energy(np.arange(22)) - 1.5
@@ -510,7 +511,7 @@ def _check_susy_ladder(config: RunConfig):
             f"{'exact' if six_ok else 'WRONG'}, mean-energy deviation {h_dev:.3e}")
 
 
-def _check_susy_new_norm(config: RunConfig):
+def _check_susy_new_norm():
     worst = 0.0
     for r in (0.2, 0.35, 0.9):
         closed = _susy.new_norm_constant_closed(r)
@@ -523,7 +524,7 @@ def _check_susy_new_norm(config: RunConfig):
             f"max deviation {worst:.3e} (tol 1e-12)")
 
 
-def _check_beamsplitter(config: RunConfig):
+def _check_beamsplitter():
     worst = 0.0
     worst_bch = 0.0
     setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
@@ -543,7 +544,7 @@ def _check_beamsplitter(config: RunConfig):
             f"{worst_bch:.3e} (factorized), interference null {hom:.3e}")
 
 
-def _check_overlaps(config: RunConfig):
+def _check_overlaps():
     worst = 0.0
     for a in range(7):
         for b in range(7):
@@ -559,7 +560,7 @@ def _check_overlaps(config: RunConfig):
             f"spot values max |diff| {max(spots):.3e}")
 
 
-def _check_entropy_theta0(config: RunConfig):
+def _check_entropy_theta0():
     records = entropy_scan(Family.LOWERING, [0.7],
                            setting=BeamSplitterSetting(0.0, 0.0),
                            cutoff=32, n_terms=12)
@@ -568,15 +569,15 @@ def _check_entropy_theta0(config: RunConfig):
             f"S = {s:.3e} at theta = 0 (tol 1e-8)")
 
 
-def _check_new_measure(config: RunConfig):
+def _check_new_measure():
     dev = _susy.new_measure_check(n_max=4, r_max=20.0)
     return "REPORT", (f"radial kernel reproduces the required moments; the "
                       f"positivity defect of the printed density is {dev:.1f} "
                       f"(sign-alternating weights; expected discrepancy)")
 
 
-def _check_iso_measure(config: RunConfig):
-    dev = identity_resolution_check(Family.SUSY_ISO, iso_measure(), n_max=6,
+def _check_iso_measure():
+    dev = identity_resolution_check(Family.SUSY_ISO, iso_measure, n_max=6,
                                     r_max=8.0, truncation=320)
     return ("PASS" if dev < 1e-6 else "FAIL",
             f"flat-density moment deviation {dev:.3e} (tol 1e-6)")
@@ -613,8 +614,8 @@ def parse_seed_config(path: str) -> tuple:
     return tuple(pairs)
 
 
-def _check_seed_config(config: RunConfig):
-    pairs = parse_seed_config(config.seed_config)
+def _check_seed_config(path: str):
+    pairs = parse_seed_config(path)
     eps = [p[0] for p in pairs]
     if len(pairs) % 2 != 0:
         return "FAIL", f"need an even number of seeds, got {len(pairs)}"
@@ -649,55 +650,46 @@ def _check_seed_config(config: RunConfig):
 
 
 _CHECKS = (
-    _Check("lowering-norm-closed", 64, _check_lowering_norm),
-    _Check("displacement-norm-closed", 0, _check_displacement_norm),
-    _Check("mean-energy-closed", 0, _check_mean_energy),
-    _Check("lowering-eigenrelation", 64, _check_eigenrelation),
-    _Check("identity-resolution-corrected", 0, _check_identity_corrected),
-    _Check("identity-resolution-reference", 0, _check_identity_reference),
-    _Check("matrix-elements-x-p", 0, _check_matrix_elements),
-    _Check("matrix-elements-x2-p2-offdiag", 0, _check_x2p2_offdiag),
-    _Check("uncertainty-floor", 64, _check_uncertainty_floor),
-    _Check("linearised-crossing", 64, _check_lin_crossing),
-    _Check("susy-potential-wronskian", 0, _check_susy_potential),
-    _Check("susy-eigen-residuals", 0, _check_susy_eigen),
-    _Check("susy-ladder-coefficients", 0, _check_susy_ladder),
-    _Check("susy-new-norm-closed", 0, _check_susy_new_norm),
-    _Check("beamsplitter-blocks", 0, _check_beamsplitter),
-    _Check("halfline-overlaps", 0, _check_overlaps),
-    _Check("entropy-theta0", 0, _check_entropy_theta0),
-    _Check("new-measure-moments", 0, _check_new_measure),
-    _Check("iso-measure-identity", 0, _check_iso_measure),
+    ("lowering-norm-closed", _check_lowering_norm),
+    ("displacement-norm-closed", _check_displacement_norm),
+    ("mean-energy-closed", _check_mean_energy),
+    ("lowering-eigenrelation", _check_eigenrelation),
+    ("identity-resolution-corrected", _check_identity_corrected),
+    ("identity-resolution-reference", _check_identity_reference),
+    ("matrix-elements-x-p", _check_matrix_elements),
+    ("matrix-elements-x2-p2-offdiag", _check_x2p2_offdiag),
+    ("uncertainty-floor", _check_uncertainty_floor),
+    ("linearised-crossing", _check_lin_crossing),
+    ("susy-potential-wronskian", _check_susy_potential),
+    ("susy-eigen-residuals", _check_susy_eigen),
+    ("susy-ladder-coefficients", _check_susy_ladder),
+    ("susy-new-norm-closed", _check_susy_new_norm),
+    ("beamsplitter-blocks", _check_beamsplitter),
+    ("halfline-overlaps", _check_overlaps),
+    ("entropy-theta0", _check_entropy_theta0),
+    ("new-measure-moments", _check_new_measure),
+    ("iso-measure-identity", _check_iso_measure),
 )
 
 
 def cmd_validate(config: RunConfig) -> int:
     checks = list(_CHECKS)
     if config.seed_config is not None:
-        checks.append(_Check("seed-config-model", 0, _check_seed_config))
+        checks.append(("seed-config-model",
+                       lambda: _check_seed_config(config.seed_config)))
     results = []
-    for check in checks:
-        if config.basis_size < check.min_basis:
-            results.append((check.name, "SKIP",
-                            f"needs basis_size >= {check.min_basis}, "
-                            f"have {config.basis_size}"))
-            continue
+    for name, check in checks:
         try:
-            status, detail = check.run(config)
+            status, detail = check()
         except ConfigError:
             raise
         except Exception as exc:  # a crashed check is a failed check
             status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
-        results.append((check.name, status, detail))
+        results.append((name, status, detail))
     n_fail = sum(1 for _, status, _ in results if status == "FAIL")
-    n_skip = sum(1 for _, status, _ in results if status == "SKIP")
     for name, status, detail in results:
         print(f"{status:7s} {name}: {detail}", file=sys.stderr)
-    if n_skip:
-        print(f"warning: {n_skip} truncation-sensitive checks skipped at "
-              f"basis_size {config.basis_size}", file=sys.stderr)
-    print(f"validate: {len(results)} checks, {n_fail} failures, {n_skip} skipped",
-          file=sys.stderr)
+    print(f"validate: {len(results)} checks, {n_fail} failures", file=sys.stderr)
     if config.output_path is not None:
         _write_csv(config, ["check", "status", "detail"],
                    [[name, status, '"' + detail.replace('"', '""') + '"']

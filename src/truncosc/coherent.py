@@ -51,7 +51,6 @@ __all__ = [
     "CoherentState",
     "Windows",
     "WINDOWS",
-    "Measure",
     "build_cs",
     "displacement_norm_partial_sums",
     "eigen_residual",
@@ -106,18 +105,6 @@ class CoherentState:
     @property
     def basis(self) -> Basis:
         return WINDOWS[self.family].basis
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Radial density of a candidate resolution-of-identity measure.
-
-    radial_density(r) is the full measure mu(z) evaluated at |z| = r
-    (the d^2 z = r dr dphi factors are supplied by the checker).
-    """
-
-    label: str
-    radial_density: Callable[[float], float]
 
 
 def _raw_amplitudes(family: Family, z: complex, alpha: float,
@@ -213,8 +200,8 @@ def build_cs(family: Family, z: complex, alpha: float = 2.0,
 @dataclass(frozen=True)
 class Windows:
     """A family's basis, the levels its uncertainty expectations sum over
-    (on a partner tower also capped by the truncation) and the levels of
-    the state an entropy scan embeds."""
+    (capped by the truncation) and the levels of the state an entropy scan
+    embeds."""
 
     basis: Basis
     uncertainty_terms: int
@@ -222,9 +209,9 @@ class Windows:
 
     def uncertainty(self, truncation: int) -> tuple[int, int]:
         """(n_terms, Gauss degree of the rule the operator tables use)."""
-        if self.basis == Basis.TRUNCATED:
-            return self.uncertainty_terms, 4 * (self.uncertainty_terms - 1) + 16
         n_terms = min(truncation, self.uncertainty_terms)
+        if self.basis == Basis.TRUNCATED:
+            return n_terms, 4 * (n_terms - 1) + 16
         return n_terms, 4 * (2 * n_terms + 3) + 32
 
 
@@ -280,17 +267,16 @@ def evolve(cs: CoherentState, t: float) -> CoherentState:
 # resolution-of-identity checks
 # ----------------------------------------------------------------------------
 
-def lowering_measure_reference() -> Measure:
+def lowering_measure_reference(r: float) -> float:
     """The |z|^2 e^{-|z|} / (8 pi C^2) candidate density for the lowering family.
 
     Fails the moment test: its diagonal moments come out (2k+3)(2k+2)/4
     instead of 1.  Kept for the documented-deviation check.
     """
-    return Measure("lowering-reference",
-                   lambda r: r * -np.expm1(-2.0 * r) / (16.0 * math.pi))
+    return r * -np.expm1(-2.0 * r) / (16.0 * math.pi)
 
 
-def lowering_measure_corrected() -> Measure:
+def lowering_measure_corrected(r: float) -> float:
     """Corrected lowering-family density e^{-|z|} / (2 pi C^2).
 
     Derived from the moment problem: the diagonal conditions require
@@ -298,20 +284,21 @@ def lowering_measure_corrected() -> Measure:
     inverse Mellin transform of Gamma(s) gives h(r) = e^{-r} / (2 pi).
     The C^2 factor is written out via the closed form C^2 = r / sinh r.
     """
-    return Measure("lowering-corrected",
-                   lambda r: -np.expm1(-2.0 * r) / (4.0 * math.pi * r))
+    return -np.expm1(-2.0 * r) / (4.0 * math.pi * r)
 
 
-def iso_measure() -> Measure:
+def iso_measure(r: float) -> float:
     """Flat density 2/pi for the linearised (alpha = 2) displacement family."""
-    return Measure("iso-flat", lambda r: 2.0 / math.pi)
+    return 2.0 / math.pi
 
 
-def identity_resolution_check(family: Family, measure: Measure,
+def identity_resolution_check(family: Family, density: Callable[[float], float],
                               n_max: int = 10, r_max: float = 40.0,
                               truncation: int = 64) -> float:
     """Max deviation |M_nn - 1| of the resolution-of-identity moments.
 
+    density(r) is the full measure mu(z) of a candidate resolution at
+    |z| = r; the d^2 z = r dr dphi factors are supplied here.
     M_mn = int d^2 z mu(z) <m|z><z|n>; the phase integral kills all
     off-diagonal entries analytically, so only the radial moments
     M_nn = 2 pi int r mu(r) p_n(r) dr are computed, one adaptive quad per
@@ -333,7 +320,7 @@ def identity_resolution_check(family: Family, measure: Measure,
         return weights_at[r]
 
     for n in range(n_max + 1):
-        tail = 2.0 * math.pi * r_max * measure.radial_density(r_max) * level_weights(r_max)[n]
+        tail = 2.0 * math.pi * r_max * density(r_max) * level_weights(r_max)[n]
         if tail > 1e-8:
             raise TailTooFat(
                 f"measure integrand at r_max={r_max} is {tail:.2e} for level {n}")
@@ -341,7 +328,7 @@ def identity_resolution_check(family: Family, measure: Measure,
     deviation = 0.0
     for n in range(n_max + 1):
         val, _ = quad(
-            lambda r: 2.0 * math.pi * r * measure.radial_density(r) * level_weights(r)[n],
+            lambda r: 2.0 * math.pi * r * density(r) * level_weights(r)[n],
             0.0, r_max, limit=200, epsabs=1e-11, epsrel=1e-11)
         deviation = max(deviation, abs(val - 1.0))
     return deviation

@@ -202,9 +202,6 @@ class TwoModeState:
     def cutoff(self) -> int:
         return self.amplitudes.shape[0]
 
-    def fullline_norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class BeamSplitterSetting:

@@ -41,10 +41,6 @@ class IndexOutOfRange(TruncOscError):
     """A level index lies outside the stored truncation."""
 
 
-class UnsupportedBasis(TruncOscError):
-    """No closed form is available in this basis."""
-
-
 class GammaPole(PoleError):
     """A seed-solution coefficient hit a gamma pole with a finite mixing parameter."""
 

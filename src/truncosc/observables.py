@@ -28,12 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coherent import WINDOWS, CoherentState, Family, build_cs
-from .errors import (
-    BasisMismatch,
-    IndexOutOfRange,
-    TruncationTooSmall,
-    UnsupportedBasis,
-)
+from .errors import BasisMismatch, IndexOutOfRange, TruncationTooSmall
 from .fock import Basis, rows, weighted_eigenfunction_derivatives
 from .numerics import (
     QuadratureRule,
@@ -68,7 +63,6 @@ class MatrixElementTable:
 
     kind: ObservableKind
     entries: np.ndarray
-    source: str  # "closed-form" | "quadrature"
     basis: Basis
 
     def __post_init__(self) -> None:
@@ -98,7 +92,6 @@ class UncertaintyRecord:
     sigma_x: float
     sigma_p: float
     product: float
-    truncation: int
 
 
 # ----------------------------------------------------------------------------
@@ -216,29 +209,15 @@ def _quadrature_tables(n_max: int, basis: Basis, rule: QuadratureRule) -> dict:
         entries[kind] = ((raw + raw.T) / 2.0).real.astype(complex)
     for ent in entries.values():
         ent.flags.writeable = False  # the cache hands these to every caller
-    return {kind: MatrixElementTable(kind, ent, "quadrature", basis)
-            for kind, ent in entries.items()}
+    return {kind: MatrixElementTable(kind, ent, basis) for kind, ent in entries.items()}
 
 
-def build_table(kind: ObservableKind, n_max: int, source: str = "quadrature",
-                basis: Basis = Basis.TRUNCATED,
+def build_table(kind: ObservableKind, n_max: int, basis: Basis = Basis.TRUNCATED,
                 rule: Optional[QuadratureRule] = None) -> MatrixElementTable:
-    """Assemble an operator table up to n_max from either source; quadrature
-    tables are looked up among the four of _quadrature_tables."""
+    """The quadrature table of one operator up to n_max, looked up among the
+    four of _quadrature_tables (closed forms are the oracle, through
+    matrix_element_closed and discrepancy_report)."""
     kind = ObservableKind(kind)
-    if source == "closed-form":
-        if basis != Basis.TRUNCATED:
-            raise UnsupportedBasis(f"no closed forms exist in basis {basis}")
-        ent = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        for n in range(n_max + 1):
-            for m in range(n + 1):
-                ent[n, m] = matrix_element_closed(kind, n, m)
-                if n != m:
-                    ent[m, n] = (-np.conj(ent[n, m]) if kind == ObservableKind.P
-                                 else ent[n, m])
-        return MatrixElementTable(kind, ent, "closed-form", basis)
-    if source != "quadrature":
-        raise ValueError(f"unknown source {source!r}")
     if rule is None:
         rule = gauss_halfline(degree=4 * n_max + 16)
     return _quadrature_tables(n_max, Basis(basis), rule)[kind]
@@ -343,5 +322,5 @@ def uncertainty_scan(family: Family, z_moduli: Sequence[float],
         sx = math.sqrt(ex2 - ex * ex)
         sp = math.sqrt(ep2 - ep * ep)
         records.append(UncertaintyRecord(z_modulus=float(r), sigma_x=sx, sigma_p=sp,
-                                         product=sx * sp, truncation=truncation))
+                                         product=sx * sp))
     return records

@@ -1,4 +1,7 @@
+import importlib
 import os
+import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,15 @@ import pytest
 import truncosc
 
 ACCEPTANCE_KEY = pytest.StashKey[list]()
+
+# When a @given test fails, hypothesis's pytest plugin imports its patch
+# writer, whose libcst import warns (mypy_extensions.TypedDict is
+# deprecated); under filterwarnings = "error" that warning escapes the
+# plugin's report hook as an INTERNALERROR and ends the session.  Importing
+# it here, with that warning ignored, leaves the later import nothing to do.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    importlib.import_module("hypothesis.extra._patching")
 
 
 @pytest.fixture

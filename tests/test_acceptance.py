@@ -40,6 +40,7 @@ from truncosc.observables import (
     ObservableKind,
     build_table,
     discrepancy_report,
+    matrix_element_closed,
     matrix_element_quadrature,
     uncertainty_scan,
 )
@@ -102,13 +103,13 @@ def test_criterion_04_lowering_eigenrelation(criterion, rng):
 
 
 def test_criterion_05_resolutions_of_identity(criterion):
-    dev_iso = identity_resolution_check(Family.SUSY_ISO, iso_measure(), n_max=10,
+    dev_iso = identity_resolution_check(Family.SUSY_ISO, iso_measure, n_max=10,
                                         r_max=8.0, truncation=320)
     dev_corrected = identity_resolution_check(
-        Family.LOWERING, lowering_measure_corrected(),
+        Family.LOWERING, lowering_measure_corrected,
         n_max=10, r_max=60.0, truncation=128)
     dev_reference = identity_resolution_check(
-        Family.LOWERING, lowering_measure_reference(),
+        Family.LOWERING, lowering_measure_reference,
         n_max=10, r_max=100.0, truncation=192)
     ok = dev_iso < 1e-6 and dev_corrected < 1e-6 and dev_reference > 1.0
     criterion(5, ok,
@@ -120,8 +121,9 @@ def test_criterion_05_resolutions_of_identity(criterion):
 def test_criterion_06_matrix_elements(criterion):
     worst = 0.0
     for kind in (ObservableKind.X, ObservableKind.P):
-        closed = build_table(kind, 8, source="closed-form").entries
-        quad = build_table(kind, 8, source="quadrature").entries
+        closed = np.array([[matrix_element_closed(kind, n, m) for m in range(9)]
+                           for n in range(9)])
+        quad = build_table(kind, 8).entries
         worst = max(worst, float(np.max(np.abs(closed - quad))))
     spots = (
         abs(matrix_element_quadrature(ObservableKind.X, 0, 0)

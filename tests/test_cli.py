@@ -23,6 +23,7 @@ import pytest
 from truncosc import cli, entangle, numerics, observables, susy
 from truncosc.cli import RunConfig, main
 from truncosc.entangle import EntropyRecord
+from truncosc.fock import Basis
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -118,6 +119,20 @@ def test_uncertainty_scan_columns_and_values(tmp_path, run_cli):
     _, header, rows = read_csv(out)
     assert header == ["z_abs", "sigma_x", "sigma_p", "product"]
     assert float(rows[0][3]) == pytest.approx(0.5528021981, abs=1e-8)
+
+
+def test_uncertainty_below_the_30_level_window_sums_the_kept_levels(tmp_path, run_cli):
+    # a 16-level basis caps the truncated oscillator's 30-level window; up to
+    # |z| = 0.5 the state keeps nothing above level 15, so the scan is the
+    # default basis's to rounding
+    values = []
+    for basis in ("16", "64"):
+        out = tmp_path / f"unc{basis}.csv"
+        res = run_cli(["--command", "uncertainty", "--zmax", "0.5", "--basis", basis,
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        values.append(np.array(read_csv(out)[2], dtype=float))
+    assert np.max(np.abs(values[0] - values[1])) < 1e-11
 
 
 def test_uncertainty_partner_tower_squeezing_flip(tmp_path, run_cli):
@@ -370,9 +385,9 @@ def test_memory_model_bounds_the_traced_peak_of_basis_sized_runs(
         tmp_path, command, family, basis, steps):
     # from empty caches; in density and uncertainty the per-level term
     # dominates the model (two uncertainty points already build one state
-    # next to another, and traced builds are slow), while validate's
-    # basis-independent checks peak above its per-level term.  scipy's
-    # module objects are loaded first, as they are no array of the run
+    # next to another, and traced builds are slow), while validate reads no
+    # basis and is bounded by the fixed term alone.  scipy's module objects
+    # are loaded first, as they are no array of the run
     for module in ("scipy.integrate", "scipy.linalg", "scipy.special"):
         importlib.import_module(module)
     for cache in (numerics.gauss_halfline, observables._quadrature_tables, susy._rationals,
@@ -395,21 +410,17 @@ def test_memory_model_bounds_the_traced_peak_of_basis_sized_runs(
 
 
 def test_readme_quotes_the_largest_accepted_sizes():
-    rows = re.findall(r"^\| (\w+) \| (\d+) \| (\d+|—) \|$",
+    rows = re.findall(r"^\| (\w+) \| (\d+) \| (\d+) \|$",
                       README.read_text(encoding="utf-8"), re.M)
-    assert sorted(command for command, *_ in rows) == [
-        "density", "entropy", "uncertainty", "validate"]
+    assert sorted(command for command, *_ in rows) == ["density", "entropy", "uncertainty"]
     for command, basis, steps in rows:
-        # validate scans no |z| grid, so --steps sizes nothing there
-        assert (int(basis), steps) == (
-            cli._limit(command, "--basis"),
-            "—" if command == "validate" else str(cli._limit(command, "--steps"))), command
+        assert (int(basis), int(steps)) == (
+            cli._limit(command, "--basis"), cli._limit(command, "--steps")), command
 
 
 @pytest.mark.parametrize("flag, command", [
-    *((flag, command) for flag in ("--basis", "--steps")
-      for command in ("density", "uncertainty", "entropy")),
-    ("--basis", "validate")])
+    (flag, command) for flag in ("--basis", "--steps")
+    for command in ("density", "uncertainty", "entropy")])
 def test_help_states_the_largest_accepted_sizes(command, flag):
     limit = cli._limit(command, flag)
     assert f"{limit} for {command}" in " ".join(cli.build_parser().format_help().split())
@@ -424,7 +435,8 @@ def test_help_states_the_largest_accepted_sizes(command, flag):
 @pytest.mark.parametrize("args, minimum", [
     (["--basis", "8"], 43),
     (["--basis", "42"], 43),
-    (["--family", "susy-iso", "--model", "SUSY_Q4"], 67),
+    (["--family", "susy-iso", "--model", "SUSY_Q4"], 78),
+    (["--family", "susy-new", "--model", "SUSY_Q4", "--basis", "77"], 78),
 ])
 def test_entropy_cutoff_below_the_embedded_window_is_a_configuration_error(
         tmp_path, run_cli, args, minimum):
@@ -432,6 +444,17 @@ def test_entropy_cutoff_below_the_embedded_window_is_a_configuration_error(
                    "--out", str(tmp_path / "x.csv")], tmp_path)
     assert res.returncode == 2
     assert f"needs basis_size >= {minimum}" in res.stderr
+
+
+def test_partner_entropy_minimum_is_the_first_cutoff_that_embeds_mode_a():
+    # mode A, the lowest new partner level, must keep 1 - 1e-6 of its norm
+    # in the cutoff's odd levels; cutoffs 76 and 77 hold the same 38
+    def recovered(cutoff):
+        return float(np.sum(entangle._susy_level_projections(Basis.SUSY_NEW, 1, cutoff)[0] ** 2))
+
+    assert recovered(76) < 1.0 - 1e-6 <= recovered(78)
+    assert cli._entropy_min_basis("susy-new") == cli._entropy_min_basis("susy-iso") == 78
+    assert cli._entropy_min_basis("lowering") == 43
 
 
 @pytest.mark.parametrize("args", [
@@ -507,23 +530,15 @@ def test_validate_suite_passes_at_default_basis(tmp_path, run_cli):
     assert len(rows) >= 19
 
 
-def test_validate_skips_truncation_sensitive_checks_at_tiny_basis(tmp_path, run_cli):
-    # only the four checks that read --basis skip; every other row is the
-    # default run's row
-    res = run_cli(["--command", "validate", "--basis", "8",
-                   "--out", str(tmp_path / "v.csv")], tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert "4 skipped" in res.stderr
-    default = run_cli(["--command", "validate", "--out", str(tmp_path / "d.csv")], tmp_path)
-    assert default.returncode == 0, default.stderr
-    tiny_rows = read_csv(tmp_path / "v.csv")[2]
-    default_rows = read_csv(tmp_path / "d.csv")[2]
-    assert [r[0] for r in tiny_rows] == [r[0] for r in default_rows]
-    skipped = {r[0] for r in tiny_rows if r[1] == "SKIP"}
-    assert skipped == {"lowering-norm-closed", "lowering-eigenrelation",
-                       "uncertainty-floor", "linearised-crossing"}
-    assert ([r for r in tiny_rows if r[0] not in skipped]
-            == [r for r in default_rows if r[0] not in skipped])
+def test_validate_rows_do_not_depend_on_the_basis_flag(tmp_path, run_cli):
+    # the suite is fixed: --basis reaches only the CSV's comment line
+    rows = []
+    for basis_args in ([], ["--basis", "8"], ["--basis", "200"]):
+        out = tmp_path / "v.csv"
+        res = run_cli(["--command", "validate", *basis_args, "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows.append(read_csv(out)[1:])
+    assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
 def test_validate_accepts_a_well_formed_seed_config(tmp_path, run_cli):
@@ -572,10 +587,10 @@ def test_validate_fails_a_seed_whose_residual_is_nan(tmp_path, run_cli):
 
 def test_validate_doubles_the_quotes_of_a_detail(tmp_path, run_cli, monkeypatch):
     # a crashed check reports its exception text, which may hold quotes
-    def crash(config):
+    def crash():
         raise ValueError('bad "x", y')
 
-    monkeypatch.setattr(cli, "_CHECKS", (cli._Check("crashes", 0, crash),))
+    monkeypatch.setattr(cli, "_CHECKS", (("crashes", crash),))
     out = tmp_path / "v.csv"
     res = run_cli(["--command", "validate", "--out", str(out)], tmp_path)
     assert res.returncode == 1

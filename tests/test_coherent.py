@@ -255,7 +255,7 @@ def test_state_probability_bounds_check():
 
 def test_corrected_lowering_measure_resolves_identity():
     dev = identity_resolution_check(
-        Family.LOWERING, lowering_measure_corrected(),
+        Family.LOWERING, lowering_measure_corrected,
         n_max=6, r_max=60.0, truncation=128)
     assert dev < 1e-6
 
@@ -263,7 +263,7 @@ def test_corrected_lowering_measure_resolves_identity():
 def test_reference_lowering_measure_deviation_is_large():
     # moments come out (2k+3)(2k+2)/4, so level 6 deviates by ~55
     dev = identity_resolution_check(
-        Family.LOWERING, lowering_measure_reference(),
+        Family.LOWERING, lowering_measure_reference,
         n_max=6, r_max=60.0, truncation=128)
     assert dev == pytest.approx((2 * 6 + 3) * (2 * 6 + 2) / 4.0 - 1.0, rel=1e-6)
 
@@ -277,7 +277,7 @@ def test_identity_check_builds_each_radius_once(monkeypatch):
 
     monkeypatch.setattr(coherent, "build_cs", counting_build_cs)
     dev = identity_resolution_check(
-        Family.LOWERING, lowering_measure_corrected(),
+        Family.LOWERING, lowering_measure_corrected,
         n_max=6, r_max=60.0, truncation=128)
     assert dev < 1e-6
     assert radii and len(radii) == len(set(radii))
@@ -286,26 +286,24 @@ def test_identity_check_builds_each_radius_once(monkeypatch):
 def test_tail_guard_rejects_short_integration_ranges():
     with pytest.raises(TailTooFat):
         identity_resolution_check(
-            Family.LOWERING, lowering_measure_corrected(),
+            Family.LOWERING, lowering_measure_corrected,
             n_max=10, r_max=10.0, truncation=64)
 
 
 def test_flat_measure_density_value():
-    mu = iso_measure()
-    assert mu.radial_density(3.3) == pytest.approx(2.0 / math.pi)
-    assert mu.label == "iso-flat"
+    assert iso_measure(3.3) == pytest.approx(2.0 / math.pi)
 
 
 def test_measure_density_factories_are_distinct():
     # corrected = reference * 4/r^2: they agree only at r = 2 and the
     # reference grows linearly while the correction decays
-    ref = lowering_measure_reference()
-    cor = lowering_measure_corrected()
+    ref = lowering_measure_reference
+    cor = lowering_measure_corrected
     for r in (0.5, 2.0, 10.0):
-        assert ref.radial_density(r) > 0
-        assert cor.radial_density(r) > 0
-    assert ref.radial_density(2.0) == pytest.approx(cor.radial_density(2.0), rel=1e-12)
-    assert ref.radial_density(8.0) > 10.0 * cor.radial_density(8.0)
+        assert ref(r) > 0
+        assert cor(r) > 0
+    assert ref(2.0) == pytest.approx(cor(2.0), rel=1e-12)
+    assert ref(8.0) > 10.0 * cor(8.0)
 
 
 # ----------------------------------------------------------------------------
@@ -390,6 +388,7 @@ def test_windows_hold_the_scan_windows_of_every_family():
     windows = coherent.WINDOWS
     assert set(windows) == set(Family)
     assert windows[Family.LOWERING].uncertainty(64) == (30, 132)
+    assert windows[Family.LOWERING].uncertainty(16) == (16, 76)
     assert windows[Family.SUSY_ISO].uncertainty(64) == (48, 4 * 99 + 32)
     assert windows[Family.SUSY_ISO].uncertainty(40) == (40, 4 * 83 + 32)
     assert windows[Family.SUSY_NEW].uncertainty(64) == (2, 60)

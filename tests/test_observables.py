@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from truncosc.coherent import CoherentState, Family, build_cs
-from truncosc.errors import BasisMismatch, TruncationTooSmall, UnsupportedBasis
+from truncosc.errors import BasisMismatch, TruncationTooSmall
 from truncosc.fock import Basis
 from truncosc.numerics import gauss_halfline
 from truncosc.observables import (
@@ -118,11 +118,10 @@ def test_table_fill_conventions():
 
 def test_closed_and_quadrature_sources_agree_for_x_and_p():
     for kind in (ObservableKind.X, ObservableKind.P):
-        closed = build_table(kind, 8, source="closed-form")
-        quad = build_table(kind, 8, source="quadrature")
-        assert np.max(np.abs(closed.entries - quad.entries)) < 1e-8
-    with pytest.raises(ValueError):
-        build_table(ObservableKind.X, 4, source="interpolation")
+        closed = np.array([[matrix_element_closed(kind, n, m) for m in range(9)]
+                           for n in range(9)])
+        quad = build_table(kind, 8)
+        assert np.max(np.abs(closed - quad.entries)) < 1e-8
 
 
 def test_discrepancy_report_flags_only_p2_near_diagonal_entries():
@@ -188,12 +187,12 @@ def _expectation_cases(draw):
     real = draw(arrays(np.float64, (size, size), elements=_ENTRIES))
     if draw(st.booleans()):
         table = MatrixElementTable(ObservableKind.X2, (real + real.T).astype(complex),
-                                   "quadrature", Basis.TRUNCATED)
+                                   Basis.TRUNCATED)
     else:
         imag = draw(arrays(np.float64, (size, size), elements=_ENTRIES))
         lower = np.tril(real + 1j * imag, -1)
         table = MatrixElementTable(ObservableKind.P, lower - np.conj(lower).T,
-                                   "quadrature", Basis.TRUNCATED)
+                                   Basis.TRUNCATED)
     c = np.zeros(size, dtype=complex)
     c[:n_terms] = draw(arrays(np.complex128, n_terms, elements=st.complex_numbers(
         max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
@@ -232,7 +231,6 @@ def test_quadrature_tables_match_single_element_quadrature():
     rule = gauss_halfline(degree=4 * 6 + 16)
     for kind in (ObservableKind.X, ObservableKind.X2, ObservableKind.P, ObservableKind.P2):
         table = build_table(kind, 6, rule=rule)
-        assert table.source == "quadrature"
         for n in range(7):
             for m in range(n + 1):
                 assert table.entries[n, m] == pytest.approx(
@@ -245,8 +243,6 @@ def test_partner_tables_come_from_rows_and_single_elements_do_not():
     assert np.all(np.diag(table.entries).real > 0.0)
     with pytest.raises(TypeError):
         matrix_element_quadrature(ObservableKind.X, 0, 0, basis=Basis.SUSY_ISO)
-    with pytest.raises(UnsupportedBasis):
-        build_table(ObservableKind.X, 5, source="closed-form", basis=Basis.SUSY_ISO)
 
 
 # ----------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def test_new_state_level_populations_saturate():
 # ----------------------------------------------------------------------------
 
 def test_iso_flat_measure_resolves_identity():
-    assert identity_resolution_check(Family.SUSY_ISO, iso_measure(), n_max=10,
+    assert identity_resolution_check(Family.SUSY_ISO, iso_measure, n_max=10,
                                      r_max=8.0, truncation=320) < 1e-6
 
 
