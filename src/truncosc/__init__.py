@@ -13,7 +13,6 @@ deterministic CSV scans plus a validation suite.
 """
 from .errors import (
     BasisMismatch,
-    ContourError,
     CutoffExceeded,
     DivergenceError,
     ExpansionResidualTooLarge,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "TruncOscError", "DivergenceError", "PoleError", "ContourError",
+    "TruncOscError", "DivergenceError", "PoleError",
     "NonConvergence", "BasisMismatch",
     "NotNormalizable", "TruncationTooSmall", "FamilyMismatch",
     "IndexOutOfRange", "GammaPole",

@@ -210,6 +210,11 @@ class RunConfig:
             raise ConfigError("z_min must not exceed z_max")
         if self.z_min < 0.0:
             raise ConfigError("z moduli must be non-negative")
+        # the displacement norm series has term ratio 4|z|^2 in the limit
+        if (self.family == Family.DISPLACEMENT.value and self.command != "validate"
+                and self.z_max >= 0.5):
+            raise ConfigError(f"family displacement exists for |z| < 1/2 only (the "
+                              f"radius of its norm series); got --zmax {self.z_max:g}")
         if not (0.0 <= self.theta < math.pi):
             raise ConfigError("theta must lie in [0, pi)")
         if self.command != "validate" and self.output_path is None:
@@ -570,7 +575,7 @@ def _check_entropy_theta0():
 
 
 def _check_new_measure():
-    dev = _susy.new_measure_check(n_max=4, r_max=20.0)
+    dev = _susy.new_measure_check()
     return "REPORT", (f"radial kernel reproduces the required moments; the "
                       f"positivity defect of the printed density is {dev:.1f} "
                       f"(sign-alternating weights; expected discrepancy)")

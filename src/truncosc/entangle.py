@@ -123,9 +123,8 @@ def halfline_overlap(alpha: int, beta: int, method: str = "auto") -> float:
         if method == "closed":
             raise ValueError("closed form hits a Gamma pole; use quadrature")
         return _overlap_quadrature(alpha, beta)
-    from scipy.special import gamma as _gamma
     f = hyp2f1_terminating(-alpha, -beta, c, 0.5)
-    return float(math.sqrt(math.pi) * f / (2.0 ** (1 - alpha - beta) * _gamma(c)))
+    return float(math.sqrt(math.pi) * f / (2.0 ** (1 - alpha - beta) * math.gamma(c)))
 
 
 @dataclass(frozen=True)

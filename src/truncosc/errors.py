@@ -13,10 +13,6 @@ class PoleError(TruncOscError):
     """A function was evaluated at (or its series ran into) a gamma pole."""
 
 
-class ContourError(TruncOscError):
-    """A Mellin-Barnes contour integrand did not decay at the truncation ends."""
-
-
 class NonConvergence(TruncOscError):
     """Adaptive quadrature stalled before reaching the requested tolerance."""
 

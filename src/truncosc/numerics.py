@@ -2,9 +2,11 @@
 
 Everything downstream (eigenfunctions, coherent-state norms, measures,
 SUSY seeds) is built on the routines here: plain series evaluations of the
-hypergeometric family, a signed log-gamma, rising factorials as explicit
-products (never gamma quotients), a Mellin-Barnes evaluator for the
-G^{2,0}_{1,2} kernel, and a Gauss rule on (0, inf).
+hypergeometric family, a signed log-gamma from math.lgamma, rising
+factorials as explicit products (never gamma quotients), and a Gauss rule
+on (0, inf).  The G^{2,0}_{1,2} radial kernel of the finite-tower measure
+needs no evaluator: for the frozen model it is a Laguerre polynomial
+times e^{-t}, and susy.new_measure_check takes its moments exactly.
 """
 from __future__ import annotations
 
@@ -14,12 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ContourError,
-    DivergenceError,
-    NonConvergence,
-    PoleError,
-)
+from .errors import DivergenceError, NonConvergence, PoleError
 
 __all__ = [
     "QuadratureRule",
@@ -28,21 +25,15 @@ __all__ = [
     "hyp2f2",
     "log_gamma_signed",
     "rising_factorial",
-    "meijer_g_2012",
     "gauss_halfline",
     "gauss_halfline_size",
 ]
 
 
 # Series stop rule: a relative term size below _SERIES_TOLERANCE twice in a
-# row, within a hard budget of _MAX_TERMS terms.  The Mellin-Barnes contour
-# runs at Re s = max(1, 1 - a1) + _MELLIN_OFFSET with _MELLIN_NODES
-# trapezoid points on Im s in [0, _MELLIN_HALF_WIDTH], mirrored.
+# row, within a hard budget of _MAX_TERMS terms.
 _SERIES_TOLERANCE = 1e-15
 _MAX_TERMS = 512
-_MELLIN_OFFSET = 0.5
-_MELLIN_HALF_WIDTH = 40.0
-_MELLIN_NODES = 513
 
 
 def _is_nonpositive_integer(a: float) -> bool:
@@ -146,12 +137,15 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float) -> float:
 
 
 def log_gamma_signed(x: float) -> tuple[float, float]:
-    """Return (log|Gamma(x)|, sign(Gamma(x))) for real x off the poles."""
+    """Return (log|Gamma(x)|, sign(Gamma(x))) for real x off the poles.
+
+    Gamma is negative exactly on the intervals (-1, 0), (-3, -2), ...,
+    where floor(x) is odd.
+    """
     if _is_nonpositive_integer(x):
         raise PoleError(f"Gamma pole at {x}")
-    # imported here so that loading the package does not pay for scipy.special
-    from scipy import special as sps
-    return float(sps.gammaln(x)), float(sps.gammasgn(x))
+    sign = -1.0 if x < 0 and math.floor(x) % 2 else 1.0
+    return math.lgamma(x), sign
 
 
 def rising_factorial(a: float, j: int) -> float:
@@ -166,49 +160,6 @@ def rising_factorial(a: float, j: int) -> float:
     for i in range(j):
         out *= a + i
     return out
-
-
-# ----------------------------------------------------------------------------
-# Meijer G^{2,0}_{1,2}(x | a1; 0, 0) via a Mellin-Barnes contour
-# ----------------------------------------------------------------------------
-
-def meijer_g_2012(a1: float, x, contour_re: float | None = None):
-    """G^{2,0}_{1,2}(x | a1; 0, 0) = (1/2*pi*i) int Gamma(s)^2/Gamma(a1+s) x^{-s} ds.
-
-    The contour is the vertical line Re s = max(1, 1 - a1) + offset,
-    truncated at |Im s| = _MELLIN_HALF_WIDTH (ContourError unless the
-    integrand has decayed there) and sampled with a trapezoid rule.  The
-    kernel is the real part, which is even in Im s (the integrand at
-    conj(s) is the conjugate), so exp(Re) cos(Im) of the log integrand is
-    summed over Im s >= 0 and doubled.  Accepts scalar or 1-d array x > 0.
-
-    The integrand is analytic for Re s > 0, so any contour_re > 0 gives
-    the same value; pass a small one (e.g. 0.5) when x is tiny, where the
-    default line loses digits to the x^{-Re s} factor.
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ValueError("x must be positive")
-    if contour_re is not None:
-        if contour_re <= 0:
-            raise ValueError("contour_re must be positive")
-        c = float(contour_re)
-    else:
-        c = max(1.0, 1.0 - a1) + _MELLIN_OFFSET
-    # imported here so that loading the package does not pay for scipy.special
-    from scipy import special as sps
-    t = np.linspace(0.0, _MELLIN_HALF_WIDTH, _MELLIN_NODES)
-    s = c + 1j * t
-    log_gamma = 2.0 * sps.loggamma(s) - sps.loggamma(a1 + s)
-    log_x = np.log(x_arr)
-    mag = np.exp(log_gamma.real[:, None] - c * log_x)
-    vals = mag * np.cos(log_gamma.imag[:, None] - np.outer(t, log_x))
-    peak = np.max(mag, axis=0)
-    if np.any(mag[-1] > 1e-12 * np.maximum(peak, 1e-300)):
-        raise ContourError("Mellin-Barnes integrand has not decayed at "
-                           f"Im s = +-{_MELLIN_HALF_WIDTH:g}")
-    out = np.trapezoid(vals, t, axis=0) / np.pi
-    return out if np.ndim(x) else float(out[0])
 
 
 # ----------------------------------------------------------------------------
@@ -237,16 +188,11 @@ class QuadratureRule:
             raise ValueError("weights must be strictly positive")
 
 
-# The Gauss-Legendre rules on [-1, 1] of the two panel sizes in use: 12 points
-# (susy's Mellin kernel rule) and 24 (gauss_halfline).  The entries are the
-# positive nodes and their weights, exact float literals of
-# scipy.special.roots_legendre(q); its rules are exactly symmetric, so the
-# negative half is the mirror image.
+# The Gauss-Legendre rule on [-1, 1] of the panel size in use: 24 points
+# (gauss_halfline).  The entries are the positive nodes and their weights,
+# exact float literals of scipy.special.roots_legendre(q); its rules are
+# exactly symmetric, so the negative half is the mirror image.
 _LEGENDRE_HALF = {
-    12: ((0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
-          0.7699026741943047, 0.9041172563704749, 0.9815606342467192),
-         (0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
-          0.16007832854334608, 0.10693932599531782, 0.04717533638651319)),
     24: ((0.06405689286260563, 0.19111886747361626, 0.31504267969616334,
           0.4337935076260452, 0.5454214713888395, 0.6480936519369755,
           0.7401241915785544, 0.820001985973903, 0.8864155270044011,
@@ -264,17 +210,6 @@ def _legendre_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"no frozen {q}-point Gauss-Legendre rule")
     half_x, half_w = (np.array(v) for v in _LEGENDRE_HALF[q])
     return np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
-
-
-def _panel_rule(edges: np.ndarray, points_per_panel: int):
-    """Composite Gauss-Legendre nodes/weights over consecutive edges."""
-    xs, ws = _legendre_nodes(points_per_panel)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (half * (xs[None, :] + 1.0) + lo).ravel()
-    weights = (half * ws[None, :]).ravel()
-    return nodes, weights
 
 
 def _halfline_panels(degree: int) -> tuple[float, int]:
@@ -308,8 +243,11 @@ def gauss_halfline(degree: int = 200) -> QuadratureRule:
     """
     x_max, n_panels = _halfline_panels(degree)
     edges = np.linspace(0.0, x_max, n_panels + 1)
-    nodes, weights = _panel_rule(edges, 24)
-    weights = weights * np.exp(-nodes * nodes)
+    xs, ws = _legendre_nodes(24)
+    lo = edges[:-1][:, None]
+    half = 0.5 * (edges[1:][:, None] - lo)
+    nodes = (half * (xs[None, :] + 1.0) + lo).ravel()
+    weights = (half * ws[None, :]).ravel() * np.exp(-nodes * nodes)
     keep = weights > 0.0
     nodes, weights = nodes[keep], weights[keep]
 

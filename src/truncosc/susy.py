@@ -43,14 +43,7 @@ import numpy as np
 
 from .errors import GammaPole, IndexOutOfRange, SingularWronskian
 from .fock import Basis, level_energy, rows
-from .numerics import (
-    _panel_rule,
-    hyp1f1,
-    hyp2f2,
-    log_gamma_signed,
-    meijer_g_2012,
-    rising_factorial,
-)
+from .numerics import hyp1f1, hyp2f2, log_gamma_signed, rising_factorial
 
 __all__ = [
     "SeedSolution",
@@ -60,7 +53,6 @@ __all__ = [
     "susy_ladder_action",
     "new_norm_constant_closed",
     "new_measure_check",
-    "g_moment",
     "Q4_SEED_ENERGIES",
     "Q4_SEED_ASYMMETRY",
     "Q4_SEEDS",
@@ -472,93 +464,43 @@ def new_norm_constant_closed(z: complex) -> float:
     return float(first - second)
 
 
-# Layout of the fixed kernel rule: geometric panels with edges 2^-20 .. 1
-# absorb the log singularity of G at t -> 0; uniform panels in u = sqrt(t)
-# cover [1, min(t_max, 64)].  G decays like t^-a1 e^-t, so for j <= 5 and
-# a1 >= -4 the moments lose less than 1e-15 relative beyond t = 64.
-# Kernel values are computed 32 nodes per meijer_g_2012 call so each
-# (contour nodes x chunk) temporary stays near 130 kB.
-_KERNEL_POINTS = 12
-_KERNEL_DEPTH = 20
-_KERNEL_OUTER_PANELS = 12
-_KERNEL_T_END = 64.0
-_KERNEL_CHUNK = 32
+def _kernel_moment(j: int) -> int:
+    """int_0^inf t^j G(t) dt of the radial kernel G(t) = G^{2,0}_{1,2}(t | a1; 0, 0).
 
-
-def _kernel_values(a1: float, t: np.ndarray, contour_re: Optional[float]) -> np.ndarray:
-    return np.concatenate([
-        meijer_g_2012(a1, t[i:i + _KERNEL_CHUNK], contour_re=contour_re)
-        for i in range(0, t.size, _KERNEL_CHUNK)])
-
-
-def _kernel_rule(a1: float, t_max: float):
-    """Nodes t, weights w and G(t) on a fixed composite Gauss-Legendre rule.
-
-    sum(w * t^j * G) approximates int_0^t_max t^j G^{2,0}_{1,2}(t | a1; 0, 0) dt.
-    On (0, 1] the kernel is taken on the low contour Re s = 0.6 (the
-    default contour loses digits to cancellation as t -> 0); on
-    [1, min(t_max, 64)] on the default one.  The rule reproduces
-    (j!)^2 / Gamma(a1 + j + 1) to better than 1e-8 relative for j <= 4 at
-    a1 in {1.5, 0.5, -2.5, -4}.
+    For the frozen model a1 = -(delta1 + 2)/2 = -m with m = 4, and
+    G(t) = e^{-t} U(-m, 1, t) = m! e^{-t} L_m(t) (DLMF sections 13.10, 18.5),
+    so the moment is the exact integer m! sum_k C(m, k) (-1)^k (j + k)! / k!.
     """
-    if t_max <= 1.0:
-        raise ValueError("t_max must exceed 1")
-    inner = np.concatenate(([0.0], 2.0 ** np.arange(-_KERNEL_DEPTH, 1.0)))
-    t_lo, w_lo = _panel_rule(inner, _KERNEL_POINTS)
-    outer = np.linspace(1.0, math.sqrt(min(t_max, _KERNEL_T_END)),
-                        _KERNEL_OUTER_PANELS + 1)
-    u, w_u = _panel_rule(outer, _KERNEL_POINTS)
-    t_hi, w_hi = u * u, 2.0 * u * w_u
-    g = np.concatenate((_kernel_values(a1, t_lo, 0.6),
-                        _kernel_values(a1, t_hi, None)))
-    return np.concatenate((t_lo, t_hi)), np.concatenate((w_lo, w_hi)), g
+    m = int(DELTA1 + 2.0) // 2
+    return math.factorial(m) * sum(
+        math.comb(m, k) * (-1) ** k * math.factorial(j + k) // math.factorial(k)
+        for k in range(m + 1))
 
 
-def g_moment(j: int, a1: float, t_max: float = 900.0) -> float:
-    """int_0^t_max t^j G(t) dt for the Mellin-contour kernel at parameter a1.
-
-    Evaluated on the fixed kernel rule (_kernel_rule): 396 nodes, with
-    the kernel computed in vectorized chunks rather than once per
-    adaptive quadrature node.
-    """
-    t, w, g = _kernel_rule(a1, t_max)
-    return float(w @ (t ** j * g))
-
-
-def new_measure_check(n_max: int = 5, r_max: float = 20.0) -> float:
+def new_measure_check() -> float:
     """Deviation of the finite-tower measure's diagonal moments from 1.
 
     The printed measure carries a Gamma(-delta1/2) prefactor that is a
     pole for the explicit model; folding it against Gamma(j - delta1/2)
     analytically (their ratio is 1/(-delta1/2)_j) leaves
     M_jj = |(-d/2)_j| / (-d/2)_j, i.e. the SIGN of the rising factorial.
-    The kernel moments int t^j G dt = (j!)^2 / Gamma(j - d/2) are checked
-    numerically to 1e-4 before the fold is trusted; the kernel rule is
-    built once and every moment is read off it.  Off-diagonal moments
+    The fold is trusted only after the exact kernel moments j = 0..5 are
+    checked against (j!)^2 / Gamma(j - d/2) to 1e-12.  Off-diagonal moments
     vanish by the phase integral.  Returns max_j |M_jj - 1| over the
     finite tower's levels (reported, not patched: the value 2 for the
     explicit model documents the signed measure's failure against honest
-    probabilities); it does not depend on n_max, which only sets the
-    highest kernel moment checked.  The kernel rule's cut tail is verified
-    negligible for moments 0..5 alone, so n_max outside 0..5 raises
-    ValueError.
+    probabilities).
     """
-    if not 0 <= n_max <= 5:
-        raise ValueError(f"n_max must lie in 0..5, the kernel moments the rule "
-                         f"is verified for; got {n_max}")
     d = DELTA1
-    a1 = -(d + 2.0) / 2.0
-    t_max = min(900.0, 2.0 * r_max * r_max)
-    t, w, g = _kernel_rule(a1, t_max)
-    for j in range(n_max + 1):
+    for j in range(6):
         target = 0.0
         arg = j - d / 2.0
         if not _is_nonpositive_integer(arg):
             log_gamma, sign = log_gamma_signed(arg)
             target = math.factorial(j) ** 2 * sign * math.exp(-log_gamma)
-        got = float(w @ (t ** j * g))
+        got = _kernel_moment(j)
         scale = max(1.0, abs(target))
-        if abs(got - target) > 1e-4 * scale:
+        if abs(got - target) > 1e-12 * scale:
             raise ValueError(
                 f"kernel moment {j} is {got:.6g}, expected {target:.6g}")
     deviation = 0.0
@@ -567,4 +509,3 @@ def new_measure_check(n_max: int = 5, r_max: float = 20.0) -> float:
         m_jj = abs(poch) / poch
         deviation = max(deviation, abs(m_jj - 1.0))
     return deviation
-

@@ -150,11 +150,26 @@ def test_uncertainty_partner_tower_squeezing_flip(tmp_path, run_cli):
 
 
 def test_uncertainty_divergent_family_reports_numerical_failure(tmp_path, run_cli):
+    # labels past the displacement disk are outside the family's domain, so
+    # the configuration is rejected before any state is built
+    out = tmp_path / "x.csv"
     res = run_cli(["--command", "uncertainty", "--family", "displacement",
                    "--zmin", "0.55", "--zmax", "0.6", "--steps", "2",
-                   "--out", str(tmp_path / "x.csv")], tmp_path)
-    assert res.returncode == 3
-    assert "numerical failure" in res.stderr
+                   "--out", str(out)], tmp_path)
+    assert res.returncode == 2
+    assert "1/2" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["density", "uncertainty", "entropy"])
+def test_displacement_scans_end_inside_the_radius_one_half(tmp_path, run_cli, command):
+    out = tmp_path / "x.csv"
+    args = ["--command", command, "--family", "displacement", "--steps", "2", "--out", str(out)]
+    res = run_cli([*args, "--zmax", "0.5"], tmp_path)
+    assert res.returncode == 2
+    assert "|z| < 1/2" in res.stderr
+    res = run_cli([*args, "--zmax", "0.1"], tmp_path)
+    assert res.returncode == 0, res.stderr
 
 
 # ----------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The package's public surface: exported names resolve, imports are used,
-nothing is defined or recorded that nothing reads, the modules import each
-other without a cycle, the benchmark's self-test passes, and a failing
-property test fails alone.
+nothing is defined or recorded that nothing reads, every error type is
+raised or subclassed, scipy.special is never imported, the modules import
+each other without a cycle, the benchmark's self-test passes, and a
+failing property test fails alone.
 
 No linter ships with the toolchain, so these checks stand in for one.
 The unused-import check also covers the tests and the demos.
@@ -119,6 +120,37 @@ def test_no_module_level_scipy_import():
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_no_module_imports_scipy_special():
+    # the gamma functions come from math, so scipy.special is not imported
+    # anywhere in the package, not even inside a function
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n == "scipy.special" or n.startswith("scipy.special.")]
+    assert found == []
+
+
+def test_every_error_type_is_raised_or_subclassed():
+    # an error class that nothing raises and nothing derives from is a leftover
+    classes = [node for node in ast.parse((PACKAGE_DIR / "errors.py").read_text(
+        encoding="utf-8")).body if isinstance(node, ast.ClassDef)]
+    bases = {b.id for cls in classes for b in cls.bases if isinstance(b, ast.Name)}
+    raised = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= set(_read_names(exc))
+    assert [cls.name for cls in classes if cls.name not in raised | bases] == []
 
 
 def _package_imports(node: ast.AST) -> list:

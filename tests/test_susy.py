@@ -8,6 +8,7 @@ delta1 = 6 to the half-line tower bottom.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +29,7 @@ from truncosc.susy import (
     Q4_SEED_ENERGIES,
     Q4_SEEDS,
     SeedSolution,
-    g_moment,
+    _kernel_moment,
     new_measure_check,
     new_norm_constant_closed,
     potential,
@@ -335,36 +336,35 @@ def test_iso_flat_measure_resolves_identity():
 def test_new_measure_defect_is_exactly_two():
     # the finite-tower measure folds to sign((-3)_j) on the diagonal, so
     # the j = 1 moment is -1 and the defect |M_11 - 1| = 2 is structural
-    assert new_measure_check(n_max=4) == 2.0
+    assert new_measure_check() == 2.0
 
 
-@pytest.mark.parametrize("n_max", [-1, 6, 50])
-def test_new_measure_check_rejects_moments_outside_its_verified_range(n_max):
-    # the kernel rule's cut tail is verified for moments 0..5 only, so any
-    # other n_max must fail loudly rather than be clipped
-    with pytest.raises(ValueError, match=r"0\.\.5"):
-        new_measure_check(n_max=n_max)
+@pytest.mark.parametrize("t", [1e-3, 0.3, 1.0, 5.0, 20.0, 60.0])
+def test_radial_kernel_is_a_laguerre_polynomial_times_exp(t):
+    # G^{2,0}_{1,2}(t | a1; 0, 0) at the frozen model's a1 = -(delta1 + 2)/2,
+    # which _kernel_moment integrates in closed form
+    a1 = -(DELTA1 + 2.0) / 2.0
+    assert a1 == -4.0
+    with mpmath.workdps(30):
+        expected = mpmath.meijerg([[], [a1]], [[0, 0], []], t)
+        closed = 24 * mpmath.exp(-t) * mpmath.laguerre(4, 0, t)
+        assert abs(closed - expected) <= 1e-25 * abs(expected)
 
 
-def test_kernel_moment_spot_value():
-    # int t^j G dt = (j!)^2 / Gamma(j - 3): j = 4 gives 576, j in 0..3
-    # hit the Gamma poles and integrate to zero
-    assert g_moment(4, -4.0) == pytest.approx(576.0, rel=1e-4)
-    assert abs(g_moment(1, -4.0)) < 1e-4
-
-
-@pytest.mark.parametrize("a1", [1.5, 0.5, -2.5, -4.0])
-@pytest.mark.parametrize("j", [0, 2, 4])
-def test_kernel_moments_match_the_gamma_closed_form(a1, j):
-    # int_0^inf t^j G(t | a1; 0, 0) dt = Gamma(j + 1)^2 / Gamma(a1 + j + 1);
-    # the tail beyond t = 800 is below exp(-56)
-    got = g_moment(j, a1, t_max=800.0)
-    arg = a1 + j + 1
-    if arg <= 0 and arg == math.floor(arg):
-        assert abs(got) <= 1e-10
-    else:
-        expected = math.gamma(j + 1) ** 2 / math.gamma(arg)
-        assert got == pytest.approx(expected, rel=1e-6)
+def test_kernel_moments_are_exact_and_match_the_gamma_closed_form():
+    # int_0^inf t^j G dt = (j!)^2 / Gamma(j - 3): j in 0..3 hit the Gamma
+    # poles and integrate to zero, j = 4 and 5 give 576 and 14400; the
+    # integrals run over the Laguerre form checked against meijerg above
+    moments = [_kernel_moment(j) for j in range(6)]
+    assert moments == [0, 0, 0, 0, 576, 14400]
+    assert all(isinstance(m, int) for m in moments)
+    with mpmath.workdps(30):
+        for j, m in enumerate(moments):
+            assert m == mpmath.factorial(j) ** 2 * mpmath.rgamma(j - DELTA1 / 2)
+            integral = mpmath.quad(
+                lambda t: t ** j * 24 * mpmath.exp(-t) * mpmath.laguerre(4, 0, t),
+                [0, mpmath.inf])
+            assert abs(integral - m) <= 1e-20 * max(1, m)
 
 
 def test_pochhammer_fold_identity():
