@@ -20,7 +20,7 @@ from truncosc.coherent import (
 )
 from truncosc.errors import GammaPole, IndexOutOfRange, SingularWronskian
 from truncosc.fock import Basis, level_energy, rows
-from truncosc.numerics import gauss_halfline, rising_factorial
+from truncosc.numerics import gauss_halfline, log_gamma_signed, rising_factorial
 from truncosc.susy import (
     _DEN,
     DELTA1,
@@ -365,6 +365,38 @@ def test_kernel_moments_are_exact_and_match_the_gamma_closed_form():
                 lambda t: t ** j * 24 * mpmath.exp(-t) * mpmath.laguerre(4, 0, t),
                 [0, mpmath.inf])
             assert abs(integral - m) <= 1e-20 * max(1, m)
+
+
+def test_kernel_moment_spot_value():
+    # int t^j G dt = (j!)^2 / Gamma(j - 3): j = 4 gives 576, j in 0..3
+    # hit the Gamma poles and integrate to zero
+    assert _kernel_moment(4) == 576
+    assert _kernel_moment(1) == 0
+
+
+@pytest.mark.parametrize("a1", [1.5, 0.5, -2.5, -4.0])
+@pytest.mark.parametrize("j", [0, 2, 4])
+def test_kernel_moments_match_the_gamma_closed_form(a1, j):
+    # int_0^inf t^j G(t | a1; 0, 0) dt = Gamma(j + 1)^2 / Gamma(a1 + j + 1),
+    # the identity new_measure_check relies on at a1 = -4, checked with
+    # log_gamma_signed over non-integer a1 too; G(t) = e^{-t} U(a1, 1, t)
+    # is checked against meijerg and integrated in that form
+    def kernel(t):
+        return mpmath.exp(-t) * mpmath.hyperu(a1, 1, t)
+
+    for t in (0.5, 5.0):
+        expected = mpmath.meijerg([[], [a1]], [[0, 0], []], t)
+        assert abs(kernel(t) - expected) <= 1e-13 * abs(expected)
+    got = float(mpmath.quad(lambda t: t ** j * kernel(t), [0, 1, mpmath.inf]))
+    arg = a1 + j + 1
+    if arg <= 0 and arg == math.floor(arg):
+        expected = 0.0
+    else:
+        log_gamma, sign = log_gamma_signed(arg)
+        expected = math.factorial(j) ** 2 * sign * math.exp(-log_gamma)
+    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+    if a1 == -(DELTA1 + 2.0) / 2.0:
+        assert _kernel_moment(j) == expected
 
 
 def test_pochhammer_fold_identity():
