@@ -12,9 +12,8 @@ basis size, and the tool version, followed by a header row; identical
 configs rerun to byte-identical files (fixed grids, fixed float
 formatting, no timestamps).  Scan points are mutually independent and
 are assembled in index order, so the output does not depend on
-evaluation order; shared tables (Gram matrices, splitter eigenpairs per
-block total, partner-tower projections, operator tables) are built once
-and reused immutably.
+evaluation order; shared tables (Gram matrices, partner-tower
+projections, operator tables) are built once and reused immutably.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.  All progress and diagnostics go to standard
@@ -53,13 +52,12 @@ from .coherent import (
 )
 from .entangle import (
     BeamSplitterSetting,
-    beamsplitter_apply,
     beamsplitter_block,
     beamsplitter_block_bch,
     beamsplitter_block_oracle,
-    TwoModeState,
     entropy_scan,
     halfline_overlap,
+    points_per_sweep,
 )
 from .errors import DivergenceError, SingularWronskian, TruncOscError
 from .fock import Basis, level_energy, rows as eigen_rows
@@ -89,8 +87,8 @@ _DENSITY_X_MAX = 12.0
 
 # Memory a run may hold in all; entropy at basis 80, the largest run in the
 # benchmark, peaks at about 25 MB (tracemalloc) while building its refined
-# Gram matrix, whose two Hermite tables are freed before the splitter
-# eigenvector cache fills to 18 MB.
+# Gram matrix, whose two Hermite tables are freed before the splitter sweep
+# fills its state stacks (12 MB for 9 points; at most 16 MiB).
 _MEMORY_BUDGET = 1 << 30
 
 # Bytes a run keeps per |z| point besides its state (record, CSV row and text;
@@ -129,15 +127,14 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     density keeps (24 bytes a level).  Entropy's states span its window,
     not the basis; with c = int(1.5 basis) its refined cutoff and P = 2c - 1
     its padded size, it peaks either in `gram_matrix(P)`, which
-    `entropy_scan` runs before any splitter solve, holding two P x N Hermite tables (h and
-    h * w, N the nodes of its rule), or at the solve of the largest total,
-    P levels.  There the eigenvector cache is full, one real (t+1)^2 matrix
-    per even total t <= 2c - 2, 8 c (4 c^2 - 1) / 3 bytes in all; the solve
-    adds the dense generator, LAPACK's copy of it and dsyevd's
-    1 + 6P + 2P^2 real and 3 + 5P integer workspace, about 32 P^2 bytes;
-    and the P x P two-mode matrix is live.  The two peaks are added, which
-    also covers the small arrays each leaves out (Gram matrices, the
-    rotated two-mode matrix, quadrature rules, the states).
+    `entropy_scan` runs first, holding two P x N Hermite tables (h and
+    h * w, N the nodes of its rule), or in a splitter sweep.  A sweep holds
+    the two-mode states of `points_per_sweep` points at once, 16 (2b - 1)^2
+    bytes for each cutoff b of a point, and its transients: a boolean mask
+    of the states (1/16 of their bytes) and at most 64 P^2 bytes of Risbo
+    tables, blocks and products (about 52 P^2 traced).  The two peaks are
+    added, which also covers the small arrays each leaves out (Gram
+    matrices, quadrature rules, the reduction's products).
     """
     total = _POINT_BYTES.get(command, 0) * steps
     if command != "entropy":
@@ -145,11 +142,10 @@ def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
         return total + _FIXED_BYTES + (_LEVEL_BYTES.get(command, 0) + kept) * basis
     refined = int(basis * 1.5)
     padded = 2 * refined - 1
-    solve = 8 * (2 * padded * padded + (1 + 6 * padded + 2 * padded * padded)
-                 + (3 + 5 * padded))
-    return (total + 16 * padded * padded
-            + 16 * padded * gauss_halfline_size(2 * padded + 16)
-            + 8 * refined * (4 * refined * refined - 1) // 3 + solve)
+    states = (min(steps, points_per_sweep(basis))
+              * 16 * ((2 * basis - 1) ** 2 + padded * padded))
+    return (total + 16 * padded * gauss_halfline_size(2 * padded + 16)
+            + states + states // 16 + 64 * padded * padded)
 
 
 def _entropy_min_basis(family) -> int:
@@ -539,10 +535,8 @@ def _check_beamsplitter():
             beamsplitter_block(total, setting.theta, setting.phi) - oracle))))
         worst_bch = max(worst_bch, float(np.max(np.abs(
             beamsplitter_block_bch(total, setting.theta, setting.phi) - oracle))))
-    amps = np.zeros((4, 4), dtype=complex)
-    amps[1, 1] = 1.0
-    out = beamsplitter_apply(TwoModeState(amps), setting).amplitudes
-    hom = abs(out[1, 1])
+    # the Hong-Ou-Mandel null |<1,1|U|1,1>| of the spectral block
+    hom = abs(beamsplitter_block(2, setting.theta, setting.phi)[1, 1])
     ok = worst < 1e-8 and worst_bch < 1e-8 and hom < 1e-12
     return ("PASS" if ok else "FAIL",
             f"blocks vs exponential oracle {worst:.3e} (spectral) / "

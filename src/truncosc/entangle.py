@@ -1,10 +1,10 @@
 """Two-mode beam-splitter entanglement over the half-line.
 
 Pipeline: embed a coherent state (and the relevant extremal state) into
-full-line oscillator levels, apply the su(2) beam splitter in its
-spectral form (cached generator eigenpairs per block total, see below),
-re-express both modes in the orthonormal half-line basis built from odd
-full-line levels, partial-trace, and take the linear entropy.
+full-line oscillator levels, apply the su(2) beam splitter block by block
+(Risbo's recursion, see below), re-express both modes in the orthonormal
+half-line basis built from odd full-line levels, partial-trace, and take
+the linear entropy.
 
 The splitter exp(tau K+ - tau* K-) with tau = (theta/2) e^{i phi}
 factorizes as
@@ -18,35 +18,36 @@ each factor is a finite sum inside a fixed-total block.
 
 Inside the fixed-total block the generators form an su(2) triple
 (K+ steps up, K- steps down, K0 is half the mode-number difference),
-so the block unitary is a spin rotation.  The triangular factorized
-evaluation above is exact arithmetic but numerically explosive: its
-outer factors carry entries of size ~ tan(theta/2)^k sqrt(binomials),
-which grow like e^{total} and cancel catastrophically in float64 —
-unitarity is already off by 1e-5 at total 30 and by many orders of
-magnitude at total > 60.  The production evaluation therefore
-diagonalizes the (real symmetric tridiagonal) rotation generator and
-exponentiates its spectrum, which is unitary to machine precision at
-any block size; the factorized triangular form is kept as
-`beamsplitter_block_bch` for cross-checks on small blocks.
+so the block unitary is a spin rotation: the Wigner matrix d^j(theta)
+with j = total/2, dressed with the phases e^{i phi (i - k)}.  The
+triangular factorized evaluation above is exact arithmetic but
+numerically explosive: its outer factors carry entries of size
+~ tan(theta/2)^k sqrt(binomials), which grow like e^{total} and cancel
+catastrophically in float64 — unitarity is already off by 1e-5 at total
+30 and by many orders of magnitude at total > 60.  It is kept as
+`beamsplitter_block_bch` for cross-checks on small blocks, and
+`beamsplitter_block` builds the block from the generator's spectrum
+(`eigh`) as a second cross-check.
 
-The generator's eigenpairs (lambda, V) depend on the block's total
-alone, not on theta or phi, so they are cached per total.  numpy's
-dense `eigh` solves for them, so entropy runs never load scipy; its
-dsyevd finds the matrix already tridiagonal and runs the same dstedc as
-scipy's eigh_tridiagonal, whose pairs it reproduces bit for bit on
-every total a scan populates (a test pins this).  Applying the
-splitter never forms a block: each anti-diagonal x of the amplitudes
-becomes phase * V (e^{i theta lambda} * V^T (conj(phase) * x)), with
-the real and imaginary parts passed through the real V separately.
-The partner-tower projections onto the half-line basis do not depend
-on |z| either and are built once per cutoff.
+The production evaluation builds the real blocks d_total by Risbo's
+recursion (T. Risbo, J. Geodesy 70, 383, 1996), each from the previous
+one in O(total^2) work, with no eigensolve and no cache; the blocks agree
+with the spectral ones to 7e-14 and stay orthogonal to 8e-14 up to total
+822.  One sweep up to the largest populated total rotates the
+anti-diagonals of a whole stack of states: `entropy_scan` stacks every
+|z| point of a chunk at both cutoffs, `beamsplitter_apply` a single
+state.  A chunk's states hold at most 16 MiB, so memory does not grow
+with the number of points, and each state goes through its own product,
+so its bits do not depend on the points rotated with it.  Entropy runs
+load no scipy.  The partner-tower projections onto the half-line basis
+do not depend on |z| either and are built once per cutoff.
 
 `entropy_scan` builds the Gram matrices of both cutoffs before its
-first splitter solve.  Building one holds two P x nodes Hermite tables
-(12 MB each at basis 80, P = 239), more than anything else a scan
-allocates; built first, they are freed before the eigenvector cache
-fills (18 MB) instead of sitting on top of it.  Each |z|'s coherent
-state is built once, before its solves, and serves both cutoffs.
+first sweep.  Building one holds two P x nodes Hermite tables (12 MB
+each at basis 80, P = 239), more than anything else a scan allocates;
+built first, they are freed before the state stacks fill instead of
+sitting on top of them.  Each |z|'s coherent state is built once and
+serves both cutoffs.
 
 Half-line geometry: restrictions of full-line levels to (0, inf) are
 not orthogonal across parities; their normalized overlaps form the Gram
@@ -60,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +89,7 @@ __all__ = [
     "reduced_density",
     "linear_entropy",
     "entropy_scan",
+    "points_per_sweep",
 ]
 
 
@@ -204,14 +206,19 @@ class TwoModeState:
 
 @dataclass(frozen=True)
 class BeamSplitterSetting:
-    """Splitter angle theta and phase phi; amplitudes r, t derive from them."""
+    """Splitter angle theta and phase phi; amplitudes r, t derive from them.
+
+    theta lies in [0, pi), where the transmission t = cos(theta/2) is
+    positive: a negative angle is the splitter at -theta with phi + pi,
+    and the factorized cross-check `beamsplitter_block_bch` divides by t.
+    """
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta < math.pi):
-            raise ValueError("theta must lie in [0, pi) for the factorized form")
+            raise ValueError("theta must lie in [0, pi)")
 
     @property
     def r(self) -> complex:
@@ -236,47 +243,27 @@ class BeamSplitterSetting:
 # the beam splitter
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _splitter_modes(total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lambda and real eigenvectors V of the rotation generator S
-    of the fixed-total block (real symmetric tridiagonal, off-diagonal
-    entries sqrt((k+1)(total-k))/2).  S does not depend on the splitter
-    setting, so one read-only pair per total serves every theta and phi.
-    The dense solve (see the module docstring) holds about 32 (total+1)^2
-    bytes of transients, which the CLI's memory model counts.
+def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
+    """(total+1)^2 unitary on the fixed-total block, basis |k, total-k>,
+    from the generator's spectrum: the cross-check of the recursion that
+    `beamsplitter_apply` runs.
+
+    Conjugating by the diagonal phases e^{i(phi - pi/2)k} turns the block
+    generator tau K+ - tau* K- into i theta S with S real symmetric
+    tridiagonal (off-diagonal entries sqrt((k+1)(total-k))/2), so the
+    block is V e^{i theta lambda} V^T dressed with those phases, (lambda,
+    V) from a dense `eigh` of S.  Unitary to machine precision at any
+    block size, unlike the triangular factorized form (see
+    `beamsplitter_block_bch`).  Nothing is cached.
     """
     k = np.arange(total + 1)
     off = 0.5 * np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
     gen = np.diag(off, -1)
     gen += gen.T
     lam, vec = np.linalg.eigh(gen)
-    # LAPACK's column-major layout: BLAS sums V x in an order set by the layout
     vec = np.asfortranarray(vec)
-    lam.flags.writeable = False
-    vec.flags.writeable = False
-    return lam, vec
-
-
-def _block_phase(total: int, phi: float) -> np.ndarray:
-    """Diagonal phases e^{i(phi - pi/2)k} that make the generator i theta S."""
-    return np.exp(1j * (phi - 0.5 * math.pi) * np.arange(total + 1))
-
-
-def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
-    """(total+1)^2 unitary on the fixed-total block, basis |k, total-k>.
-
-    Spectral evaluation: conjugating by the diagonal phases
-    e^{i(phi - pi/2)k} turns the block generator tau K+ - tau* K- into
-    i theta S with S real symmetric tridiagonal (off-diagonal entries
-    sqrt((k+1)(total-k))/2), so the block is V e^{i theta lambda} V^T
-    dressed with those phases.  Unitary to machine precision at any
-    block size, unlike the triangular factorized form (see
-    `beamsplitter_block_bch`).  `beamsplitter_apply` uses the same
-    factors without forming the block.
-    """
-    lam, vec = _splitter_modes(total)
     core = (vec * np.exp(1j * theta * lam)) @ vec.T
-    phase = _block_phase(total, phi)
+    phase = np.exp(1j * (phi - 0.5 * math.pi) * k)
     return core * np.outer(phase, phase.conj())
 
 
@@ -322,38 +309,96 @@ def beamsplitter_block_oracle(total: int, setting: BeamSplitterSetting) -> np.nd
     return expm(gen)
 
 
-def _real_times_complex(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for real m and complex z: the real and imaginary parts of z go
-    through m separately, so no complex copy of m is made."""
-    return m @ z.real + 1j * (m @ z.imag)
+# Bytes of two-mode states that one splitter sweep rotates together; a scan
+# with more |z| points runs one sweep per chunk of points, so its memory does
+# not grow with the number of points.
+_SWEEP_STATE_BYTES = 16 << 20
+
+
+def _risbo_blocks(top: int, theta: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (total, d) for total = 1 .. top, where the real block
+    d[i, k] = <i, total-i|U(theta, phi=0)|k, total-k> comes from the
+    previous one, d', by Risbo's recursion (T. Risbo, J. Geodesy 70, 383,
+    1996) in photon-number form:
+
+        total d[i,k] = c sqrt(ik) d'[i-1,k-1] - s sqrt((total-i)k) d'[i,k-1]
+                       + s sqrt(i(total-k)) d'[i-1,k]
+                       + c sqrt((total-i)(total-k)) d'[i,k]
+
+    with c = cos(theta/2), s = sin(theta/2) and d' zero outside its range:
+    O(total^2) work a step.  Every square root comes from one table of
+    sqrt(ik), so at theta = 0 each step returns the identity exactly
+    (sqrt(i*i) = i and i + (total-i) = total in floating point).
+    """
+    roots = np.sqrt(np.multiply.outer(np.arange(top + 1.0), np.arange(top + 1.0)))
+    cos_roots = math.cos(theta / 2.0) * roots
+    sin_roots = math.sin(theta / 2.0) * roots
+    del roots
+    block = np.ones((1, 1))
+    for total in range(1, top + 1):
+        n = total + 1
+        pad = np.zeros((n + 1, n + 1))  # d' inside a border of zeros
+        pad[1:n, 1:n] = block
+        flip = slice(total, None, -1)  # row or column i reads total - i
+        block = cos_roots[:n, :n] * pad[:n, :n]
+        block -= sin_roots[flip, :n] * pad[1:, :n]
+        block += sin_roots[:n, flip] * pad[:n, 1:]
+        block += cos_roots[flip, flip] * pad[1:, 1:]
+        block /= total
+        yield total, block
+
+
+def _rotate_in_place(stacks: Sequence[np.ndarray], setting: BeamSplitterSetting
+                     ) -> None:
+    """Apply the splitter to every (n, n) state of each (m, n, n) stack.
+
+    One sweep builds the real blocks d_total by `_risbo_blocks` up to the
+    largest populated total; at each populated total the anti-diagonal x of
+    every state is replaced by phase * (d_total @ (conj(phase) * x)), phase
+    = e^{i phi k}, in one batched product over all states.  Raises
+    CutoffExceeded when a populated entry's total photon number reaches its
+    state's size (its block would spill outside the matrix).
+    """
+    populated = []
+    for stack in stacks:
+        rows, cols = np.nonzero(np.any(stack != 0.0, axis=0))
+        totals = set((rows + cols).tolist())
+        if totals and max(totals) >= stack.shape[-1]:
+            raise CutoffExceeded(f"populated total photon number {max(totals)} "
+                                 f"needs cutoff > {stack.shape[-1]}")
+        populated.append(totals)
+    top = max((max(t) for t in populated if t), default=0)
+    phase = np.exp(1j * setting.phi * np.arange(top + 1))
+    for total, block in _risbo_blocks(top, setting.theta):
+        live = [stack for stack, totals in zip(stacks, populated) if total in totals]
+        if not live:
+            continue
+        k = np.arange(total + 1)
+        x = np.concatenate([stack[:, k, total - k] for stack in live])
+        x = np.multiply(x, phase[:total + 1].conj(), order="C")
+        # one batched product: each state's real and imaginary parts are the
+        # two columns of its own (total+1) x 2 factor, so a state's bits do
+        # not depend on the states rotated with it
+        y = np.matmul(block, x.view(float).reshape(len(x), total + 1, 2))
+        y = y.reshape(len(x), -1).view(complex) * phase[:total + 1]
+        start = 0
+        for stack in live:
+            stack[:, k, total - k] = y[start:start + stack.shape[0]]
+            start += stack.shape[0]
 
 
 def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
                        ) -> TwoModeState:
     """Apply the splitter; exact block structure, total photons conserved.
 
-    Each populated anti-diagonal is rotated in the block's eigenbasis
-    (see the module docstring); no (total+1)^2 complex block is formed.
-    Raises CutoffExceeded when a populated entry's total photon number
-    reaches the cutoff (its block would spill outside the matrix).
+    The sweep of `entropy_scan` on a stack of one state: each populated
+    anti-diagonal is rotated by its Risbo block, and no complex block is
+    formed.  Raises CutoffExceeded when a populated entry's total photon
+    number reaches the cutoff (its block would spill outside the matrix).
     """
-    a = state.amplitudes
-    n2 = state.cutoff
-    rows, cols = np.nonzero(np.abs(a) > 0.0)
-    if rows.size and int(np.max(rows + cols)) >= n2:
-        raise CutoffExceeded(
-            f"populated total photon number {int(np.max(rows + cols))} "
-            f"needs cutoff > {n2}")
-    out = np.zeros_like(a)
-    populated_totals = sorted(set((rows + cols).tolist()))
-    for total in populated_totals:
-        k = np.arange(total + 1)
-        lam, vec = _splitter_modes(total)
-        phase = _block_phase(total, setting.phi)
-        c = _real_times_complex(vec.T, a[k, total - k] * phase.conj())
-        c *= np.exp(1j * setting.theta * lam)
-        out[k, total - k] = phase * _real_times_complex(vec, c)
-    return TwoModeState(out)
+    out = state.amplitudes[None].copy()
+    _rotate_in_place([out], setting)
+    return TwoModeState(out[0])
 
 
 # ----------------------------------------------------------------------------
@@ -461,13 +506,43 @@ class EntropyRecord:
     cutoff: int
 
 
-def _entropy_single(cs: CoherentState, setting: BeamSplitterSetting,
-                    cutoff: int, gram: GramMatrix) -> float:
-    state = embed_cs_in_two_modes(cs, cutoff=cutoff)
-    padded = np.zeros((gram.size, gram.size), dtype=complex)
-    padded[:cutoff, :cutoff] = state.amplitudes
-    out = beamsplitter_apply(TwoModeState(padded), setting)
-    return linear_entropy(reduced_density(out, gram))
+def _scan_cutoffs(cutoff: int) -> tuple[int, int]:
+    """The base cutoff and the 1.5x cutoff of the convergence probe."""
+    return cutoff, int(cutoff * 1.5)
+
+
+def points_per_sweep(cutoff: int) -> int:
+    """|z| points whose two-mode states (both cutoffs, each padded to its
+    Gram size 2c - 1) one splitter sweep of `entropy_scan` rotates: as many
+    as fit in 16 MiB, and at least one."""
+    per_point = sum(16 * (2 * c - 1) ** 2 for c in _scan_cutoffs(cutoff))
+    return max(1, _SWEEP_STATE_BYTES // per_point)
+
+
+def _entropy_chunk(family: Family, z_chunk: Sequence[float], n_terms: int,
+                   setting: BeamSplitterSetting, grams: Sequence[GramMatrix]
+                   ) -> list[EntropyRecord]:
+    """Records of one chunk of |z| points: each state is built once and
+    embedded at both cutoffs, one sweep rotates them all, and each is
+    reduced.  The stacked states are freed on return, before the next
+    chunk's are allocated."""
+    cutoffs = [(g.size + 1) // 2 for g in grams]  # each Gram size is 2c - 1
+    stacks = [np.zeros((len(z_chunk), g.size, g.size), dtype=complex) for g in grams]
+    for j, z_abs in enumerate(z_chunk):
+        cs = build_cs(family, z_abs, truncation=n_terms)
+        for stack, c in zip(stacks, cutoffs):
+            stack[j, :c, :c] = embed_cs_in_two_modes(cs, cutoff=c).amplitudes
+    _rotate_in_place(stacks, setting)
+    records = []
+    for j, z_abs in enumerate(z_chunk):
+        s0, s1 = (linear_entropy(reduced_density(TwoModeState(stack[j]), gram))
+                  for stack, gram in zip(stacks, grams))
+        records.append(EntropyRecord(z_abs=z_abs, theta=setting.theta,
+                                     phi=setting.phi, entropy=s0,
+                                     entropy_refined=s1,
+                                     converged=abs(s0 - s1) < 5e-3,
+                                     cutoff=cutoffs[0]))
+    return records
 
 
 def entropy_scan(family: Family, z_moduli: Sequence[float],
@@ -480,9 +555,10 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     entry); as in build_cs, the partner towers are those of the
     frozen fourth-order model.  Records are flagged unconverged when the
     two cutoffs disagree by 5e-3 or more.  Both Gram matrices are built
-    before the first splitter solve (see the module docstring), and each
-    |z|'s state serves both cutoffs.  Gram matrices, splitter eigenpairs
-    and partner-tower projections are cached.
+    first (see the module docstring); then the |z| points are taken in
+    chunks of `points_per_sweep`, and one splitter sweep rotates the
+    states of a chunk.  Gram matrices and partner-tower projections are
+    cached.
     """
     if setting is None:
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
@@ -491,14 +567,11 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     # both modes can populate levels up to c-1, so splitter blocks reach
     # total 2c-2; each state is padded to its Gram size 2c-1 so that no
     # block spills over the edge
-    grams = [(c, gram_matrix(2 * c - 1)) for c in (cutoff, int(cutoff * 1.5))]
+    grams = [gram_matrix(2 * c - 1) for c in _scan_cutoffs(cutoff)]
+    z_moduli = [float(z) for z in z_moduli]
+    chunk = points_per_sweep(cutoff)
     records = []
-    for z_abs in z_moduli:
-        cs = build_cs(family, float(z_abs), truncation=n_terms)
-        s0, s1 = (_entropy_single(cs, setting, c, gram) for c, gram in grams)
-        records.append(EntropyRecord(z_abs=float(z_abs), theta=setting.theta,
-                                     phi=setting.phi, entropy=s0,
-                                     entropy_refined=s1,
-                                     converged=abs(s0 - s1) < 5e-3,
-                                     cutoff=cutoff))
+    for first in range(0, len(z_moduli), chunk):
+        records += _entropy_chunk(family, z_moduli[first:first + chunk], n_terms,
+                                  setting, grams)
     return records

@@ -338,7 +338,7 @@ def test_rejects_non_finite_scan_parameters(tmp_path, run_cli, flag, value):
     ["--command", "uncertainty", "--steps", "1000000000"],
     ["--command", "uncertainty", "--basis", "100000000"],
     # each of these items fits alone, but together they exceed the budget
-    ["--command", "entropy", "--basis", "300"],
+    ["--command", "entropy", "--basis", "500"],
     ["--command", "density", "--steps", "50000"],
     ["--command", "uncertainty", "--steps", "5000000"],
 ])
@@ -351,36 +351,30 @@ def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli
     assert not out.exists()
 
 
-def test_entropy_above_the_eigenvector_cache_budget_is_rejected_before_any_solve(
-        tmp_path, run_cli):
-    # basis 400 passes every single-array bound; its splitter eigenvector
-    # cache (refined cutoff 600) would hold about 2.1 GiB
-    entangle._splitter_modes.cache_clear()
+def test_entropy_above_the_basis_maximum_is_rejected_before_any_sweep(
+        tmp_path, run_cli, monkeypatch):
+    # one level past the maximum, the refined Gram matrix's Hermite tables
+    # (847 MiB) and the sweep's arrays together pass the budget
+    calls = []
+    monkeypatch.setattr(entangle, "gram_matrix", lambda *a: calls.append("gram"))
+    monkeypatch.setattr(entangle, "_rotate_in_place", lambda *a: calls.append("sweep"))
     out = tmp_path / "x.csv"
-    res = run_cli(["--command", "entropy", "--basis", "400", "--out", str(out)], tmp_path)
+    basis = cli._limit("entropy", "--basis") + 1
+    res = run_cli(["--command", "entropy", "--basis", str(basis), "--out", str(out)],
+                  tmp_path)
     assert res.returncode == 2
     assert "MiB budget" in res.stderr
     assert not out.exists()
-    assert entangle._splitter_modes.cache_info().currsize == 0
-
-
-def test_entropy_basis_maximum_keeps_every_total_in_the_eigenvector_cache():
-    basis = cli._limit("entropy", "--basis")
-    refined = int(1.5 * basis)
-    # embedded states sit on odd levels below the refined cutoff, so a scan
-    # populates at most the even totals 2 .. 2 * refined - 2
-    totals = len(range(2, 2 * refined - 1, 2))
-    assert totals <= entangle._splitter_modes.cache_parameters()["maxsize"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("family, basis", [
     ("lowering", 43), ("lowering", 64), ("susy-new", 80), ("susy-iso", 80)])
 def test_entropy_memory_model_bounds_the_traced_peak(family, basis):
     # a 9-point scan from empty caches: the peak is either the refined Gram
-    # matrix's two Hermite tables or the full eigenvector cache at the
-    # largest solve, and the model must bound both
-    for cache in (entangle._splitter_modes, entangle.gram_matrix,
-                  entangle._susy_level_projections):
+    # matrix's two Hermite tables or the splitter sweep over the stacked
+    # states, and the model must bound both
+    for cache in (entangle.gram_matrix, entangle._susy_level_projections):
         cache.cache_clear()
     z_grid = np.linspace(0.0, 1.0 if family == "susy-iso" else 2.0, 9)
     tracemalloc.start()
@@ -391,6 +385,22 @@ def test_entropy_memory_model_bounds_the_traced_peak(family, basis):
         tracemalloc.stop()
     model = cli._largest_array_bytes("entropy", basis, 9)
     assert peak <= model, f"traced {peak / 1e6:.2f} MB, model {model / 1e6:.2f} MB"
+
+
+def test_entropy_memory_does_not_grow_with_the_steps():
+    # a scan frees each chunk's state stacks before the next chunk's, so past
+    # one chunk the traced peak grows by the records alone
+    chunk = entangle.points_per_sweep(43)
+    peaks = []
+    for steps in (chunk, 3 * chunk):
+        entangle.gram_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            entangle.entropy_scan("lowering", np.linspace(0.0, 2.0, steps), cutoff=43)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= cli._POINT_BYTES["entropy"] * 2 * chunk, peaks
 
 
 @pytest.mark.parametrize("command, family, basis, steps", [
@@ -406,8 +416,7 @@ def test_memory_model_bounds_the_traced_peak_of_basis_sized_runs(
     for module in ("scipy.integrate", "scipy.linalg", "scipy.special"):
         importlib.import_module(module)
     for cache in (numerics.gauss_halfline, observables._quadrature_tables, susy._rationals,
-                  entangle.gram_matrix, entangle._splitter_modes,
-                  entangle._susy_level_projections):
+                  entangle.gram_matrix, entangle._susy_level_projections):
         cache.cache_clear()
     config = RunConfig(command=command, family=family,
                        model="SUSY_Q4" if family == "susy-iso" else "TRUNC",
@@ -650,8 +659,8 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, cli_env):
 
 
 def test_cli_import_and_its_runs_leave_scipy_special_unloaded(tmp_path, cli_env):
-    # the Legendre rules are frozen and the splitter solves with numpy, so
-    # only validate loads scipy
+    # the Legendre rules are frozen and the splitter needs no eigensolve,
+    # so only validate loads scipy
     runs = [[*family, "--command", command, "--zmax", "0.8", "--steps", "3",
              "--out", f"{command}-{i}.csv"]
             for i, family in enumerate((

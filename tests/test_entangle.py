@@ -1,21 +1,23 @@
 """Two-mode embedding, beam splitter, reduced density, linear entropy.
 
-The splitter blocks have an exact su(2) spin-rotation structure, so the
-production evaluator diagonalizes a real symmetric tridiagonal generator
-and is unitary to machine precision at any total photon number.  The
-factorized triangular evaluation is kept as a cross-check; its float
-instability above total ~ 30 is asserted below as documented behaviour.
+The splitter blocks have an exact su(2) spin-rotation structure.  The
+production sweep builds them by Risbo's recursion, checked here against
+the matrix exponential, Wigner's explicit sum (mpmath) and the spectral
+blocks.  The factorized triangular evaluation is kept as a cross-check;
+its float instability above total ~ 30 is asserted below as documented
+behaviour.
 """
 
 import math
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm
 
 from truncosc import entangle
 from truncosc.coherent import Family, build_cs
@@ -324,28 +326,87 @@ def test_apply_leaves_no_complex_blocks_behind(monkeypatch):
     state = embed_cs_in_two_modes(
         build_cs(Family.LOWERING, 0.8, truncation=12), cutoff=32)
     beamsplitter_apply(state, BeamSplitterSetting(1.1, 0.4))
-    lam, vec = entangle._splitter_modes(20)
-    assert vec.dtype == np.float64
-    assert not lam.flags.writeable and not vec.flags.writeable
+    blocks = [block for _, block in entangle._risbo_blocks(20, 1.1)]
+    assert all(block.dtype == np.float64 for block in blocks)
 
 
-@pytest.mark.parametrize("totals", [
-    range(201), range(202, 239, 2), (400, 600, 874)],
-    ids=["all-to-200", "even-to-238", "even-large"])
-def test_splitter_modes_are_scipys_tridiagonal_solve_bit_for_bit(totals):
-    # numpy's dense eigh runs the same LAPACK divide and conquer as
-    # eigh_tridiagonal, so the eigenpairs, and every entropy CSV built on
-    # them, keep their bits.  This pins the LAPACK builds of this install,
-    # as the recorded CSV digests do; scans populate only even totals, up
-    # to 238 at basis 80 (odd totals above 200 may differ in the last bit)
-    for total in totals:
-        k = np.arange(total + 1)
-        off = 0.5 * np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
-        lam, vec = eigh_tridiagonal(np.zeros(total + 1), off)
-        got_lam, got_vec = entangle._splitter_modes(total)
-        assert np.array_equal(got_lam, lam) and np.array_equal(got_vec, vec), total
-        # BLAS sums V x in an order set by the layout, so it must match too
-        assert got_vec.strides == vec.strides, total
+def test_apply_gives_the_hong_ou_mandel_null_to_rounding():
+    amp = np.zeros((4, 4), dtype=complex)
+    amp[1, 1] = 1.0
+    out = beamsplitter_apply(TwoModeState(amp), BeamSplitterSetting(math.pi / 2, 0.0))
+    assert abs(out.amplitudes[1, 1]) < 1e-15
+
+
+# ----------------------------------------------------------------------------
+# Risbo's recursion against independent oracles
+# ----------------------------------------------------------------------------
+
+def _unit_states(top: int) -> np.ndarray:
+    """Stack of every |k, total-k>, total <= top, in (top+1)^2 matrices."""
+    pairs = [(total, k) for total in range(top + 1) for k in range(total + 1)]
+    stack = np.zeros((len(pairs), top + 1, top + 1), dtype=complex)
+    for j, (total, k) in enumerate(pairs):
+        stack[j, k, total - k] = 1.0
+    return stack
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.0, math.pi, exclude_max=True),
+       phi=st.floats(-math.pi, math.pi))
+def test_swept_blocks_match_the_exponential_oracle(theta, phi):
+    # the production sweep applied to every unit state of totals <= 20 gives
+    # each block column by column
+    top = 20
+    setting = BeamSplitterSetting(theta, phi)
+    stack = _unit_states(top)
+    entangle._rotate_in_place([stack], setting)
+    j = 0
+    for total in range(top + 1):
+        i = np.arange(total + 1)
+        swept = np.stack([stack[j + k, i, total - i] for k in range(total + 1)], axis=1)
+        j += total + 1
+        oracle = beamsplitter_block_oracle(total, setting)
+        assert np.max(np.abs(swept - oracle)) <= 1e-13, total
+
+
+def _wigner_d(total: int, theta: float, i: int, k: int) -> float:
+    """<i, total-i|U(theta, phi=0)|k, total-k> from Wigner's explicit sum:
+    d^j_{m'm}(theta) with j = total/2, m' = j - i, m = j - k, evaluated in
+    mpmath at 50 digits."""
+    with mp.workdps(50):
+        c, s = mp.cos(mp.mpf(theta) / 2), mp.sin(mp.mpf(theta) / 2)
+        f = mp.factorial
+        norm = mp.sqrt(f(total - i) * f(i) * f(total - k) * f(k))
+        value = mp.mpf(0)
+        for n in range(max(0, i - k), min(total - k, i) + 1):
+            value += ((-1) ** (k - i + n) * norm
+                      / (f(total - k - n) * f(n) * f(k - i + n) * f(i - n))
+                      * c ** (total + i - k - 2 * n) * s ** (k - i + 2 * n))
+        return float(value)
+
+
+@pytest.mark.parametrize("total, theta", [(1, 0.9), (7, 0.7), (30, math.pi / 2), (64, 2.9)])
+def test_recursion_matches_wigners_explicit_sum(total, theta):
+    block = next(b for t, b in entangle._risbo_blocks(total, theta) if t == total)
+    rows = sorted({0, 1, total // 3, total // 2, total})
+    for i in rows:
+        for k in range(total + 1):
+            assert abs(block[i, k] - _wigner_d(total, theta, i, k)) <= 1e-14, (i, k)
+
+
+def test_recursion_stays_orthogonal_at_total_822():
+    # the largest total a scan at --basis 275 populates; the ~1446 of the
+    # current maximum takes about 30 s to reach
+    block = next(b for t, b in entangle._risbo_blocks(822, 1.3) if t == 822)
+    assert np.max(np.abs(block @ block.T - np.eye(823))) < 1e-13
+
+
+def test_recursion_is_the_identity_at_zero_angle():
+    assert all(np.array_equal(block, np.eye(total + 1))
+               for total, block in entangle._risbo_blocks(300, 0.0))
+    state = embed_cs_in_two_modes(build_cs(Family.LOWERING, 0.7, truncation=12), cutoff=32)
+    out = beamsplitter_apply(state, BeamSplitterSetting(0.0, 0.0))
+    assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
 # ----------------------------------------------------------------------------
@@ -560,28 +621,58 @@ def test_entropy_is_within_twice_its_convergence_gap_of_the_oracle(theta):
 # ----------------------------------------------------------------------------
 
 def test_partner_scan_builds_projections_once_and_solves_each_total_once(monkeypatch):
-    entangle._splitter_modes.cache_clear()
+    # one sweep builds each total's block once for a whole chunk of points,
+    # and no eigensolve runs
     entangle._susy_level_projections.cache_clear()
-    row_calls = []
-    real_rows = entangle.rows
+    row_calls, sweeps = [], []
+    real_rows, real_rotate = entangle.rows, entangle._rotate_in_place
 
     def counting_rows(*args, **kwargs):
         row_calls.append(args[:2])
         return real_rows(*args, **kwargs)
 
-    def solves():
-        # each cache miss is one solve of a total not solved before
-        return entangle._splitter_modes.cache_info().misses
+    def counting_rotate(stacks, setting):
+        sweeps.append([stack.shape for stack in stacks])
+        return real_rotate(stacks, setting)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("entropy_scan ran an eigensolve")
 
     monkeypatch.setattr(entangle, "rows", counting_rows)
+    monkeypatch.setattr(entangle, "_rotate_in_place", counting_rotate)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     z = np.linspace(0.0, 1.0, 9)
     entropy_scan(Family.SUSY_ISO, z, cutoff=80)
     # (susy-iso, 32 levels) and (susy-new, 1 level) at cutoffs 80 and 120
     assert len(row_calls) == 4
-    # even totals 2..238 of the refined padded size 239
-    assert solves() == 119
+    # the 9 points of both cutoffs, padded to 159 and 239 levels, in one sweep
+    assert sweeps == [[(9, 159, 159), (9, 239, 239)]]
     entropy_scan(Family.SUSY_ISO, z, setting=BeamSplitterSetting(1.2, 0.3),
                  cutoff=80)
-    assert len(row_calls) == 4 and solves() == 119
+    assert len(row_calls) == 4 and len(sweeps) == 2
     proj = entangle._susy_level_projections(Basis.SUSY_ISO, 32, 80)
     assert not proj.flags.writeable
+
+
+def test_scan_points_do_not_depend_on_their_chunk(monkeypatch):
+    # each state goes through its own product, so a point's record is the
+    # same bit for bit whether it is swept alone, in one chunk of all points
+    # or in chunks of one point each
+    z = np.linspace(0.2, 1.0, 5)
+    setting = BeamSplitterSetting(1.3, 0.4)
+    together = entropy_scan(Family.SUSY_NEW, z, setting=setting, cutoff=80)
+    alone = [entropy_scan(Family.SUSY_NEW, [x], setting=setting, cutoff=80)[0] for x in z]
+    assert together == alone
+    sweeps = []
+    real_rotate = entangle._rotate_in_place
+
+    def counting_rotate(stacks, setting):
+        sweeps.append(len(stacks[0]))
+        return real_rotate(stacks, setting)
+
+    monkeypatch.setattr(entangle, "_rotate_in_place", counting_rotate)
+    monkeypatch.setattr(entangle, "_SWEEP_STATE_BYTES", 2 * 16 * (159 ** 2 + 239 ** 2))
+    assert entangle.points_per_sweep(80) == 2
+    assert entropy_scan(Family.SUSY_NEW, z, setting=setting, cutoff=80) == together
+    assert sweeps == [2, 2, 1]
+    assert entropy_scan(Family.SUSY_NEW, [], cutoff=80) == []

@@ -1,6 +1,7 @@
 """The package's public surface: exported names resolve, imports are used,
 nothing is defined or recorded that nothing reads, every error type is
-raised or subclassed, scipy.special is never imported, the modules import
+raised or subclassed, scipy.special is never imported, only the spectral
+splitter cross-check calls an eigensolver, the modules import
 each other without a cycle, the benchmark's self-test passes, and a
 failing property test fails alone.
 
@@ -137,6 +138,17 @@ def test_no_module_imports_scipy_special():
             found += [(path.name, n) for n in names
                       if n == "scipy.special" or n.startswith("scipy.special.")]
     assert found == []
+
+
+def test_only_the_spectral_cross_check_calls_an_eigensolver():
+    # the splitter runs Risbo's recursion; an eigensolve inside the entropy
+    # path would bring back the per-total solves and their cache
+    callers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {"eigh", "eigh_tridiagonal"} & set(_read_names(top))
+            callers += [(path.name, getattr(top, "name", None), n) for n in sorted(names)]
+    assert callers == [("entangle.py", "beamsplitter_block", "eigh")]
 
 
 def test_every_error_type_is_raised_or_subclassed():
