@@ -57,11 +57,12 @@ from .entangle import (
     beamsplitter_block_oracle,
     entropy_scan,
     halfline_overlap,
-    points_per_sweep,
+    min_cutoff,
+    scan_bytes,
 )
 from .errors import DivergenceError, SingularWronskian, TruncOscError
 from .fock import Basis, level_energy, rows as eigen_rows
-from .numerics import gauss_halfline, gauss_halfline_size
+from .numerics import gauss_halfline
 from .observables import discrepancy_report, uncertainty_scan
 from . import susy as _susy
 
@@ -109,12 +110,6 @@ _LEVEL_BYTES = {"density": 67_000, "uncertainty": 88}
 # reads no basis, so this is its whole bound (its traced peak is 4.7 MB).
 _FIXED_BYTES = 16 << 20
 
-# Smallest entropy cutoff for the partner families: mode A, the lowest new
-# partner level, keeps 1 - 1.02e-6 of its norm in the 38 odd levels of
-# cutoffs 76 and 77, below the 1 - 1e-6 that embedding demands, and
-# 1 - 0.97e-6 in the 39 of cutoff 78.
-_PARTNER_ENTROPY_MIN = 78
-
 
 class ConfigError(Exception):
     """A run configuration that violates the CLI contract."""
@@ -122,38 +117,14 @@ class ConfigError(Exception):
 
 def _largest_array_bytes(command: str, basis: int, steps: int) -> int:
     """Upper bound on the bytes a run holds at once, from the layout alone:
-    the per-point records and CSV text; outside entropy, the fixed peak
-    above; where states span the basis, the per-level peaks and the states
-    density keeps (24 bytes a level).  Entropy's states span its window,
-    not the basis; with c = int(1.5 basis) its refined cutoff and P = 2c - 1
-    its padded size, it peaks either in `gram_matrix(P)`, which
-    `entropy_scan` runs first, holding two P x N Hermite tables (h and
-    h * w, N the nodes of its rule), or in a splitter sweep.  A sweep holds
-    the two-mode states of `points_per_sweep` points at once, 16 (2b - 1)^2
-    bytes for each cutoff b of a point, and its transients: a boolean mask
-    of the states (1/16 of their bytes) and at most 64 P^2 bytes of Risbo
-    tables, blocks and products (about 52 P^2 traced).  The two peaks are
-    added, which also covers the small arrays each leaves out (Gram
-    matrices, quadrature rules, the reduction's products).
-    """
+    the per-point records and CSV text; for entropy, `entangle.scan_bytes`;
+    otherwise the fixed peak above and, where states span the basis, the
+    per-level peaks and the states density keeps (24 bytes a level)."""
     total = _POINT_BYTES.get(command, 0) * steps
-    if command != "entropy":
-        kept = 24 * steps if command == "density" else 0
-        return total + _FIXED_BYTES + (_LEVEL_BYTES.get(command, 0) + kept) * basis
-    refined = int(basis * 1.5)
-    padded = 2 * refined - 1
-    states = (min(steps, points_per_sweep(basis))
-              * 16 * ((2 * basis - 1) ** 2 + padded * padded))
-    return (total + 16 * padded * gauss_halfline_size(2 * padded + 16)
-            + states + states // 16 + 64 * padded * padded)
-
-
-def _entropy_min_basis(family) -> int:
-    """Smallest entropy cutoff that holds the family's embedded window (and,
-    on a partner tower, that embeds mode A)."""
-    windows = WINDOWS[Family(family)]
-    least = 2 * windows.entropy_terms + 3
-    return least if windows.basis == Basis.TRUNCATED else max(least, _PARTNER_ENTROPY_MIN)
+    if command == "entropy":
+        return total + scan_bytes(basis, steps)
+    kept = 24 * steps if command == "density" else 0
+    return total + _FIXED_BYTES + (_LEVEL_BYTES.get(command, 0) + kept) * basis
 
 
 def _limit(command: str, flag: str) -> int:
@@ -197,11 +168,11 @@ class RunConfig:
             raise ConfigError("z_steps must be at least 2")
         if self.basis_size < 8:
             raise ConfigError("basis_size must be at least 8")
-        if self.command == "entropy" and self.basis_size < _entropy_min_basis(self.family):
-            raise ConfigError(
-                f"entropy for family {self.family} embeds "
-                f"{WINDOWS[Family(self.family)].entropy_terms} levels and "
-                f"needs basis_size >= {_entropy_min_basis(self.family)}")
+        if self.command == "entropy":
+            least, reason = min_cutoff(self.family)
+            if self.basis_size < least:
+                raise ConfigError(f"entropy for family {self.family} {reason} and "
+                                  f"needs basis_size >= {least}")
         if not (self.z_min <= self.z_max):
             raise ConfigError("z_min must not exceed z_max")
         if self.z_min < 0.0:
@@ -248,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Half-line oscillator coherent states: CSV data and validation.",
         argument_default=argparse.SUPPRESS,
     )
-    entropy_min = {f.value: _entropy_min_basis(f) for f in Family}
+    entropy_min = {f.value: min_cutoff(f)[0] for f in Family}
     low = min(entropy_min.values())
     higher = ", ".join(f">= {n} for {f}" for f, n in entropy_min.items() if n > low)
     parser.add_argument("--command", required=True,
@@ -433,14 +404,14 @@ def _check_identity_reference():
 
 
 def _check_matrix_elements():
-    worst = max((r["abs_diff"] for r in discrepancy_report(n_max=8, tol=0.0)
+    worst = max((r["abs_diff"] for r in discrepancy_report(tol=0.0)
                  if r["kind"] in ("X", "P")), default=0.0)
     return ("PASS" if worst < 1e-8 else "FAIL",
             f"X and P closed vs quadrature, max |diff| {worst:.3e} (tol 1e-8)")
 
 
 def _check_x2p2_offdiag():
-    rows = discrepancy_report(n_max=8, tol=1e-8)
+    rows = discrepancy_report(tol=1e-8)
     if not rows:
         return "REPORT", "no closed-form/quadrature mismatches above 1e-8"
     worst = max(r["abs_diff"] for r in rows)

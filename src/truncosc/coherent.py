@@ -6,17 +6,19 @@ build_cs constructs all six families:
                         amplitudes z^k / sqrt(prod_{j<=k} step(j)),
 * "displacement"     -- displacement-type series with the raising-step
                         weights, amplitudes z^k sqrt(prod step)/k!,
-* "lin-lowering"     -- the linearised ladder (steps sqrt(alpha k)),
-                        amplitudes (z/sqrt(alpha))^k / sqrt(k!),
+* "lin-lowering"     -- the linearised ladder (steps sqrt(2k)),
+                        amplitudes (z/sqrt(2))^k / sqrt(k!),
 * "lin-displacement" -- same ladder, displacement form,
-                        amplitudes (sqrt(alpha) z)^k / sqrt(k!),
+                        amplitudes (sqrt(2) z)^k / sqrt(k!),
 * "susy-iso"         -- displacement-type, on the infinite partner tower:
-                        the lin-displacement series at alpha = 2,
+                        the lin-displacement series,
 * "susy-new"         -- displacement-type, on the finite partner tower:
                         (sqrt(2) z)^j / j! sqrt((-delta1/2)_j), j = 0, 1,
 
 with step(j) = 2j(2j+1) the squared half-line step (fock.ladder_step_sq);
 the partner towers are those of the frozen fourth-order model (susy).
+A linearised spacing alpha other than 2 only relabels z: lin-lowering at z
+is the state here at z sqrt(2/alpha), lin-displacement at z sqrt(alpha/2).
 
 For the half-line oscillator, the lowering-family norm constant has the
 closed form [sinh|z| / |z|]^{-1/2} and the displacement family exists
@@ -88,7 +90,6 @@ class CoherentState:
 
     family: Family
     z: complex
-    alpha: float
     amplitudes: np.ndarray
     norm_constant: float
     energies: np.ndarray
@@ -107,8 +108,7 @@ class CoherentState:
         return WINDOWS[self.family].basis
 
 
-def _raw_amplitudes(family: Family, z: complex, alpha: float,
-                    truncation: int) -> np.ndarray:
+def _raw_amplitudes(family: Family, z: complex, truncation: int) -> np.ndarray:
     """Unnormalized amplitudes c[k] = c[k-1] * w * up[k] / down[k].
 
     Each family is one factor triple; up is None where the family has no
@@ -121,9 +121,9 @@ def _raw_amplitudes(family: Family, z: complex, alpha: float,
     elif family == Family.DISPLACEMENT:
         w, up, down = z, np.sqrt(ladder_step_sq(k)), k
     elif family == Family.LIN_LOWERING:
-        w, down = z / math.sqrt(alpha), np.sqrt(k)
+        w, down = z / math.sqrt(2.0), np.sqrt(k)
     else:  # lin-displacement, and susy-iso, whose amplitudes are its series
-        w, down = math.sqrt(alpha) * z, np.sqrt(k)
+        w, down = math.sqrt(2.0) * z, np.sqrt(k)
     c = np.zeros(truncation, dtype=complex)
     c[0] = 1.0
     for j in range(1, truncation):
@@ -145,20 +145,16 @@ def displacement_norm_partial_sums(r: float, n_terms: int = 80) -> np.ndarray:
     return np.cumsum(np.cumprod(ratios))
 
 
-def build_cs(family: Family, z: complex, alpha: float = 2.0,
-             truncation: int = 64) -> CoherentState:
+def build_cs(family: Family, z: complex, truncation: int = 64) -> CoherentState:
     """The normalized coherent state of any of the six families.
 
     The series families keep `truncation` levels; the finite tower
-    (susy-new) holds its two, whatever the truncation.  Raises ValueError
-    for a partner family at alpha != 2, NotNormalizable when the norm
-    series diverges (displacement outside its radius) or overflows, and
-    TruncationTooSmall when the last kept amplitude still carries weight
-    above 1e-12 of the norm.
+    (susy-new) holds its two, whatever the truncation.  Raises
+    NotNormalizable when the norm series diverges (displacement outside
+    its radius) or overflows, and TruncationTooSmall when the last kept
+    amplitude still carries weight above 1e-12 of the norm.
     """
     family = Family(family)
-    if WINDOWS[family].basis != Basis.TRUNCATED and alpha != 2.0:
-        raise ValueError(f"{family.value} states exist at alpha = 2 only, got {alpha}")
     if family == Family.SUSY_NEW:
         z = complex(z)
         c = np.zeros(len(NEW_ENERGIES), dtype=complex)
@@ -168,16 +164,14 @@ def build_cs(family: Family, z: complex, alpha: float = 2.0,
                     * complex(np.sqrt(complex(poch))))
         with np.errstate(over="ignore"):  # an infinite norm leaves a zero state, rejected below
             norm = float(np.linalg.norm(c))
-        return CoherentState(family=family, z=z, alpha=2.0, amplitudes=c / norm,
+        return CoherentState(family=family, z=z, amplitudes=c / norm,
                              norm_constant=1.0 / norm, energies=np.array(NEW_ENERGIES))
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     # an overflowing series leaves an infinite norm or NaN amplitudes, which
     # the record's unit-norm guard reports; numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _raw_amplitudes(family, z, alpha, truncation)
+        c = _raw_amplitudes(family, z, truncation)
         mags = np.abs(c)
         if family == Family.DISPLACEMENT:
             tail = mags[-6:]
@@ -188,8 +182,8 @@ def build_cs(family: Family, z: complex, alpha: float = 2.0,
         if mags[-1] > 1e-12 * norm:
             raise TruncationTooSmall(
                 f"amplitude at the truncation edge is {mags[-1] / norm:.2e} of the norm")
-        return CoherentState(family=family, z=complex(z), alpha=float(alpha),
-                             amplitudes=c / norm, norm_constant=1.0 / norm,
+        return CoherentState(family=family, z=complex(z), amplitudes=c / norm,
+                             norm_constant=1.0 / norm,
                              energies=level_energy(np.arange(truncation)))
 
 
@@ -206,13 +200,6 @@ class Windows:
     basis: Basis
     uncertainty_terms: int
     entropy_terms: int
-
-    def uncertainty(self, truncation: int) -> tuple[int, int]:
-        """(n_terms, Gauss degree of the rule the operator tables use)."""
-        n_terms = min(truncation, self.uncertainty_terms)
-        if self.basis == Basis.TRUNCATED:
-            return n_terms, 4 * (n_terms - 1) + 16
-        return n_terms, 4 * (2 * n_terms + 3) + 32
 
 
 WINDOWS = {
@@ -234,7 +221,7 @@ def eigen_residual(cs: CoherentState) -> float:
         lowered = ladder_apply("lower", a)
     elif cs.family == Family.LIN_LOWERING:
         lowered = np.zeros_like(a)
-        lowered[:-1] = np.sqrt(cs.alpha * np.arange(1, a.size)) * a[1:]
+        lowered[:-1] = np.sqrt(2.0 * np.arange(1, a.size)) * a[1:]
     else:
         raise FamilyMismatch(f"eigen_residual is undefined for family {cs.family}")
     return float(np.linalg.norm(lowered - cs.z * a))
@@ -288,7 +275,7 @@ def lowering_measure_corrected(r: float) -> float:
 
 
 def iso_measure(r: float) -> float:
-    """Flat density 2/pi for the linearised (alpha = 2) displacement family."""
+    """Flat density 2/pi for the linearised displacement family."""
     return 2.0 / math.pi
 
 

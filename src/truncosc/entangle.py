@@ -72,7 +72,7 @@ from .errors import (
     GramNotPSD,
 )
 from .fock import Basis, hermite_normalized, rows
-from .numerics import gauss_halfline, hyp2f1_terminating
+from .numerics import gauss_halfline, gauss_halfline_size, hyp2f1_terminating
 
 __all__ = [
     "GramMatrix",
@@ -90,6 +90,8 @@ __all__ = [
     "linear_entropy",
     "entropy_scan",
     "points_per_sweep",
+    "scan_bytes",
+    "min_cutoff",
 ]
 
 
@@ -165,6 +167,11 @@ class GramMatrix:
         return math.sqrt(2.0) * self.entries[1::2, :]
 
 
+def _gram_degree(size: int) -> int:
+    """Degree of the Gauss rule behind gram_matrix(size)."""
+    return 2 * size + 16
+
+
 @lru_cache(maxsize=8)
 def gram_matrix(size: int) -> GramMatrix:
     """Gram matrix of the first `size` restricted normalized levels.
@@ -175,7 +182,7 @@ def gram_matrix(size: int) -> GramMatrix:
     """
     if size < 1:
         raise ValueError("size must be positive")
-    rule = gauss_halfline(2 * size + 16)
+    rule = gauss_halfline(_gram_degree(size))
     h = hermite_normalized(size - 1, rule.nodes)
     g = (h * rule.weights) @ h.T / math.sqrt(math.pi)
     return GramMatrix(0.5 * (g + g.T))
@@ -405,6 +412,19 @@ def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
 # embedding coherent states
 # ----------------------------------------------------------------------------
 
+# A partner-tower state embeds only if its projection onto the cutoff's odd
+# levels keeps 1 - _EMBED_RESIDUAL of its norm.  Mode A, the lowest new
+# partner level, keeps 1 - 1.02e-6 in the 38 odd levels of cutoffs 76 and 77,
+# and 1 - 0.97e-6 in the 39 of cutoff 78, the least that embeds it.
+_EMBED_RESIDUAL = 1e-6
+_MODE_A_MIN_CUTOFF = 78
+
+
+def _least_cutoff(n_levels: int) -> int:
+    """Smallest cutoff that embeds a state of n_levels tower levels."""
+    return 2 * n_levels + 3
+
+
 @lru_cache(maxsize=16)
 def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndarray:
     """Coefficients of the tower states over the restricted odd basis.
@@ -426,7 +446,7 @@ def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndar
     return proj
 
 
-def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64) -> TwoModeState:
+def embed_cs_in_two_modes(cs: CoherentState, cutoff: int) -> TwoModeState:
     """|extremal> (x) |cs> over full-line levels, both modes half-line states.
 
     Mode A carries the extremal state annihilated by the lowering
@@ -441,8 +461,9 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64) -> TwoModeState:
     """
     basis = cs.basis
     amps = cs.amplitudes
-    if cutoff < 2 * amps.size + 3:
-        raise ValueError("cutoff must be at least 2*truncation + 3")
+    least = _least_cutoff(amps.size)
+    if cutoff < least:
+        raise ValueError(f"a {amps.size}-level state needs cutoff >= {least}")
     if basis == Basis.TRUNCATED:
         mode_a, mode_b = np.ones(1), amps
     elif basis in (Basis.SUSY_ISO, Basis.SUSY_NEW):
@@ -450,7 +471,7 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int = 64) -> TwoModeState:
         mode_b = amps @ _susy_level_projections(basis, amps.size, cutoff)
         recovered_a = float(np.sum(mode_a ** 2))
         recovered_b = float(np.linalg.norm(mode_b) ** 2)
-        if recovered_a < 1.0 - 1e-6 or recovered_b < 1.0 - 1e-6:
+        if recovered_a < 1.0 - _EMBED_RESIDUAL or recovered_b < 1.0 - _EMBED_RESIDUAL:
             raise ExpansionResidualTooLarge(
                 f"projection recovers {min(recovered_a, recovered_b):.8f} of the "
                 f"norm at cutoff {cutoff}")
@@ -506,17 +527,51 @@ class EntropyRecord:
     cutoff: int
 
 
-def _scan_cutoffs(cutoff: int) -> tuple[int, int]:
-    """The base cutoff and the 1.5x cutoff of the convergence probe."""
-    return cutoff, int(cutoff * 1.5)
+def _scan_sizes(cutoff: int) -> tuple[int, ...]:
+    """Gram sizes 2c - 1 of the base cutoff c and of the 1.5x cutoff of the
+    convergence probe; a scan pads its states at c to that size, since both
+    modes populate levels up to c - 1 and splitter blocks reach total 2c - 2."""
+    return tuple(2 * c - 1 for c in (cutoff, int(cutoff * 1.5)))
+
+
+def _point_state_bytes(cutoff: int) -> int:
+    """Bytes of one |z| point's padded two-mode states, at both cutoffs."""
+    return sum(16 * size ** 2 for size in _scan_sizes(cutoff))
 
 
 def points_per_sweep(cutoff: int) -> int:
-    """|z| points whose two-mode states (both cutoffs, each padded to its
-    Gram size 2c - 1) one splitter sweep of `entropy_scan` rotates: as many
-    as fit in 16 MiB, and at least one."""
-    per_point = sum(16 * (2 * c - 1) ** 2 for c in _scan_cutoffs(cutoff))
-    return max(1, _SWEEP_STATE_BYTES // per_point)
+    """|z| points whose two-mode states one splitter sweep of `entropy_scan`
+    rotates: as many as fit in 16 MiB, and at least one."""
+    return max(1, _SWEEP_STATE_BYTES // _point_state_bytes(cutoff))
+
+
+def scan_bytes(cutoff: int, n_points: int) -> int:
+    """Upper bound on the bytes `entropy_scan` holds at once over n_points
+    |z| points (records aside), from the layout alone.  With P the refined
+    cutoff's Gram size, it peaks either in `gram_matrix(P)`, which it runs
+    first, holding two P x N Hermite tables (h and h * w, N the nodes of its
+    rule), or in a splitter sweep over the states of `points_per_sweep`
+    points, 16 (2b - 1)^2 bytes for each cutoff b of a point, plus a boolean
+    mask of them (1/16 of their bytes) and at most 64 P^2 bytes of Risbo
+    tables, blocks and products (about 52 P^2 traced).  The two peaks are
+    added, which also covers the small arrays each leaves out (Gram
+    matrices, quadrature rules, the reduction's products).
+    """
+    padded = _scan_sizes(cutoff)[1]
+    states = min(n_points, points_per_sweep(cutoff)) * _point_state_bytes(cutoff)
+    return (16 * padded * gauss_halfline_size(_gram_degree(padded))
+            + states + states // 16 + 64 * padded * padded)
+
+
+def min_cutoff(family: Family) -> tuple[int, str]:
+    """The least cutoff of an entropy scan of the family, and what sets it:
+    room for its entropy window or, on a partner tower, mode A."""
+    windows = WINDOWS[Family(family)]
+    least = _least_cutoff(windows.entropy_terms)
+    if windows.basis == Basis.TRUNCATED or least >= _MODE_A_MIN_CUTOFF:
+        return least, f"embeds {windows.entropy_terms} levels"
+    return _MODE_A_MIN_CUTOFF, (f"projects mode A, the lowest new partner level, "
+                                f"onto odd levels to 1 - {_EMBED_RESIDUAL:g} of its norm")
 
 
 def _entropy_chunk(family: Family, z_chunk: Sequence[float], n_terms: int,
@@ -564,10 +619,7 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
     if n_terms is None:
         n_terms = WINDOWS[Family(family)].entropy_terms
-    # both modes can populate levels up to c-1, so splitter blocks reach
-    # total 2c-2; each state is padded to its Gram size 2c-1 so that no
-    # block spills over the edge
-    grams = [gram_matrix(2 * c - 1) for c in _scan_cutoffs(cutoff)]
+    grams = [gram_matrix(size) for size in _scan_sizes(cutoff)]
     z_moduli = [float(z) for z in z_moduli]
     chunk = points_per_sweep(cutoff)
     records = []

@@ -14,7 +14,7 @@ class PoleError(TruncOscError):
 
 
 class NonConvergence(TruncOscError):
-    """Adaptive quadrature stalled before reaching the requested tolerance."""
+    """A half-line Gauss rule misses the mass of its weight (gauss_halfline)."""
 
 
 class BasisMismatch(TruncOscError):

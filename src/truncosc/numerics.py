@@ -40,21 +40,25 @@ def _is_nonpositive_integer(a: float) -> bool:
     return a <= 0 and float(a) == math.floor(a)
 
 
-def hyp1f1(a: float, b: float, x):
-    """Kummer 1F1(a; b; x) by direct series, for scalar or array x.
+def _hypergeometric(tops: tuple, bottoms: tuple, x):
+    """pFq(tops; bottoms; x) by direct series, for scalar or array x: term
+    k+1 is term k times ((a1+k)(a2+k)...) x / (((b1+k)(b2+k)...)(k+1)),
+    each product taken left to right.
 
-    Terminates exactly when a is a nonpositive integer.  Raises PoleError
-    when the series runs into b = nonpositive integer first, and
-    DivergenceError when the term budget is exhausted or the terms
-    overflow (a non-finite total).  Each element of an array x keeps its
-    own stop rule and sees the same operations in the same order as a
-    scalar x, so it comes out bit-identical; the array raises if any
-    element would, with the message of the first such element.  A scalar
-    x returns a float.
+    Terminates exactly when a top parameter is a nonpositive integer.
+    Raises PoleError when the series runs into a nonpositive-integer bottom
+    parameter first, and DivergenceError when the term budget is exhausted
+    or the terms overflow (a non-finite total).  Each element of an array x
+    keeps its own stop rule and sees the same operations in the same order
+    as a scalar x, so it comes out bit-identical; the array raises if any
+    element would, with the message of the first such element.  A scalar x
+    returns a float.
     """
-    if _is_nonpositive_integer(b) and not (_is_nonpositive_integer(a) and a > b):
-        # the (b)_k factor hits zero before the numerator terminates
-        raise PoleError(f"1F1 pole: b = {b}")
+    name = f"{len(tops)}F{len(bottoms)}"
+    for b in bottoms:  # a pole, unless a top parameter terminates the series first
+        if _is_nonpositive_integer(b) and not any(
+                _is_nonpositive_integer(a) and a > b for a in tops):
+            raise PoleError(f"{name} pole: b = {b}")
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     total = np.ones(flat.size)
@@ -64,13 +68,13 @@ def hyp1f1(a: float, b: float, x):
     # an overflowing term leaves a non-finite total, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(_MAX_TERMS):
-            if live.size == 0 or a + k == 0.0:
+            if live.size == 0 or any(a + k == 0.0 for a in tops):
                 live = live[:0]  # a terminating series ends every element here
                 break
-            denom = (b + k) * (k + 1)
+            denom = math.prod(b + k for b in bottoms) * (k + 1)
             if denom == 0.0:
-                raise PoleError(f"1F1 pole: b = {b} reached at term {k + 1}")
-            term *= (a + k) * flat[live] / denom
+                raise PoleError(f"{name} pole reached at term {k + 1}")
+            term *= math.prod(a + k for a in tops) * flat[live] / denom
             partial = total[live] + term
             total[live] = partial
             small = np.abs(term) <= _SERIES_TOLERANCE * np.fmax(1.0, np.abs(partial))
@@ -81,12 +85,21 @@ def hyp1f1(a: float, b: float, x):
     failed[live] = True
     if np.any(failed):
         i = int(np.argmax(failed))
+        call = f"{name}({', '.join(str(p) for p in (*tops, *bottoms, float(flat[i])))})"
         if i in live:
-            raise DivergenceError(
-                f"1F1({a}, {b}, {float(flat[i])}) did not converge in {_MAX_TERMS} terms")
-        raise DivergenceError(
-            f"1F1({a}, {b}, {float(flat[i])}) overflows to {float(total[i])}")
+            raise DivergenceError(f"{call} did not converge in {_MAX_TERMS} terms")
+        raise DivergenceError(f"{call} overflows to {float(total[i])}")
     return float(total[0]) if xs.ndim == 0 else total.reshape(xs.shape)
+
+
+def hyp1f1(a: float, b: float, x):
+    """Kummer 1F1(a; b; x) for scalar or array x, by _hypergeometric."""
+    return _hypergeometric((a,), (b,), x)
+
+
+def hyp2f2(a1: float, a2: float, b1: float, b2: float, x):
+    """2F2(a1, a2; b1, b2; x) for scalar or array x, by _hypergeometric."""
+    return _hypergeometric((a1, a2), (b1, b2), x)
 
 
 def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
@@ -106,33 +119,6 @@ def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
             raise PoleError(f"2F1 pole: c = {c} reached at term {k + 1}")
         term *= (a + k) * (b + k) * x / denom
         total += term
-    return total
-
-
-def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float) -> float:
-    """2F2(a1, a2; b1, b2; x) by direct series with the same stop and
-    overflow rules as hyp1f1."""
-    term = 1.0
-    total = 1.0
-    small_run = 0
-    for k in range(_MAX_TERMS):
-        if a1 + k == 0.0 or a2 + k == 0.0:
-            break
-        denom = (b1 + k) * (b2 + k) * (k + 1)
-        if denom == 0.0:
-            raise PoleError(f"2F2 pole: denominator parameter reached zero at term {k + 1}")
-        term *= (a1 + k) * (a2 + k) * x / denom
-        total += term
-        if abs(term) <= _SERIES_TOLERANCE * max(1.0, abs(total)):
-            small_run += 1
-            if small_run >= 2:
-                break
-        else:
-            small_run = 0
-    else:
-        raise DivergenceError(f"2F2 did not converge in {_MAX_TERMS} terms")
-    if not math.isfinite(total):
-        raise DivergenceError(f"2F2({a1}, {a2}; {b1}, {b2}; {x}) overflows to {total}")
     return total
 
 
@@ -169,8 +155,9 @@ def rising_factorial(a: float, j: int) -> float:
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes/weights of the Gauss rule for the weight e^{-x^2} on (0, inf)
-    (compared and hashed by identity).  The weight is folded into the
-    weights, so sum(w * f(x)) approximates int_0^inf f(x) e^{-x^2} dx.
+    (compared by identity: arrays have no single truth value).  The weight
+    is folded into the weights, so sum(w * f(x)) approximates
+    int_0^inf f(x) e^{-x^2} dx.
     Its arrays are read-only copies: gauss_halfline's cache hands one rule
     to every caller."""
 
@@ -228,7 +215,7 @@ def gauss_halfline_size(degree: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def gauss_halfline(degree: int = 200) -> QuadratureRule:
+def gauss_halfline(degree: int) -> QuadratureRule:
     """Rule of exactness parameter `degree` for the weight e^{-x^2} on (0, inf).
 
     Built as composite Gauss-Legendre panels covering (0, 2 sqrt(degree) + 10]

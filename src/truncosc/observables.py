@@ -23,19 +23,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coherent import WINDOWS, CoherentState, Family, build_cs
 from .errors import BasisMismatch, IndexOutOfRange, TruncationTooSmall
 from .fock import Basis, rows, weighted_eigenfunction_derivatives
-from .numerics import (
-    QuadratureRule,
-    gauss_halfline,
-    hyp2f1_terminating,
-    log_gamma_signed,
-)
+from .numerics import gauss_halfline, hyp2f1_terminating, log_gamma_signed
 
 __all__ = [
     "ObservableKind",
@@ -43,6 +38,7 @@ __all__ = [
     "UncertaintyRecord",
     "matrix_element_closed",
     "matrix_element_quadrature",
+    "table_degree",
     "build_table",
     "discrepancy_report",
     "expectation",
@@ -169,18 +165,24 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int) -> complex:
 # quadrature route
 # ----------------------------------------------------------------------------
 
-def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
-                              rule: Optional[QuadratureRule] = None) -> complex:
+def table_degree(basis: Basis, n_max: int) -> int:
+    """Degree of the Gauss rule behind the operator tables of levels 0..n_max,
+    on the truncated oscillator or on a partner tower."""
+    if Basis(basis) == Basis.TRUNCATED:
+        return 4 * n_max + 16
+    return 4 * (2 * n_max + 5) + 32
+
+
+def matrix_element_quadrature(kind: ObservableKind, n: int, m: int) -> complex:
     """Directed integral <n| (x | x^2 | -i d/dx | p^2) |m> by Gauss quadrature.
 
-    The single-element oracle of the half-line eigenbasis; tables in any
-    basis come from build_table.  The momentum-squared element uses the
-    symmetric first-derivative form (boundary-safe since all basis
-    functions vanish at the origin).
+    The single-element oracle of the half-line eigenbasis, on the rule of
+    the table up to max(n, m); tables in any basis come from build_table.
+    The momentum-squared element uses the symmetric first-derivative form
+    (boundary-safe since all basis functions vanish at the origin).
     """
     kind = ObservableKind(kind)
-    if rule is None:
-        rule = gauss_halfline(degree=4 * max(n, m) + 16)
+    rule = gauss_halfline(table_degree(Basis.TRUNCATED, max(n, m)))
     x, w = rule.nodes, rule.weights
     fn = weighted_eigenfunction_derivatives(n, x, order=1)
     fm = weighted_eigenfunction_derivatives(m, x, order=1)
@@ -194,10 +196,12 @@ def matrix_element_quadrature(kind: ObservableKind, n: int, m: int,
 
 
 @lru_cache(maxsize=8)
-def _quadrature_tables(n_max: int, basis: Basis, rule: QuadratureRule) -> dict:
-    """The X, X2, P and P2 tables of levels 0..n_max from one fock.rows call,
-    cached per rule.  The clean-up strips last-bit quadrature noise, keeps
-    the honest n > m half and fills the rest per the module's convention."""
+def _quadrature_tables(n_max: int, basis: Basis) -> dict:
+    """The X, X2, P and P2 tables of levels 0..n_max from one fock.rows call
+    on the table_degree rule, cached per (n_max, basis).  The clean-up
+    strips last-bit quadrature noise, keeps the honest n > m half and fills
+    the rest per the module's convention."""
+    rule = gauss_halfline(table_degree(basis, n_max))
     x, w = rule.nodes, rule.weights
     vals, ders = rows(basis, n_max + 1, x, order=1)
     p = -1j * (vals * w) @ ders.T
@@ -212,31 +216,28 @@ def _quadrature_tables(n_max: int, basis: Basis, rule: QuadratureRule) -> dict:
     return {kind: MatrixElementTable(kind, ent, basis) for kind, ent in entries.items()}
 
 
-def build_table(kind: ObservableKind, n_max: int, basis: Basis = Basis.TRUNCATED,
-                rule: Optional[QuadratureRule] = None) -> MatrixElementTable:
+def build_table(kind: ObservableKind, n_max: int,
+                basis: Basis = Basis.TRUNCATED) -> MatrixElementTable:
     """The quadrature table of one operator up to n_max, looked up among the
     four of _quadrature_tables (closed forms are the oracle, through
     matrix_element_closed and discrepancy_report)."""
-    kind = ObservableKind(kind)
-    if rule is None:
-        rule = gauss_halfline(degree=4 * n_max + 16)
-    return _quadrature_tables(n_max, Basis(basis), rule)[kind]
+    return _quadrature_tables(n_max, Basis(basis))[ObservableKind(kind)]
 
 
 # ----------------------------------------------------------------------------
 # discrepancy report
 # ----------------------------------------------------------------------------
 
-def discrepancy_report(n_max: int = 8, tol: float = 1e-8) -> list[dict]:
+def discrepancy_report(tol: float = 1e-8) -> list[dict]:
     """Flag closed-form entries that disagree with quadrature beyond tol.
 
     Returns row dicts (kind, n, m, closed_form, quadrature, abs_diff) for
-    all n >= m entries up to n_max; quadrature is treated as truth.
+    all n >= m entries up to level 8; quadrature is treated as truth.
     """
-    rule = gauss_halfline(degree=4 * n_max + 16)
+    n_max = 8
     rows = []
     for kind in ObservableKind:
-        quad_table = build_table(kind, n_max, rule=rule)
+        quad_table = build_table(kind, n_max)
         for n in range(n_max + 1):
             for m in range(n + 1):
                 cf = matrix_element_closed(kind, n, m)
@@ -304,13 +305,13 @@ def uncertainty_scan(family: Family, z_moduli: Sequence[float],
     """sigma_x, sigma_p and their product along a |z| grid, for any family.
 
     The family's coherent.WINDOWS entry sets the levels the expectations
-    sum over (30 on the truncated oscillator, as in the reference plots)
-    and the rule of the quadrature tables, which are built once.
+    sum over (30 on the truncated oscillator, as in the reference plots,
+    capped by the truncation); the quadrature tables of that window are
+    built once.
     """
     windows = WINDOWS[Family(family)]
-    n_terms, degree = windows.uncertainty(truncation)
-    rule = gauss_halfline(degree=degree)
-    tables = {kind: build_table(kind, n_terms - 1, basis=windows.basis, rule=rule)
+    n_terms = min(truncation, windows.uncertainty_terms)
+    tables = {kind: build_table(kind, n_terms - 1, basis=windows.basis)
               for kind in ObservableKind}
     records = []
     for r in z_moduli:

@@ -133,7 +133,7 @@ def test_criterion_06_matrix_elements(criterion):
         max(abs(matrix_element_quadrature(ObservableKind.P, n, n))
             for n in range(9)),
     )
-    reported = discrepancy_report(n_max=8, tol=1e-8)
+    reported = discrepancy_report(tol=1e-8)
     ok = worst < 1e-8 and max(spots) < 1e-8
     criterion(6, ok,
           f"X/P closed vs quadrature max dev {worst:.2e} (limit 1e-8), "

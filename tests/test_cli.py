@@ -477,8 +477,23 @@ def test_partner_entropy_minimum_is_the_first_cutoff_that_embeds_mode_a():
         return float(np.sum(entangle._susy_level_projections(Basis.SUSY_NEW, 1, cutoff)[0] ** 2))
 
     assert recovered(76) < 1.0 - 1e-6 <= recovered(78)
-    assert cli._entropy_min_basis("susy-new") == cli._entropy_min_basis("susy-iso") == 78
-    assert cli._entropy_min_basis("lowering") == 43
+    assert entangle.min_cutoff("susy-new")[0] == entangle.min_cutoff("susy-iso")[0] == 78
+    assert entangle.min_cutoff("lowering")[0] == 43
+
+
+@pytest.mark.parametrize("family, basis, cause", [
+    ("susy-new", 77, "projects mode A"), ("susy-iso", 77, "projects mode A"),
+    ("lowering", 42, "embeds 20 levels")])
+def test_entropy_minimum_message_names_the_binding_cause(tmp_path, run_cli, family,
+                                                         basis, cause):
+    # the finite tower holds 2 levels and susy-iso's 32 would fit in 67: on
+    # both partner towers the floor of 78 comes from mode A's projection
+    model = "TRUNC" if family == "lowering" else "SUSY_Q4"
+    res = run_cli(["--command", "entropy", "--family", family, "--model", model,
+                   "--basis", str(basis), "--out", str(tmp_path / "x.csv")], tmp_path)
+    assert res.returncode == 2
+    assert cause in res.stderr
+    assert ("embeds" in res.stderr) == (family == "lowering")
 
 
 @pytest.mark.parametrize("args", [

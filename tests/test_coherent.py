@@ -5,8 +5,8 @@ Closed-form norm constants used as oracles here:
   lowering        C  = sqrt(r / sinh r)          (norm series sinh(r)/r)
   displacement    C~ = (1 - 4 r^2)^{3/4}          (series 1/(1-4r^2)^{3/2},
                                                    radius 1/2)
-  lin-lowering    C  = exp(-r^2 / (2 alpha))
-  lin-displacement C = exp(-alpha r^2 / 2)
+  lin-lowering    C  = exp(-r^2 / 4)
+  lin-displacement C = exp(-r^2)
 
 all obtained by summing the explicit amplitude series in closed form.
 """
@@ -44,6 +44,7 @@ from truncosc.errors import (
     TruncationTooSmall,
 )
 from truncosc.fock import Basis
+from truncosc.observables import table_degree
 from truncosc.susy import DELTA1
 
 # ----------------------------------------------------------------------------
@@ -67,11 +68,12 @@ def test_displacement_norm_constant_closed_form(r):
 
 
 def test_linearised_norm_constants():
-    r, alpha = 0.8, 2.0
-    low = build_cs(Family.LIN_LOWERING, r, alpha=alpha)
-    dis = build_cs(Family.LIN_DISPLACEMENT, r, alpha=alpha)
-    assert low.norm_constant == pytest.approx(math.exp(-r * r / (2 * alpha)), rel=1e-12)
-    assert dis.norm_constant == pytest.approx(math.exp(-alpha * r * r / 2), rel=1e-12)
+    # the linearised ladder has steps sqrt(2k)
+    r = 0.8
+    low = build_cs(Family.LIN_LOWERING, r)
+    dis = build_cs(Family.LIN_DISPLACEMENT, r)
+    assert low.norm_constant == pytest.approx(math.exp(-r * r / 4), rel=1e-12)
+    assert dis.norm_constant == pytest.approx(math.exp(-r * r), rel=1e-12)
 
 
 def test_states_are_unit_vectors():
@@ -85,12 +87,11 @@ def test_states_are_unit_vectors():
 
 @pytest.mark.parametrize("make", [
     lambda: build_cs(Family.LOWERING, math.nan),
-    lambda: build_cs(Family.LIN_LOWERING, 0.3, alpha=math.nan),
     lambda: build_cs(Family.SUSY_NEW, math.nan),
     lambda: evolve(build_cs(Family.LOWERING, 0.5), math.nan),
     # |z| = 1e6 overflows the norm sum, which would leave all-zero amplitudes
     lambda: build_cs(Family.LOWERING, 1e6),
-], ids=["nan-label", "nan-alpha", "nan-partner-label", "nan-time", "overflow"])
+], ids=["nan-label", "nan-partner-label", "nan-time", "overflow"])
 def test_states_that_are_not_finite_unit_vectors_are_rejected(make):
     with np.errstate(all="ignore"):
         with pytest.raises(NotNormalizable):
@@ -106,7 +107,7 @@ def test_a_state_record_holds_one_unit_vector_over_its_family_basis():
         replace(cs, amplitudes=2.0 * cs.amplitudes)
 
 
-# Each family's amplitude k at alpha = 2 as an mpmath closed form, and the
+# Each family's amplitude k as an mpmath closed form, and the
 # largest |z| drawn for it: the displacement disk ends at 1/2, and the other
 # families hold their state within 200 levels well past the values used.
 AMPLITUDE_CLOSED_FORMS = {
@@ -126,7 +127,7 @@ def test_amplitudes_match_the_normalized_closed_forms(family, reach, angle, trun
     closed_form, r_max = AMPLITUDE_CLOSED_FORMS[family]
     z = cmath.rect(reach * r_max, angle)
     try:
-        cs = build_cs(family, z, alpha=2.0, truncation=truncation)
+        cs = build_cs(family, z, truncation=truncation)
     except TruncationTooSmall:
         assume(False)
     with mp.workdps(40):
@@ -185,11 +186,6 @@ def test_truncation_guard_fires_when_the_tail_is_heavy():
 def test_build_cs_input_validation():
     with pytest.raises(ValueError):
         build_cs(Family.LOWERING, 0.5, truncation=1)
-    with pytest.raises(ValueError):
-        build_cs(Family.LIN_LOWERING, 0.5, alpha=0.0)
-    # the partner towers exist at alpha = 2 only
-    with pytest.raises(ValueError):
-        build_cs(Family.SUSY_ISO, 0.5, alpha=3.0)
 
 
 # ----------------------------------------------------------------------------
@@ -204,10 +200,10 @@ def test_lowering_mean_energy_closed_form(r):
 
 
 def test_lin_displacement_mean_energy_closed_form():
-    # Poisson level statistics with mean alpha r^2: <H> = 2 alpha r^2 + 3/2
-    r, alpha = 0.6, 2.0
-    cs = build_cs(Family.LIN_DISPLACEMENT, r, alpha=alpha)
-    assert energy_expectation(cs) == pytest.approx(2 * alpha * r * r + 1.5, rel=1e-10)
+    # Poisson level statistics with mean 2 r^2: <H> = 4 r^2 + 3/2
+    r = 0.6
+    cs = build_cs(Family.LIN_DISPLACEMENT, r)
+    assert energy_expectation(cs) == pytest.approx(4 * r * r + 1.5, rel=1e-10)
 
 
 def test_evolution_preserves_level_populations():
@@ -316,7 +312,7 @@ def test_measure_density_factories_are_distinct():
 def test_susy_iso_state_is_the_lin_displacement_series(r, angle, truncation):
     z = cmath.rect(r, angle)
     try:
-        series = build_cs(Family.LIN_DISPLACEMENT, z, alpha=2.0, truncation=truncation)
+        series = build_cs(Family.LIN_DISPLACEMENT, z, truncation=truncation)
     except TruncationTooSmall:
         with pytest.raises(TruncationTooSmall):
             build_cs(Family.SUSY_ISO, z, truncation=truncation)
@@ -385,11 +381,14 @@ def test_every_family_revives_at_half_period(family, window, r, angle):
 
 
 def test_windows_hold_the_scan_windows_of_every_family():
+    # an uncertainty scan sums over min(truncation, uncertainty_terms) levels,
+    # on tables whose rule follows from the basis and that window
     windows = coherent.WINDOWS
     assert set(windows) == set(Family)
-    assert windows[Family.LOWERING].uncertainty(64) == (30, 132)
-    assert windows[Family.LOWERING].uncertainty(16) == (16, 76)
-    assert windows[Family.SUSY_ISO].uncertainty(64) == (48, 4 * 99 + 32)
-    assert windows[Family.SUSY_ISO].uncertainty(40) == (40, 4 * 83 + 32)
-    assert windows[Family.SUSY_NEW].uncertainty(64) == (2, 60)
+    assert [windows[f].uncertainty_terms for f in Family] == [30, 30, 30, 30, 48, 2]
+    assert table_degree(Basis.TRUNCATED, 30 - 1) == 132
+    assert table_degree(Basis.TRUNCATED, 16 - 1) == 76
+    assert table_degree(Basis.SUSY_ISO, 48 - 1) == 4 * 99 + 32
+    assert table_degree(Basis.SUSY_ISO, 40 - 1) == 4 * 83 + 32
+    assert table_degree(Basis.SUSY_NEW, 2 - 1) == 60
     assert [windows[f].entropy_terms for f in Family] == [20, 20, 20, 20, 32, 20]

@@ -126,6 +126,47 @@ def test_hyp2f2_frozen_values(a1, a2, b1, b2, x, expected):
     assert hyp2f2(a1, a2, b1, b2, x) == pytest.approx(expected, rel=1e-12)
 
 
+def test_hyp2f2_pole_in_a_denominator_parameter_at_tiny_x():
+    # a tiny x meets the stop rule before (b1)_k reaches zero at k = 3, so a
+    # series that only guarded its terms would return 1.0 here
+    for args in ((0.5, 0.5, -3.0, 1.0, 1e-20), (0.5, 0.5, 1.0, -3.0, 1e-20)):
+        with pytest.raises(PoleError):
+            hyp2f2(*args)
+    # as in 1F1, a top parameter that terminates the series first is no pole
+    assert hyp2f2(-1.0, 0.5, -3.0, 1.0, 1e-20) == 1.0 + (-0.5 * 1e-20) / -3.0
+
+
+def _plain_2f2(a1, a2, b1, b2, x):
+    """2F2 by its series in plain floats, each product taken left to right."""
+    term = total = 1.0
+    small_run = 0
+    for k in range(512):
+        if a1 + k == 0.0 or a2 + k == 0.0:
+            break
+        term *= (a1 + k) * (a2 + k) * x / ((b1 + k) * (b2 + k) * (k + 1))
+        total += term
+        small_run = small_run + 1 if abs(term) <= 1e-15 * max(1.0, abs(total)) else 0
+        if small_run == 2:
+            break
+    return total
+
+
+@pytest.mark.parametrize("a1, a2, b1, b2", [
+    (1.0, 1.0, 2.0, 2.0), (0.5, 1.5, 1.0, 2.5), (1.5, 2.5, 3.5, 0.5),
+    (-2.0, 1.5, 3.0, 0.5), (1.0, -1.0, -2.0, 1.5), (1.0, 2.5, 3.0, 3.0)])
+def test_hyp2f2_on_an_array_is_the_scalar_series_bit_for_bit(a1, a2, b1, b2):
+    # the same grid of x as for 1F1: zero, denormal and tiny x stop early,
+    # a top parameter of -2 or -1 terminates, and each element keeps its
+    # own stop rule
+    x = np.array([0.0, 5e-324, 1e-300, 1e-12, 0.3, -4.0, 2.0, 17.5, 40.0, -40.0])
+    scalar = np.array([hyp2f2(a1, a2, b1, b2, float(t)) for t in x])
+    plain = np.array([_plain_2f2(a1, a2, b1, b2, float(t)) for t in x])
+    assert scalar.tobytes() == plain.tobytes()
+    assert hyp2f2(a1, a2, b1, b2, x).tobytes() == scalar.tobytes()
+    assert hyp2f2(a1, a2, b1, b2, x.reshape(2, -1)).tobytes() == scalar.tobytes()
+    assert type(hyp2f2(a1, a2, b1, b2, 0.3)) is float
+
+
 @pytest.mark.parametrize("a", [-3.0, -1.5, -0.5, 0.5, 1.25, 3.0])
 @pytest.mark.parametrize("b", [0.5, 1.5, 2.5])
 def test_hyp1f1_against_mpmath(a, b):

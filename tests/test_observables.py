@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from truncosc.coherent import CoherentState, Family, build_cs
 from truncosc.errors import BasisMismatch, TruncationTooSmall
 from truncosc.fock import Basis
-from truncosc.numerics import gauss_halfline
 from truncosc.observables import (
     MatrixElementTable,
     ObservableKind,
@@ -129,7 +128,7 @@ def test_discrepancy_report_flags_only_p2_near_diagonal_entries():
     # the diagonal and first off-diagonal (17 entries up to n = 8, worst
     # deviation 17); everything else matches, so the report is the whole
     # story and the quadrature table stays authoritative
-    rows = discrepancy_report(n_max=8, tol=1e-8)
+    rows = discrepancy_report(tol=1e-8)
     assert len(rows) == 17
     assert all(r["kind"] == "P2" for r in rows)
     assert all(abs(r["n"] - r["m"]) <= 1 for r in rows)
@@ -198,7 +197,7 @@ def _expectation_cases(draw):
         max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
     norm = np.linalg.norm(c)
     assume(norm > 1e-100)
-    state = CoherentState(family=Family.LOWERING, z=0.0, alpha=2.0, amplitudes=c / norm,
+    state = CoherentState(family=Family.LOWERING, z=0.0, amplitudes=c / norm,
                           norm_constant=1.0, energies=np.zeros(size))
     return table, state, n_terms
 
@@ -228,13 +227,13 @@ def test_expectation_refuses_a_window_that_drops_probability():
 
 
 def test_quadrature_tables_match_single_element_quadrature():
-    rule = gauss_halfline(degree=4 * 6 + 16)
+    # the table is on the rule of level 6, each element on that of max(n, m)
     for kind in (ObservableKind.X, ObservableKind.X2, ObservableKind.P, ObservableKind.P2):
-        table = build_table(kind, 6, rule=rule)
+        table = build_table(kind, 6)
         for n in range(7):
             for m in range(n + 1):
                 assert table.entries[n, m] == pytest.approx(
-                    matrix_element_quadrature(kind, n, m, rule=rule), abs=1e-12)
+                    matrix_element_quadrature(kind, n, m), abs=1e-12)
 
 
 def test_partner_tables_come_from_rows_and_single_elements_do_not():

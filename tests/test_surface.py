@@ -1,7 +1,8 @@
 """The package's public surface: exported names resolve, imports are used,
 nothing is defined or recorded that nothing reads, every error type is
 raised or subclassed, scipy.special is never imported, only the spectral
-splitter cross-check calls an eigensolver, the modules import
+splitter cross-check calls an eigensolver, the CLI imports no piece of
+the entropy scan's layout, the modules import
 each other without a cycle, the benchmark's self-test passes, and a
 failing property test fails alone.
 
@@ -149,6 +150,21 @@ def test_only_the_spectral_cross_check_calls_an_eigensolver():
             names = {"eigh", "eigh_tridiagonal"} & set(_read_names(top))
             callers += [(path.name, getattr(top, "name", None), n) for n in sorted(names)]
     assert callers == [("entangle.py", "beamsplitter_block", "eigh")]
+
+
+def test_the_cli_restates_no_layout_of_the_entropy_scan():
+    # entangle sizes its scan (scan_bytes, min_cutoff); a CLI that imports
+    # the pieces of that layout could restate it again
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    imported = [(node.module, a.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert [name for _, name in imported
+            if name in ("gauss_halfline_size", "points_per_sweep")] == []
+    assert [name for module, name in imported
+            if module == "entangle" and name.startswith("_")] == []
+    assert [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and n.attr.startswith("_") and isinstance(n.value, ast.Name)
+            and n.value.id in ("entangle", "_entangle")] == []
 
 
 def test_every_error_type_is_raised_or_subclassed():
