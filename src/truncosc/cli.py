@@ -87,9 +87,7 @@ _DENSITY_GRID_POINTS = 600
 _DENSITY_X_MAX = 12.0
 
 # Memory a run may hold in all; entropy at basis 80, the largest run in the
-# benchmark, peaks at about 25 MB (tracemalloc) while building its refined
-# Gram matrix, whose two Hermite tables are freed before the splitter sweep
-# fills its state stacks (12 MB for 9 points; at most 16 MiB).
+# benchmark, peaks at about 16 MB (tracemalloc) in its splitter sweep.
 _MEMORY_BUDGET = 1 << 30
 
 # Bytes a run keeps per |z| point besides its state (record, CSV row and text;

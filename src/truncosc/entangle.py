@@ -40,21 +40,17 @@ state.  A chunk's states hold at most 16 MiB, so memory does not grow
 with the number of points, and each state goes through its own product,
 so its bits do not depend on the points rotated with it.  Entropy runs
 load no scipy.  The partner-tower projections onto the half-line basis
-do not depend on |z| either and are built once per cutoff.
-
-`entropy_scan` builds the Gram matrices of both cutoffs before its
-first sweep.  Building one holds two P x nodes Hermite tables (12 MB
-each at basis 80, P = 239), more than anything else a scan allocates;
-built first, they are freed before the state stacks fill instead of
-sitting on top of them.  Each |z|'s coherent state is built once and
-serves both cutoffs.
+do not depend on |z| either: `entropy_scan` builds them once per cutoff,
+with the Gram matrices, before any state stack, so their Hermite table
+(5.7 MB at basis 80) is freed before the stacks fill.  Each |z|'s
+coherent state is built once for both cutoffs.
 
 Half-line geometry: restrictions of full-line levels to (0, inf) are
 not orthogonal across parities; their normalized overlaps form the Gram
-matrix.  Restricted odd levels, scaled by sqrt(2), are orthonormal AND
-complete on the half-line, so they serve as the working basis for the
-partial trace, and the change of basis is just sqrt(2) times the odd
-rows of the Gram matrix.
+matrix, in closed form (`gram_matrix`).  Restricted odd levels, scaled
+by sqrt(2), are orthonormal AND complete on the half-line, so they serve
+as the working basis for the partial trace, and the change of basis is
+just sqrt(2) times the odd rows of the Gram matrix.
 """
 from __future__ import annotations
 
@@ -72,7 +68,8 @@ from .errors import (
     GramNotPSD,
 )
 from .fock import Basis, hermite_normalized, rows
-from .numerics import gauss_halfline, gauss_halfline_size, hyp2f1_terminating
+from .numerics import (_is_nonpositive_integer, gauss_halfline, gauss_halfline_size,
+                       hyp2f1_terminating)
 
 __all__ = [
     "GramMatrix",
@@ -122,8 +119,7 @@ def halfline_overlap(alpha: int, beta: int, method: str = "auto") -> float:
     if method == "quadrature":
         return _overlap_quadrature(alpha, beta)
     c = 1.0 - (alpha + beta) / 2.0
-    pole = c <= 0 and float(c).is_integer()
-    if pole:
+    if _is_nonpositive_integer(c):
         if method == "closed":
             raise ValueError("closed form hits a Gamma pole; use quadrature")
         return _overlap_quadrature(alpha, beta)
@@ -167,25 +163,26 @@ class GramMatrix:
         return math.sqrt(2.0) * self.entries[1::2, :]
 
 
-def _gram_degree(size: int) -> int:
-    """Degree of the Gauss rule behind gram_matrix(size)."""
-    return 2 * size + 16
-
-
 @lru_cache(maxsize=8)
 def gram_matrix(size: int) -> GramMatrix:
-    """Gram matrix of the first `size` restricted normalized levels.
+    """Gram matrix of the first `size` restricted normalized levels, exact
+    at every size in O(size^2) work, with nothing larger than G.
 
-    Gauss half-line quadrature is exact here (pure polynomial integrands
-    against e^{-x^2}), so this IS the closed form, uniformly stable in
-    the level indices.
+    Same-parity entries are delta_mn / 2.  For m + n odd, integrating the
+    Wronskian identity (psi_m psi_n' - psi_n psi_m')' = 2 (m - n) psi_m psi_n
+    over (0, inf) gives G[m, n] = (psi_n(0) psi_m'(0) - psi_m(0) psi_n'(0))
+    / (2 (m - n)), with psi_2j(0) = -sqrt((2j - 1)/(2j)) psi_2j-2(0) from
+    pi^(-1/4), psi_2j+1'(0) = sqrt(2 (2j + 1)) psi_2j(0), and the odd
+    levels' values and even levels' slopes at 0 zero.
     """
     if size < 1:
         raise ValueError("size must be positive")
-    rule = gauss_halfline(_gram_degree(size))
-    h = hermite_normalized(size - 1, rule.nodes)
-    g = (h * rule.weights) @ h.T / math.sqrt(math.pi)
-    return GramMatrix(0.5 * (g + g.T))
+    m, n = np.arange(0, size, 2), np.arange(1, size, 2)  # even and odd levels
+    psi0 = np.cumprod(np.concatenate(([math.pi ** -0.25], -np.sqrt((m[1:] - 1) / m[1:]))))
+    g = np.diag(np.full(size, 0.5))
+    g[::2, 1::2] = np.outer(psi0, np.sqrt(2.0 * n) * psi0[:n.size]) / (2.0 * (n - m[:, None]))
+    g[1::2, ::2] = g[::2, 1::2].T
+    return GramMatrix(g)
 
 
 # ----------------------------------------------------------------------------
@@ -425,23 +422,28 @@ def _least_cutoff(n_levels: int) -> int:
     return 2 * n_levels + 3
 
 
+def _projection_degree(cutoff: int) -> int:
+    """Degree of the Gauss rule behind the partner projections at a cutoff."""
+    return 2 * cutoff + 64
+
+
 @lru_cache(maxsize=16)
 def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndarray:
-    """Coefficients of the tower states over the restricted odd basis.
-
-    Row n holds <e_k, phi_n> for e_k = sqrt(2) x (level 2k+1 restricted),
-    k < cutoff // 2, via the shared Gauss rule (orthonormal basis, so the
-    Gram inverse is the identity here).  They do not depend on |z|, so
-    they are built once per (basis, n_levels, cutoff); the cached array
-    is read-only.
+    """Coefficients over the restricted odd basis e_k = sqrt(2) x (level
+    2k+1 restricted), k < cutoff // 2: row 0 of mode A, the lowest new
+    partner level, row 1 + n of level n of the basis, all from one Gauss
+    rule and the odd rows of one Hermite table, which is freed at once
+    (orthonormal basis, so the Gram inverse is the identity here).  They do
+    not depend on |z|: built once per (basis, n_levels, cutoff), the cached
+    array is read-only.
     """
     k_count = cutoff // 2
-    rule = gauss_halfline(2 * cutoff + 64)
-    h = hermite_normalized(2 * k_count - 1, rule.nodes)
-    bw = (math.sqrt(2.0) / math.pi ** 0.25) * h[1::2, :] * rule.weights
-    ws = rows(basis, n_levels, rule.nodes)[0]
+    rule = gauss_halfline(_projection_degree(cutoff))
+    bw = math.sqrt(2.0) / math.pi ** 0.25 * hermite_normalized(2 * k_count - 1, rule.nodes)[1::2]
+    bw *= rule.weights
+    levels = [rows(Basis.SUSY_NEW, 1, rule.nodes)[0, 0], *rows(basis, n_levels, rule.nodes)[0]]
     # one product per level: a single matrix product rounds differently
-    proj = np.array([bw @ ws[n] for n in range(n_levels)])
+    proj = np.array([bw @ level for level in levels])
     proj.flags.writeable = False
     return proj
 
@@ -467,8 +469,8 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int) -> TwoModeState:
     if basis == Basis.TRUNCATED:
         mode_a, mode_b = np.ones(1), amps
     elif basis in (Basis.SUSY_ISO, Basis.SUSY_NEW):
-        mode_a = _susy_level_projections(Basis.SUSY_NEW, 1, cutoff)[0]
-        mode_b = amps @ _susy_level_projections(basis, amps.size, cutoff)
+        proj = _susy_level_projections(basis, amps.size, cutoff)
+        mode_a, mode_b = proj[0], amps @ proj[1:]
         recovered_a = float(np.sum(mode_a ** 2))
         recovered_b = float(np.linalg.norm(mode_b) ** 2)
         if recovered_a < 1.0 - _EMBED_RESIDUAL or recovered_b < 1.0 - _EMBED_RESIDUAL:
@@ -547,19 +549,21 @@ def points_per_sweep(cutoff: int) -> int:
 
 def scan_bytes(cutoff: int, n_points: int) -> int:
     """Upper bound on the bytes `entropy_scan` holds at once over n_points
-    |z| points (records aside), from the layout alone.  With P the refined
-    cutoff's Gram size, it peaks either in `gram_matrix(P)`, which it runs
-    first, holding two P x N Hermite tables (h and h * w, N the nodes of its
-    rule), or in a splitter sweep over the states of `points_per_sweep`
-    points, 16 (2b - 1)^2 bytes for each cutoff b of a point, plus a boolean
-    mask of them (1/16 of their bytes) and at most 64 P^2 bytes of Risbo
-    tables, blocks and products (about 52 P^2 traced).  The two peaks are
-    added, which also covers the small arrays each leaves out (Gram
-    matrices, quadrature rules, the reduction's products).
+    |z| points (records aside), from the layout alone.  With c the probe
+    cutoff and P = 2c - 1, it peaks either in the partner projections at c,
+    built before any state, holding the Hermite table of 2 floor(c/2) levels
+    on the N nodes of their rule and its odd rows (24 floor(c/2) N bytes),
+    or in a splitter sweep over the states of `points_per_sweep` points,
+    16 (2b - 1)^2 bytes for each cutoff b of a point, plus a boolean mask of
+    them (1/16 of their bytes) and at most 64 P^2 bytes of Risbo tables,
+    blocks and products (about 52 P^2 traced).  The two peaks are added,
+    which also covers what each leaves out (Gram matrices, quadrature
+    rules, tower rows, the reduction's products).
     """
     padded = _scan_sizes(cutoff)[1]
+    probe = (padded + 1) // 2
     states = min(n_points, points_per_sweep(cutoff)) * _point_state_bytes(cutoff)
-    return (16 * padded * gauss_halfline_size(_gram_degree(padded))
+    return (24 * (probe // 2) * gauss_halfline_size(_projection_degree(probe))
             + states + states // 16 + 64 * padded * padded)
 
 
@@ -582,9 +586,12 @@ def _entropy_chunk(family: Family, z_chunk: Sequence[float], n_terms: int,
     reduced.  The stacked states are freed on return, before the next
     chunk's are allocated."""
     cutoffs = [(g.size + 1) // 2 for g in grams]  # each Gram size is 2c - 1
+    states = [build_cs(family, z_abs, truncation=n_terms) for z_abs in z_chunk]
+    if states[0].basis != Basis.TRUNCATED:  # both cutoffs' projections precede the stacks
+        for c in cutoffs:
+            _susy_level_projections(states[0].basis, states[0].amplitudes.size, c)
     stacks = [np.zeros((len(z_chunk), g.size, g.size), dtype=complex) for g in grams]
-    for j, z_abs in enumerate(z_chunk):
-        cs = build_cs(family, z_abs, truncation=n_terms)
+    for j, cs in enumerate(states):
         for stack, c in zip(stacks, cutoffs):
             stack[j, :c, :c] = embed_cs_in_two_modes(cs, cutoff=c).amplitudes
     _rotate_in_place(stacks, setting)
@@ -609,11 +616,10 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     States keep n_terms levels (default: the family's coherent.WINDOWS
     entry); as in build_cs, the partner towers are those of the
     frozen fourth-order model.  Records are flagged unconverged when the
-    two cutoffs disagree by 5e-3 or more.  Both Gram matrices are built
-    first (see the module docstring); then the |z| points are taken in
-    chunks of `points_per_sweep`, and one splitter sweep rotates the
-    states of a chunk.  Gram matrices and partner-tower projections are
-    cached.
+    two cutoffs disagree by 5e-3 or more.  Gram matrices and partner
+    projections are built first and cached (see the module docstring);
+    then one splitter sweep rotates the states of each chunk of
+    `points_per_sweep` |z| points.
     """
     if setting is None:
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)

@@ -37,7 +37,7 @@ _MAX_TERMS = 512
 
 
 def _is_nonpositive_integer(a: float) -> bool:
-    return a <= 0 and float(a) == math.floor(a)
+    return a <= 0 and float(a).is_integer()  # a Gamma pole; never -inf or NaN
 
 
 def _hypergeometric(tops: tuple, bottoms: tuple, x):
@@ -126,9 +126,9 @@ def log_gamma_signed(x: float) -> tuple[float, float]:
     """Return (log|Gamma(x)|, sign(Gamma(x))) for real x off the poles.
 
     Gamma is negative exactly on the intervals (-1, 0), (-3, -2), ...,
-    where floor(x) is odd.
+    where floor(x) is odd; its poles accumulate at -inf, which has no value.
     """
-    if _is_nonpositive_integer(x):
+    if _is_nonpositive_integer(x) or x == -math.inf:
         raise PoleError(f"Gamma pole at {x}")
     sign = -1.0 if x < 0 and math.floor(x) % 2 else 1.0
     return math.lgamma(x), sign

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import GammaPole, IndexOutOfRange, SingularWronskian
 from .fock import Basis, level_energy, rows
-from .numerics import hyp1f1, hyp2f2, log_gamma_signed, rising_factorial
+from .numerics import _is_nonpositive_integer, hyp1f1, hyp2f2, log_gamma_signed, rising_factorial
 
 __all__ = [
     "SeedSolution",
@@ -65,10 +65,6 @@ __all__ = [
 # ----------------------------------------------------------------------------
 # seed solutions
 # ----------------------------------------------------------------------------
-
-def _is_nonpositive_integer(value: float) -> bool:
-    return value <= 0 and float(value).is_integer()
-
 
 @dataclass(frozen=True)
 class SeedSolution:

@@ -338,7 +338,7 @@ def test_rejects_non_finite_scan_parameters(tmp_path, run_cli, flag, value):
     ["--command", "uncertainty", "--steps", "1000000000"],
     ["--command", "uncertainty", "--basis", "100000000"],
     # each of these items fits alone, but together they exceed the budget
-    ["--command", "entropy", "--basis", "500"],
+    ["--command", "entropy", "--basis", "900"],
     ["--command", "density", "--steps", "50000"],
     ["--command", "uncertainty", "--steps", "5000000"],
 ])
@@ -353,8 +353,8 @@ def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli
 
 def test_entropy_above_the_basis_maximum_is_rejected_before_any_sweep(
         tmp_path, run_cli, monkeypatch):
-    # one level past the maximum, the refined Gram matrix's Hermite tables
-    # (847 MiB) and the sweep's arrays together pass the budget
+    # one level past the maximum, the refined cutoff's partner projections
+    # (488 MiB) and the sweep's arrays (536 MiB) together pass the budget
     calls = []
     monkeypatch.setattr(entangle, "gram_matrix", lambda *a: calls.append("gram"))
     monkeypatch.setattr(entangle, "_rotate_in_place", lambda *a: calls.append("sweep"))
@@ -368,22 +368,26 @@ def test_entropy_above_the_basis_maximum_is_rejected_before_any_sweep(
     assert calls == []
 
 
-@pytest.mark.parametrize("family, basis", [
-    ("lowering", 43), ("lowering", 64), ("susy-new", 80), ("susy-iso", 80)])
-def test_entropy_memory_model_bounds_the_traced_peak(family, basis):
-    # a 9-point scan from empty caches: the peak is either the refined Gram
-    # matrix's two Hermite tables or the splitter sweep over the stacked
-    # states, and the model must bound both
+@pytest.mark.parametrize("family, basis, steps", [
+    ("lowering", 43, 9), ("lowering", 64, 9), ("susy-new", 80, 9), ("susy-iso", 80, 9),
+    ("susy-iso", 160, 9), ("susy-iso", 160, 1)],
+    ids=["lowering-43", "lowering-64", "susy-new-80", "susy-iso-80", "susy-iso-160",
+         "susy-iso-160-one-point"])
+def test_entropy_memory_model_bounds_the_traced_peak(family, basis, steps):
+    # a scan from empty caches: the peak is either the refined cutoff's
+    # partner projections or the splitter sweep over the stacked states, and
+    # the model must bound both; a one-point scan at basis 160 peaks in the
+    # projections (23.4 MB traced), past the sweep's part of the model
     for cache in (entangle.gram_matrix, entangle._susy_level_projections):
         cache.cache_clear()
-    z_grid = np.linspace(0.0, 1.0 if family == "susy-iso" else 2.0, 9)
+    z_grid = np.linspace(0.0, 1.0 if family == "susy-iso" else 2.0, steps)
     tracemalloc.start()
     try:
         entangle.entropy_scan(family, z_grid, cutoff=basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    model = cli._largest_array_bytes("entropy", basis, 9)
+    model = cli._largest_array_bytes("entropy", basis, steps)
     assert peak <= model, f"traced {peak / 1e6:.2f} MB, model {model / 1e6:.2f} MB"
 
 

@@ -87,6 +87,40 @@ def test_overlap_symmetry(rng):
         assert diff < 1e-10 * scale
 
 
+def _gram_entry_oracle(m, n):
+    """G[m, n] in mpmath from the raw-polynomial overlap's 2F1 closed form
+    (the form of `halfline_overlap`), independent of the Wronskian."""
+    if (m + n) % 2 == 0:
+        return mp.mpf(1) / 2 if m == n else mp.mpf(0)
+    with mp.workdps(40):
+        c = 1 - mp.mpf(m + n) / 2
+        raw = (mp.sqrt(mp.pi) * mp.hyp2f1(-m, -n, c, mp.mpf(1) / 2)
+               / (mp.mpf(2) ** (1 - m - n) * mp.gamma(c)))
+        return raw / mp.sqrt(mp.mpf(2) ** (m + n) * mp.factorial(m) * mp.factorial(n) * mp.pi)
+
+
+@pytest.mark.parametrize("size, pairs", [
+    (479, [(478, 477), (0, 477), (477, 477), (2, 477), (100, 3), (478, 1)]),
+    (1447, [(1446, 1445), (0, 1445), (1446, 1), (700, 701), (1000, 3), (1445, 1445)])])
+def test_gram_matrix_matches_mpmath_past_any_quadrature_rule(size, pairs):
+    # the sizes lie past P = 325, where a Gauss rule stopping at x = 27.3
+    # loses the top levels (G[477, 477] came out 0.342 there)
+    ent = gram_matrix(size).entries
+    for m, n in pairs:
+        want = _gram_entry_oracle(m, n)
+        assert ent[m, n] == ent[n, m]
+        assert abs(ent[m, n] - want) <= 1e-14 * abs(want), (m, n)
+
+
+@pytest.mark.parametrize("size", [400, 479, 1001])
+def test_gram_matrix_is_exact_within_each_parity(size):
+    ent = gram_matrix(size).entries
+    assert np.all(np.diag(ent) == 0.5)
+    for parity in (0, 1):
+        block = ent[parity::2, parity::2]
+        assert np.all(block[~np.eye(block.shape[0], dtype=bool)] == 0.0)
+
+
 def test_gram_matrix_structure():
     g = gram_matrix(10)
     ent = g.entries

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
+from truncosc import numerics, susy
 from truncosc.errors import DivergenceError, PoleError
 from truncosc.numerics import (
     _legendre_nodes,
@@ -223,6 +224,16 @@ def test_log_gamma_signed_raises_on_poles():
     for x in (0.0, -1.0, -7.0):
         with pytest.raises(PoleError):
             log_gamma_signed(x)
+
+
+def test_minus_infinity_raises_no_overflow_error():
+    # -inf is no pole of its own, so the pole predicate must not floor it;
+    # Gamma's poles accumulate there, so log_gamma_signed has no value at it,
+    # while 1F1(a; b; x) tends to 1 as b -> -inf
+    with pytest.raises(PoleError):
+        log_gamma_signed(-math.inf)
+    assert hyp1f1(0.5, -math.inf, 0.3) == 1.0
+    assert susy._is_nonpositive_integer is numerics._is_nonpositive_integer
 
 
 def test_rising_factorial_matches_gamma_quotient(rng):

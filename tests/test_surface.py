@@ -1,8 +1,8 @@
 """The package's public surface: exported names resolve, imports are used,
 nothing is defined or recorded that nothing reads, every error type is
 raised or subclassed, scipy.special is never imported, only the spectral
-splitter cross-check calls an eigensolver, the CLI imports no piece of
-the entropy scan's layout, the modules import
+splitter cross-check calls an eigensolver, the Gram matrix needs no
+quadrature, the CLI imports no piece of the entropy scan's layout, the modules import
 each other without a cycle, the benchmark's self-test passes, and a
 failing property test fails alone.
 
@@ -150,6 +150,14 @@ def test_only_the_spectral_cross_check_calls_an_eigensolver():
             names = {"eigh", "eigh_tridiagonal"} & set(_read_names(top))
             callers += [(path.name, getattr(top, "name", None), n) for n in sorted(names)]
     assert callers == [("entangle.py", "beamsplitter_block", "eigh")]
+
+
+def test_the_gram_matrix_is_built_without_quadrature():
+    # gram_matrix is closed-form; a Hermite table on a Gauss rule would bring
+    # back its P x nodes transient and the rule's reach, x < 27.3
+    tree = ast.parse((PACKAGE_DIR / "entangle.py").read_text(encoding="utf-8"))
+    [gram] = [top for top in tree.body if getattr(top, "name", None) == "gram_matrix"]
+    assert {"gauss_halfline", "hermite_normalized"} & set(_read_names(gram)) == set()
 
 
 def test_the_cli_restates_no_layout_of_the_entropy_scan():
