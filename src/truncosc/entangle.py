@@ -34,16 +34,21 @@ recursion (T. Risbo, J. Geodesy 70, 383, 1996), each from the previous
 one in O(total^2) work, with no eigensolve and no cache; the blocks agree
 with the spectral ones to 7e-14 and stay orthogonal to 8e-14 up to total
 822.  One sweep up to the largest populated total rotates the
-anti-diagonals of a whole stack of states: `entropy_scan` stacks every
-|z| point of a chunk at both cutoffs, `beamsplitter_apply` a single
-state.  A chunk's states hold at most 16 MiB, so memory does not grow
-with the number of points, and each state goes through its own product,
-so its bits do not depend on the points rotated with it.  Entropy runs
-load no scipy.  The partner-tower projections onto the half-line basis
-do not depend on |z| either: `entropy_scan` builds them once per cutoff,
-with the Gram matrices, before any state stack, so their Hermite table
-(5.7 MB at basis 80) is freed before the stacks fill.  Each |z|'s
-coherent state is built once for both cutoffs.
+anti-diagonals of many states at once, each state held as its populated
+anti-diagonals packed one after another (`_Diagonals`), not as a padded
+matrix: `entropy_scan` packs every |z| point of a chunk at both cutoffs,
+about c^2 entries a state where the padded (2c - 1)^2 matrix would be
+four times that, and `beamsplitter_apply` packs a single state.  A
+chunk's packed states hold at most 16 MiB, so memory does not grow with
+the number of points, and each state goes through its own product, so
+its bits do not depend on the points rotated with it.  Each state is
+reduced from one P x P buffer per cutoff, reused across the chunk.
+Entropy runs load no scipy.  The partner-tower projections onto the
+half-line basis do not depend on |z| either: `entropy_scan` builds them
+once per cutoff, with the Gram matrices, before any packed state, from
+weighted odd Hermite rows built a block of nodes at a time, so no full
+Hermite table is held.  Each |z|'s coherent state is built once for
+both cutoffs.
 
 Half-line geometry: restrictions of full-line levels to (0, inf) are
 not orthogonal across parities; their normalized overlaps form the Gram
@@ -67,7 +72,7 @@ from .errors import (
     ExpansionResidualTooLarge,
     GramNotPSD,
 )
-from .fock import Basis, hermite_normalized, rows
+from .fock import _ROW_CHUNK, Basis, hermite_normalized, rows
 from .numerics import (_is_nonpositive_integer, gauss_halfline, gauss_halfline_size,
                        hyp2f1_terminating)
 
@@ -135,7 +140,9 @@ class GramMatrix:
     parity-mixing entries are the nontrivial content.  The matrix is
     positive definite (restricted levels are linearly independent), but
     its smallest eigenvalue falls below rounding from size 16 on, so
-    construction checks positive semidefiniteness to 1e-10.  The entries
+    construction checks that the same-parity blocks are exactly I/2 and
+    that G is positive semidefinite to 1e-10, from the largest eigenvalue
+    of C^T C for the cross block C = G[0::2, 1::2].  The entries
     are a read-only copy: gram_matrix's cache hands one record to every
     caller.
     """
@@ -149,7 +156,14 @@ class GramMatrix:
             raise ValueError("Gram matrix must be square")
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise GramNotPSD("Gram matrix is not symmetric")
-        if np.min(np.linalg.eigvalsh(g)) < -1e-10:
+        for parity in (0, 1):
+            block = g[parity::2, parity::2]
+            if not np.array_equal(block, 0.5 * np.eye(block.shape[0])):
+                raise GramNotPSD("Gram matrix's same-parity blocks are not I/2")
+        # with both same-parity blocks I/2, the eigenvalues of G are 1/2 plus
+        # or minus the singular values of the cross block C (and 1/2)
+        cross = g[0::2, 1::2]
+        if np.any(np.linalg.eigvalsh(cross.T @ cross) > (0.5 + 1e-10) ** 2):
             raise GramNotPSD("Gram matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", g)
 
@@ -313,9 +327,9 @@ def beamsplitter_block_oracle(total: int, setting: BeamSplitterSetting) -> np.nd
     return expm(gen)
 
 
-# Bytes of two-mode states that one splitter sweep rotates together; a scan
-# with more |z| points runs one sweep per chunk of points, so its memory does
-# not grow with the number of points.
+# Bytes of packed two-mode states that one splitter sweep rotates together; a
+# scan with more |z| points runs one sweep per chunk of points, so its memory
+# does not grow with the number of points.
 _SWEEP_STATE_BYTES = 16 << 20
 
 
@@ -332,53 +346,70 @@ def _risbo_blocks(top: int, theta: float) -> Iterator[tuple[int, np.ndarray]]:
     with c = cos(theta/2), s = sin(theta/2) and d' zero outside its range:
     O(total^2) work a step.  Every square root comes from one table of
     sqrt(ik), so at theta = 0 each step returns the identity exactly
-    (sqrt(i*i) = i and i + (total-i) = total in floating point).
+    (sqrt(i*i) = i and i + (total-i) = total in floating point).  Each
+    step writes into buffers allocated once: the yielded block is a
+    contiguous view that the next step overwrites.
     """
     roots = np.sqrt(np.multiply.outer(np.arange(top + 1.0), np.arange(top + 1.0)))
     cos_roots = math.cos(theta / 2.0) * roots
-    sin_roots = math.sin(theta / 2.0) * roots
-    del roots
-    block = np.ones((1, 1))
+    sin_roots = np.multiply(math.sin(theta / 2.0), roots, out=roots)
+    pad = np.zeros((top + 2, top + 2))  # d' at [1:total+1, 1:total+1], zeros around
+    pad[1, 1] = 1.0
+    flat = np.empty((2, (top + 1) ** 2))  # the block and one temporary
     for total in range(1, top + 1):
         n = total + 1
-        pad = np.zeros((n + 1, n + 1))  # d' inside a border of zeros
-        pad[1:n, 1:n] = block
+        block, tmp = (buf[:n * n].reshape(n, n) for buf in flat)
         flip = slice(total, None, -1)  # row or column i reads total - i
-        block = cos_roots[:n, :n] * pad[:n, :n]
-        block -= sin_roots[flip, :n] * pad[1:, :n]
-        block += sin_roots[:n, flip] * pad[:n, 1:]
-        block += cos_roots[flip, flip] * pad[1:, 1:]
+        np.multiply(cos_roots[:n, :n], pad[:n, :n], out=block)
+        block -= np.multiply(sin_roots[flip, :n], pad[1:n + 1, :n], out=tmp)
+        block += np.multiply(sin_roots[:n, flip], pad[:n, 1:n + 1], out=tmp)
+        block += np.multiply(cos_roots[flip, flip], pad[1:n + 1, 1:n + 1], out=tmp)
         block /= total
+        pad[1:n + 1, 1:n + 1] = block
         yield total, block
 
 
-def _rotate_in_place(stacks: Sequence[np.ndarray], setting: BeamSplitterSetting
+class _Diagonals:
+    """Anti-diagonals of n_states two-mode states of size x size levels,
+    packed: row j of `data` holds state j's entries [k, total - k], k = 0 ..
+    total, for each of `totals` in turn; every other entry of the states is
+    zero.  A scan's state populates only the even totals that the odd
+    supports of its modes reach, about c^2 entries where its padded matrix
+    has (2c - 1)^2.  `rows` and `cols` locate the packed entries, `starts`
+    the first entry of each total.  Raises CutoffExceeded when a total
+    reaches the size (its splitter block would spill outside the matrix).
+    """
+
+    def __init__(self, size: int, totals: Sequence[int], n_states: int) -> None:
+        self.totals = tuple(totals)
+        if self.totals and max(self.totals) >= size:
+            raise CutoffExceeded(f"populated total photon number {max(self.totals)} "
+                                 f"needs cutoff > {size}")
+        ks = [np.arange(total + 1) for total in self.totals]
+        self.rows = np.concatenate([np.arange(0), *ks])
+        self.cols = np.concatenate([np.arange(0), *(t - k for t, k in zip(self.totals, ks))])
+        self.starts = dict(zip(self.totals, np.cumsum([0, *(k.size for k in ks)]).tolist()))
+        self.data = np.empty((n_states, self.rows.size), dtype=complex)
+
+
+def _rotate_in_place(packs: Sequence[_Diagonals], setting: BeamSplitterSetting
                      ) -> None:
-    """Apply the splitter to every (n, n) state of each (m, n, n) stack.
+    """Apply the splitter to every state of each pack.
 
     One sweep builds the real blocks d_total by `_risbo_blocks` up to the
-    largest populated total; at each populated total the anti-diagonal x of
-    every state is replaced by phase * (d_total @ (conj(phase) * x)), phase
-    = e^{i phi k}, in one batched product over all states.  Raises
-    CutoffExceeded when a populated entry's total photon number reaches its
-    state's size (its block would spill outside the matrix).
+    largest packed total; at each packed total the anti-diagonal x of every
+    state is replaced by phase * (d_total @ (conj(phase) * x)), phase =
+    e^{i phi k}, in one batched product over all states.  The packs' own
+    guard has already rejected a total that reaches its states' size.
     """
-    populated = []
-    for stack in stacks:
-        rows, cols = np.nonzero(np.any(stack != 0.0, axis=0))
-        totals = set((rows + cols).tolist())
-        if totals and max(totals) >= stack.shape[-1]:
-            raise CutoffExceeded(f"populated total photon number {max(totals)} "
-                                 f"needs cutoff > {stack.shape[-1]}")
-        populated.append(totals)
-    top = max((max(t) for t in populated if t), default=0)
+    top = max((max(pack.totals) for pack in packs if pack.totals), default=0)
     phase = np.exp(1j * setting.phi * np.arange(top + 1))
     for total, block in _risbo_blocks(top, setting.theta):
-        live = [stack for stack, totals in zip(stacks, populated) if total in totals]
+        live = [(pack.data, slice(pack.starts[total], pack.starts[total] + total + 1))
+                for pack in packs if total in pack.starts]
         if not live:
             continue
-        k = np.arange(total + 1)
-        x = np.concatenate([stack[:, k, total - k] for stack in live])
+        x = np.concatenate([data[:, span] for data, span in live])
         x = np.multiply(x, phase[:total + 1].conj(), order="C")
         # one batched product: each state's real and imaginary parts are the
         # two columns of its own (total+1) x 2 factor, so a state's bits do
@@ -386,23 +417,27 @@ def _rotate_in_place(stacks: Sequence[np.ndarray], setting: BeamSplitterSetting
         y = np.matmul(block, x.view(float).reshape(len(x), total + 1, 2))
         y = y.reshape(len(x), -1).view(complex) * phase[:total + 1]
         start = 0
-        for stack in live:
-            stack[:, k, total - k] = y[start:start + stack.shape[0]]
-            start += stack.shape[0]
+        for data, span in live:
+            data[:, span] = y[start:start + len(data)]
+            start += len(data)
 
 
 def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
                        ) -> TwoModeState:
     """Apply the splitter; exact block structure, total photons conserved.
 
-    The sweep of `entropy_scan` on a stack of one state: each populated
+    The sweep of `entropy_scan` on one state, packed: each populated
     anti-diagonal is rotated by its Risbo block, and no complex block is
     formed.  Raises CutoffExceeded when a populated entry's total photon
     number reaches the cutoff (its block would spill outside the matrix).
     """
-    out = state.amplitudes[None].copy()
-    _rotate_in_place([out], setting)
-    return TwoModeState(out[0])
+    rows, cols = np.nonzero(state.amplitudes)
+    pack = _Diagonals(state.cutoff, sorted(set((rows + cols).tolist())), 1)
+    pack.data[0] = state.amplitudes[pack.rows, pack.cols]
+    _rotate_in_place([pack], setting)
+    out = state.amplitudes.copy()
+    out[pack.rows, pack.cols] = pack.data[0]
+    return TwoModeState(out)
 
 
 # ----------------------------------------------------------------------------
@@ -432,20 +467,56 @@ def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndar
     """Coefficients over the restricted odd basis e_k = sqrt(2) x (level
     2k+1 restricted), k < cutoff // 2: row 0 of mode A, the lowest new
     partner level, row 1 + n of level n of the basis, all from one Gauss
-    rule and the odd rows of one Hermite table, which is freed at once
+    rule and the weighted odd Hermite rows on its nodes, built in blocks of
+    `fock._ROW_CHUNK` nodes so that no full Hermite table is held
     (orthonormal basis, so the Gram inverse is the identity here).  They do
     not depend on |z|: built once per (basis, n_levels, cutoff), the cached
     array is read-only.
     """
     k_count = cutoff // 2
     rule = gauss_halfline(_projection_degree(cutoff))
-    bw = math.sqrt(2.0) / math.pi ** 0.25 * hermite_normalized(2 * k_count - 1, rule.nodes)[1::2]
+    bw = np.empty((k_count, rule.nodes.size))
+    for i in range(0, rule.nodes.size, _ROW_CHUNK):
+        nodes = slice(i, i + _ROW_CHUNK)
+        bw[:, nodes] = math.sqrt(2.0) / math.pi ** 0.25 * hermite_normalized(
+            2 * k_count - 1, rule.nodes[nodes])[1::2]
     bw *= rule.weights
     levels = [rows(Basis.SUSY_NEW, 1, rule.nodes)[0, 0], *rows(basis, n_levels, rule.nodes)[0]]
     # one product per level: a single matrix product rounds differently
     proj = np.array([bw @ level for level in levels])
     proj.flags.writeable = False
     return proj
+
+
+def _embedded_modes(cs: CoherentState, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of mode A and mode B over the odd levels 1, 3, ... below
+    the cutoff (see `embed_cs_in_two_modes`)."""
+    basis = cs.basis
+    amps = cs.amplitudes
+    least = _least_cutoff(amps.size)
+    if cutoff < least:
+        raise ValueError(f"a {amps.size}-level state needs cutoff >= {least}")
+    if basis == Basis.TRUNCATED:
+        return np.ones(1), amps
+    if basis not in (Basis.SUSY_ISO, Basis.SUSY_NEW):
+        raise ValueError(f"cannot embed states over basis {basis}")
+    proj = _susy_level_projections(basis, amps.size, cutoff)
+    mode_a, mode_b = proj[0], amps @ proj[1:]
+    recovered_a = float(np.sum(mode_a ** 2))
+    recovered_b = float(np.linalg.norm(mode_b) ** 2)
+    if recovered_a < 1.0 - _EMBED_RESIDUAL or recovered_b < 1.0 - _EMBED_RESIDUAL:
+        raise ExpansionResidualTooLarge(
+            f"projection recovers {min(recovered_a, recovered_b):.8f} of the "
+            f"norm at cutoff {cutoff}")
+    return mode_a, mode_b
+
+
+def _odd_levels(coefficients: np.ndarray, size: int) -> np.ndarray:
+    """Complex amplitudes over `size` full-line levels, the coefficients at
+    the odd levels 1, 3, ... and zeros elsewhere."""
+    out = np.zeros(size, dtype=complex)
+    out[1:2 * coefficients.size:2] = coefficients
+    return out
 
 
 def embed_cs_in_two_modes(cs: CoherentState, cutoff: int) -> TwoModeState:
@@ -461,29 +532,8 @@ def embed_cs_in_two_modes(cs: CoherentState, cutoff: int) -> TwoModeState:
     restricted odd basis by quadrature and must recover at least
     1 - 1e-6 of their norm (ExpansionResidualTooLarge otherwise).
     """
-    basis = cs.basis
-    amps = cs.amplitudes
-    least = _least_cutoff(amps.size)
-    if cutoff < least:
-        raise ValueError(f"a {amps.size}-level state needs cutoff >= {least}")
-    if basis == Basis.TRUNCATED:
-        mode_a, mode_b = np.ones(1), amps
-    elif basis in (Basis.SUSY_ISO, Basis.SUSY_NEW):
-        proj = _susy_level_projections(basis, amps.size, cutoff)
-        mode_a, mode_b = proj[0], amps @ proj[1:]
-        recovered_a = float(np.sum(mode_a ** 2))
-        recovered_b = float(np.linalg.norm(mode_b) ** 2)
-        if recovered_a < 1.0 - _EMBED_RESIDUAL or recovered_b < 1.0 - _EMBED_RESIDUAL:
-            raise ExpansionResidualTooLarge(
-                f"projection recovers {min(recovered_a, recovered_b):.8f} of the "
-                f"norm at cutoff {cutoff}")
-    else:
-        raise ValueError(f"cannot embed states over basis {basis}")
-    u = np.zeros(cutoff, dtype=complex)
-    v = np.zeros(cutoff, dtype=complex)
-    u[1:2 * mode_a.size:2] = mode_a
-    v[1:2 * mode_b.size:2] = mode_b
-    return TwoModeState(np.outer(u, v))
+    mode_a, mode_b = _embedded_modes(cs, cutoff)
+    return TwoModeState(np.outer(_odd_levels(mode_a, cutoff), _odd_levels(mode_b, cutoff)))
 
 
 # ----------------------------------------------------------------------------
@@ -536,9 +586,19 @@ def _scan_sizes(cutoff: int) -> tuple[int, ...]:
     return tuple(2 * c - 1 for c in (cutoff, int(cutoff * 1.5)))
 
 
+def _populated_totals(n_a: int, n_b: int) -> range:
+    """Totals a state populates whose mode A spans the odd levels below
+    2 n_a and mode B those below 2 n_b: even, from 2 to 2 (n_a + n_b) - 2."""
+    return range(2, 2 * (n_a + n_b) - 1, 2)
+
+
 def _point_state_bytes(cutoff: int) -> int:
-    """Bytes of one |z| point's padded two-mode states, at both cutoffs."""
-    return sum(16 * size ** 2 for size in _scan_sizes(cutoff))
+    """Bytes of one |z| point's packed two-mode states at both cutoffs b:
+    each mode spans at most the h = b // 2 odd levels below b, so a state
+    holds at most the sum of total + 1 over `_populated_totals(h, h)`,
+    (2h - 1)(2h + 1) entries."""
+    return sum(16 * (4 * (b // 2) ** 2 - 1)
+               for b in ((size + 1) // 2 for size in _scan_sizes(cutoff)))
 
 
 def points_per_sweep(cutoff: int) -> int:
@@ -551,20 +611,22 @@ def scan_bytes(cutoff: int, n_points: int) -> int:
     """Upper bound on the bytes `entropy_scan` holds at once over n_points
     |z| points (records aside), from the layout alone.  With c the probe
     cutoff and P = 2c - 1, it peaks either in the partner projections at c,
-    built before any state, holding the Hermite table of 2 floor(c/2) levels
-    on the N nodes of their rule and its odd rows (24 floor(c/2) N bytes),
-    or in a splitter sweep over the states of `points_per_sweep` points,
-    16 (2b - 1)^2 bytes for each cutoff b of a point, plus a boolean mask of
-    them (1/16 of their bytes) and at most 64 P^2 bytes of Risbo tables,
-    blocks and products (about 52 P^2 traced).  The two peaks are added,
-    which also covers what each leaves out (Gram matrices, quadrature
-    rules, tower rows, the reduction's products).
+    built before any state, which hold the weighted odd Hermite rows of the
+    2 floor(c/2) levels below c on the N nodes of their rule (8 floor(c/2) N
+    bytes) and one block of `fock._ROW_CHUNK` nodes of the Hermite table
+    with its odd rows (24 floor(c/2) 512 bytes), or in the splitter sweep or
+    the reduction of the packed states of `points_per_sweep` points, plus
+    their entry indices (the bytes of one more point), and at most 48 P^2
+    bytes of Risbo tables and blocks (40 P^2) or of the reduction's P x P
+    buffer and products.  The two peaks are added, which also covers what
+    each leaves out (Gram matrices, quadrature rules, tower rows, the
+    sweep's per-total products).
     """
     padded = _scan_sizes(cutoff)[1]
     probe = (padded + 1) // 2
-    states = min(n_points, points_per_sweep(cutoff)) * _point_state_bytes(cutoff)
-    return (24 * (probe // 2) * gauss_halfline_size(_projection_degree(probe))
-            + states + states // 16 + 64 * padded * padded)
+    states = (min(n_points, points_per_sweep(cutoff)) + 1) * _point_state_bytes(cutoff)
+    return (8 * (probe // 2) * gauss_halfline_size(_projection_degree(probe))
+            + 24 * (probe // 2) * _ROW_CHUNK + states + 48 * padded * padded)
 
 
 def min_cutoff(family: Family) -> tuple[int, str]:
@@ -582,29 +644,34 @@ def _entropy_chunk(family: Family, z_chunk: Sequence[float], n_terms: int,
                    setting: BeamSplitterSetting, grams: Sequence[GramMatrix]
                    ) -> list[EntropyRecord]:
     """Records of one chunk of |z| points: each state is built once and
-    embedded at both cutoffs, one sweep rotates them all, and each is
-    reduced.  The stacked states are freed on return, before the next
-    chunk's are allocated."""
+    embedded at both cutoffs (so the partner projections precede the packed
+    states), one sweep rotates them all, and each is reduced from one P x P
+    buffer per cutoff.  The packed states are freed on return, before the
+    next chunk's are allocated."""
     cutoffs = [(g.size + 1) // 2 for g in grams]  # each Gram size is 2c - 1
-    states = [build_cs(family, z_abs, truncation=n_terms) for z_abs in z_chunk]
-    if states[0].basis != Basis.TRUNCATED:  # both cutoffs' projections precede the stacks
-        for c in cutoffs:
-            _susy_level_projections(states[0].basis, states[0].amplitudes.size, c)
-    stacks = [np.zeros((len(z_chunk), g.size, g.size), dtype=complex) for g in grams]
-    for j, cs in enumerate(states):
-        for stack, c in zip(stacks, cutoffs):
-            stack[j, :c, :c] = embed_cs_in_two_modes(cs, cutoff=c).amplitudes
-    _rotate_in_place(stacks, setting)
-    records = []
-    for j, z_abs in enumerate(z_chunk):
-        s0, s1 = (linear_entropy(reduced_density(TwoModeState(stack[j]), gram))
-                  for stack, gram in zip(stacks, grams))
-        records.append(EntropyRecord(z_abs=z_abs, theta=setting.theta,
-                                     phi=setting.phi, entropy=s0,
-                                     entropy_refined=s1,
-                                     converged=abs(s0 - s1) < 5e-3,
-                                     cutoff=cutoffs[0]))
-    return records
+    modes = [[_embedded_modes(build_cs(family, z_abs, truncation=n_terms), c)
+              for c in cutoffs] for z_abs in z_chunk]
+    packs = []
+    for b, gram in enumerate(grams):
+        n_a, n_b = (mode.size for mode in modes[0][b])
+        pack = _Diagonals(gram.size, _populated_totals(n_a, n_b), len(z_chunk))
+        for row, point in zip(pack.data, modes):
+            u, v = (_odd_levels(mode, gram.size) for mode in point[b])
+            row[:] = u[pack.rows] * v[pack.cols]
+        packs.append(pack)
+    _rotate_in_place(packs, setting)
+    entropies = []
+    for pack, gram in zip(packs, grams):
+        # every point fills the same entries, so the rest of it stays zero
+        amps = np.zeros((gram.size, gram.size), dtype=complex)
+        entropies.append([])
+        for row in pack.data:
+            amps[pack.rows, pack.cols] = row
+            entropies[-1].append(linear_entropy(reduced_density(TwoModeState(amps), gram)))
+    return [EntropyRecord(z_abs=z_abs, theta=setting.theta, phi=setting.phi,
+                          entropy=s0, entropy_refined=s1,
+                          converged=abs(s0 - s1) < 5e-3, cutoff=cutoffs[0])
+            for z_abs, s0, s1 in zip(z_chunk, *entropies)]
 
 
 def entropy_scan(family: Family, z_moduli: Sequence[float],

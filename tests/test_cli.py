@@ -338,7 +338,7 @@ def test_rejects_non_finite_scan_parameters(tmp_path, run_cli, flag, value):
     ["--command", "uncertainty", "--steps", "1000000000"],
     ["--command", "uncertainty", "--basis", "100000000"],
     # each of these items fits alone, but together they exceed the budget
-    ["--command", "entropy", "--basis", "900"],
+    ["--command", "entropy", "--basis", "1200"],
     ["--command", "density", "--steps", "50000"],
     ["--command", "uncertainty", "--steps", "5000000"],
 ])
@@ -354,7 +354,7 @@ def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli
 def test_entropy_above_the_basis_maximum_is_rejected_before_any_sweep(
         tmp_path, run_cli, monkeypatch):
     # one level past the maximum, the refined cutoff's partner projections
-    # (488 MiB) and the sweep's arrays (536 MiB) together pass the budget
+    # (324 MiB) and the sweep's arrays (700 MiB) together pass the budget
     calls = []
     monkeypatch.setattr(entangle, "gram_matrix", lambda *a: calls.append("gram"))
     monkeypatch.setattr(entangle, "_rotate_in_place", lambda *a: calls.append("sweep"))
@@ -375,9 +375,9 @@ def test_entropy_above_the_basis_maximum_is_rejected_before_any_sweep(
          "susy-iso-160-one-point"])
 def test_entropy_memory_model_bounds_the_traced_peak(family, basis, steps):
     # a scan from empty caches: the peak is either the refined cutoff's
-    # partner projections or the splitter sweep over the stacked states, and
+    # partner projections or the splitter sweep over the packed states, and
     # the model must bound both; a one-point scan at basis 160 peaks in the
-    # projections (23.4 MB traced), past the sweep's part of the model
+    # projections (14.8 MB traced), past the sweep's part of the model
     for cache in (entangle.gram_matrix, entangle._susy_level_projections):
         cache.cache_clear()
     z_grid = np.linspace(0.0, 1.0 if family == "susy-iso" else 2.0, steps)
@@ -392,7 +392,7 @@ def test_entropy_memory_model_bounds_the_traced_peak(family, basis, steps):
 
 
 def test_entropy_memory_does_not_grow_with_the_steps():
-    # a scan frees each chunk's state stacks before the next chunk's, so past
+    # a scan frees each chunk's packed states before the next chunk's, so past
     # one chunk the traced peak grows by the records alone
     chunk = entangle.points_per_sweep(43)
     peaks = []

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from truncosc import entangle
-from truncosc.coherent import Family, build_cs
+from truncosc.coherent import WINDOWS, Family, build_cs
 from truncosc.entangle import (
     BeamSplitterSetting,
     EntropyRecord,
@@ -38,7 +38,7 @@ from truncosc.entangle import (
     reduced_density,
 )
 from truncosc.errors import CutoffExceeded, ExpansionResidualTooLarge, GramNotPSD
-from truncosc.fock import Basis, rows
+from truncosc.fock import Basis, hermite_normalized, rows
 from truncosc.numerics import gauss_halfline
 
 
@@ -375,30 +375,21 @@ def test_apply_gives_the_hong_ou_mandel_null_to_rounding():
 # Risbo's recursion against independent oracles
 # ----------------------------------------------------------------------------
 
-def _unit_states(top: int) -> np.ndarray:
-    """Stack of every |k, total-k>, total <= top, in (top+1)^2 matrices."""
-    pairs = [(total, k) for total in range(top + 1) for k in range(total + 1)]
-    stack = np.zeros((len(pairs), top + 1, top + 1), dtype=complex)
-    for j, (total, k) in enumerate(pairs):
-        stack[j, k, total - k] = 1.0
-    return stack
-
-
 @settings(max_examples=25, deadline=None)
 @given(theta=st.floats(0.0, math.pi, exclude_max=True),
        phi=st.floats(-math.pi, math.pi))
 def test_swept_blocks_match_the_exponential_oracle(theta, phi):
-    # the production sweep applied to every unit state of totals <= 20 gives
-    # each block column by column
+    # the production sweep applied to every unit state |k, total-k>, total
+    # <= 20, gives each block column by column; packed, the unit states are
+    # the rows of the identity
     top = 20
     setting = BeamSplitterSetting(theta, phi)
-    stack = _unit_states(top)
-    entangle._rotate_in_place([stack], setting)
-    j = 0
+    pack = entangle._Diagonals(top + 1, range(top + 1), (top + 1) * (top + 2) // 2)
+    pack.data[:] = np.eye(len(pack.data))
+    entangle._rotate_in_place([pack], setting)
     for total in range(top + 1):
-        i = np.arange(total + 1)
-        swept = np.stack([stack[j + k, i, total - i] for k in range(total + 1)], axis=1)
-        j += total + 1
+        span = slice(pack.starts[total], pack.starts[total] + total + 1)
+        swept = pack.data[span, span].T
         oracle = beamsplitter_block_oracle(total, setting)
         assert np.max(np.abs(swept - oracle)) <= 1e-13, total
 
@@ -665,9 +656,9 @@ def test_partner_scan_builds_projections_once_and_solves_each_total_once(monkeyp
         row_calls.append(args[:2])
         return real_rows(*args, **kwargs)
 
-    def counting_rotate(stacks, setting):
-        sweeps.append([stack.shape for stack in stacks])
-        return real_rotate(stacks, setting)
+    def counting_rotate(packs, setting):
+        sweeps.append([pack.data.shape for pack in packs])
+        return real_rotate(packs, setting)
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("entropy_scan ran an eigensolve")
@@ -679,8 +670,10 @@ def test_partner_scan_builds_projections_once_and_solves_each_total_once(monkeyp
     entropy_scan(Family.SUSY_ISO, z, cutoff=80)
     # (susy-iso, 32 levels) and (susy-new, 1 level) at cutoffs 80 and 120
     assert len(row_calls) == 4
-    # the 9 points of both cutoffs, padded to 159 and 239 levels, in one sweep
-    assert sweeps == [[(9, 159, 159), (9, 239, 239)]]
+    # the 9 points of both cutoffs in one sweep, packed: modes A and B span
+    # the 40 (60) odd levels below 80 (120), so the even totals 2 .. 158
+    # (238) hold 80^2 - 1 (120^2 - 1) entries
+    assert sweeps == [[(9, 80 ** 2 - 1), (9, 120 ** 2 - 1)]]
     entropy_scan(Family.SUSY_ISO, z, setting=BeamSplitterSetting(1.2, 0.3),
                  cutoff=80)
     assert len(row_calls) == 4 and len(sweeps) == 2
@@ -700,13 +693,54 @@ def test_scan_points_do_not_depend_on_their_chunk(monkeypatch):
     sweeps = []
     real_rotate = entangle._rotate_in_place
 
-    def counting_rotate(stacks, setting):
-        sweeps.append(len(stacks[0]))
-        return real_rotate(stacks, setting)
+    def counting_rotate(packs, setting):
+        sweeps.append(len(packs[0].data))
+        return real_rotate(packs, setting)
 
     monkeypatch.setattr(entangle, "_rotate_in_place", counting_rotate)
-    monkeypatch.setattr(entangle, "_SWEEP_STATE_BYTES", 2 * 16 * (159 ** 2 + 239 ** 2))
+    monkeypatch.setattr(entangle, "_SWEEP_STATE_BYTES", 2 * 16 * (80 ** 2 - 1 + 120 ** 2 - 1))
     assert entangle.points_per_sweep(80) == 2
     assert entropy_scan(Family.SUSY_NEW, z, setting=setting, cutoff=80) == together
     assert sweeps == [2, 2, 1]
     assert entropy_scan(Family.SUSY_NEW, [], cutoff=80) == []
+
+
+def _one_point_entropy(family: Family, z_abs: float, cutoff: int,
+                       setting: BeamSplitterSetting) -> float:
+    """Linear entropy of one state at one cutoff through the public one-state
+    path: the embedded state padded to 2c - 1 levels, rotated and reduced."""
+    cs = build_cs(family, z_abs, truncation=WINDOWS[family].entropy_terms)
+    size = 2 * cutoff - 1
+    amps = np.zeros((size, size), dtype=complex)
+    amps[:cutoff, :cutoff] = embed_cs_in_two_modes(cs, cutoff).amplitudes
+    out = beamsplitter_apply(TwoModeState(amps), setting)
+    return linear_entropy(reduced_density(out, gram_matrix(size)))
+
+
+@pytest.mark.parametrize("family, cutoff", [(Family.LOWERING, 43), (Family.SUSY_NEW, 80)])
+def test_scan_records_equal_the_one_point_path(monkeypatch, family, cutoff):
+    # packing, one batched sweep per chunk and the reduction's reused buffer
+    # change no bit of a record; five points run in chunks of two
+    monkeypatch.setattr(entangle, "_SWEEP_STATE_BYTES", 2 * entangle._point_state_bytes(cutoff))
+    assert entangle.points_per_sweep(cutoff) == 2
+    setting = BeamSplitterSetting(1.2, 0.7)
+    records = entropy_scan(family, np.linspace(0.2, 1.4, 5), setting=setting, cutoff=cutoff)
+    for rec in records:
+        assert (rec.entropy, rec.entropy_refined) == tuple(
+            _one_point_entropy(family, rec.z_abs, c, setting)
+            for c in (cutoff, int(1.5 * cutoff))), rec.z_abs
+
+
+@pytest.mark.parametrize("cutoff", [78, 120, 331])
+def test_blocked_projections_equal_the_full_table_formula(cutoff):
+    # the weighted odd Hermite rows, built a block of nodes at a time, have
+    # the bits of those cut from one full Hermite table, and so do their
+    # products with the tower levels
+    rule = gauss_halfline(entangle._projection_degree(cutoff))
+    assert rule.nodes.size > 512  # more than one block of nodes
+    k_count = cutoff // 2
+    bw = math.sqrt(2.0) / math.pi ** 0.25 * hermite_normalized(2 * k_count - 1, rule.nodes)[1::2]
+    bw *= rule.weights
+    levels = [rows(Basis.SUSY_NEW, 1, rule.nodes)[0, 0], *rows(Basis.SUSY_ISO, 32, rule.nodes)[0]]
+    expected = np.array([bw @ level for level in levels])
+    assert np.array_equal(entangle._susy_level_projections(Basis.SUSY_ISO, 32, cutoff), expected)

@@ -2,7 +2,7 @@
 nothing is defined or recorded that nothing reads, every error type is
 raised or subclassed, scipy.special is never imported, only the spectral
 splitter cross-check calls an eigensolver, the Gram matrix needs no
-quadrature, the CLI imports no piece of the entropy scan's layout, the modules import
+quadrature, entangle allocates no dense stack of states, the CLI imports no piece of the entropy scan's layout, the modules import
 each other without a cycle, the benchmark's self-test passes, and a
 failing property test fails alone.
 
@@ -158,6 +158,21 @@ def test_the_gram_matrix_is_built_without_quadrature():
     tree = ast.parse((PACKAGE_DIR / "entangle.py").read_text(encoding="utf-8"))
     [gram] = [top for top in tree.body if getattr(top, "name", None) == "gram_matrix"]
     assert {"gauss_halfline", "hermite_normalized"} & set(_read_names(gram)) == set()
+
+
+def test_entangle_allocates_no_dense_state_stacks():
+    # scan states are packed anti-diagonals; a three-axis np.zeros, np.empty
+    # or np.ones would bring back (points, 2c - 1, 2c - 1) state stacks
+    tree = ast.parse((PACKAGE_DIR / "entangle.py").read_text(encoding="utf-8"))
+    stacks = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("zeros", "empty", "ones")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+            shapes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "shape")]
+            stacks += [node.lineno for shape in shapes
+                       if isinstance(shape, ast.Tuple) and len(shape.elts) == 3]
+    assert stacks == []
 
 
 def test_the_cli_restates_no_layout_of_the_entropy_scan():
