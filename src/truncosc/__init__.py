@@ -37,7 +37,6 @@ from .coherent import (
     energy_expectation,
     evolve,
     identity_resolution_check,
-    state_probability,
 )
 from .observables import (
     MatrixElementTable,
@@ -61,7 +60,6 @@ from .entangle import (
     GramMatrix,
     TwoModeState,
     beamsplitter_apply,
-    embed_cs_in_two_modes,
     entropy_scan,
     halfline_overlap,
     linear_entropy,
@@ -82,7 +80,7 @@ __all__ = [
     # number basis and states
     "Basis", "ladder_step_sq", "level_energy",
     "Family", "CoherentState", "build_cs", "eigen_residual",
-    "state_probability", "energy_expectation", "evolve",
+    "energy_expectation", "evolve",
     "identity_resolution_check",
     # observables
     "ObservableKind", "MatrixElementTable", "UncertaintyRecord",
@@ -92,6 +90,6 @@ __all__ = [
     "Q4_SEED_ENERGIES", "Q4_SEED_ASYMMETRY",
     # entanglement
     "GramMatrix", "TwoModeState", "BeamSplitterSetting", "EntropyRecord",
-    "halfline_overlap", "beamsplitter_apply", "embed_cs_in_two_modes",
-    "reduced_density", "linear_entropy", "entropy_scan",
+    "halfline_overlap", "beamsplitter_apply", "reduced_density",
+    "linear_entropy", "entropy_scan",
 ]

@@ -57,6 +57,7 @@ from .entangle import (
     beamsplitter_block_oracle,
     entropy_scan,
     halfline_overlap,
+    halfline_overlap_quadrature,
     min_cutoff,
     scan_bytes,
 )
@@ -87,7 +88,8 @@ _DENSITY_GRID_POINTS = 600
 _DENSITY_X_MAX = 12.0
 
 # Memory a run may hold in all; entropy at basis 80, the largest run in the
-# benchmark, peaks at about 16 MB (tracemalloc) in its splitter sweep.
+# benchmark, peaks at about 6.9 MB (tracemalloc, a partner tower at 9 points)
+# in its splitter sweep.
 _MEMORY_BUDGET = 1 << 30
 
 # Bytes a run keeps per |z| point besides its state (record, CSV row and text;
@@ -184,6 +186,8 @@ class RunConfig:
             raise ConfigError("theta must lie in [0, pi)")
         if self.command != "validate" and self.output_path is None:
             raise ConfigError(f"--out is required for --command {self.command}")
+        if self.output_path is not None and not Path(self.output_path).parent.is_dir():
+            raise ConfigError(f"--out directory {Path(self.output_path).parent} does not exist")
         partner = WINDOWS[Family(self.family)].basis != Basis.TRUNCATED
         if partner and self.model != "SUSY_Q4":
             raise ConfigError(f"family {self.family} requires --model SUSY_Q4")
@@ -275,8 +279,11 @@ def _write_csv(config: RunConfig, header: Sequence[str],
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
-    with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {config.output_path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------------
@@ -516,8 +523,8 @@ def _check_overlaps():
     worst = 0.0
     for a in range(7):
         for b in range(7):
-            closed = halfline_overlap(a, b, method="auto")
-            quad = halfline_overlap(a, b, method="quadrature")
+            closed = halfline_overlap(a, b)
+            quad = halfline_overlap_quadrature(a, b)
             worst = max(worst, abs(closed - quad))
     spots = (abs(halfline_overlap(0, 1) - 1.0),
              abs(halfline_overlap(1, 1) - math.sqrt(math.pi)),
@@ -575,7 +582,7 @@ def parse_seed_config(path: str) -> tuple:
                     raise ConfigError(
                         f"{path}:{lineno}: epsilon must be finite, got {eps}")
                 pairs.append((eps, nu))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError
         raise ConfigError(f"cannot read seed config {path}: {exc}") from exc
     if not pairs:
         raise ConfigError(f"seed config {path} holds no seed lines")

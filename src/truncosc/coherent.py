@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import (
     FamilyMismatch,
-    IndexOutOfRange,
     NotNormalizable,
     TailTooFat,
     TruncationTooSmall,
@@ -56,7 +55,6 @@ __all__ = [
     "build_cs",
     "displacement_norm_partial_sums",
     "eigen_residual",
-    "state_probability",
     "energy_expectation",
     "evolve",
     "identity_resolution_check",
@@ -132,7 +130,7 @@ def _raw_amplitudes(family: Family, z: complex, truncation: int) -> np.ndarray:
     return c
 
 
-def displacement_norm_partial_sums(r: float, n_terms: int = 80) -> np.ndarray:
+def displacement_norm_partial_sums(r: float, n_terms: int) -> np.ndarray:
     """Partial sums of the displacement-family norm series at |z| = r.
 
     Term k is the product of the ratios r^2 step(j) / j^2 over j <= k.
@@ -227,13 +225,6 @@ def eigen_residual(cs: CoherentState) -> float:
     return float(np.linalg.norm(lowered - cs.z * a))
 
 
-def state_probability(cs: CoherentState, n: int) -> float:
-    """Probability of finding the state in level n."""
-    if not 0 <= n < cs.amplitudes.size:
-        raise IndexOutOfRange(f"level {n} outside truncation {cs.amplitudes.size}")
-    return float(abs(cs.amplitudes[n]) ** 2)
-
-
 def energy_expectation(cs: CoherentState) -> float:
     """<H> = sum_k p_k E_k from the stored amplitudes, summed in level order."""
     p = np.abs(cs.amplitudes) ** 2
@@ -280,8 +271,7 @@ def iso_measure(r: float) -> float:
 
 
 def identity_resolution_check(family: Family, density: Callable[[float], float],
-                              n_max: int = 10, r_max: float = 40.0,
-                              truncation: int = 64) -> float:
+                              n_max: int, r_max: float, truncation: int) -> float:
     """Max deviation |M_nn - 1| of the resolution-of-identity moments.
 
     density(r) is the full measure mu(z) of a candidate resolution at

@@ -82,12 +82,12 @@ __all__ = [
     "BeamSplitterSetting",
     "EntropyRecord",
     "halfline_overlap",
+    "halfline_overlap_quadrature",
     "gram_matrix",
     "beamsplitter_block",
     "beamsplitter_block_bch",
     "beamsplitter_block_oracle",
     "beamsplitter_apply",
-    "embed_cs_in_two_modes",
     "reduced_density",
     "linear_entropy",
     "entropy_scan",
@@ -101,7 +101,9 @@ __all__ = [
 # half-line overlaps and the Gram matrix
 # ----------------------------------------------------------------------------
 
-def _overlap_quadrature(alpha: int, beta: int) -> float:
+def halfline_overlap_quadrature(alpha: int, beta: int) -> float:
+    """int_0^inf e^{-x^2} H_alpha H_beta dx by Gauss quadrature: the oracle
+    of `halfline_overlap`'s closed form, and its value on Gamma's poles."""
     rule = gauss_halfline(alpha + beta + 16)
     h = hermite_normalized(max(alpha, beta), rule.nodes)
     log_scale = 0.5 * ((alpha + beta) * math.log(2.0)
@@ -109,25 +111,18 @@ def _overlap_quadrature(alpha: int, beta: int) -> float:
     return float(np.sum(rule.weights * h[alpha] * h[beta]) * math.exp(log_scale))
 
 
-def halfline_overlap(alpha: int, beta: int, method: str = "auto") -> float:
+def halfline_overlap(alpha: int, beta: int) -> float:
     """int_0^inf e^{-x^2} H_alpha H_beta dx (physicists' polynomials).
 
     Closed form sqrt(pi) 2F1[-a,-b; 1-(a+b)/2; 1/2] / (2^{1-a-b}
     Gamma(1-(a+b)/2)) where the Gamma argument is off its poles
-    (a+b odd, or a+b = 0); Gauss quadrature otherwise and as the oracle
-    everywhere (method="quadrature").
+    (a+b odd, or a+b = 0); `halfline_overlap_quadrature` on them.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("indices must be non-negative")
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError("method must be auto, closed, or quadrature")
-    if method == "quadrature":
-        return _overlap_quadrature(alpha, beta)
     c = 1.0 - (alpha + beta) / 2.0
     if _is_nonpositive_integer(c):
-        if method == "closed":
-            raise ValueError("closed form hits a Gamma pole; use quadrature")
-        return _overlap_quadrature(alpha, beta)
+        return halfline_overlap_quadrature(alpha, beta)
     f = hyp2f1_terminating(-alpha, -beta, c, 0.5)
     return float(math.sqrt(math.pi) * f / (2.0 ** (1 - alpha - beta) * math.gamma(c)))
 
@@ -170,11 +165,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def odd_rows_scaled(self) -> np.ndarray:
-        """sqrt(2) G[odd, :]: the change of basis onto the orthonormal
-        restricted odd-level basis (rows k <-> full-line level 2k+1)."""
-        return math.sqrt(2.0) * self.entries[1::2, :]
 
 
 @lru_cache(maxsize=8)
@@ -490,7 +480,10 @@ def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndar
 
 def _embedded_modes(cs: CoherentState, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of mode A and mode B over the odd levels 1, 3, ... below
-    the cutoff (see `embed_cs_in_two_modes`)."""
+    the cutoff.  Mode A carries the extremal state annihilated by the
+    lowering ladder: the truncated-oscillator ground state, or, for either
+    partner tower, the lowest newly created level of the partner
+    Hamiltonian.  Mode B carries the coherent state."""
     basis = cs.basis
     amps = cs.amplitudes
     least = _least_cutoff(amps.size)
@@ -519,23 +512,6 @@ def _odd_levels(coefficients: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def embed_cs_in_two_modes(cs: CoherentState, cutoff: int) -> TwoModeState:
-    """|extremal> (x) |cs> over full-line levels, both modes half-line states.
-
-    Mode A carries the extremal state annihilated by the lowering
-    ladder: the truncated-oscillator ground state, or — for either
-    partner tower — the lowest newly created level of the partner
-    Hamiltonian.  Mode B carries the coherent state.
-
-    Truncated-oscillator states sit exactly at odd levels (level index
-    2n+1 for tower index n); partner-tower states are expanded over the
-    restricted odd basis by quadrature and must recover at least
-    1 - 1e-6 of their norm (ExpansionResidualTooLarge otherwise).
-    """
-    mode_a, mode_b = _embedded_modes(cs, cutoff)
-    return TwoModeState(np.outer(_odd_levels(mode_a, cutoff), _odd_levels(mode_b, cutoff)))
-
-
 # ----------------------------------------------------------------------------
 # reduction and entropy
 # ----------------------------------------------------------------------------
@@ -550,7 +526,7 @@ def reduced_density(out_state: TwoModeState, gram: GramMatrix) -> np.ndarray:
     """
     if gram.size != out_state.cutoff:
         raise ValueError("Gram size must match the state cutoff")
-    t = gram.odd_rows_scaled()
+    t = math.sqrt(2.0) * gram.entries[1::2, :]
     m = t @ out_state.amplitudes @ t.T
     norm_sq = float(np.sum(np.abs(m) ** 2))
     if norm_sq <= 0.0:
@@ -579,11 +555,11 @@ class EntropyRecord:
     cutoff: int
 
 
-def _scan_sizes(cutoff: int) -> tuple[int, ...]:
-    """Gram sizes 2c - 1 of the base cutoff c and of the 1.5x cutoff of the
-    convergence probe; a scan pads its states at c to that size, since both
-    modes populate levels up to c - 1 and splitter blocks reach total 2c - 2."""
-    return tuple(2 * c - 1 for c in (cutoff, int(cutoff * 1.5)))
+def _scan_cutoffs(cutoff: int) -> tuple[int, int]:
+    """The base cutoff c and the 1.5x cutoff of the convergence probe; a scan
+    pads its states at each cutoff b to the Gram size 2b - 1, since both modes
+    populate levels up to b - 1 and splitter blocks reach total 2b - 2."""
+    return cutoff, int(cutoff * 1.5)
 
 
 def _populated_totals(n_a: int, n_b: int) -> range:
@@ -597,8 +573,7 @@ def _point_state_bytes(cutoff: int) -> int:
     each mode spans at most the h = b // 2 odd levels below b, so a state
     holds at most the sum of total + 1 over `_populated_totals(h, h)`,
     (2h - 1)(2h + 1) entries."""
-    return sum(16 * (4 * (b // 2) ** 2 - 1)
-               for b in ((size + 1) // 2 for size in _scan_sizes(cutoff)))
+    return sum(16 * (4 * (b // 2) ** 2 - 1) for b in _scan_cutoffs(cutoff))
 
 
 def points_per_sweep(cutoff: int) -> int:
@@ -622,8 +597,8 @@ def scan_bytes(cutoff: int, n_points: int) -> int:
     each leaves out (Gram matrices, quadrature rules, tower rows, the
     sweep's per-total products).
     """
-    padded = _scan_sizes(cutoff)[1]
-    probe = (padded + 1) // 2
+    probe = _scan_cutoffs(cutoff)[1]
+    padded = 2 * probe - 1
     states = (min(n_points, points_per_sweep(cutoff)) + 1) * _point_state_bytes(cutoff)
     return (8 * (probe // 2) * gauss_halfline_size(_projection_degree(probe))
             + 24 * (probe // 2) * _ROW_CHUNK + states + 48 * padded * padded)
@@ -641,14 +616,15 @@ def min_cutoff(family: Family) -> tuple[int, str]:
 
 
 def _entropy_chunk(family: Family, z_chunk: Sequence[float], n_terms: int,
-                   setting: BeamSplitterSetting, grams: Sequence[GramMatrix]
+                   setting: BeamSplitterSetting, cutoffs: Sequence[int]
                    ) -> list[EntropyRecord]:
-    """Records of one chunk of |z| points: each state is built once and
-    embedded at both cutoffs (so the partner projections precede the packed
-    states), one sweep rotates them all, and each is reduced from one P x P
-    buffer per cutoff.  The packed states are freed on return, before the
-    next chunk's are allocated."""
-    cutoffs = [(g.size + 1) // 2 for g in grams]  # each Gram size is 2c - 1
+    """Records of one chunk of |z| points: the Gram matrices of both cutoffs
+    come from gram_matrix's cache, each state is built once and embedded at
+    both cutoffs (so the partner projections precede the packed states), one
+    sweep rotates them all, and each is reduced from one P x P buffer per
+    cutoff.  The packed states are freed on return, before the next chunk's
+    are allocated."""
+    grams = [gram_matrix(2 * b - 1) for b in cutoffs]
     modes = [[_embedded_modes(build_cs(family, z_abs, truncation=n_terms), c)
               for c in cutoffs] for z_abs in z_chunk]
     packs = []
@@ -692,11 +668,10 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
         setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
     if n_terms is None:
         n_terms = WINDOWS[Family(family)].entropy_terms
-    grams = [gram_matrix(size) for size in _scan_sizes(cutoff)]
     z_moduli = [float(z) for z in z_moduli]
     chunk = points_per_sweep(cutoff)
     records = []
     for first in range(0, len(z_moduli), chunk):
         records += _entropy_chunk(family, z_moduli[first:first + chunk], n_terms,
-                                  setting, grams)
+                                  setting, _scan_cutoffs(cutoff))
     return records

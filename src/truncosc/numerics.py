@@ -175,27 +175,24 @@ class QuadratureRule:
             raise ValueError("weights must be strictly positive")
 
 
-# The Gauss-Legendre rule on [-1, 1] of the panel size in use: 24 points
-# (gauss_halfline).  The entries are the positive nodes and their weights,
-# exact float literals of scipy.special.roots_legendre(q); its rules are
-# exactly symmetric, so the negative half is the mirror image.
-_LEGENDRE_HALF = {
-    24: ((0.06405689286260563, 0.19111886747361626, 0.31504267969616334,
-          0.4337935076260452, 0.5454214713888395, 0.6480936519369755,
-          0.7401241915785544, 0.820001985973903, 0.8864155270044011,
-          0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
-         (0.12793819534675197, 0.12583745634682822, 0.12167047292780316,
-          0.11550566805372539, 0.10744427011596587, 0.09761865210411405,
-          0.08619016153195355, 0.07334648141108017, 0.05929858491543661,
-          0.04427743881742018, 0.028531388628932657, 0.012341229799988262)),
-}
+# The 24-point Gauss-Legendre rule on [-1, 1] of gauss_halfline's panels: the
+# positive nodes and their weights, exact float literals of
+# scipy.special.roots_legendre(24); the rule is exactly symmetric, so the
+# negative half is the mirror image.
+_LEGENDRE_HALF = (
+    (0.06405689286260563, 0.19111886747361626, 0.31504267969616334,
+     0.4337935076260452, 0.5454214713888395, 0.6480936519369755,
+     0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+     0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+    (0.12793819534675197, 0.12583745634682822, 0.12167047292780316,
+     0.11550566805372539, 0.10744427011596587, 0.09761865210411405,
+     0.08619016153195355, 0.07334648141108017, 0.05929858491543661,
+     0.04427743881742018, 0.028531388628932657, 0.012341229799988262))
 
 
-def _legendre_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and weights of the frozen q-point Gauss-Legendre rule."""
-    if q not in _LEGENDRE_HALF:
-        raise ValueError(f"no frozen {q}-point Gauss-Legendre rule")
-    half_x, half_w = (np.array(v) for v in _LEGENDRE_HALF[q])
+def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the frozen 24-point Gauss-Legendre rule."""
+    half_x, half_w = (np.array(v) for v in _LEGENDRE_HALF)
     return np.concatenate((-half_x[::-1], half_x)), np.concatenate((half_w[::-1], half_w))
 
 
@@ -230,7 +227,7 @@ def gauss_halfline(degree: int) -> QuadratureRule:
     """
     x_max, n_panels = _halfline_panels(degree)
     edges = np.linspace(0.0, x_max, n_panels + 1)
-    xs, ws = _legendre_nodes(24)
+    xs, ws = _legendre_nodes()
     lo = edges[:-1][:, None]
     half = 0.5 * (edges[1:][:, None] - lo)
     nodes = (half * (xs[None, :] + 1.0) + lo).ravel()

@@ -262,8 +262,7 @@ def _times(a: tuple, b: tuple) -> tuple:
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def expectation(table: MatrixElementTable, cs: CoherentState,
-                n_terms: int = 30) -> float:
+def expectation(table: MatrixElementTable, cs: CoherentState, n_terms: int) -> float:
     """<O> = sum_n L_nn O_nn + sum_{n>m} 2 Re(L_mn O_nm), L_mn = c_m conj(c_n).
 
     Only the n >= m half of the table is consulted (the operator is

@@ -33,6 +33,7 @@ from truncosc.entangle import (
     beamsplitter_block_bch,
     entropy_scan,
     halfline_overlap,
+    halfline_overlap_quadrature,
 )
 from truncosc.fock import Basis, level_energy, rows
 from truncosc.numerics import gauss_halfline
@@ -248,8 +249,8 @@ def test_criterion_12_halfline_overlaps(criterion):
         for b in range(21 - a):
             if (a + b) % 2 == 0 and a + b > 0:
                 continue  # Gamma pole: closed form undefined
-            closed = halfline_overlap(a, b, method="closed")
-            quad = halfline_overlap(a, b, method="quadrature")
+            closed = halfline_overlap(a, b)
+            quad = halfline_overlap_quadrature(a, b)
             scale = max(1.0, abs(quad))
             worst = max(worst, abs(closed - quad) / scale)
             pairs += 1

@@ -662,6 +662,35 @@ def test_validate_rejects_unparsable_seed_config(tmp_path, run_cli):
     assert "configuration error" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "entropy"])
+def test_a_seed_config_that_is_not_utf8_is_a_configuration_error(tmp_path, run_cli, command):
+    cfg = tmp_path / "seeds.txt"
+    cfg.write_bytes(b"\xff\xfe-5.5 0.1\n")
+    res = run_cli(["--command", command, "--seed-config", str(cfg),
+                   "--out", str(tmp_path / "x.csv")], tmp_path)
+    assert res.returncode == 2
+    assert "configuration error: cannot read seed config" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["uncertainty", "validate"])
+def test_out_in_a_missing_directory_is_rejected_before_any_computation(
+        tmp_path, run_cli, monkeypatch, command):
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setitem(cli._HANDLERS, command, never)
+    res = run_cli(["--command", command, "--out", str(tmp_path / "no" / "x.csv")], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == f"configuration error: --out directory {tmp_path / 'no'} does not exist\n"
+
+
+def test_a_csv_that_cannot_be_written_is_a_configuration_error(tmp_path, run_cli):
+    res = run_cli(["--command", "uncertainty", "--out", str(tmp_path)], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"configuration error: cannot write {tmp_path}: ")
+    assert res.stderr.count("\n") == 1
+
+
 # ----------------------------------------------------------------------------
 # import path
 # ----------------------------------------------------------------------------

@@ -30,10 +30,10 @@ from truncosc.entangle import (
     beamsplitter_block,
     beamsplitter_block_bch,
     beamsplitter_block_oracle,
-    embed_cs_in_two_modes,
     entropy_scan,
     gram_matrix,
     halfline_overlap,
+    halfline_overlap_quadrature,
     linear_entropy,
     reduced_density,
 )
@@ -60,21 +60,28 @@ def test_overlap_closed_form_vs_quadrature_regular_pairs():
         for b in range(a + 1):
             if (a + b) % 2 == 0 and a + b > 0:
                 continue  # Gamma pole: no closed form
-            closed = halfline_overlap(a, b, method="closed")
-            quad = halfline_overlap(a, b, method="quadrature")
+            closed = halfline_overlap(a, b)
+            quad = halfline_overlap_quadrature(a, b)
             scale = max(1.0, abs(quad))
             assert abs(closed - quad) < 1e-10 * scale, (a, b)
 
 
 def test_overlap_pole_pairs_fall_back_to_quadrature():
     # same-parity pairs (a+b even, positive) sit on the Gamma pole
-    val_auto = halfline_overlap(2, 4)
-    val_quad = halfline_overlap(2, 4, method="quadrature")
-    assert val_auto == val_quad
-    with pytest.raises(ValueError):
-        halfline_overlap(2, 4, method="closed")
+    assert halfline_overlap(2, 4) == halfline_overlap_quadrature(2, 4)
     with pytest.raises(ValueError):
         halfline_overlap(-1, 0)
+
+
+def test_overlap_pole_pairs_are_half_the_full_line_overlap():
+    # on Gamma's poles (a + b even) the integrand is even, so the half-line
+    # integral is half the full-line one: sqrt(pi) 2^a a! / 2 for a = b, else 0
+    for a in range(13):
+        for b in range(a % 2, 13, 2):
+            diagonal = [math.sqrt(math.pi) * 2.0 ** n * math.factorial(n) / 2.0 for n in (a, b)]
+            exact = diagonal[0] if a == b else 0.0
+            scale = math.sqrt(diagonal[0] * diagonal[1])
+            assert abs(halfline_overlap(a, b) - exact) <= 1e-13 * scale, (a, b)
 
 
 def test_overlap_symmetry(rng):
@@ -155,7 +162,7 @@ def test_gram_matrix_is_positive_definite_with_half_diagonal_blocks(size):
 
 def test_gram_odd_rows_give_an_orthonormal_basis():
     g = gram_matrix(12)
-    t = g.odd_rows_scaled()
+    t = math.sqrt(2.0) * g.entries[1::2, :]
     # restricted odd levels are mutually orthonormal on the half-line
     assert np.allclose(t[:, 1::2], np.eye(6) / math.sqrt(2.0), atol=1e-13)
 
@@ -269,6 +276,14 @@ def test_setting_derived_amplitudes():
 # applying the splitter
 # ----------------------------------------------------------------------------
 
+def _embedded(cs, cutoff: int) -> TwoModeState:
+    """|extremal> (x) |cs> over `cutoff` full-line levels, from the mode
+    coefficients an entropy scan packs."""
+    mode_a, mode_b = entangle._embedded_modes(cs, cutoff)
+    return TwoModeState(np.outer(entangle._odd_levels(mode_a, cutoff),
+                                 entangle._odd_levels(mode_b, cutoff)))
+
+
 def test_apply_preserves_norm_and_total_photon_number(rng):
     n = 12
     amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -357,8 +372,7 @@ def test_apply_leaves_no_complex_blocks_behind(monkeypatch):
 
     monkeypatch.setattr(entangle, "beamsplitter_block", no_block)
     monkeypatch.setattr(entangle, "beamsplitter_block_bch", no_block)
-    state = embed_cs_in_two_modes(
-        build_cs(Family.LOWERING, 0.8, truncation=12), cutoff=32)
+    state = _embedded(build_cs(Family.LOWERING, 0.8, truncation=12), 32)
     beamsplitter_apply(state, BeamSplitterSetting(1.1, 0.4))
     blocks = [block for _, block in entangle._risbo_blocks(20, 1.1)]
     assert all(block.dtype == np.float64 for block in blocks)
@@ -429,7 +443,7 @@ def test_recursion_stays_orthogonal_at_total_822():
 def test_recursion_is_the_identity_at_zero_angle():
     assert all(np.array_equal(block, np.eye(total + 1))
                for total, block in entangle._risbo_blocks(300, 0.0))
-    state = embed_cs_in_two_modes(build_cs(Family.LOWERING, 0.7, truncation=12), cutoff=32)
+    state = _embedded(build_cs(Family.LOWERING, 0.7, truncation=12), 32)
     out = beamsplitter_apply(state, BeamSplitterSetting(0.0, 0.0))
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
@@ -440,7 +454,7 @@ def test_recursion_is_the_identity_at_zero_angle():
 
 def test_truncated_embedding_structure():
     cs = build_cs(Family.LOWERING, 0.7, truncation=12)
-    state = embed_cs_in_two_modes(cs, cutoff=32)
+    state = _embedded(cs, 32)
     amp = state.amplitudes
     assert amp.shape == (32, 32)
     # mode A is the ground level (full-line level 1); mode B carries the
@@ -456,7 +470,7 @@ def test_truncated_embedding_structure():
 def test_embedding_requires_capacity():
     cs = build_cs(Family.LOWERING, 0.5, truncation=16)
     with pytest.raises(ValueError):
-        embed_cs_in_two_modes(cs, cutoff=20)
+        entangle._embedded_modes(cs, 20)
 
 
 def test_partner_embedding_residual_guard():
@@ -465,21 +479,21 @@ def test_partner_embedding_residual_guard():
     cs = build_cs(Family.SUSY_NEW, 1.0)
     for cutoff in (40, 60):
         with pytest.raises(ExpansionResidualTooLarge):
-            embed_cs_in_two_modes(cs, cutoff=cutoff)
-    state = embed_cs_in_two_modes(cs, cutoff=80)
-    assert state.cutoff == 80
+            entangle._embedded_modes(cs, cutoff)
+    mode_a, mode_b = entangle._embedded_modes(cs, 80)
+    assert mode_a.size == mode_b.size == 40  # the odd levels below 80
 
 
 def test_iso_embedding_at_zero_label_is_the_lowest_pair():
     # z = 0 collapses the infinite-tower state onto its bottom level, so
     # the embedding is the product (lowest new level) x (tower-bottom image)
     cs = build_cs(Family.SUSY_ISO, 0.0, truncation=16)
-    state = embed_cs_in_two_modes(cs, cutoff=96)
+    state = _embedded(cs, 96)
     u_mat, sing, v_mat = np.linalg.svd(state.amplitudes)
     assert sing[0] == pytest.approx(1.0, abs=1e-6)
     assert sing[1] < 1e-12  # exactly rank one
     # mode A carries the same extremal state for either partner tower
-    new_state = embed_cs_in_two_modes(build_cs(Family.SUSY_NEW, 0.0), cutoff=96)
+    new_state = _embedded(build_cs(Family.SUSY_NEW, 0.0), 96)
     u_new = np.linalg.svd(new_state.amplitudes)[0][:, 0]
     cos = abs(np.vdot(u_mat[:, 0], u_new))
     assert cos == pytest.approx(1.0, abs=1e-8)
@@ -491,7 +505,7 @@ def test_iso_embedding_at_zero_label_is_the_lowest_pair():
 
 def test_reduced_density_of_a_product_state_is_pure():
     cs = build_cs(Family.LOWERING, 0.9, truncation=16)
-    state = embed_cs_in_two_modes(cs, cutoff=40)
+    state = _embedded(cs, 40)
     rho = reduced_density(state, gram_matrix(40))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -500,7 +514,7 @@ def test_reduced_density_of_a_product_state_is_pure():
 
 def test_reduced_density_checks_gram_size():
     cs = build_cs(Family.LOWERING, 0.5, truncation=12)
-    state = embed_cs_in_two_modes(cs, cutoff=32)
+    state = _embedded(cs, 32)
     with pytest.raises(ValueError):
         reduced_density(state, gram_matrix(16))
 
@@ -517,7 +531,7 @@ def test_linear_entropy_reference_points():
 
 def test_splitter_generates_entanglement_from_the_embedded_pair():
     cs = build_cs(Family.LOWERING, 0.9, truncation=16)
-    state = embed_cs_in_two_modes(cs, cutoff=40)
+    state = _embedded(cs, 40)
     out = beamsplitter_apply(state, BeamSplitterSetting(math.pi / 2, 0.0))
     rho = reduced_density(out, gram_matrix(40))
     s = linear_entropy(rho)
@@ -712,7 +726,7 @@ def _one_point_entropy(family: Family, z_abs: float, cutoff: int,
     cs = build_cs(family, z_abs, truncation=WINDOWS[family].entropy_terms)
     size = 2 * cutoff - 1
     amps = np.zeros((size, size), dtype=complex)
-    amps[:cutoff, :cutoff] = embed_cs_in_two_modes(cs, cutoff).amplitudes
+    amps[:cutoff, :cutoff] = _embedded(cs, cutoff).amplitudes
     out = beamsplitter_apply(TwoModeState(amps), setting)
     return linear_entropy(reduced_density(out, gram_matrix(size)))
 

@@ -266,10 +266,9 @@ def test_rising_factorial_empty_product_is_one():
 # quadrature
 # ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [24])
-def test_frozen_legendre_rules_are_scipys_bit_for_bit(q):
-    nodes, weights = _legendre_nodes(q)
-    expected_nodes, expected_weights = roots_legendre(q)
+def test_frozen_legendre_rules_are_scipys_bit_for_bit():
+    nodes, weights = _legendre_nodes()
+    expected_nodes, expected_weights = roots_legendre(24)
     assert np.array_equal(nodes, expected_nodes)
     assert np.array_equal(weights, expected_weights)
 
