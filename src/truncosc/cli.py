@@ -165,29 +165,31 @@ class RunConfig:
         if self.model not in ("TRUNC", "SUSY_Q4"):
             raise ConfigError(f"unknown model {self.model!r}")
         if self.z_steps < 2:
-            raise ConfigError("z_steps must be at least 2")
+            raise ConfigError("--steps must be at least 2")
         if self.basis_size < 8:
-            raise ConfigError("basis_size must be at least 8")
+            raise ConfigError("--basis must be at least 8")
         if self.command == "entropy":
             least, reason = min_cutoff(self.family)
             if self.basis_size < least:
                 raise ConfigError(f"entropy for family {self.family} {reason} and "
                                   f"needs basis_size >= {least}")
         if not (self.z_min <= self.z_max):
-            raise ConfigError("z_min must not exceed z_max")
+            raise ConfigError("--zmin must not exceed --zmax")
         if self.z_min < 0.0:
-            raise ConfigError("z moduli must be non-negative")
+            raise ConfigError("--zmin must be non-negative")
         # the displacement norm series has term ratio 4|z|^2 in the limit
         if (self.family == Family.DISPLACEMENT.value and self.command != "validate"
                 and self.z_max >= 0.5):
             raise ConfigError(f"family displacement exists for |z| < 1/2 only (the "
                               f"radius of its norm series); got --zmax {self.z_max:g}")
         if not (0.0 <= self.theta < math.pi):
-            raise ConfigError("theta must lie in [0, pi)")
+            raise ConfigError("--theta must lie in [0, pi)")
         if self.command != "validate" and self.output_path is None:
             raise ConfigError(f"--out is required for --command {self.command}")
         if self.output_path is not None and not Path(self.output_path).parent.is_dir():
             raise ConfigError(f"--out directory {Path(self.output_path).parent} does not exist")
+        if self.output_path is not None and Path(self.output_path).is_dir():
+            raise ConfigError(f"cannot write {self.output_path}: it is a directory")
         partner = WINDOWS[Family(self.family)].basis != Basis.TRUNCATED
         if partner and self.model != "SUSY_Q4":
             raise ConfigError(f"family {self.family} requires --model SUSY_Q4")
@@ -694,10 +696,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TruncOscError as exc:
-        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (TruncOscError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -45,10 +45,8 @@ its bits do not depend on the points rotated with it.  Each state is
 reduced from one P x P buffer per cutoff, reused across the chunk.
 Entropy runs load no scipy.  The partner-tower projections onto the
 half-line basis do not depend on |z| either: `entropy_scan` builds them
-once per cutoff, with the Gram matrices, before any packed state, from
-weighted odd Hermite rows built a block of nodes at a time, so no full
-Hermite table is held.  Each |z|'s coherent state is built once for
-both cutoffs.
+once per cutoff from the rows of `fock.rows`, with the Gram matrices,
+before any packed state, and each |z|'s state once for both cutoffs.
 
 Half-line geometry: restrictions of full-line levels to (0, inf) are
 not orthogonal across parities; their normalized overlaps form the Gram
@@ -454,22 +452,15 @@ def _projection_degree(cutoff: int) -> int:
 
 @lru_cache(maxsize=16)
 def _susy_level_projections(basis: Basis, n_levels: int, cutoff: int) -> np.ndarray:
-    """Coefficients over the restricted odd basis e_k = sqrt(2) x (level
-    2k+1 restricted), k < cutoff // 2: row 0 of mode A, the lowest new
-    partner level, row 1 + n of level n of the basis, all from one Gauss
-    rule and the weighted odd Hermite rows on its nodes, built in blocks of
-    `fock._ROW_CHUNK` nodes so that no full Hermite table is held
-    (orthonormal basis, so the Gram inverse is the identity here).  They do
-    not depend on |z|: built once per (basis, n_levels, cutoff), the cached
-    array is read-only.
+    """Coefficients over the orthonormal half-line basis e_k, the truncated
+    levels k < cutoff // 2 (sqrt(2) x full-line level 2k+1, restricted), so
+    the Gram inverse is the identity: row 0 of mode A, the lowest new partner
+    level, row 1 + n of level n of the basis, all from one Gauss rule and the
+    weighted rows of `fock.rows` on its nodes.  They do not depend on |z|:
+    built once per (basis, n_levels, cutoff), the cached array is read-only.
     """
-    k_count = cutoff // 2
     rule = gauss_halfline(_projection_degree(cutoff))
-    bw = np.empty((k_count, rule.nodes.size))
-    for i in range(0, rule.nodes.size, _ROW_CHUNK):
-        nodes = slice(i, i + _ROW_CHUNK)
-        bw[:, nodes] = math.sqrt(2.0) / math.pi ** 0.25 * hermite_normalized(
-            2 * k_count - 1, rule.nodes[nodes])[1::2]
+    bw = rows(Basis.TRUNCATED, cutoff // 2, rule.nodes)[0]
     bw *= rule.weights
     levels = [rows(Basis.SUSY_NEW, 1, rule.nodes)[0, 0], *rows(basis, n_levels, rule.nodes)[0]]
     # one product per level: a single matrix product rounds differently
@@ -586,10 +577,10 @@ def scan_bytes(cutoff: int, n_points: int) -> int:
     """Upper bound on the bytes `entropy_scan` holds at once over n_points
     |z| points (records aside), from the layout alone.  With c the probe
     cutoff and P = 2c - 1, it peaks either in the partner projections at c,
-    built before any state, which hold the weighted odd Hermite rows of the
-    2 floor(c/2) levels below c on the N nodes of their rule (8 floor(c/2) N
-    bytes) and one block of `fock._ROW_CHUNK` nodes of the Hermite table
-    with its odd rows (24 floor(c/2) 512 bytes), or in the splitter sweep or
+    built before any state: the floor(c/2) truncated rows on the N nodes of
+    their rule (8 floor(c/2) N bytes) and what `fock.rows` holds for one
+    block of 512 nodes, its Hermite table, accumulator, gathered and product
+    rows and block (48 floor(c/2) 512 bytes); or in the splitter sweep or
     the reduction of the packed states of `points_per_sweep` points, plus
     their entry indices (the bytes of one more point), and at most 48 P^2
     bytes of Risbo tables and blocks (40 P^2) or of the reduction's P x P
@@ -601,7 +592,7 @@ def scan_bytes(cutoff: int, n_points: int) -> int:
     padded = 2 * probe - 1
     states = (min(n_points, points_per_sweep(cutoff)) + 1) * _point_state_bytes(cutoff)
     return (8 * (probe // 2) * gauss_halfline_size(_projection_degree(probe))
-            + 24 * (probe // 2) * _ROW_CHUNK + states + 48 * padded * padded)
+            + 48 * (probe // 2) * _ROW_CHUNK + states + 48 * padded * padded)
 
 
 def min_cutoff(family: Family) -> tuple[int, str]:

@@ -14,7 +14,7 @@ class PoleError(TruncOscError):
 
 
 class NonConvergence(TruncOscError):
-    """A half-line Gauss rule misses the mass of its weight (gauss_halfline)."""
+    """A half-line Gauss rule misses its weight's mass or would clip a level's tail."""
 
 
 class BasisMismatch(TruncOscError):

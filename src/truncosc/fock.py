@@ -81,9 +81,9 @@ def rows(basis: Basis, n_levels: int, x, order: int = 0,
     Returns shape (order+1, n_levels, len(x)); entry [j, k] is the j-th
     derivative of level k.  weighted=True folds in e^{+x^2/2}: those rows
     stay polynomially bounded and are the integrand factors for Gauss
-    half-line rules, whose weights carry e^{-x^2}.  The partner bases
-    (susy-iso, susy-new) are those of the frozen fourth-order model and
-    support order <= 2.
+    half-line rules, whose weights carry e^{-x^2}.  Plain rows get e^{-x^2/2}
+    here, block by block, and nowhere else.  The partner bases (susy-iso,
+    susy-new) are those of the frozen fourth-order model; order <= 2.
     """
     basis = Basis(basis)
     if n_levels < 1:
@@ -100,8 +100,10 @@ def rows(basis: Basis, n_levels: int, x, order: int = 0,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((order + 1, n_levels, x.size))
     for i in range(0, x.size, _ROW_CHUNK):
-        out[:, :, i:i + _ROW_CHUNK] = block(n_levels, x[i:i + _ROW_CHUNK],
-                                            order, weighted)
+        xs = x[i:i + _ROW_CHUNK]
+        out[:, :, i:i + _ROW_CHUNK] = block(n_levels, xs, order)
+        if not weighted:
+            out[:, :, i:i + _ROW_CHUNK] *= np.exp(-xs * xs / 2.0)
     return out
 
 
@@ -120,9 +122,8 @@ def _ladder_step(coeff: np.ndarray, start: np.ndarray, j: int) -> np.ndarray:
     return nxt
 
 
-def _truncated_block(n_levels: int, x: np.ndarray, order: int,
-                     weighted: bool) -> np.ndarray:
-    """Half-line levels k = sqrt(2) psi^HO_{2k+1} from one Hermite table."""
+def _truncated_block(n_levels: int, x: np.ndarray, order: int) -> np.ndarray:
+    """Weighted levels k: sqrt(2) psi^HO_{2k+1} e^{x^2/2}, from one Hermite table."""
     h = hermite_normalized(2 * n_levels - 1 + order, x)
     start = 2 * np.arange(n_levels) + 1
     coeff = np.full((n_levels, 1), math.sqrt(2.0))
@@ -134,10 +135,6 @@ def _truncated_block(n_levels: int, x: np.ndarray, order: int,
         for i, offset in enumerate(range(-j, j + 1, 2)):
             acc += coeff[:, i, None] * h[np.maximum(start + offset, 0)]
         out[j] = math.pi ** -0.25 * acc
-    if not weighted:
-        gauss = np.exp(-0.5 * x * x)
-        out[1:] *= gauss
-        out[0] = math.sqrt(2.0) * ((math.pi ** -0.25 * gauss) * h[start])
     return out
 
 

@@ -28,9 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .coherent import WINDOWS, CoherentState, Family, build_cs
-from .errors import BasisMismatch, IndexOutOfRange, TruncationTooSmall
-from .fock import Basis, rows, weighted_eigenfunction_derivatives
-from .numerics import gauss_halfline, hyp2f1_terminating, log_gamma_signed
+from .errors import BasisMismatch, IndexOutOfRange, NonConvergence, TruncationTooSmall
+from .fock import Basis, level_energy, rows, weighted_eigenfunction_derivatives
+from .numerics import QuadratureRule, gauss_halfline, hyp2f1_terminating, log_gamma_signed
 
 __all__ = [
     "ObservableKind",
@@ -173,6 +173,20 @@ def table_degree(basis: Basis, n_max: int) -> int:
     return 4 * (2 * n_max + 5) + 32
 
 
+def _table_rule(basis: Basis, n_max: int) -> QuadratureRule:
+    """The table_degree rule of levels 0..n_max.  It ends near x = 27.19, where
+    e^{-x^2} underflows, and must reach 2.1 past the top level's turning point
+    sqrt(2 E) (level_energy bounds E on every basis), else NonConvergence: so a
+    table holds levels up to 156, whose X2 and P2 diagonals are exact to 3.1e-15,
+    where level 162's X2 diagonal was off by 3.4e-12 and level 200's by 35%."""
+    rule = gauss_halfline(table_degree(basis, n_max))
+    turning, end = math.sqrt(2.0 * level_energy(n_max)), rule.nodes[-1]
+    if turning + 2.1 > end:
+        raise NonConvergence(f"the rule would clip level {n_max}, whose turning point "
+                             f"{turning:.4g} is not 2.1 short of its end, x = {end:.4g}")
+    return rule
+
+
 def matrix_element_quadrature(kind: ObservableKind, n: int, m: int) -> complex:
     """Directed integral <n| (x | x^2 | -i d/dx | p^2) |m> by Gauss quadrature.
 
@@ -182,7 +196,7 @@ def matrix_element_quadrature(kind: ObservableKind, n: int, m: int) -> complex:
     (boundary-safe since all basis functions vanish at the origin).
     """
     kind = ObservableKind(kind)
-    rule = gauss_halfline(table_degree(Basis.TRUNCATED, max(n, m)))
+    rule = _table_rule(Basis.TRUNCATED, max(n, m))
     x, w = rule.nodes, rule.weights
     fn = weighted_eigenfunction_derivatives(n, x, order=1)
     fm = weighted_eigenfunction_derivatives(m, x, order=1)
@@ -201,7 +215,7 @@ def _quadrature_tables(n_max: int, basis: Basis) -> dict:
     on the table_degree rule, cached per (n_max, basis).  The clean-up
     strips last-bit quadrature noise, keeps the honest n > m half and fills
     the rest per the module's convention."""
-    rule = gauss_halfline(table_degree(basis, n_max))
+    rule = _table_rule(basis, n_max)
     x, w = rule.nodes, rule.weights
     vals, ders = rows(basis, n_max + 1, x, order=1)
     p = -1j * (vals * w) @ ders.T

@@ -359,9 +359,8 @@ def _rationals(tower: Basis, j: int) -> tuple[_Rational, _Rational, _Rational]:
     return r0, r1, r1.deriv()
 
 
-def _iso_block(n_levels: int, x: np.ndarray, order: int,
-               weighted: bool) -> np.ndarray:
-    """Infinite-tower rows via the intertwiner: phi_n = L psi_n / (4 norm_n).
+def _iso_block(n_levels: int, x: np.ndarray, order: int) -> np.ndarray:
+    """Weighted infinite-tower rows via the intertwiner: phi_n = L psi_n / (4 norm_n).
 
     L psi = psi^{(4)} + sum_i eta_i psi^{(i)}; its d-th derivative follows
     the Leibniz rule.  The eta rationals are evaluated once for all levels.
@@ -377,12 +376,11 @@ def _iso_block(n_levels: int, x: np.ndarray, order: int,
             q += sum(math.comb(d, l) * etas[i][l] * psi[i + d - l]
                      for l in range(d, -1, -1))
         out[d] = q / scale
-    return out if weighted else out * np.exp(-x * x / 2.0)
+    return out
 
 
-def _new_block(n_levels: int, x: np.ndarray, order: int,
-               weighted: bool) -> np.ndarray:
-    """Finite-tower rows from the closed forms (levels 0 and 1)."""
+def _new_block(n_levels: int, x: np.ndarray, order: int) -> np.ndarray:
+    """Weighted finite-tower rows from the closed forms (levels 0 and 1)."""
     if n_levels > 2:
         raise IndexOutOfRange("finite tower has levels 0 and 1 only")
     out = np.empty((order + 1, n_levels, x.size))
@@ -394,7 +392,7 @@ def _new_block(n_levels: int, x: np.ndarray, order: int,
             out[1, j] = f1 - x * f
         if order >= 2:
             out[2, j] = r2(x) - 2.0 * x * f1 + (x * x - 1.0) * f
-    return out if weighted else out * np.exp(-x * x / 2.0)
+    return out
 
 
 # ----------------------------------------------------------------------------

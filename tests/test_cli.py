@@ -308,17 +308,19 @@ def test_partner_uncertainty_builds_its_tables_from_one_row_call(tmp_path, run_c
 # ----------------------------------------------------------------------------
 
 def test_rejects_degenerate_grids_and_missing_output(tmp_path, run_cli):
-    res = run_cli(["--command", "entropy", "--steps", "1",
-                   "--out", str(tmp_path / "x.csv")], tmp_path)
-    assert res.returncode == 2
-    res = run_cli(["--command", "density"], tmp_path)
-    assert res.returncode == 2
-    res = run_cli(["--command", "uncertainty", "--zmin", "2", "--zmax", "1",
-                   "--out", str(tmp_path / "x.csv")], tmp_path)
-    assert res.returncode == 2
-    res = run_cli(["--command", "entropy", "--basis", "4",
-                   "--out", str(tmp_path / "x.csv")], tmp_path)
-    assert res.returncode == 2
+    # each message names the flag at fault
+    out = ["--out", str(tmp_path / "x.csv")]
+    for args, message in [
+            (["--command", "entropy", "--steps", "1", *out], "--steps must be at least 2"),
+            (["--command", "density"], "--out is required for --command density"),
+            (["--command", "uncertainty", "--zmin", "2", "--zmax", "1", *out],
+             "--zmin must not exceed --zmax"),
+            (["--command", "uncertainty", "--zmin", "-1", *out], "--zmin must be non-negative"),
+            (["--command", "entropy", "--basis", "4", *out], "--basis must be at least 8"),
+            (["--command", "entropy", "--theta", "4", *out], "--theta must lie in [0, pi)")]:
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == f"configuration error: {message}\n", args
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -354,7 +356,7 @@ def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli
 def test_entropy_above_the_basis_maximum_is_rejected_before_any_sweep(
         tmp_path, run_cli, monkeypatch):
     # one level past the maximum, the refined cutoff's partner projections
-    # (324 MiB) and the sweep's arrays (700 MiB) together pass the budget
+    # (332 MiB) and the sweep's arrays (695 MiB) together pass the budget
     calls = []
     monkeypatch.setattr(entangle, "gram_matrix", lambda *a: calls.append("gram"))
     monkeypatch.setattr(entangle, "_rotate_in_place", lambda *a: calls.append("sweep"))
@@ -682,6 +684,18 @@ def test_out_in_a_missing_directory_is_rejected_before_any_computation(
     res = run_cli(["--command", command, "--out", str(tmp_path / "no" / "x.csv")], tmp_path)
     assert res.returncode == 2
     assert res.stderr == f"configuration error: --out directory {tmp_path / 'no'} does not exist\n"
+
+
+@pytest.mark.parametrize("command", ["uncertainty", "validate"])
+def test_out_naming_a_directory_is_rejected_before_any_computation(
+        tmp_path, run_cli, monkeypatch, command):
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setitem(cli._HANDLERS, command, never)
+    res = run_cli(["--command", command, "--out", str(tmp_path)], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == f"configuration error: cannot write {tmp_path}: it is a directory\n"
 
 
 def test_a_csv_that_cannot_be_written_is_a_configuration_error(tmp_path, run_cli):

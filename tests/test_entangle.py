@@ -38,7 +38,7 @@ from truncosc.entangle import (
     reduced_density,
 )
 from truncosc.errors import CutoffExceeded, ExpansionResidualTooLarge, GramNotPSD
-from truncosc.fock import Basis, hermite_normalized, rows
+from truncosc.fock import Basis, _truncated_block, hermite_normalized, rows
 from truncosc.numerics import gauss_halfline
 
 
@@ -682,15 +682,18 @@ def test_partner_scan_builds_projections_once_and_solves_each_total_once(monkeyp
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     z = np.linspace(0.0, 1.0, 9)
     entropy_scan(Family.SUSY_ISO, z, cutoff=80)
-    # (susy-iso, 32 levels) and (susy-new, 1 level) at cutoffs 80 and 120
-    assert len(row_calls) == 4
+    # the odd basis (truncated, 40 and 60 levels), mode A (susy-new, 1 level)
+    # and the tower levels (susy-iso, 32 levels), at cutoffs 80 and 120
+    assert sorted(row_calls) == sorted(
+        (basis, n) for c in (80, 120)
+        for basis, n in ((Basis.TRUNCATED, c // 2), (Basis.SUSY_NEW, 1), (Basis.SUSY_ISO, 32)))
     # the 9 points of both cutoffs in one sweep, packed: modes A and B span
     # the 40 (60) odd levels below 80 (120), so the even totals 2 .. 158
     # (238) hold 80^2 - 1 (120^2 - 1) entries
     assert sweeps == [[(9, 80 ** 2 - 1), (9, 120 ** 2 - 1)]]
     entropy_scan(Family.SUSY_ISO, z, setting=BeamSplitterSetting(1.2, 0.3),
                  cutoff=80)
-    assert len(row_calls) == 4 and len(sweeps) == 2
+    assert len(row_calls) == 6 and len(sweeps) == 2
     proj = entangle._susy_level_projections(Basis.SUSY_ISO, 32, 80)
     assert not proj.flags.writeable
 
@@ -747,14 +750,20 @@ def test_scan_records_equal_the_one_point_path(monkeypatch, family, cutoff):
 
 @pytest.mark.parametrize("cutoff", [78, 120, 331])
 def test_blocked_projections_equal_the_full_table_formula(cutoff):
-    # the weighted odd Hermite rows, built a block of nodes at a time, have
-    # the bits of those cut from one full Hermite table, and so do their
-    # products with the tower levels
+    # fock.rows builds the odd basis a block of 512 nodes at a time, with the
+    # bits of one unblocked block over all nodes; the projections match the
+    # weighted odd rows cut from one full Hermite table to 1e-15 of each
+    # level's norm (the worst seen is 2.2e-16)
     rule = gauss_halfline(entangle._projection_degree(cutoff))
     assert rule.nodes.size > 512  # more than one block of nodes
     k_count = cutoff // 2
+    assert np.array_equal(rows(Basis.TRUNCATED, k_count, rule.nodes),
+                          _truncated_block(k_count, rule.nodes, 0))
     bw = math.sqrt(2.0) / math.pi ** 0.25 * hermite_normalized(2 * k_count - 1, rule.nodes)[1::2]
     bw *= rule.weights
     levels = [rows(Basis.SUSY_NEW, 1, rule.nodes)[0, 0], *rows(Basis.SUSY_ISO, 32, rule.nodes)[0]]
     expected = np.array([bw @ level for level in levels])
-    assert np.array_equal(entangle._susy_level_projections(Basis.SUSY_ISO, 32, cutoff), expected)
+    got = entangle._susy_level_projections(Basis.SUSY_ISO, 32, cutoff)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected)
+                  <= 1e-15 * np.linalg.norm(expected, axis=1)[:, None])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from truncosc.coherent import CoherentState, Family, build_cs
-from truncosc.errors import BasisMismatch, TruncationTooSmall
+from truncosc.errors import BasisMismatch, NonConvergence, TruncationTooSmall
 from truncosc.fock import Basis
 from truncosc.observables import (
     MatrixElementTable,
@@ -113,6 +113,23 @@ def test_table_fill_conventions():
     p = build_table(ObservableKind.P, 8)
     assert np.max(np.abs(p.entries.real)) == 0.0
     assert np.max(np.abs(p.entries + np.conj(p.entries).T)) < 1e-12
+
+
+def test_tables_the_rule_would_clip_raise_instead():
+    # the rule's last node sits near x = 27.19, where e^{-x^2} underflows; at
+    # n_max 200 it clipped X2[200, 200] to 262.8 (exact 401.5), so that build
+    # raises, as does the single-element oracle.  The builds it admits keep
+    # every X2 and P2 diagonal at its exact value 2n + 3/2
+    for n_max in (29, 47, 150):
+        energy = 2.0 * np.arange(n_max + 1) + 1.5
+        for kind in (ObservableKind.X2, ObservableKind.P2):
+            diag = np.diagonal(build_table(kind, n_max).entries).real
+            assert np.max(np.abs(diag - energy) / energy) < 1e-14, (n_max, kind)
+    build_table(ObservableKind.X2, 47, basis=Basis.SUSY_ISO)
+    with pytest.raises(NonConvergence, match="clip"):
+        build_table(ObservableKind.X2, 200)
+    with pytest.raises(NonConvergence, match="clip"):
+        matrix_element_quadrature(ObservableKind.X2, 200, 0)
 
 
 def test_closed_and_quadrature_sources_agree_for_x_and_p():

@@ -3,9 +3,12 @@ nothing is defined or recorded that nothing reads, every public name but a
 four listed ones has a reader in the program or the demos, every error type is
 raised or subclassed, scipy.special is never imported, only the spectral
 splitter cross-check calls an eigensolver, the Gram matrix needs no
-quadrature, entangle allocates no dense stack of states, the CLI imports no piece of the entropy scan's layout, the modules import
-each other without a cycle, the benchmark's self-test passes, and a
-failing property test fails alone.
+quadrature, fock.rows is the only code that takes a `weighted` flag,
+applies the Gaussian weight to rows or (with the overlap oracle) reads a
+Hermite table, entangle allocates no dense stack of states, the CLI
+imports no piece of the entropy scan's layout, the modules import each
+other without a cycle, the benchmark's self-test passes, and a failing
+property test fails alone.
 
 No linter ships with the toolchain, so these checks stand in for one.
 The unused-import check also covers the tests and the demos.
@@ -198,6 +201,52 @@ def test_the_gram_matrix_is_built_without_quadrature():
     tree = ast.parse((PACKAGE_DIR / "entangle.py").read_text(encoding="utf-8"))
     [gram] = [top for top in tree.body if getattr(top, "name", None) == "gram_matrix"]
     assert {"gauss_halfline", "hermite_normalized"} & set(_read_names(gram)) == set()
+
+
+def test_only_fock_rows_takes_a_weighted_flag():
+    # the row blocks build weighted rows only; fock.rows alone chooses plain
+    # ones and applies the weight
+    takers = [(path.name, node.name) for path in sorted(PACKAGE_DIR.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef) and "weighted" in {
+                  a.arg for a in (*node.args.args, *node.args.kwonlyargs)}]
+    assert takers == [("fock.py", "rows")]
+
+
+def _is_gaussian(node: ast.AST) -> bool:
+    """An np.exp call whose argument squares a name (x * x or x ** 2)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"):
+        return False
+    names = [n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)]
+    squares = [n for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.BinOp)
+               and isinstance(n.op, ast.Pow) and getattr(n.right, "value", None) == 2]
+    return len(names) > len(set(names)) or bool(squares)
+
+
+def test_only_fock_rows_applies_the_gaussian_weight_to_rows():
+    # besides fock.rows, a Gaussian e^{-x^2...} appears only in the quadrature
+    # weights and in the seed solutions, which are no basis rows
+    users = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(_is_gaussian(node) for node in ast.walk(top)):
+                users.add((path.name, getattr(top, "name", None)))
+    assert users == {("fock.py", "rows"), ("numerics.py", "gauss_halfline"),
+                     ("susy.py", "SeedSolution")}
+
+
+def test_hermite_tables_are_read_only_by_fock_and_the_overlap_oracle():
+    # fock.rows is the one row engine: no other module builds rows from its
+    # own Hermite table, save the quadrature oracle of the half-line overlaps
+    readers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if "hermite_normalized" in set(_read_names(top)):
+                readers.append((path.name, getattr(top, "name", None)))
+    assert [r for r in readers if r[0] != "fock.py"] == [
+        ("entangle.py", "halfline_overlap_quadrature")]
 
 
 def test_entangle_allocates_no_dense_state_stacks():
