@@ -14,7 +14,8 @@ class PoleError(TruncOscError):
 
 
 class NonConvergence(TruncOscError):
-    """A half-line Gauss rule misses its weight's mass or would clip a level's tail."""
+    """A half-line Gauss rule misses its weight's mass or would clip a level's
+    tail, or an adaptive quadrature stops short of its tolerance."""
 
 
 class BasisMismatch(TruncOscError):

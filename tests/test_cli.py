@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from truncosc import cli, entangle, numerics, observables, susy
+from truncosc import cli, coherent, entangle, numerics, observables, susy
 from truncosc.cli import RunConfig, main
 from truncosc.entangle import EntropyRecord
 from truncosc.fock import Basis
@@ -419,7 +419,7 @@ def test_memory_model_bounds_the_traced_peak_of_basis_sized_runs(
     # next to another, and traced builds are slow), while validate reads no
     # basis and is bounded by the fixed term alone.  scipy's module objects
     # are loaded first, as they are no array of the run
-    for module in ("scipy.integrate", "scipy.linalg", "scipy.special"):
+    for module in ("scipy.linalg", "scipy.special"):
         importlib.import_module(module)
     for cache in (numerics.gauss_halfline, observables._quadrature_tables, susy._rationals,
                   entangle.gram_matrix, entangle._susy_level_projections):
@@ -645,6 +645,23 @@ def test_validate_doubles_the_quotes_of_a_detail(tmp_path, run_cli, monkeypatch)
                         ["crashes", "FAIL", 'ValueError: bad "x", y']]
 
 
+def test_validate_fails_an_identity_check_whose_moment_does_not_converge(
+        tmp_path, run_cli, monkeypatch):
+    # quad would only warn and print the moment; qags raises, so the rows fail
+    def one_panel(f, a, b, epsabs, epsrel, limit):
+        return numerics.qags(f, a, b, epsabs, epsrel, 1)  # limit 1 is ier 1
+
+    monkeypatch.setattr(coherent, "qags", one_panel)
+    out = tmp_path / "v.csv"
+    res = run_cli(["--command", "validate", "--out", str(out)], tmp_path)
+    assert res.returncode == 1
+    failed = {r[0]: ",".join(r[2:]) for r in read_csv(out)[2] if r[1] == "FAIL"}
+    assert sorted(failed) == ["identity-resolution-corrected",
+                              "identity-resolution-reference", "iso-measure-identity"]
+    assert all("NonConvergence: qags on [0.0, " in d and "ier 1," in d
+               for d in failed.values())
+
+
 def test_every_command_rejects_an_unreadable_seed_config(tmp_path, run_cli):
     # the config hash reads the seed file, so no command may start without it
     out = tmp_path / "d.csv"
@@ -738,3 +755,15 @@ def test_cli_import_and_its_runs_leave_scipy_special_unloaded(tmp_path, cli_env)
                          capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["False", f"{[0] * len(runs)} False"]
+
+
+def test_validate_leaves_scipy_integrate_unloaded(tmp_path, cli_env):
+    # the radial moments come from numerics.qags; only the beam-splitter
+    # check's expm oracle loads scipy, and scipy.linalg is all it needs
+    probe = ("import sys\nfrom truncosc.cli import main\n"
+             "code = main(['--command', 'validate', '--out', 'validate.csv'])\n"
+             "print(code, 'scipy.integrate' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=cli_env,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["0 False"]

@@ -6,6 +6,7 @@ loggamma, so the library under test carries no runtime dependency on it.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_legendre
 
-from truncosc import numerics, susy
-from truncosc.errors import DivergenceError, PoleError
+from truncosc import cli, coherent, numerics, susy
+from truncosc.errors import DivergenceError, NonConvergence, PoleError
 from truncosc.numerics import (
     _legendre_nodes,
     gauss_halfline,
@@ -25,6 +27,7 @@ from truncosc.numerics import (
     hyp2f1_terminating,
     hyp2f2,
     log_gamma_signed,
+    qags,
     rising_factorial,
 )
 
@@ -301,3 +304,139 @@ def test_gauss_halfline_handles_high_degree():
     got = float(np.sum(rule.weights * rule.nodes ** 200))
     expected = 0.5 * math.exp(math.lgamma(100.5))
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+# ----------------------------------------------------------------------------
+# qags: QUADPACK's QAGS, against scipy.integrate.quad
+# ----------------------------------------------------------------------------
+
+def _bits(*xs):
+    return tuple(float(x).hex() for x in xs)
+
+
+def _quad_outcome(f, a, b, epsabs, epsrel, limit):
+    """(value bits, abserr bits, whether quad reports a nonzero ier)."""
+    out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    return (*_bits(*out[:2]), len(out) == 4)  # a fourth item is ier's message
+
+
+def _qags_outcome(f, a, b, epsabs, epsrel, limit):
+    """(value bits, abserr bits, whether qags raised); a NonConvergence
+    message ends with the estimate and its abserr in repr, read back here."""
+    try:
+        return (*_bits(*qags(f, a, b, epsabs, epsrel, limit)), False)
+    except NonConvergence as exc:
+        found = re.search(r"estimate (\S+) with abserr (\S+)$", str(exc))
+        return (*_bits(*found.groups()), True)
+
+
+def _assert_qags_is_quad(f, a, b, epsabs, epsrel, limit):
+    assert (_qags_outcome(f, a, b, epsabs, epsrel, limit)
+            == _quad_outcome(f, a, b, epsabs, epsrel, limit))
+
+
+@pytest.mark.parametrize("check", [cli._check_identity_corrected, cli._check_identity_reference,
+                                   cli._check_iso_measure])
+def test_validate_identity_moments_are_quads_bit_for_bit(monkeypatch, check):
+    # every moment integrand of validate's three identity checks, 21 in all
+    calls = []
+    extrapolations = []
+    qelg = numerics._qelg
+
+    def counted_qelg(*args):
+        extrapolations.append(args)
+        return qelg(*args)
+
+    def both(f, a, b, epsabs, epsrel, limit):
+        calls.append((_qags_outcome(f, a, b, epsabs, epsrel, limit),
+                      _quad_outcome(f, a, b, epsabs, epsrel, limit)))
+        return numerics.qags(f, a, b, epsabs, epsrel, limit)
+
+    monkeypatch.setattr(coherent, "qags", both)
+    monkeypatch.setattr(numerics, "_qelg", counted_qelg)
+    check()
+    assert len(calls) == 7
+    for got, expected in calls:
+        assert got == expected and not got[2]
+    if check is not cli._check_iso_measure:
+        assert extrapolations  # the lowering moments reach the epsilon algorithm
+
+
+_LIMITS = st.sampled_from([1, 2, 3, 5, 50, 200])
+_TOLERANCES = st.sampled_from([1e-13, 1e-11, 1.49e-8, 1e-6, 1e-3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.floats(-0.99, -0.01), log_power=st.integers(0, 2),
+       b=st.floats(0.05, 4.0), tol=_TOLERANCES, limit=_LIMITS)
+def test_qags_is_quad_on_endpoint_singularities(alpha, log_power, b, tol, limit):
+    # x^alpha log^k x on (0, b): the epsilon-extrapolation path
+    _assert_qags_is_quad(lambda x: x ** alpha * math.log(x) ** log_power,
+                         0.0, b, tol, tol, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.floats(0.1, 80.0), c=st.floats(-2.0, 2.0), a=st.floats(-3.0, 1.0),
+       width=st.floats(0.01, 6.0), tol=_TOLERANCES, limit=_LIMITS)
+def test_qags_is_quad_on_smooth_and_oscillating_integrands(k, c, a, width, tol, limit):
+    # the ordinary adaptive path, a kink at c included
+    _assert_qags_is_quad(lambda x: math.sin(k * x) * math.exp(-x * x) + abs(x - c) ** 0.5,
+                         a, a + width, tol, tol, limit)
+
+
+@pytest.mark.parametrize("f, epsabs, epsrel, limit, ier", [
+    (lambda x: math.sin(1.0 / x), 1.49e-8, 1.49e-8, 3, 1),  # subdivision limit
+    (math.cos, 1e-300, 0.0, 50, 2),  # tolerance below roundoff
+    (lambda x: 1.0 / abs(x - 1.0 / 3.0), 1e-10, 1e-10, 200, 3),  # bad point
+    (lambda x: x ** -0.95 * math.log(x), 1e-13, 1e-13, 200, 4),  # extrapolation stalls
+    (lambda x: x ** -1.5, 1.49e-8, 1.49e-8, 50, 5),  # divergent
+])
+def test_qags_raises_where_quad_only_warns(f, epsabs, epsrel, limit, ier):
+    with pytest.warns(IntegrationWarning):
+        quad(f, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=limit)
+    meaning = re.escape(f"ier {ier}, {numerics._QAGS_FAILURES[ier]};")
+    with pytest.raises(NonConvergence, match=meaning):
+        qags(f, 0.0, 1.0, epsabs, epsrel, limit)
+    _assert_qags_is_quad(f, 0.0, 1.0, epsabs, epsrel, limit)  # same estimate
+
+
+def test_qags_rejects_what_quad_rejects():
+    with pytest.raises(ValueError):
+        quad(math.cos, 0.0, 1.0, epsabs=0.0, epsrel=1e-20)
+    with pytest.raises(ValueError):
+        qags(math.cos, 0.0, 1.0, 0.0, 1e-20, 50)
+    with pytest.raises(ValueError):
+        qags(math.cos, 0.0, 1.0, 1e-8, 1e-8, 0)
+
+
+def test_kronrod_abscissae_are_the_ones_quad_evaluates():
+    # one panel on [-1, 1], whose abscissae are exactly -x, +x for each
+    # Kronrod node x
+    seen = {"quad": [], "qags": []}
+    quad(lambda x: seen["quad"].append(x) or 1.0, -1.0, 1.0, limit=1, full_output=1)
+    with pytest.raises(NonConvergence):  # limit 1 is ier 1
+        qags(lambda x: seen["qags"].append(x) or 1.0, -1.0, 1.0, 1.49e-8, 1.49e-8, 1)
+    assert _bits(*seen["qags"]) == _bits(*seen["quad"])
+    order = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)  # after the centre: Gauss pairs, other pairs
+    expected = [0.0] + [s * numerics._XGK[j] for j in order for s in (-1.0, 1.0)]
+    assert _bits(*seen["quad"]) == _bits(*expected)
+
+
+@pytest.mark.parametrize("j", range(11))
+def test_kronrod_weights_are_quads_from_indicator_integrands(j):
+    # 1 at the node x_j and 0 elsewhere: the panel sum is w_j exactly
+    x_j = numerics._XGK[j]
+    value = quad(lambda x: 1.0 if x == x_j else 0.0, -1.0, 1.0, limit=1,
+                 full_output=1)[0]
+    assert _bits(numerics._WGK[j]) == _bits(value)
+
+
+def test_gauss_weights_are_mpmaths_legendre_rule():
+    # the 10-point Gauss nodes are the Kronrod abscissae of even 1-based
+    # index; w = 2 / ((1 - x^2) P10'(x)^2) at 40 digits, rounded to double
+    with mpmath.workdps(40):
+        for i, x0 in enumerate(numerics._XGK[1::2]):
+            x = mpmath.findroot(lambda t: mpmath.legendre(10, t), mpmath.mpf(x0))
+            slope = 10 * (x * mpmath.legendre(10, x) - mpmath.legendre(9, x)) / (x * x - 1)
+            assert float(x) == x0
+            assert float(2 / ((1 - x * x) * slope ** 2)) == numerics._WG[i]

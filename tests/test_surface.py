@@ -1,14 +1,14 @@
 """The package's public surface: exported names resolve, imports are used,
 nothing is defined or recorded that nothing reads, every public name but a
 four listed ones has a reader in the program or the demos, every error type is
-raised or subclassed, scipy.special is never imported, only the spectral
-splitter cross-check calls an eigensolver, the Gram matrix needs no
-quadrature, fock.rows is the only code that takes a `weighted` flag,
-applies the Gaussian weight to rows or (with the overlap oracle) reads a
-Hermite table, entangle allocates no dense stack of states, the CLI
-imports no piece of the entropy scan's layout, the modules import each
-other without a cycle, the benchmark's self-test passes, and a failing
-property test fails alone.
+raised or subclassed, scipy.special and scipy.integrate are never
+imported, only the spectral splitter cross-check calls an eigensolver, the
+Gram matrix needs no quadrature, fock.rows is the only code that takes a
+`weighted` flag, applies the Gaussian weight to rows or (with the overlap
+oracle) reads a Hermite table, entangle allocates no dense stack of
+states, the CLI imports no piece of the entropy scan's layout, the modules
+import each other without a cycle, the benchmark's self-test passes, and a
+failing property test fails alone.
 
 No linter ships with the toolchain, so these checks stand in for one.
 The unused-import check also covers the tests and the demos.
@@ -167,9 +167,9 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
-def test_no_module_imports_scipy_special():
-    # the gamma functions come from math, so scipy.special is not imported
-    # anywhere in the package, not even inside a function
+def _imports_anywhere(package: str) -> list:
+    """(module file, imported name) of every import of `package` or one of
+    its names in the package, function bodies included."""
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -180,8 +180,20 @@ def test_no_module_imports_scipy_special():
             else:
                 continue
             found += [(path.name, n) for n in names
-                      if n == "scipy.special" or n.startswith("scipy.special.")]
-    assert found == []
+                      if n == package or n.startswith(package + ".")]
+    return found
+
+
+def test_no_module_imports_scipy_special():
+    # the gamma functions come from math, so scipy.special is not imported
+    # anywhere in the package, not even inside a function
+    assert _imports_anywhere("scipy.special") == []
+
+
+def test_no_module_imports_scipy_integrate():
+    # the radial moments come from numerics.qags, QUADPACK's QAGS ported,
+    # so scipy.integrate is not imported anywhere, not even inside a function
+    assert _imports_anywhere("scipy.integrate") == []
 
 
 def test_only_the_spectral_cross_check_calls_an_eigensolver():
