@@ -101,14 +101,17 @@ _POINT_BYTES = {"density": 57_000, "uncertainty": 600, "entropy": 600}
 # Bytes per basis level at a run's peak besides the states density keeps: the
 # tracemalloc peak over the basis at 10^4 (density) and 10^5 (uncertainty),
 # rounded up.  Density holds the susy-iso row table, its complex copy in the
-# profile product and the row engine's transients (66.3 kB); uncertainty
+# profile product and the row engine's transients (41.9 kB); uncertainty
 # builds a state while the previous one is held (81 bytes).
-_LEVEL_BYTES = {"density": 67_000, "uncertainty": 88}
+_LEVEL_BYTES = {"density": 42_000, "uncertainty": 88}
 
 # Bytes density, uncertainty and validate may hold whatever the basis; the
 # largest such peak, 13 MB, builds the susy-iso uncertainty tables.  Validate
 # reads no basis, so this is its whole bound (its traced peak is 4.7 MB).
 _FIXED_BYTES = 16 << 20
+
+# The --model values: the truncated oscillator's, then the partner towers'
+_MODELS = ("TRUNC", "SUSY_Q4")
 
 
 class ConfigError(Exception):
@@ -143,7 +146,7 @@ def _limit(command: str, flag: str) -> int:
 class RunConfig:
     command: str
     family: str = "lowering"
-    model: str = "TRUNC"
+    model: str = _MODELS[0]
     z_min: float = 0.0
     z_max: float = 2.0
     z_steps: int = 9
@@ -154,7 +157,7 @@ class RunConfig:
     seed_config: Optional[str] = None
 
     def validate(self) -> None:
-        if self.command not in ("density", "uncertainty", "entropy", "validate"):
+        if self.command not in _HANDLERS:
             raise ConfigError(f"unknown command {self.command!r}")
         for flag, value in (("--zmin", self.z_min), ("--zmax", self.z_max),
                             ("--theta", self.theta), ("--phi", self.phi)):
@@ -162,8 +165,6 @@ class RunConfig:
                 raise ConfigError(f"{flag} must be finite, got {value}")
         if self.family not in tuple(f.value for f in Family):
             raise ConfigError(f"unknown family {self.family!r}")
-        if self.model not in ("TRUNC", "SUSY_Q4"):
-            raise ConfigError(f"unknown model {self.model!r}")
         if self.z_steps < 2:
             raise ConfigError("--steps must be at least 2")
         if self.basis_size < 8:
@@ -190,11 +191,9 @@ class RunConfig:
             raise ConfigError(f"--out directory {Path(self.output_path).parent} does not exist")
         if self.output_path is not None and Path(self.output_path).is_dir():
             raise ConfigError(f"cannot write {self.output_path}: it is a directory")
-        partner = WINDOWS[Family(self.family)].basis != Basis.TRUNCATED
-        if partner and self.model != "SUSY_Q4":
-            raise ConfigError(f"family {self.family} requires --model SUSY_Q4")
-        if self.model == "SUSY_Q4" and not partner:
-            raise ConfigError("model SUSY_Q4 requires a susy-iso or susy-new family")
+        model = _MODELS[WINDOWS[Family(self.family)].basis != Basis.TRUNCATED]
+        if self.model != model:
+            raise ConfigError(f"family {self.family} requires --model {model}")
         size = _largest_array_bytes(self.command, self.basis_size, self.z_steps)
         if size > _MEMORY_BUDGET:
             raise ConfigError(f"{self.command} would hold {size >> 20} MiB, above the "
@@ -226,11 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     entropy_min = {f.value: min_cutoff(f)[0] for f in Family}
     low = min(entropy_min.values())
     higher = ", ".join(f">= {n} for {f}" for f, n in entropy_min.items() if n > low)
-    parser.add_argument("--command", required=True,
-                        choices=["density", "uncertainty", "entropy", "validate"])
+    parser.add_argument("--command", required=True, choices=list(_HANDLERS))
     parser.add_argument("--family", choices=[f.value for f in Family],
-                        help="coherent-state family (susy-* require --model SUSY_Q4)")
-    parser.add_argument("--model", choices=["TRUNC", "SUSY_Q4"])
+                        help=f"coherent-state family (susy-* require --model {_MODELS[1]})")
+    parser.add_argument("--model", choices=_MODELS)
     parser.add_argument("--zmin", type=float, dest="z_min")
     parser.add_argument("--zmax", type=float, dest="z_max")
     parser.add_argument("--steps", type=int, dest="z_steps",

@@ -579,10 +579,10 @@ def scan_bytes(cutoff: int, n_points: int) -> int:
     cutoff and P = 2c - 1, it peaks either in the partner projections at c,
     built before any state: the floor(c/2) truncated rows on the N nodes of
     their rule (8 floor(c/2) N bytes) and what `fock.rows` holds for one
-    block of 512 nodes, its Hermite table, accumulator, gathered and product
-    rows and block (48 floor(c/2) 512 bytes); or in the splitter sweep or
-    the reduction of the packed states of `points_per_sweep` points, plus
-    their entry indices (the bytes of one more point), and at most 48 P^2
+    block of 512 nodes besides them, its Hermite table and one gathered row
+    set (24 floor(c/2) 512 bytes); or in the splitter sweep or the reduction
+    of the packed states of `points_per_sweep` points, plus their entry
+    indices (the bytes of one more point), and at most 48 P^2
     bytes of Risbo tables and blocks (40 P^2) or of the reduction's P x P
     buffer and products.  The two peaks are added, which also covers what
     each leaves out (Gram matrices, quadrature rules, tower rows, the
@@ -592,7 +592,7 @@ def scan_bytes(cutoff: int, n_points: int) -> int:
     padded = 2 * probe - 1
     states = (min(n_points, points_per_sweep(cutoff)) + 1) * _point_state_bytes(cutoff)
     return (8 * (probe // 2) * gauss_halfline_size(_projection_degree(probe))
-            + 48 * (probe // 2) * _ROW_CHUNK + states + 48 * padded * padded)
+            + 24 * (probe // 2) * _ROW_CHUNK + states + 48 * padded * padded)
 
 
 def min_cutoff(family: Family) -> tuple[int, str]:

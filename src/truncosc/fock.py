@@ -69,8 +69,8 @@ def hermite_normalized(n_max: int, x) -> np.ndarray:
     return out
 
 
-# Nodes per block in rows(): keeps the Hermite table and the partner
-# temporaries near a megabyte whatever the quadrature size.
+# Nodes per block in rows(), whose blocks write into their slice of its output:
+# keeps the Hermite table and the partner temporaries near a megabyte.
 _ROW_CHUNK = 512
 
 
@@ -100,10 +100,10 @@ def rows(basis: Basis, n_levels: int, x, order: int = 0,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((order + 1, n_levels, x.size))
     for i in range(0, x.size, _ROW_CHUNK):
-        xs = x[i:i + _ROW_CHUNK]
-        out[:, :, i:i + _ROW_CHUNK] = block(n_levels, xs, order)
+        xs, part = x[i:i + _ROW_CHUNK], out[:, :, i:i + _ROW_CHUNK]
+        block(n_levels, xs, order, part)
         if not weighted:
-            out[:, :, i:i + _ROW_CHUNK] *= np.exp(-xs * xs / 2.0)
+            part *= np.exp(-xs * xs / 2.0)
     return out
 
 
@@ -122,20 +122,18 @@ def _ladder_step(coeff: np.ndarray, start: np.ndarray, j: int) -> np.ndarray:
     return nxt
 
 
-def _truncated_block(n_levels: int, x: np.ndarray, order: int) -> np.ndarray:
-    """Weighted levels k: sqrt(2) psi^HO_{2k+1} e^{x^2/2}, from one Hermite table."""
+def _truncated_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> None:
+    """Weighted levels k, sqrt(2) psi^HO_{2k+1} e^{x^2/2}, into out from one Hermite table."""
     h = hermite_normalized(2 * n_levels - 1 + order, x)
     start = 2 * np.arange(n_levels) + 1
     coeff = np.full((n_levels, 1), math.sqrt(2.0))
-    out = np.empty((order + 1, n_levels, x.size))
     for j in range(order + 1):
         if j:
             coeff = _ladder_step(coeff, start, j - 1)
-        acc = np.zeros((n_levels, x.size))
-        for i, offset in enumerate(range(-j, j + 1, 2)):
-            acc += coeff[:, i, None] * h[np.maximum(start + offset, 0)]
-        out[j] = math.pi ** -0.25 * acc
-    return out
+        np.multiply(coeff[:, :1], h[np.maximum(start - j, 0)], out=out[j])
+        for i, offset in enumerate(range(2 - j, j + 1, 2), 1):
+            out[j] += coeff[:, i, None] * h[np.maximum(start + offset, 0)]
+        out[j] *= math.pi ** -0.25
 
 
 def weighted_eigenfunction_derivatives(k: int, x, order: int = 2) -> np.ndarray:

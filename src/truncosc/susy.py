@@ -359,31 +359,29 @@ def _rationals(tower: Basis, j: int) -> tuple[_Rational, _Rational, _Rational]:
     return r0, r1, r1.deriv()
 
 
-def _iso_block(n_levels: int, x: np.ndarray, order: int) -> np.ndarray:
-    """Weighted infinite-tower rows via the intertwiner: phi_n = L psi_n / (4 norm_n).
+def _iso_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> None:
+    """Weighted infinite-tower rows into out via the intertwiner: phi_n = L psi_n / (4 norm_n).
 
     L psi = psi^{(4)} + sum_i eta_i psi^{(i)}; its d-th derivative follows
-    the Leibniz rule.  The eta rationals are evaluated once for all levels.
+    the Leibniz rule.  The eta rationals are evaluated once for all levels;
+    derivative d sums into psi[4 + d], which no lower d reads, so d descends.
     """
     psi = rows(Basis.TRUNCATED, n_levels, x, 4 + order)
     etas = [[r(x) for r in _rationals(Basis.SUSY_ISO, i)[:order + 1]] for i in range(4)]
     n = np.arange(n_levels)  # norm_n^2 = prod_i (E_n - eps_i)
     scale = 4.0 * np.sqrt((2 * n + 4) * (2 * n + 5) * (2 * n + 6) * (2 * n + 7))[:, None]
-    out = np.empty((order + 1, n_levels, x.size))
-    for d in range(order + 1):
-        q = psi[4 + d].copy()
+    for d in range(order, -1, -1):
+        q = psi[4 + d]
         for i in range(4):
             q += sum(math.comb(d, l) * etas[i][l] * psi[i + d - l]
                      for l in range(d, -1, -1))
-        out[d] = q / scale
-    return out
+        np.divide(q, scale, out=out[d])
 
 
-def _new_block(n_levels: int, x: np.ndarray, order: int) -> np.ndarray:
-    """Weighted finite-tower rows from the closed forms (levels 0 and 1)."""
+def _new_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> None:
+    """Weighted finite-tower rows into out from the closed forms (levels 0 and 1)."""
     if n_levels > 2:
         raise IndexOutOfRange("finite tower has levels 0 and 1 only")
-    out = np.empty((order + 1, n_levels, x.size))
     for j in range(n_levels):
         r0, r1, r2 = _rationals(Basis.SUSY_NEW, j)
         f = out[0, j] = r0(x)
@@ -392,7 +390,6 @@ def _new_block(n_levels: int, x: np.ndarray, order: int) -> np.ndarray:
             out[1, j] = f1 - x * f
         if order >= 2:
             out[2, j] = r2(x) - 2.0 * x * f1 + (x * x - 1.0) * f
-    return out
 
 
 # ----------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def test_runs_above_the_memory_budget_are_configuration_errors(tmp_path, run_cli
 def test_entropy_above_the_basis_maximum_is_rejected_before_any_sweep(
         tmp_path, run_cli, monkeypatch):
     # one level past the maximum, the refined cutoff's partner projections
-    # (332 MiB) and the sweep's arrays (695 MiB) together pass the budget
+    # (324 MiB) and the sweep's arrays (700 MiB) together pass the budget
     calls = []
     monkeypatch.setattr(entangle, "gram_matrix", lambda *a: calls.append("gram"))
     monkeypatch.setattr(entangle, "_rotate_in_place", lambda *a: calls.append("sweep"))

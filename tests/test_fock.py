@@ -1,5 +1,6 @@
 """Half-line oscillator basis, ladder data, and ladder action."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import truncosc.fock as fock_module
+from truncosc import cli
 from truncosc.errors import IndexOutOfRange
 from truncosc.fock import (
     Basis,
@@ -144,8 +146,9 @@ def test_rows_run_one_hermite_recurrence_per_node_chunk(monkeypatch):
 
 def test_partner_rows_stay_within_a_chunked_memory_bound():
     # 48 levels and slopes on the 5588-node rule of the susy-iso
-    # uncertainty tables: 4.3 MB of output and a 7.7 MB peak in node
-    # chunks; evaluated on all nodes at once the peak is 41 MB
+    # uncertainty tables: 4.3 MB of output and a 6.4 MB peak in node
+    # chunks, whose blocks write into the output; evaluated on all nodes at
+    # once the peak is 41 MB
     nodes = gauss_halfline(4 * (2 * 48 + 3) + 32).nodes
     assert nodes.size == 5588
     tracemalloc.start()
@@ -155,7 +158,39 @@ def test_partner_rows_stay_within_a_chunked_memory_bound():
     finally:
         tracemalloc.stop()
     assert out.nbytes < 4.5e6
-    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 7e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_truncated_rows_hold_one_block_table_beyond_their_output():
+    # 48 levels on the same rule: 2.1 MB of output; besides it a 512-node
+    # block holds its Hermite table (0.39 MB) and one gathered row set
+    # (0.2 MB), 0.72 MB traced in all
+    nodes = gauss_halfline(4 * (2 * 48 + 3) + 32).nodes
+    tracemalloc.start()
+    try:
+        out = rows(Basis.TRUNCATED, 48, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 0.9e6, f"{(peak - out.nbytes) / 1e6:.2f} MB above the output"
+
+
+# sha256 of the weighted rows of orders 0, 1 and 2 of the three bases (48,
+# 48 and 2 levels) on the density grid and on a 2448-node Gauss rule, in
+# that order.  Weighted rows call no np.exp, whose last bits can depend on
+# the CPU's SIMD path.
+_WEIGHTED_ROWS_SHA256 = "a7d3408a115ab7c755bd3fd37a28a22be30487657fe6f9008c709d144b224b82"
+
+
+def test_weighted_row_bits_are_pinned():
+    rule = gauss_halfline(60).nodes
+    assert rule.size > fock_module._ROW_CHUNK  # more than one block of nodes
+    digest = hashlib.sha256()
+    for x in (cli._density_grid(), rule):
+        for basis, n_levels in ((Basis.TRUNCATED, 48), (Basis.SUSY_ISO, 48), (Basis.SUSY_NEW, 2)):
+            for order in range(3):
+                digest.update(rows(basis, n_levels, x, order).tobytes())
+    assert digest.hexdigest() == _WEIGHTED_ROWS_SHA256
 
 
 # ----------------------------------------------------------------------------

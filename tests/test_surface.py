@@ -5,10 +5,11 @@ raised or subclassed, scipy.special and scipy.integrate are never
 imported, only the spectral splitter cross-check calls an eigensolver, the
 Gram matrix needs no quadrature, fock.rows is the only code that takes a
 `weighted` flag, applies the Gaussian weight to rows or (with the overlap
-oracle) reads a Hermite table, entangle allocates no dense stack of
-states, the CLI imports no piece of the entropy scan's layout, the modules
-import each other without a cycle, the benchmark's self-test passes, and a
-failing property test fails alone.
+oracle) reads a Hermite table, no row block allocates or returns rows of
+its own, entangle allocates no dense stack of states, the CLI imports no
+piece of the entropy scan's layout, the modules import each other without
+a cycle, the benchmark's self-test passes, and a failing property test
+fails alone.
 
 No linter ships with the toolchain, so these checks stand in for one.
 The unused-import check also covers the tests and the demos.
@@ -223,6 +224,30 @@ def test_only_fock_rows_takes_a_weighted_flag():
               if isinstance(node, ast.FunctionDef) and "weighted" in {
                   a.arg for a in (*node.args.args, *node.args.kwonlyargs)}]
     assert takers == [("fock.py", "rows")]
+
+
+def test_row_blocks_fill_the_output_of_fock_rows():
+    # fock.rows allocates its output once and owns it; a block that
+    # allocates, returns or copies rows of its own brings back a second
+    # row-sized array per block
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    [rows] = [node for node in trees["fock.py"].body if getattr(node, "name", None) == "rows"]
+    names = {name for name in _read_names(rows) if name.endswith("_block")}
+    blocks = {(path, node.name): node for path, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in names}
+    assert sorted(blocks) == [("fock.py", "_truncated_block"), ("susy.py", "_iso_block"),
+                              ("susy.py", "_new_block")]
+    found = []
+    for key, block in blocks.items():
+        for node in ast.walk(block):
+            if isinstance(node, ast.Return) and node.value is not None:
+                found.append((*key, "return", node.lineno))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("empty", "zeros", "ones")
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                found.append((*key, node.func.attr, node.lineno))
+    assert found == []
 
 
 def _is_gaussian(node: ast.AST) -> bool:
