@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .coherent import (
+    DISPLACEMENT_RADIUS,
     WINDOWS,
     Family,
     build_cs,
@@ -178,9 +179,8 @@ class RunConfig:
             raise ConfigError("--zmin must not exceed --zmax")
         if self.z_min < 0.0:
             raise ConfigError("--zmin must be non-negative")
-        # the displacement norm series has term ratio 4|z|^2 in the limit
         if (self.family == Family.DISPLACEMENT.value and self.command != "validate"
-                and self.z_max >= 0.5):
+                and self.z_max >= DISPLACEMENT_RADIUS):
             raise ConfigError(f"family displacement exists for |z| < 1/2 only (the "
                               f"radius of its norm series); got --zmax {self.z_max:g}")
         if not (0.0 <= self.theta < math.pi):

@@ -52,6 +52,7 @@ __all__ = [
     "CoherentState",
     "Windows",
     "WINDOWS",
+    "DISPLACEMENT_RADIUS",
     "build_cs",
     "displacement_norm_partial_sums",
     "eigen_residual",
@@ -62,6 +63,8 @@ __all__ = [
     "lowering_measure_corrected",
     "iso_measure",
 ]
+
+DISPLACEMENT_RADIUS = 0.5  # the displacement norm series' term ratio tends to 4|z|^2
 
 
 class Family(str, Enum):
@@ -134,8 +137,8 @@ def displacement_norm_partial_sums(r: float, n_terms: int) -> np.ndarray:
     """Partial sums of the displacement-family norm series at |z| = r.
 
     Term k is the product of the ratios r^2 step(j) / j^2 over j <= k.
-    Outside the convergence radius the partial sums grow without bound;
-    this is the diagnostic behind the NotNormalizable error.
+    Inside the disk |z| < DISPLACEMENT_RADIUS they converge to
+    (1 - 4 r^2)^{-3/2}; outside it they grow without bound.
     """
     k = np.arange(1, n_terms)
     ratios = np.ones(n_terms)
@@ -147,10 +150,10 @@ def build_cs(family: Family, z: complex, truncation: int = 64) -> CoherentState:
     """The normalized coherent state of any of the six families.
 
     The series families keep `truncation` levels; the finite tower
-    (susy-new) holds its two, whatever the truncation.  Raises
-    NotNormalizable when the norm series diverges (displacement outside
-    its radius) or overflows, and TruncationTooSmall when the last kept
-    amplitude still carries weight above 1e-12 of the norm.
+    (susy-new) holds all its levels, whatever the truncation.  Raises
+    NotNormalizable off the displacement disk |z| < DISPLACEMENT_RADIUS
+    or on overflow, and TruncationTooSmall when the last kept amplitude
+    still carries weight above 1e-12 of the norm.
     """
     family = Family(family)
     if family == Family.SUSY_NEW:
@@ -166,20 +169,17 @@ def build_cs(family: Family, z: complex, truncation: int = 64) -> CoherentState:
                              norm_constant=1.0 / norm, energies=np.array(NEW_ENERGIES))
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
+    if family == Family.DISPLACEMENT and abs(z) >= DISPLACEMENT_RADIUS:
+        raise NotNormalizable(f"displacement norm series diverges at |z| = {abs(z):.4g}")
     # an overflowing series leaves an infinite norm or NaN amplitudes, which
     # the record's unit-norm guard reports; numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
         c = _raw_amplitudes(family, z, truncation)
-        mags = np.abs(c)
-        if family == Family.DISPLACEMENT:
-            tail = mags[-6:]
-            if np.all(np.diff(tail) >= 0) and tail[-1] > 0:
-                raise NotNormalizable(
-                    f"displacement norm series diverges at |z| = {abs(z):.4g}")
         norm = float(np.linalg.norm(c))
-        if mags[-1] > 1e-12 * norm:
+        edge = np.abs(c[-1])
+        if edge > 1e-12 * norm:
             raise TruncationTooSmall(
-                f"amplitude at the truncation edge is {mags[-1] / norm:.2e} of the norm")
+                f"amplitude at the truncation edge is {edge / norm:.2e} of the norm")
         return CoherentState(family=family, z=complex(z), amplitudes=c / norm,
                              norm_constant=1.0 / norm,
                              energies=level_energy(np.arange(truncation)))
@@ -204,7 +204,7 @@ WINDOWS = {
     **dict.fromkeys((Family.LOWERING, Family.DISPLACEMENT, Family.LIN_LOWERING,
                      Family.LIN_DISPLACEMENT), Windows(Basis.TRUNCATED, 30, 20)),
     Family.SUSY_ISO: Windows(Basis.SUSY_ISO, 48, 32),
-    Family.SUSY_NEW: Windows(Basis.SUSY_NEW, 2, 20),
+    Family.SUSY_NEW: Windows(Basis.SUSY_NEW, len(NEW_ENERGIES), 20),
 }
 
 

@@ -67,6 +67,7 @@ import numpy as np
 from .coherent import WINDOWS, CoherentState, Family, build_cs
 from .errors import (
     CutoffExceeded,
+    DivergenceError,
     ExpansionResidualTooLarge,
     GramNotPSD,
 )
@@ -114,7 +115,9 @@ def halfline_overlap(alpha: int, beta: int) -> float:
 
     Closed form sqrt(pi) 2F1[-a,-b; 1-(a+b)/2; 1/2] / (2^{1-a-b}
     Gamma(1-(a+b)/2)) where the Gamma argument is off its poles
-    (a+b odd, or a+b = 0); `halfline_overlap_quadrature` on them.
+    (a+b odd, or a+b = 0); `halfline_overlap_quadrature` on them.  Raises
+    DivergenceError when the closed form leaves the float range: first at
+    a+b = 265, and at every odd a+b >= 281, where 2^{1-a-b} Gamma underflows.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("indices must be non-negative")
@@ -122,7 +125,11 @@ def halfline_overlap(alpha: int, beta: int) -> float:
     if _is_nonpositive_integer(c):
         return halfline_overlap_quadrature(alpha, beta)
     f = hyp2f1_terminating(-alpha, -beta, c, 0.5)
-    return float(math.sqrt(math.pi) * f / (2.0 ** (1 - alpha - beta) * math.gamma(c)))
+    den = 2.0 ** (1 - alpha - beta) * math.gamma(c)
+    value = math.sqrt(math.pi) * f / den if den else math.inf
+    if not math.isfinite(value):
+        raise DivergenceError(f"half-line overlap ({alpha}, {beta}) leaves the float range")
+    return value
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,8 @@ def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
     """2F1(a, b; c; x) for nonpositive-integer a: the exact finite sum.
 
     The sum has |a| + 1 terms; no convergence question arises.  Raises
-    PoleError if (c)_k vanishes before the series terminates.
+    PoleError if (c)_k vanishes before the series terminates, and
+    DivergenceError when the terms overflow (a non-finite sum).
     """
     if not _is_nonpositive_integer(a):
         raise ValueError(f"first parameter must be a nonpositive integer, got {a}")
@@ -124,6 +125,8 @@ def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
             raise PoleError(f"2F1 pole: c = {c} reached at term {k + 1}")
         term *= (a + k) * (b + k) * x / denom
         total += term
+    if not math.isfinite(total):
+        raise DivergenceError(f"2F1({a}, {b}, {c}, {x}) overflows to {total}")
     return total
 
 

@@ -368,8 +368,8 @@ def _iso_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> Non
     """
     psi = rows(Basis.TRUNCATED, n_levels, x, 4 + order)
     etas = [[r(x) for r in _rationals(Basis.SUSY_ISO, i)[:order + 1]] for i in range(4)]
-    n = np.arange(n_levels)  # norm_n^2 = prod_i (E_n - eps_i)
-    scale = 4.0 * np.sqrt((2 * n + 4) * (2 * n + 5) * (2 * n + 6) * (2 * n + 7))[:, None]
+    energies = level_energy(np.arange(n_levels))  # norm_n^2 = prod_i (E_n - eps_i)
+    scale = 4.0 * np.sqrt(math.prod(energies - e for e in Q4_SEED_ENERGIES))[:, None]
     for d in range(order, -1, -1):
         q = psi[4 + d]
         for i in range(4):
@@ -379,9 +379,9 @@ def _iso_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> Non
 
 
 def _new_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> None:
-    """Weighted finite-tower rows into out from the closed forms (levels 0 and 1)."""
-    if n_levels > 2:
-        raise IndexOutOfRange("finite tower has levels 0 and 1 only")
+    """Weighted finite-tower rows into out from the closed forms of its bound states."""
+    if n_levels > len(NEW_ENERGIES):
+        raise IndexOutOfRange(f"finite tower has {len(NEW_ENERGIES)} levels")
     for j in range(n_levels):
         r0, r1, r2 = _rationals(Basis.SUSY_NEW, j)
         f = out[0, j] = r0(x)

@@ -160,8 +160,13 @@ def test_eigen_residual_rejects_displacement_families():
 
 
 def test_displacement_family_diverges_outside_its_radius():
-    with pytest.raises(NotNormalizable):
-        build_cs(Family.DISPLACEMENT, 0.6, truncation=128)
+    for z in (0.6, 0.5, 0.3 + 0.4j):  # the last on the circle, off the real axis
+        with pytest.raises(NotNormalizable):
+            build_cs(Family.DISPLACEMENT, z, truncation=128)
+    # inside the disk the series converges, however slowly: too few levels
+    # is a truncation failure, not a divergence
+    with pytest.raises(TruncationTooSmall):
+        build_cs(Family.DISPLACEMENT, 0.499, truncation=64)
 
 
 def test_displacement_partial_sums_blow_up_at_r_06():

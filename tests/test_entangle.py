@@ -37,7 +37,7 @@ from truncosc.entangle import (
     linear_entropy,
     reduced_density,
 )
-from truncosc.errors import CutoffExceeded, ExpansionResidualTooLarge, GramNotPSD
+from truncosc.errors import CutoffExceeded, DivergenceError, ExpansionResidualTooLarge, GramNotPSD
 from truncosc.fock import Basis, _truncated_block, hermite_normalized, rows
 from truncosc.numerics import gauss_halfline
 
@@ -71,6 +71,13 @@ def test_overlap_pole_pairs_fall_back_to_quadrature():
     assert halfline_overlap(2, 4) == halfline_overlap_quadrature(2, 4)
     with pytest.raises(ValueError):
         halfline_overlap(-1, 0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(132, 133), (0, 281), (401, 0)])
+def test_overlaps_outside_the_float_range_raise(alpha, beta):
+    # (132, 133) overflows; from a+b = 281 on the Gamma factor underflows to 0
+    with pytest.raises(DivergenceError, match=f"\\({alpha}, {beta}\\)"):
+        halfline_overlap(alpha, beta)
 
 
 def test_overlap_pole_pairs_are_half_the_full_line_overlap():

@@ -72,10 +72,11 @@ def test_hyp1f1_divergence_error_when_terms_exhausted():
     (hyp1f1, (5e307, 0.5, 0.01)),
     (hyp1f1, (1e300, 1.5, 4.0)),
     (hyp2f2, (1e200, 1e200, 1.0, 1.0, 1.0)),
+    (hyp2f1_terminating, (-2000, -2000, 0.5, 0.5)),
 ])
 def test_series_whose_terms_overflow_raise_instead_of_returning_inf(series, args):
     # once the total is inf the relative stop rule holds, so the series
-    # would otherwise stop and return it
+    # would otherwise stop and return it; a terminating sum returns it too
     with pytest.raises(DivergenceError):
         series(*args)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from truncosc.coherent import CoherentState, Family, build_cs
-from truncosc.errors import BasisMismatch, NonConvergence, TruncationTooSmall
+from truncosc.errors import BasisMismatch, DivergenceError, NonConvergence, TruncationTooSmall
 from truncosc.fock import Basis
 from truncosc.observables import (
     MatrixElementTable,
@@ -81,6 +81,13 @@ def test_closed_forms_match_mpmath_integrals():
                 p = -1j * complex(mpmath.quad(lambda t: fn(t) * dm(t), [0, mpmath.inf]))
                 assert abs(matrix_element_closed(ObservableKind.X, n, m) - float(x)) < 1e-9
                 assert abs(matrix_element_closed(ObservableKind.P, n, m) - p) < 1e-9
+
+
+def test_closed_elements_whose_2f1_overflows_raise():
+    # the 2F1 of <400|x|399> overflows; X and P both read it
+    for kind in (ObservableKind.X, ObservableKind.P):
+        with pytest.raises(DivergenceError):
+            matrix_element_closed(kind, 400, 399)
 
 
 def test_x2_diagonal_and_first_offdiagonal_closed_forms():
