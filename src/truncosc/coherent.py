@@ -44,7 +44,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fock import Basis, ladder_apply, ladder_step_sq, level_energy
-from .numerics import qags, rising_factorial
+from .numerics import qag, rising_factorial
 from .susy import DELTA1, NEW_ENERGIES
 
 __all__ = [
@@ -279,11 +279,12 @@ def identity_resolution_check(family: Family, density: Callable[[float], float],
     M_mn = int d^2 z mu(z) <m|z><z|n>; the phase integral kills all
     off-diagonal entries analytically, so only the radial moments
     M_nn = 2 pi int r mu(r) p_n(r) dr are computed, one adaptive
-    numerics.qags per level.  The state at each radius is built once per
-    call and shared by every level (qags revisits the same nodes level
-    after level).  qags is QUADPACK's QAGS ported operation for operation,
-    so the moments carry scipy.integrate.quad's bits, and the reported
-    deviations keep quad's own error pattern without loading scipy.
+    numerics.qag per level.  The state at each radius is built once per
+    call and shared by every level (qag revisits the same nodes level
+    after level).  qag is QUADPACK's QAG ported operation for operation;
+    on these smooth integrands it returns scipy.integrate.quad's values,
+    so the reported deviations keep quad's own error pattern without
+    loading scipy.
     Raises TailTooFat when an integrand is still above 1e-8 at r_max, and
     NonConvergence when a moment's integral misses its tolerance.
     """
@@ -303,7 +304,7 @@ def identity_resolution_check(family: Family, density: Callable[[float], float],
 
     deviation = 0.0
     for n in range(n_max + 1):
-        val, _ = qags(
+        val, _ = qag(
             lambda r: 2.0 * math.pi * r * density(r) * level_weights(r)[n],
             0.0, r_max, epsabs=1e-11, epsrel=1e-11, limit=200)
         deviation = max(deviation, abs(val - 1.0))

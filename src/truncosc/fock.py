@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -90,15 +91,19 @@ def rows(basis: Basis, n_levels: int, x, order: int = 0,
         raise IndexOutOfRange(f"need at least one level, got {n_levels}")
     if order < 0:
         raise ValueError("derivative order must be non-negative")
+    if basis != Basis.TRUNCATED and order > 2:
+        raise ValueError("partner rows available up to second derivative")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((order + 1, n_levels, x.size))
     if basis == Basis.TRUNCATED:
         block = _truncated_block
     else:
-        if order > 2:
-            raise ValueError("partner rows available up to second derivative")
         from . import susy
-        block = susy._iso_block if basis == Basis.SUSY_ISO else susy._new_block
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((order + 1, n_levels, x.size))
+        block = susy._new_block
+        if basis == Basis.SUSY_ISO:
+            # the truncated rows the intertwiner reads, one block at a time
+            scratch = np.empty((order + 5, n_levels, min(x.size, _ROW_CHUNK)))
+            block = partial(susy._iso_block, scratch=scratch)
     for i in range(0, x.size, _ROW_CHUNK):
         xs, part = x[i:i + _ROW_CHUNK], out[:, :, i:i + _ROW_CHUNK]
         block(n_levels, xs, order, part)

@@ -4,9 +4,9 @@ Everything downstream (eigenfunctions, coherent-state norms, measures,
 SUSY seeds) is built on the routines here: plain series evaluations of the
 hypergeometric family, a signed log-gamma from math.lgamma, rising
 factorials as explicit products (never gamma quotients), a Gauss rule on
-(0, inf), and qags, QUADPACK's adaptive QAGS ported operation for operation,
-which gives the radial moments of coherent.identity_resolution_check the
-bits of scipy.integrate.quad without loading scipy.  The G^{2,0}_{1,2}
+(0, inf), and qag, QUADPACK's adaptive QAG ported operation for operation,
+which integrates the radial moments of coherent.identity_resolution_check
+without loading scipy.  The G^{2,0}_{1,2}
 radial kernel of the finite-tower measure needs no evaluator: for the
 frozen model it is a Laguerre polynomial times e^{-t}, and
 susy.new_measure_check takes its moments exactly.
@@ -31,7 +31,7 @@ __all__ = [
     "rising_factorial",
     "gauss_halfline",
     "gauss_halfline_size",
-    "qags",
+    "qag",
 ]
 
 
@@ -250,15 +250,13 @@ def gauss_halfline(degree: int) -> QuadratureRule:
 
 
 # ----------------------------------------------------------------------------
-# Adaptive quadrature on a finite interval: QUADPACK's QAGS
+# Adaptive quadrature on a finite interval: QUADPACK's QAG
 # ----------------------------------------------------------------------------
 #
-# A scalar port of dqagse, dqk21, dqpsrt and dqelg (R. Piessens, E. de
-# Doncker-Kapenga, C. W. Ueberhuber and D. K. Kahaner, QUADPACK, Springer
-# 1983).  Every floating-point operation keeps the published order, so the
-# results are those of scipy.integrate.quad on a finite interval, bit for
-# bit.  The work lists are 1-based, as in the Fortran, so that every index
-# reads as in the published source; slot 0 is unused.
+# A scalar port of dqage over dqk21 (R. Piessens, E. de Doncker-Kapenga,
+# C. W. Ueberhuber and D. K. Kahaner, QUADPACK, Springer 1983): globally
+# adaptive bisection with no extrapolation.  Every floating-point operation
+# keeps the published order.
 
 # The 21-point Gauss-Kronrod rule of dqk21 on [-1, 1]: the nonnegative
 # Kronrod abscissae in decreasing order (those of even 1-based index are the
@@ -282,15 +280,12 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
-_OFLOW = sys.float_info.max
 
-# QUADPACK's ier codes as scipy.integrate.quad numbers them.
-_QAGS_FAILURES = {
+# dqage's ier codes.
+_QAG_FAILURES = {
     1: "the subdivision limit was reached",
     2: "roundoff error keeps the requested tolerance out of reach",
     3: "the integrand behaves extremely badly at some point of the interval",
-    4: "the extrapolation table does not converge (roundoff)",
-    5: "the integral is probably divergent or slowly convergent",
 }
 
 
@@ -335,295 +330,85 @@ def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list,
-           nrmax: int) -> tuple[int, float, int]:
-    """dqpsrt: keep iord's error estimates in descending order and return
-    (maxerr, errmax, nrmax) of the subinterval to bisect next."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-        maxerr = iord[nrmax]
-        return maxerr, elist[maxerr], nrmax
-    errmax = elist[maxerr]
-    for _ in range(nrmax - 1):  # subdivision raised the error estimate
-        isucc = iord[nrmax - 1]
-        if errmax <= elist[isucc]:
-            break
-        iord[nrmax] = isucc
-        nrmax -= 1
-    jupbn = last if last <= limit // 2 + 2 else limit + 3 - last
-    errmin = elist[last]
-    jbnd = jupbn - 1
-    for i in range(nrmax + 1, jbnd + 1):  # insert errmax top-down
-        isucc = iord[i]
-        if errmax >= elist[isucc]:
-            iord[i - 1] = maxerr
-            k = jbnd
-            for _ in range(i, jbnd + 1):  # insert errmin bottom-up
-                isucc = iord[k]
-                if errmin < elist[isucc]:
-                    iord[k + 1] = last
-                    break
-                iord[k + 1] = isucc
-                k -= 1
-            else:
-                iord[i] = last
-            break
-        iord[i - 1] = isucc
-    else:
-        iord[jbnd] = maxerr
-        iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+def qag(f, a: float, b: float, epsabs: float, epsrel: float,
+        limit: int) -> tuple[float, float]:
+    """(value, abserr) of int_a^b f(x) dx by QUADPACK's dqage with the
+    21-point Gauss-Kronrod rule, f called as a scalar.
 
-
-def _qelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, float, int]:
-    """dqelg: Wynn's epsilon algorithm on epstab[1..n], whose last entry is
-    the newest partial result.  Returns (n, result, abserr, nres), n being
-    the table's new length; epstab and res3la (the last three results) are
-    updated in place."""
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n < 3:
-        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-    limexp = 50
-    epstab[n + 2] = epstab[n]
-    newelm = (n - 1) // 2
-    epstab[n] = _OFLOW
-    num = k1 = n
-    for i in range(1, newelm + 1):
-        e0, e1, e2 = epstab[k1 - 2], epstab[k1 - 1], epstab[k1 + 2]
-        e1abs = abs(e1)
-        delta2, delta3 = e2 - e1, e1 - e0
-        err2, err3 = abs(delta2), abs(delta3)
-        tol2 = max(abs(e2), e1abs) * _EPMACH
-        tol3 = max(e1abs, abs(e0)) * _EPMACH
-        if not (err2 > tol2 or err3 > tol3):
-            # e0, e1 and e2 agree to machine accuracy: converged
-            return n, e2, max(err2 + err3, 5.0 * _EPMACH * abs(e2)), nres
-        e3 = epstab[k1]
-        epstab[k1] = e1
-        delta1 = e1 - e3
-        err1 = abs(delta1)
-        tol1 = max(e1abs, abs(e3)) * _EPMACH
-        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-            n = i + i - 1  # two elements too close: drop part of the table
-            break
-        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-        if not abs(ss * e1) > 1e-4:
-            n = i + i - 1  # irregular behaviour: drop part of the table
-            break
-        res = e1 + 1.0 / ss
-        epstab[k1] = res
-        k1 -= 2
-        error = err2 + abs(res - e2) + err3
-        if not error > abserr:
-            abserr, result = error, res
-    if n == limexp:
-        n = 2 * (limexp // 2) - 1
-    ib = 2 if num % 2 == 0 else 1
-    for _ in range(newelm + 1):  # shift the table
-        epstab[ib] = epstab[ib + 2]
-        ib += 2
-    if num != n:
-        indx = num - n + 1
-        for i in range(1, n + 1):
-            epstab[i] = epstab[indx]
-            indx += 1
-    if nres < 4:
-        res3la[nres - 1] = result
-        abserr = _OFLOW
-    else:
-        abserr = (abs(result - res3la[2]) + abs(result - res3la[1])
-                  + abs(result - res3la[0]))
-        res3la[0], res3la[1], res3la[2] = res3la[1], res3la[2], result
-    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-
-
-def qags(f, a: float, b: float, epsabs: float, epsrel: float,
-         limit: int) -> tuple[float, float]:
-    """(value, abserr) of int_a^b f(x) dx by QUADPACK's dqagse.
-
-    Globally adaptive bisection with the 21-point Gauss-Kronrod rule and
-    Wynn's epsilon extrapolation, ported operation for operation: f is
-    called as a scalar at the abscissae scipy.integrate.quad(f, a, b,
-    epsabs=epsabs, epsrel=epsrel, limit=limit) would use, in the same
-    order, and value and abserr are quad's to the bit.  Where quad would
-    warn (QUADPACK's ier 1 to 5), this raises NonConvergence naming ier
-    and its meaning; an invalid tolerance or limit raises ValueError.
+    Bisects the subinterval of largest error estimate (the first in slot
+    order on a tie) until the summed estimates are at most
+    max(epsabs, epsrel |value|), and returns the sum of the subinterval
+    results in slot order with the summed estimates.  Where QAGS never
+    extrapolates, as on the radial moments of
+    coherent.identity_resolution_check, value is scipy.integrate.quad's
+    to the bit.  abserr is QUADPACK's estimate, not a bound: at a kink
+    inside a subinterval it can fall short, as QAGS's does.  Endpoint
+    singularities, which QAGS meets with Wynn's epsilon extrapolation, are
+    outside this contract: there the bisection may stall, and abserr need
+    not bound the error.  Raises NonConvergence naming QUADPACK's ier 1 to
+    3 and its meaning, and ValueError for an invalid tolerance or limit.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
         raise ValueError("with epsabs <= 0, epsrel must exceed both 5e-29 "
                          "and 50 machine epsilons")
-    ier = ierro = 0
+    ier = 0
     result, abserr, defabs, resabs = _qk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 50.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
     if limit == 1:
         ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return _qags_result(ier, result, abserr, a, b)
+        return _qag_result(ier, result, abserr, a, b)
 
-    alist = [0.0, a] + [0.0] * (limit - 1)
-    blist = [0.0, b] + [0.0] * (limit - 1)
-    rlist = [0.0, result] + [0.0] * (limit - 1)
-    elist = [0.0, abserr] + [0.0] * (limit - 1)
-    iord = [0, 1] + [0] * (limit - 1)
-    rlist2 = [0.0, result] + [0.0] * 51  # the epsilon table
-    res3la = [0.0] * 3
-    errmax = errsum = abserr
-    area = result
-    abserr = _OFLOW
-    maxerr = nrmax = 1
-    nres = ktmin = 0
-    numrl2 = 2
-    extrap = noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-
-    summed = False  # leave by summing rlist (label 115 of dqagse)
-    for last in range(2, limit + 1):
-        # bisect the subinterval with the nrmax-th largest error estimate
-        a1, b2 = alist[maxerr], blist[maxerr]
+    parts = [(a, b, result, abserr)]  # (lower, upper, result, abserr) per subinterval
+    maxerr, area, errsum, errmax = 0, result, abserr, abserr
+    iroff1 = iroff2 = 0
+    for last in range(2, limit + 1):  # last: the subinterval count after this bisection
+        a1, b2, rmax, _ = parts[maxerr]
         a2 = b1 = 0.5 * (a1 + b2)
-        erlast = errmax
         area1, error1, _, defab1 = _qk21(f, a1, b1)
         area2, error2, _, defab2 = _qk21(f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
+        area = area + area12 - rmax
         if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
+            if abs(rmax - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+                iroff1 += 1
             if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr], rlist[last] = area1, area2
+                iroff2 += 1
         errbnd = max(epsabs, epsrel * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        # the half with the larger error takes slot maxerr, the other slot last
+        if errsum > errbnd:
+            if iroff1 >= 6 or iroff2 >= 20:
+                ier = 2
+            if last == limit:
+                ier = 1
+            if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+                ier = 3
+        # the half with the larger error takes slot maxerr, the other a new slot
+        halves = [(a1, b1, area1, error1), (a2, b2, area2, error2)]
         if error2 > error1:
-            alist[maxerr], alist[last], blist[last] = a2, a1, b1
-            rlist[maxerr], rlist[last] = area2, area1
-            elist[maxerr], elist[last] = error2, error1
-        else:
-            alist[last], blist[maxerr], blist[last] = a2, b1, b2
-            elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            summed = True
+            halves.reverse()
+        parts[maxerr] = halves[0]
+        parts.append(halves[1])
+        maxerr = max(range(last), key=lambda i: parts[i][3])
+        errmax = parts[maxerr][3]
+        if ier != 0 or errsum <= errbnd:
             break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg, ertest, rlist2[2] = errsum, errbnd, area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # go on bisecting unless the next interval is the smallest
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # the smallest interval has the largest error: bisect the
-            # larger intervals first while their errors dominate
-            jupbnd = last if last <= 2 + limit // 2 else limit + 3 - last
-            bisect_larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    bisect_larger = True
-                    break
-                nrmax += 1
-            if bisect_larger:
-                continue
-        # extrapolate
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr, result, correc = abseps, reseps, erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        # prepare bisection of the smallest interval
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr, nrmax = iord[1], 1
-        errmax = elist[maxerr]
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    check_divergence = False
-    if summed or abserr == _OFLOW:
-        summed = True
-    elif ier + ierro == 0:
-        check_divergence = True
-    else:
-        if ierro == 3:
-            abserr = abserr + correc
-        if ier == 0:
-            ier = 3
-        if result != 0.0 and area != 0.0:
-            summed = abserr / abs(result) > errsum / abs(area)
-            check_divergence = not summed
-        elif abserr > errsum:
-            summed = True
-        else:
-            check_divergence = area != 0.0
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    elif check_divergence and not (
-            ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-        # result / area as IEEE division gives it, area == 0 included
-        ratio = result / area if area != 0.0 else (math.inf if result != 0.0 else math.nan)
-        if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-            ier = 6
-    if ier > 2:
-        ier -= 1
-    return _qags_result(ier, result, abserr, a, b)
+    result = 0.0
+    for part in parts:  # not sum(), which compensates from Python 3.12 on
+        result = result + part[2]
+    return _qag_result(ier, result, errsum, a, b)
 
 
-def _qags_result(ier: int, result: float, abserr: float, a: float,
-                 b: float) -> tuple[float, float]:
+def _qag_result(ier: int, result: float, abserr: float, a: float,
+                b: float) -> tuple[float, float]:
     """(result, abserr) when ier is 0; else NonConvergence naming ier."""
     if ier == 0:
         return result, abserr
     raise NonConvergence(
-        f"qags on [{a!r}, {b!r}] did not converge: ier {ier}, {_QAGS_FAILURES[ier]}; "
+        f"qag on [{a!r}, {b!r}] did not converge: ier {ier}, {_QAG_FAILURES[ier]}; "
         f"estimate {result!r} with abserr {abserr!r}")
-

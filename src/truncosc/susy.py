@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GammaPole, IndexOutOfRange, SingularWronskian
-from .fock import Basis, level_energy, rows
+from .fock import Basis, _truncated_block, level_energy, rows
 from .numerics import _is_nonpositive_integer, hyp1f1, hyp2f2, log_gamma_signed, rising_factorial
 
 __all__ = [
@@ -359,14 +359,18 @@ def _rationals(tower: Basis, j: int) -> tuple[_Rational, _Rational, _Rational]:
     return r0, r1, r1.deriv()
 
 
-def _iso_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> None:
+def _iso_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray,
+               scratch: np.ndarray) -> None:
     """Weighted infinite-tower rows into out via the intertwiner: phi_n = L psi_n / (4 norm_n).
 
     L psi = psi^{(4)} + sum_i eta_i psi^{(i)}; its d-th derivative follows
-    the Leibniz rule.  The eta rationals are evaluated once for all levels;
-    derivative d sums into psi[4 + d], which no lower d reads, so d descends.
+    the Leibniz rule.  The truncated rows psi fill scratch, which fock.rows
+    allocates once for all blocks.  The eta rationals are evaluated once for
+    all levels; derivative d sums into psi[4 + d], which no lower d reads,
+    so d descends.
     """
-    psi = rows(Basis.TRUNCATED, n_levels, x, 4 + order)
+    psi = scratch[:, :, :x.size]
+    _truncated_block(n_levels, x, 4 + order, psi)
     etas = [[r(x) for r in _rationals(Basis.SUSY_ISO, i)[:order + 1]] for i in range(4)]
     energies = level_energy(np.arange(n_levels))  # norm_n^2 = prod_i (E_n - eps_i)
     scale = 4.0 * np.sqrt(math.prod(energies - e for e in Q4_SEED_ENERGIES))[:, None]

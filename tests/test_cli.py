@@ -647,18 +647,18 @@ def test_validate_doubles_the_quotes_of_a_detail(tmp_path, run_cli, monkeypatch)
 
 def test_validate_fails_an_identity_check_whose_moment_does_not_converge(
         tmp_path, run_cli, monkeypatch):
-    # quad would only warn and print the moment; qags raises, so the rows fail
+    # quad would only warn and print the moment; qag raises, so the rows fail
     def one_panel(f, a, b, epsabs, epsrel, limit):
-        return numerics.qags(f, a, b, epsabs, epsrel, 1)  # limit 1 is ier 1
+        return numerics.qag(f, a, b, epsabs, epsrel, 1)  # limit 1 is ier 1
 
-    monkeypatch.setattr(coherent, "qags", one_panel)
+    monkeypatch.setattr(coherent, "qag", one_panel)
     out = tmp_path / "v.csv"
     res = run_cli(["--command", "validate", "--out", str(out)], tmp_path)
     assert res.returncode == 1
     failed = {r[0]: ",".join(r[2:]) for r in read_csv(out)[2] if r[1] == "FAIL"}
     assert sorted(failed) == ["identity-resolution-corrected",
                               "identity-resolution-reference", "iso-measure-identity"]
-    assert all("NonConvergence: qags on [0.0, " in d and "ier 1," in d
+    assert all("NonConvergence: qag on [0.0, " in d and "ier 1," in d
                for d in failed.values())
 
 
@@ -758,7 +758,7 @@ def test_cli_import_and_its_runs_leave_scipy_special_unloaded(tmp_path, cli_env)
 
 
 def test_validate_leaves_scipy_integrate_unloaded(tmp_path, cli_env):
-    # the radial moments come from numerics.qags; only the beam-splitter
+    # the radial moments come from numerics.qag; only the beam-splitter
     # check's expm oracle loads scipy, and scipy.linalg is all it needs
     probe = ("import sys\nfrom truncosc.cli import main\n"
              "code = main(['--command', 'validate', '--out', 'validate.csv'])\n"

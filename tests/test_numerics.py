@@ -5,6 +5,7 @@ at 30 digits, and the signed log-gamma is checked against mpmath's
 loggamma, so the library under test carries no runtime dependency on it.
 """
 
+import itertools
 import math
 import re
 import warnings
@@ -27,7 +28,7 @@ from truncosc.numerics import (
     hyp2f1_terminating,
     hyp2f2,
     log_gamma_signed,
-    qags,
+    qag,
     rising_factorial,
 )
 
@@ -308,7 +309,7 @@ def test_gauss_halfline_handles_high_degree():
 
 
 # ----------------------------------------------------------------------------
-# qags: QUADPACK's QAGS, against scipy.integrate.quad
+# qag: QUADPACK's QAG, against scipy.integrate.quad and mpmath
 # ----------------------------------------------------------------------------
 
 def _bits(*xs):
@@ -321,68 +322,50 @@ def _quad_outcome(f, a, b, epsabs, epsrel, limit):
     return (*_bits(*out[:2]), len(out) == 4)  # a fourth item is ier's message
 
 
-def _qags_outcome(f, a, b, epsabs, epsrel, limit):
-    """(value bits, abserr bits, whether qags raised); a NonConvergence
-    message ends with the estimate and its abserr in repr, read back here."""
-    try:
-        return (*_bits(*qags(f, a, b, epsabs, epsrel, limit)), False)
-    except NonConvergence as exc:
-        found = re.search(r"estimate (\S+) with abserr (\S+)$", str(exc))
-        return (*_bits(*found.groups()), True)
-
-
-def _assert_qags_is_quad(f, a, b, epsabs, epsrel, limit):
-    assert (_qags_outcome(f, a, b, epsabs, epsrel, limit)
-            == _quad_outcome(f, a, b, epsabs, epsrel, limit))
-
-
 @pytest.mark.parametrize("check", [cli._check_identity_corrected, cli._check_identity_reference,
                                    cli._check_iso_measure])
 def test_validate_identity_moments_are_quads_bit_for_bit(monkeypatch, check):
-    # every moment integrand of validate's three identity checks, 21 in all
+    # every moment integrand of validate's three identity checks, 21 in all:
+    # QAGS ends each by plain summation, as qag does, so both return the
+    # same bits from the same integrand calls (on the iso measure QAGS
+    # bisects the halves of [4, 8] before those of [0, 2])
     calls = []
-    extrapolations = []
-    qelg = numerics._qelg
-
-    def counted_qelg(*args):
-        extrapolations.append(args)
-        return qelg(*args)
 
     def both(f, a, b, epsabs, epsrel, limit):
-        calls.append((_qags_outcome(f, a, b, epsabs, epsrel, limit),
-                      _quad_outcome(f, a, b, epsabs, epsrel, limit)))
-        return numerics.qags(f, a, b, epsabs, epsrel, limit)
+        seen, seen_by_quad = [], []
+        value = numerics.qag(lambda x: seen.append(x) or f(x), a, b, epsabs, epsrel, limit)
+        expected = _quad_outcome(lambda x: seen_by_quad.append(x) or f(x),
+                                 a, b, epsabs, epsrel, limit)
+        calls.append((_bits(value[0]), expected, sorted(seen) == sorted(seen_by_quad)))
+        return value
 
-    monkeypatch.setattr(coherent, "qags", both)
-    monkeypatch.setattr(numerics, "_qelg", counted_qelg)
+    monkeypatch.setattr(coherent, "qag", both)
     check()
     assert len(calls) == 7
-    for got, expected in calls:
-        assert got == expected and not got[2]
-    if check is not cli._check_iso_measure:
-        assert extrapolations  # the lowering moments reach the epsilon algorithm
+    for (value,), (expected, _, warned), same_abscissae in calls:
+        assert value == expected and not warned and same_abscissae
 
 
-_LIMITS = st.sampled_from([1, 2, 3, 5, 50, 200])
-_TOLERANCES = st.sampled_from([1e-13, 1e-11, 1.49e-8, 1e-6, 1e-3])
+def _kinked(k: float, c: float):
+    """sin(kx) e^{-x^2} + |x - c|^(1/2) in floats, and in mpmath."""
+    return (lambda x: math.sin(k * x) * math.exp(-x * x) + abs(x - c) ** 0.5,
+            lambda x: mpmath.sin(k * x) * mpmath.exp(-x * x) + abs(x - c) ** 0.5)
 
 
-@settings(max_examples=150, deadline=None)
-@given(alpha=st.floats(-0.99, -0.01), log_power=st.integers(0, 2),
-       b=st.floats(0.05, 4.0), tol=_TOLERANCES, limit=_LIMITS)
-def test_qags_is_quad_on_endpoint_singularities(alpha, log_power, b, tol, limit):
-    # x^alpha log^k x on (0, b): the epsilon-extrapolation path
-    _assert_qags_is_quad(lambda x: x ** alpha * math.log(x) ** log_power,
-                         0.0, b, tol, tol, limit)
-
-
-@settings(max_examples=150, deadline=None)
-@given(k=st.floats(0.1, 80.0), c=st.floats(-2.0, 2.0), a=st.floats(-3.0, 1.0),
-       width=st.floats(0.01, 6.0), tol=_TOLERANCES, limit=_LIMITS)
-def test_qags_is_quad_on_smooth_and_oscillating_integrands(k, c, a, width, tol, limit):
-    # the ordinary adaptive path, a kink at c included
-    _assert_qags_is_quad(lambda x: math.sin(k * x) * math.exp(-x * x) + abs(x - c) ** 0.5,
-                         a, a + width, tol, tol, limit)
+def test_qag_is_within_its_abserr_of_mpmath_on_smooth_and_kinked_integrands():
+    # an independent oracle: mpmath's tanh-sinh on panels of width below
+    # 1/k, split at the kink c when it falls inside [-1, 2]
+    for k, (c, tol) in itertools.product((0.5, 5.0, 40.0), ((0.3, 1e-11), (1.7, 1.49e-8),
+                                                            (3.0, 1e-6))):
+        f, f_mp = _kinked(k, c)
+        value, abserr = qag(f, -1.0, 2.0, tol, tol, 200)
+        with mpmath.workdps(30):
+            n = 2 + int(3 * k)
+            points = [mpmath.mpf(-1) + mpmath.mpf(3) * i / n for i in range(n + 1)]
+            if c < 2.0:
+                points.append(mpmath.mpf(c))
+            exact = mpmath.quad(f_mp, sorted(points))
+        assert abs(value - exact) <= abserr <= max(tol, tol * abs(value))
 
 
 @pytest.mark.parametrize("f, epsabs, epsrel, limit, ier", [
@@ -393,31 +376,38 @@ def test_qags_is_quad_on_smooth_and_oscillating_integrands(k, c, a, width, tol, 
     (lambda x: x ** -1.5, 1.49e-8, 1.49e-8, 50, 5),  # divergent
 ])
 def test_qags_raises_where_quad_only_warns(f, epsabs, epsrel, limit, ier):
+    # ier is the code quad's QAGS warns with.  qag knows 1 to 3 alone: it
+    # raises those with quad's estimate, and raises one of them on the
+    # endpoint singularities where QAGS extrapolates (4 and 5)
     with pytest.warns(IntegrationWarning):
         quad(f, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    meaning = re.escape(f"ier {ier}, {numerics._QAGS_FAILURES[ier]};")
-    with pytest.raises(NonConvergence, match=meaning):
-        qags(f, 0.0, 1.0, epsabs, epsrel, limit)
-    _assert_qags_is_quad(f, 0.0, 1.0, epsabs, epsrel, limit)  # same estimate
+    with pytest.raises(NonConvergence, match=r"^qag on \[0\.0, 1\.0\] did not converge: "
+                                             r"ier [123], ") as raised:
+        qag(f, 0.0, 1.0, epsabs, epsrel, limit)
+    if ier <= 3:
+        assert f"ier {ier}, {numerics._QAG_FAILURES[ier]};" in str(raised.value)
+        # the message ends with the estimate and its abserr in repr
+        found = re.search(r"estimate (\S+) with abserr (\S+)$", str(raised.value))
+        assert (*_bits(*found.groups()), True) == _quad_outcome(f, 0.0, 1.0, epsabs, epsrel, limit)
 
 
 def test_qags_rejects_what_quad_rejects():
     with pytest.raises(ValueError):
         quad(math.cos, 0.0, 1.0, epsabs=0.0, epsrel=1e-20)
     with pytest.raises(ValueError):
-        qags(math.cos, 0.0, 1.0, 0.0, 1e-20, 50)
+        qag(math.cos, 0.0, 1.0, 0.0, 1e-20, 50)
     with pytest.raises(ValueError):
-        qags(math.cos, 0.0, 1.0, 1e-8, 1e-8, 0)
+        qag(math.cos, 0.0, 1.0, 1e-8, 1e-8, 0)
 
 
 def test_kronrod_abscissae_are_the_ones_quad_evaluates():
     # one panel on [-1, 1], whose abscissae are exactly -x, +x for each
     # Kronrod node x
-    seen = {"quad": [], "qags": []}
+    seen = {"quad": [], "qag": []}
     quad(lambda x: seen["quad"].append(x) or 1.0, -1.0, 1.0, limit=1, full_output=1)
     with pytest.raises(NonConvergence):  # limit 1 is ier 1
-        qags(lambda x: seen["qags"].append(x) or 1.0, -1.0, 1.0, 1.49e-8, 1.49e-8, 1)
-    assert _bits(*seen["qags"]) == _bits(*seen["quad"])
+        qag(lambda x: seen["qag"].append(x) or 1.0, -1.0, 1.0, 1.49e-8, 1.49e-8, 1)
+    assert _bits(*seen["qag"]) == _bits(*seen["quad"])
     order = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)  # after the centre: Gauss pairs, other pairs
     expected = [0.0] + [s * numerics._XGK[j] for j in order for s in (-1.0, 1.0)]
     assert _bits(*seen["quad"]) == _bits(*expected)

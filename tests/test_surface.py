@@ -192,7 +192,7 @@ def test_no_module_imports_scipy_special():
 
 
 def test_no_module_imports_scipy_integrate():
-    # the radial moments come from numerics.qags, QUADPACK's QAGS ported,
+    # the radial moments come from numerics.qag, QUADPACK's QAG ported,
     # so scipy.integrate is not imported anywhere, not even inside a function
     assert _imports_anywhere("scipy.integrate") == []
 
@@ -227,9 +227,9 @@ def test_only_fock_rows_takes_a_weighted_flag():
 
 
 def test_row_blocks_fill_the_output_of_fock_rows():
-    # fock.rows allocates its output once and owns it; a block that
-    # allocates, returns or copies rows of its own brings back a second
-    # row-sized array per block
+    # fock.rows allocates its output, and the partner scratch, once and owns
+    # them; a block that allocates, returns or copies rows of its own, or
+    # calls rows for them, brings back a fresh row-sized array per block
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     [rows] = [node for node in trees["fock.py"].body if getattr(node, "name", None) == "rows"]
@@ -247,6 +247,9 @@ def test_row_blocks_fill_the_output_of_fock_rows():
                   and node.func.attr in ("empty", "zeros", "ones")
                   and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
                 found.append((*key, node.func.attr, node.lineno))
+            elif isinstance(node, ast.Call) and "rows" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)):
+                found.append((*key, "rows", node.lineno))
     assert found == []
 
 
