@@ -204,7 +204,7 @@ WINDOWS = {
     **dict.fromkeys((Family.LOWERING, Family.DISPLACEMENT, Family.LIN_LOWERING,
                      Family.LIN_DISPLACEMENT), Windows(Basis.TRUNCATED, 30, 20)),
     Family.SUSY_ISO: Windows(Basis.SUSY_ISO, 48, 32),
-    Family.SUSY_NEW: Windows(Basis.SUSY_NEW, len(NEW_ENERGIES), 20),
+    Family.SUSY_NEW: Windows(Basis.SUSY_NEW, len(NEW_ENERGIES), len(NEW_ENERGIES)),
 }
 
 

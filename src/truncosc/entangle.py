@@ -116,15 +116,19 @@ def halfline_overlap(alpha: int, beta: int) -> float:
     Closed form sqrt(pi) 2F1[-a,-b; 1-(a+b)/2; 1/2] / (2^{1-a-b}
     Gamma(1-(a+b)/2)) where the Gamma argument is off its poles
     (a+b odd, or a+b = 0); `halfline_overlap_quadrature` on them.  Raises
-    DivergenceError when the closed form leaves the float range: first at
-    a+b = 265, and at every odd a+b >= 281, where 2^{1-a-b} Gamma underflows.
+    DivergenceError, naming the pair, where the 2F1 cancels past its
+    rounding rule (first at (13, 24); every odd a+b from 275 on) or
+    the closed form leaves the float range (every odd a+b >= 281).
     """
     if alpha < 0 or beta < 0:
         raise ValueError("indices must be non-negative")
     c = 1.0 - (alpha + beta) / 2.0
     if _is_nonpositive_integer(c):
         return halfline_overlap_quadrature(alpha, beta)
-    f = hyp2f1_terminating(-alpha, -beta, c, 0.5)
+    try:
+        f = hyp2f1_terminating(-alpha, -beta, c, 0.5)
+    except DivergenceError as exc:
+        raise DivergenceError(f"half-line overlap ({alpha}, {beta}): {exc}") from exc
     den = 2.0 ** (1 - alpha - beta) * math.gamma(c)
     value = math.sqrt(math.pi) * f / den if den else math.inf
     if not math.isfinite(value):
@@ -489,8 +493,6 @@ def _embedded_modes(cs: CoherentState, cutoff: int) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"a {amps.size}-level state needs cutoff >= {least}")
     if basis == Basis.TRUNCATED:
         return np.ones(1), amps
-    if basis not in (Basis.SUSY_ISO, Basis.SUSY_NEW):
-        raise ValueError(f"cannot embed states over basis {basis}")
     proj = _susy_level_projections(basis, amps.size, cutoff)
     mode_a, mode_b = proj[0], amps @ proj[1:]
     recovered_a = float(np.sum(mode_a ** 2))

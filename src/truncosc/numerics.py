@@ -51,13 +51,13 @@ def _hypergeometric(tops: tuple, bottoms: tuple, x):
     each product taken left to right.
 
     Terminates exactly when a top parameter is a nonpositive integer.
-    Raises PoleError when the series runs into a nonpositive-integer bottom
-    parameter first, and DivergenceError when the term budget is exhausted
-    or the terms overflow (a non-finite total).  Each element of an array x
-    keeps its own stop rule and sees the same operations in the same order
-    as a scalar x, so it comes out bit-identical; the array raises if any
-    element would, with the message of the first such element.  A scalar x
-    returns a float.
+    Raises PoleError, before any term, when the series would reach a
+    nonpositive-integer bottom parameter first, and DivergenceError when the
+    term budget is exhausted or the terms overflow (a non-finite total).
+    Each element of an array x keeps its own stop rule and sees the same
+    operations in the same order as a scalar x, so it comes out
+    bit-identical; the array raises if any element would, with the message
+    of the first such element.  A scalar x returns a float.
     """
     name = f"{len(tops)}F{len(bottoms)}"
     for b in bottoms:  # a pole, unless a top parameter terminates the series first
@@ -70,15 +70,14 @@ def _hypergeometric(tops: tuple, bottoms: tuple, x):
     live = np.arange(flat.size)  # elements whose stop rule has not fired
     term = np.ones(flat.size)
     small_run = np.zeros(flat.size, dtype=int)
-    # an overflowing term leaves a non-finite total, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing term (or a bottom product that underflows to 0) leaves a
+    # non-finite total, reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(_MAX_TERMS):
             if live.size == 0 or any(a + k == 0.0 for a in tops):
                 live = live[:0]  # a terminating series ends every element here
                 break
             denom = math.prod(b + k for b in bottoms) * (k + 1)
-            if denom == 0.0:
-                raise PoleError(f"{name} pole reached at term {k + 1}")
             term *= math.prod(a + k for a in tops) * flat[live] / denom
             partial = total[live] + term
             total[live] = partial
@@ -112,21 +111,26 @@ def hyp2f1_terminating(a: float, b: float, c: float, x: float) -> float:
 
     The sum has |a| + 1 terms; no convergence question arises.  Raises
     PoleError if (c)_k vanishes before the series terminates, and
-    DivergenceError when the terms overflow (a non-finite sum).
+    DivergenceError when the terms overflow (a non-finite sum) or cancel
+    past the rounding rule sum |t_k| * epsilon > 1e-8 |sum t_k|.
     """
     if not _is_nonpositive_integer(a):
         raise ValueError(f"first parameter must be a nonpositive integer, got {a}")
     n_terms = int(round(-a))
     term = 1.0
     total = 1.0
+    size = 1.0  # sum of |t_k|, the scale of the rounding error
     for k in range(n_terms):
         denom = (c + k) * (k + 1)
         if denom == 0.0:
             raise PoleError(f"2F1 pole: c = {c} reached at term {k + 1}")
         term *= (a + k) * (b + k) * x / denom
         total += term
+        size += abs(term)
     if not math.isfinite(total):
         raise DivergenceError(f"2F1({a}, {b}, {c}, {x}) overflows to {total}")
+    if size * sys.float_info.epsilon > 1e-8 * abs(total):
+        raise DivergenceError(f"2F1({a}, {b}, {c}, {x}) = {total:.3g} cancels from {size:.3g}")
     return total
 
 

@@ -148,9 +148,8 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int) -> complex:
 
     Evaluated directly for n >= m; the n < m half follows the fill rule of
     the corresponding table (symmetric for X/X2/P2, negative-conjugate for
-    P).  Accurate for moderate indices (n, m <= ~12); beyond that the
-    alternating terminating series loses digits and quadrature should be
-    used instead.
+    P).  X and P raise DivergenceError where their 2F1 sum breaks the
+    rounding rule of hyp2f1_terminating, which indices <= 10 (X), 9 (P) meet.
     """
     kind = ObservableKind(kind)
     if n < 0 or m < 0:

@@ -42,14 +42,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GammaPole, IndexOutOfRange, SingularWronskian
-from .fock import Basis, _truncated_block, level_energy, rows
+from .fock import Basis, _truncated_block, level_energy
 from .numerics import _is_nonpositive_integer, hyp1f1, hyp2f2, log_gamma_signed, rising_factorial
 
 __all__ = [
     "SeedSolution",
     "wronskian_values",
     "wronskian_potential",
-    "transformed_eigenfunction_rows",
     "susy_ladder_action",
     "new_norm_constant_closed",
     "new_measure_check",
@@ -108,9 +107,6 @@ class SeedSolution:
         log_even, sign_even = log_gamma_signed(self._a_even)
         return 2.0 * self.nu * (sign_odd * sign_even) * math.exp(log_odd - log_even)
 
-    def _series(self, a: float, b: float, x: np.ndarray) -> np.ndarray:
-        return hyp1f1(a, b, x * x)
-
     def _value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ae, ao = self._a_even, self._a_odd
         w = np.exp(-x * x / 2.0)
@@ -119,15 +115,15 @@ class SeedSolution:
         u = np.zeros_like(x, dtype=float)
         du = np.zeros_like(u)
         if coeff != 0.0:
-            fo = self._series(ao, 1.5, x)
-            fo1 = self._series(ao + 1.0, 2.5, x)
+            fo = hyp1f1(ao, 1.5, x * x)
+            fo1 = hyp1f1(ao + 1.0, 2.5, x * x)
             u_odd = w * x * fo
             du_odd = w * (fo + x * x * (-fo + (4.0 * ao / 3.0) * fo1))
             u += coeff * u_odd
             du += coeff * du_odd
         if c is not None:
-            fe = self._series(ae, 0.5, x)
-            fe1 = self._series(ae + 1.0, 1.5, x)
+            fe = hyp1f1(ae, 0.5, x * x)
+            fe1 = hyp1f1(ae + 1.0, 1.5, x * x)
             u += w * fe
             du += w * x * (-fe + 4.0 * ae * fe1)
         return u, du
@@ -166,9 +162,9 @@ class SeedSolution:
         h1 = np.zeros_like(h)
         h2 = np.zeros_like(h)
         if coeff != 0.0:
-            fo = self._series(ao, 1.5, x)
-            fo1 = self._series(ao + 1.0, 2.5, x)
-            fo2 = self._series(ao + 2.0, 3.5, x)
+            fo = hyp1f1(ao, 1.5, x * x)
+            fo1 = hyp1f1(ao + 1.0, 2.5, x * x)
+            fo2 = hyp1f1(ao + 2.0, 3.5, x * x)
             g = x * fo
             g1 = fo + (4.0 * ao / 3.0) * x * x * fo1
             g2 = 3.0 * (4.0 * ao / 3.0) * x * fo1 + (16.0 / 15.0) * ao * (ao + 1.0) * x ** 3 * fo2
@@ -176,9 +172,9 @@ class SeedSolution:
             h1 += coeff * g1
             h2 += coeff * g2
         if c is not None:
-            fe = self._series(ae, 0.5, x)
-            fe1 = self._series(ae + 1.0, 1.5, x)
-            fe2 = self._series(ae + 2.0, 2.5, x)
+            fe = hyp1f1(ae, 0.5, x * x)
+            fe1 = hyp1f1(ae + 1.0, 1.5, x * x)
+            fe2 = hyp1f1(ae + 2.0, 2.5, x * x)
             h += fe
             h1 += 4.0 * ae * x * fe1
             h2 += 4.0 * ae * fe1 + (16.0 / 3.0) * ae * (ae + 1.0) * x * x * fe2
@@ -264,30 +260,6 @@ def _raise_if_singular(w: np.ndarray, grid: np.ndarray) -> None:
     if np.any(dip):
         i = int(np.argmax(dip))
         raise SingularWronskian(f"Wronskian vanishes near x = {grid[i]:.6g}")
-
-
-def transformed_eigenfunction_rows(seeds: Sequence[SeedSolution], n: int,
-                                   x: Sequence[float]) -> np.ndarray:
-    """(phi, phi', phi'') of the Wronskian-transformed eigenfunction.
-
-    phi = W(u_1..u_q, psi_n) / W(u_1..u_q), unnormalized; valid for any
-    seed count q >= 1.  Used as the general-q route (the explicit
-    fourth-order model has the faster intertwiner path).
-    """
-    q = len(seeds)
-    if q < 1:
-        raise ValueError("need at least one seed")
-    x = np.asarray(x, dtype=float)
-    order = q + 2
-    stack = np.array([s.derivatives(x, order=order) for s in seeds]
-                     + [rows(Basis.TRUNCATED, n + 1, x, order, weighted=False)[:, n]])
-    a, ap, app = _wronskian_triple(stack)
-    b, bp, bpp = _wronskian_triple(stack[:q])
-    _raise_if_singular(b, x)
-    phi = a / b
-    phip = (ap - phi * bp) / b
-    phipp = (app - 2.0 * phip * bp - phi * bpp) / b
-    return np.array([phi, phip, phipp])
 
 
 # ----------------------------------------------------------------------------

@@ -388,4 +388,4 @@ def test_windows_hold_the_scan_windows_of_every_family():
     assert table_degree(Basis.SUSY_ISO, 48 - 1) == 4 * 99 + 32
     assert table_degree(Basis.SUSY_ISO, 40 - 1) == 4 * 83 + 32
     assert table_degree(Basis.SUSY_NEW, 2 - 1) == 60
-    assert [windows[f].entropy_terms for f in Family] == [20, 20, 20, 20, 32, 20]
+    assert [windows[f].entropy_terms for f in Family] == [20, 20, 20, 20, 32, 2]

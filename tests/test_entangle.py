@@ -80,6 +80,13 @@ def test_overlaps_outside_the_float_range_raise(alpha, beta):
         halfline_overlap(alpha, beta)
 
 
+def test_overlaps_whose_2f1_cancels_past_rounding_raise_naming_the_pair():
+    # nothing overflows, but the rounding bound of (20, 21)'s 2F1 sum is
+    # 4.9e-8 of the sum, past the rule's 1e-8
+    with pytest.raises(DivergenceError, match=r"\(20, 21\): 2F1.* cancels"):
+        halfline_overlap(20, 21)
+
+
 def test_overlap_pole_pairs_are_half_the_full_line_overlap():
     # on Gamma's poles (a + b even) the integrand is even, so the half-line
     # integral is half the full-line one: sqrt(pi) 2^a a! / 2 for a = b, else 0

@@ -74,6 +74,7 @@ def test_hyp1f1_divergence_error_when_terms_exhausted():
     (hyp1f1, (1e300, 1.5, 4.0)),
     (hyp2f2, (1e200, 1e200, 1.0, 1.0, 1.0)),
     (hyp2f1_terminating, (-2000, -2000, 0.5, 0.5)),
+    (hyp2f2, (1.0, 1.0, 1e-200, 1e-200, 1.0)),  # the bottom product underflows to 0
 ])
 def test_series_whose_terms_overflow_raise_instead_of_returning_inf(series, args):
     # once the total is inf the relative stop rule holds, so the series

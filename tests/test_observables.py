@@ -90,6 +90,17 @@ def test_closed_elements_whose_2f1_overflows_raise():
             matrix_element_closed(kind, 400, 399)
 
 
+def test_closed_elements_whose_2f1_cancels_past_rounding_raise():
+    # the alternating 2F1 sum loses its digits with no overflow: X(20, 19)
+    # would be 9 % off; X(10, 9) and P(9, 9) (exactly 0) still return
+    x = matrix_element_quadrature(ObservableKind.X, 10, 9)
+    assert matrix_element_closed(ObservableKind.X, 10, 9) == pytest.approx(x, rel=1e-9)
+    assert abs(matrix_element_closed(ObservableKind.P, 9, 9)) < 1e-9
+    for kind, n, m in ((ObservableKind.P, 10, 10), (ObservableKind.X, 20, 19)):
+        with pytest.raises(DivergenceError, match="cancels"):
+            matrix_element_closed(kind, n, m)
+
+
 def test_x2_diagonal_and_first_offdiagonal_closed_forms():
     for n in range(6):
         for m in (n, max(n - 1, 0)):

@@ -1,6 +1,6 @@
 """The package's public surface: exported names resolve, imports are used,
-nothing is defined or recorded that nothing reads, every public name but a
-four listed ones has a reader in the program or the demos, every error type is
+nothing is defined or recorded that nothing reads, every public name but
+three listed ones has a reader in the program or the demos, every error type is
 raised or subclassed, scipy.special and scipy.integrate are never
 imported, only the spectral splitter cross-check calls an eigensolver, the
 Gram matrix needs no quadrature, fock.rows is the only code that takes a
@@ -118,7 +118,6 @@ PUBLIC_WITHOUT_A_PROGRAM_READER = {
     "beamsplitter_apply": "the single-state splitter, under the unitarity and HOM tests",
     "evolve": "the paper's time evolution of a coherent state",
     "matrix_element_quadrature": "the quadrature oracle of the operator tables",
-    "transformed_eigenfunction_rows": "the oracle of the intertwiner rows",
 }
 
 

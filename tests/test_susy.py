@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import transformed_eigenfunction_rows
 from truncosc.coherent import (
     Family,
     build_cs,
@@ -35,7 +36,6 @@ from truncosc.susy import (
     potential,
     six_factor,
     susy_ladder_action,
-    transformed_eigenfunction_rows,
     wronskian_potential,
     wronskian_values,
 )

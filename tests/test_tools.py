@@ -1,10 +1,12 @@
-"""tools/seed_csvs.py's invocation list, without running it, and tools/csv_delta.py
-on synthetic OUTDIRs."""
+"""tools/seed_csvs.py: its invocation list, and every invocation run against
+the benchmark's checks; tools/csv_delta.py on synthetic OUTDIRs."""
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import truncosc
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +23,23 @@ def test_seed_csvs_gives_each_benchmark_invocation_its_own_csv():
     assert len({path for path, _ in jobs}) == len(jobs)
     # the tool swaps the last argument, the --out value, for the job's path
     assert all(args[-2] == "--out" and path.split("/")[-1] == args[-1] for path, args in jobs)
+
+
+def test_every_benchmark_invocation_passes_the_benchmark_checks(tmp_path):
+    # the checks the benchmark applies to its outputs: the recorded digests
+    # (seed 0 and validate), converged entropy rows, uncertainty products of
+    # at least 0.495 and 600 finite, non-negative density rows for every seed
+    code = ("import sys; sys.path.insert(0, 'tools'); import seed_csvs; "
+            "from checks import invocation_key, load_digests; digests = load_digests(); "
+            "print(sum(invocation_key(args) in digests for _, args in seed_csvs.jobs()))")
+    digested = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                              text=True, check=True)
+    assert int(digested.stdout) == 8
+    src = Path(truncosc.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "tools/seed_csvs.py", str(src), str(tmp_path)],
+                         cwd=ROOT, capture_output=True, text=True, check=False)
+    assert res.returncode == 0, res.stderr
+    assert "; 0 problems" in res.stderr
 
 
 def _outdir(root: Path, files: dict[str, str]) -> Path:
