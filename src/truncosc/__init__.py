@@ -58,8 +58,6 @@ from .entangle import (
     BeamSplitterSetting,
     EntropyRecord,
     GramMatrix,
-    TwoModeState,
-    beamsplitter_apply,
     entropy_scan,
     halfline_overlap,
     linear_entropy,
@@ -89,7 +87,6 @@ __all__ = [
     "SeedSolution", "susy_ladder_action", "wronskian_potential",
     "Q4_SEED_ENERGIES", "Q4_SEED_ASYMMETRY",
     # entanglement
-    "GramMatrix", "TwoModeState", "BeamSplitterSetting", "EntropyRecord",
-    "halfline_overlap", "beamsplitter_apply", "reduced_density",
-    "linear_entropy", "entropy_scan",
+    "GramMatrix", "BeamSplitterSetting", "EntropyRecord",
+    "halfline_overlap", "reduced_density", "linear_entropy", "entropy_scan",
 ]

@@ -332,7 +332,7 @@ def cmd_entropy(config: RunConfig) -> int:
     setting = BeamSplitterSetting(config.theta, config.phi)
     records = entropy_scan(Family(config.family), config.z_grid, setting=setting,
                            cutoff=config.basis_size)
-    rows = [[r.z_abs, r.theta, r.phi, r.entropy, r.converged, r.cutoff]
+    rows = [[r.z_abs, setting.theta, setting.phi, r.entropy, r.converged, r.cutoff]
             for r in records]
     _write_csv(config, ["z_abs", "theta", "phi", "S", "S_converged", "cutoff"], rows)
     for r in records:
@@ -507,12 +507,11 @@ def _check_beamsplitter():
     setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
     for total in range(11):
         oracle = beamsplitter_block_oracle(total, setting)
-        worst = max(worst, float(np.max(np.abs(
-            beamsplitter_block(total, setting.theta, setting.phi) - oracle))))
+        worst = max(worst, float(np.max(np.abs(beamsplitter_block(total, setting) - oracle))))
         worst_bch = max(worst_bch, float(np.max(np.abs(
-            beamsplitter_block_bch(total, setting.theta, setting.phi) - oracle))))
+            beamsplitter_block_bch(total, setting) - oracle))))
     # the Hong-Ou-Mandel null |<1,1|U|1,1>| of the spectral block
-    hom = abs(beamsplitter_block(2, setting.theta, setting.phi)[1, 1])
+    hom = abs(beamsplitter_block(2, setting)[1, 1])
     ok = worst < 1e-8 and worst_bch < 1e-8 and hom < 1e-12
     return ("PASS" if ok else "FAIL",
             f"blocks vs exponential oracle {worst:.3e} (spectral) / "

@@ -38,11 +38,11 @@ anti-diagonals of many states at once, each state held as its populated
 anti-diagonals packed one after another (`_Diagonals`), not as a padded
 matrix: `entropy_scan` packs every |z| point of a chunk at both cutoffs,
 about c^2 entries a state where the padded (2c - 1)^2 matrix would be
-four times that, and `beamsplitter_apply` packs a single state.  A
-chunk's packed states hold at most 16 MiB, so memory does not grow with
-the number of points, and each state goes through its own product, so
-its bits do not depend on the points rotated with it.  Each state is
-reduced from one P x P buffer per cutoff, reused across the chunk.
+four times that.  A chunk's packed states hold at most 16 MiB, so memory
+does not grow with the number of points, and each state goes through its
+own product, so its bits do not depend on the points rotated with it.
+Each state is reduced from one P x P buffer per cutoff, reused across
+the chunk.
 Entropy runs load no scipy.  The partner-tower projections onto the
 half-line basis do not depend on |z| either: `entropy_scan` builds them
 once per cutoff from the rows of `fock.rows`, with the Gram matrices,
@@ -77,7 +77,6 @@ from .numerics import (_is_nonpositive_integer, gauss_halfline, gauss_halfline_s
 
 __all__ = [
     "GramMatrix",
-    "TwoModeState",
     "BeamSplitterSetting",
     "EntropyRecord",
     "halfline_overlap",
@@ -86,7 +85,6 @@ __all__ = [
     "beamsplitter_block",
     "beamsplitter_block_bch",
     "beamsplitter_block_oracle",
-    "beamsplitter_apply",
     "reduced_density",
     "linear_entropy",
     "entropy_scan",
@@ -199,35 +197,17 @@ def gram_matrix(size: int) -> GramMatrix:
 
 
 # ----------------------------------------------------------------------------
-# two-mode states
+# the beam splitter
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TwoModeState:
-    """Amplitudes over |alpha, beta> full-line levels, alpha, beta < cutoff."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("amplitudes must be a square matrix")
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def cutoff(self) -> int:
-        return self.amplitudes.shape[0]
-
-
-@dataclass(frozen=True)
 class BeamSplitterSetting:
-    """Splitter angle theta and phase phi; amplitudes r, t derive from them.
+    """Splitter angle theta and phase phi.
 
-    theta lies in [0, pi), where the transmission t = cos(theta/2) is
+    theta lies in [0, pi), where the transmission cos(theta/2) is
     positive: a negative angle is the splitter at -theta with phi + pi,
-    and the factorized cross-check `beamsplitter_block_bch` divides by t.
+    and the factorized cross-check `beamsplitter_block_bch` divides by
+    the transmission.  phi must be finite.
     """
 
     theta: float
@@ -236,34 +216,14 @@ class BeamSplitterSetting:
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta < math.pi):
             raise ValueError("theta must lie in [0, pi)")
-
-    @property
-    def r(self) -> complex:
-        return -np.exp(-1j * self.phi) * math.sin(self.theta / 2.0)
-
-    @property
-    def t(self) -> float:
-        return math.cos(self.theta / 2.0)
-
-    @property
-    def tau(self) -> complex:
-        """Generator coefficient (theta/2) e^{i phi}."""
-        return (self.theta / 2.0) * np.exp(1j * self.phi)
-
-    @property
-    def tau_tan(self) -> complex:
-        """Outer-factor coefficient e^{i phi} tan(theta/2)."""
-        return np.exp(1j * self.phi) * math.tan(self.theta / 2.0)
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
 
 
-# ----------------------------------------------------------------------------
-# the beam splitter
-# ----------------------------------------------------------------------------
-
-def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
+def beamsplitter_block(total: int, setting: BeamSplitterSetting) -> np.ndarray:
     """(total+1)^2 unitary on the fixed-total block, basis |k, total-k>,
     from the generator's spectrum: the cross-check of the recursion that
-    `beamsplitter_apply` runs.
+    `entropy_scan`'s sweep runs.
 
     Conjugating by the diagonal phases e^{i(phi - pi/2)k} turns the block
     generator tau K+ - tau* K- into i theta S with S real symmetric
@@ -279,22 +239,22 @@ def beamsplitter_block(total: int, theta: float, phi: float) -> np.ndarray:
     gen += gen.T
     lam, vec = np.linalg.eigh(gen)
     vec = np.asfortranarray(vec)
-    core = (vec * np.exp(1j * theta * lam)) @ vec.T
-    phase = np.exp(1j * (phi - 0.5 * math.pi) * k)
+    core = (vec * np.exp(1j * setting.theta * lam)) @ vec.T
+    phase = np.exp(1j * (setting.phi - 0.5 * math.pi) * k)
     return core * np.outer(phase, phase.conj())
 
 
-def beamsplitter_block_bch(total: int, theta: float, phi: float) -> np.ndarray:
+def beamsplitter_block_bch(total: int, setting: BeamSplitterSetting) -> np.ndarray:
     """Same block from the factorized form: lowering sum, diagonal cos
-    factor t^{total-2k}, raising sum, each as finite triangular matrices.
+    factor cos(theta/2)^{total-2k}, raising sum, each as finite triangular
+    matrices.
 
     Exact in exact arithmetic but float-unstable for large blocks (the
     triangular factors are individually non-unitary with exponentially
     large entries); intended as a cross-check for total <~ 20.
     """
-    setting = BeamSplitterSetting(theta, phi)
     n = total + 1
-    tt = setting.tau_tan
+    tt = np.exp(1j * setting.phi) * math.tan(setting.theta / 2.0)
     low = np.zeros((n, n), dtype=complex)
     for k in range(n):
         amp = 1.0 + 0.0j
@@ -303,7 +263,7 @@ def beamsplitter_block_bch(total: int, theta: float, phi: float) -> np.ndarray:
             amp = amp * (-np.conj(tt)) * math.sqrt(
                 (k - j + 1) * (total - k + j)) / j
             low[k - j, k] = amp
-    diag = setting.t ** (total - 2.0 * np.arange(n))
+    diag = math.cos(setting.theta / 2.0) ** (total - 2.0 * np.arange(n))
     high = np.zeros((n, n), dtype=complex)
     for k in range(n):
         amp = 1.0 + 0.0j
@@ -322,7 +282,8 @@ def beamsplitter_block_oracle(total: int, setting: BeamSplitterSetting) -> np.nd
     kp = np.zeros((n, n), dtype=complex)
     for k in range(total):
         kp[k + 1, k] = math.sqrt((k + 1) * (total - k))
-    gen = setting.tau * kp - np.conj(setting.tau) * kp.conj().T
+    tau = (setting.theta / 2.0) * np.exp(1j * setting.phi)
+    gen = tau * kp - np.conj(tau) * kp.conj().T
     return expm(gen)
 
 
@@ -421,24 +382,6 @@ def _rotate_in_place(packs: Sequence[_Diagonals], setting: BeamSplitterSetting
             start += len(data)
 
 
-def beamsplitter_apply(state: TwoModeState, setting: BeamSplitterSetting
-                       ) -> TwoModeState:
-    """Apply the splitter; exact block structure, total photons conserved.
-
-    The sweep of `entropy_scan` on one state, packed: each populated
-    anti-diagonal is rotated by its Risbo block, and no complex block is
-    formed.  Raises CutoffExceeded when a populated entry's total photon
-    number reaches the cutoff (its block would spill outside the matrix).
-    """
-    rows, cols = np.nonzero(state.amplitudes)
-    pack = _Diagonals(state.cutoff, sorted(set((rows + cols).tolist())), 1)
-    pack.data[0] = state.amplitudes[pack.rows, pack.cols]
-    _rotate_in_place([pack], setting)
-    out = state.amplitudes.copy()
-    out[pack.rows, pack.cols] = pack.data[0]
-    return TwoModeState(out)
-
-
 # ----------------------------------------------------------------------------
 # embedding coherent states
 # ----------------------------------------------------------------------------
@@ -516,18 +459,22 @@ def _odd_levels(coefficients: np.ndarray, size: int) -> np.ndarray:
 # reduction and entropy
 # ----------------------------------------------------------------------------
 
-def reduced_density(out_state: TwoModeState, gram: GramMatrix) -> np.ndarray:
-    """Mode-A density matrix in the orthonormal restricted odd basis.
+def reduced_density(amplitudes: np.ndarray, gram: GramMatrix) -> np.ndarray:
+    """Mode-A density matrix in the orthonormal restricted odd basis, from
+    the P x P amplitudes over |alpha, beta> full-line levels, P the Gram size.
 
     Both modes are pushed through T = sqrt(2) G[odd, :] (the expansion of
     every restricted level over the complete orthonormal odd basis), the
     result is renormalized under the half-line metric, and mode B is
     traced out.
     """
-    if gram.size != out_state.cutoff:
-        raise ValueError("Gram size must match the state cutoff")
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.shape != (gram.size, gram.size):
+        raise ValueError(f"amplitudes must be {gram.size} x {gram.size}, the Gram size")
+    if not np.all(np.isfinite(amplitudes.view(float))):
+        raise ValueError("amplitudes must be finite")
     t = math.sqrt(2.0) * gram.entries[1::2, :]
-    m = t @ out_state.amplitudes @ t.T
+    m = t @ amplitudes @ t.T
     norm_sq = float(np.sum(np.abs(m) ** 2))
     if norm_sq <= 0.0:
         raise ValueError("state has zero half-line norm")
@@ -537,9 +484,10 @@ def reduced_density(out_state: TwoModeState, gram: GramMatrix) -> np.ndarray:
 def linear_entropy(rho: np.ndarray) -> float:
     """1 - Tr(rho^2) for a Hermitian unit-trace density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+    # written as not (... <= tol), so that NaN fails the guards
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-8:
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-8:
         raise ValueError("density matrix must have unit trace")
     return float(1.0 - np.sum(np.abs(rho) ** 2))
 
@@ -547,8 +495,6 @@ def linear_entropy(rho: np.ndarray) -> float:
 @dataclass(frozen=True)
 class EntropyRecord:
     z_abs: float
-    theta: float
-    phi: float
     entropy: float
     entropy_refined: float
     converged: bool
@@ -643,17 +589,15 @@ def _entropy_chunk(family: Family, z_chunk: Sequence[float], n_terms: int,
         entropies.append([])
         for row in pack.data:
             amps[pack.rows, pack.cols] = row
-            entropies[-1].append(linear_entropy(reduced_density(TwoModeState(amps), gram)))
-    return [EntropyRecord(z_abs=z_abs, theta=setting.theta, phi=setting.phi,
-                          entropy=s0, entropy_refined=s1,
+            entropies[-1].append(linear_entropy(reduced_density(amps, gram)))
+    return [EntropyRecord(z_abs=z_abs, entropy=s0, entropy_refined=s1,
                           converged=abs(s0 - s1) < 5e-3, cutoff=cutoffs[0])
             for z_abs, s0, s1 in zip(z_chunk, *entropies)]
 
 
 def entropy_scan(family: Family, z_moduli: Sequence[float],
-                 setting: Optional[BeamSplitterSetting] = None,
-                 cutoff: int = 64, n_terms: Optional[int] = None
-                 ) -> list[EntropyRecord]:
+                 setting: BeamSplitterSetting, cutoff: int,
+                 n_terms: Optional[int] = None) -> list[EntropyRecord]:
     """Linear entropy against |z| with a 1.5x-cutoff convergence probe.
 
     States keep n_terms levels (default: the family's coherent.WINDOWS
@@ -664,8 +608,6 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     then one splitter sweep rotates the states of each chunk of
     `points_per_sweep` |z| points.
     """
-    if setting is None:
-        setting = BeamSplitterSetting(math.pi / 2.0, 0.0)
     if n_terms is None:
         n_terms = WINDOWS[Family(family)].entropy_terms
     z_moduli = [float(z) for z in z_moduli]

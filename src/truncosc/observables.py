@@ -65,16 +65,17 @@ class MatrixElementTable:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must be a square matrix")
+        # written as not (... <= tol), so that a NaN entry fails the checks
         if self.kind in (ObservableKind.X, ObservableKind.X2):
-            if np.max(np.abs(e - e.T)) > 1e-10 or np.max(np.abs(e.imag)) > 1e-10:
+            if not (np.max(np.abs(e - e.T)) <= 1e-10 and np.max(np.abs(e.imag)) <= 1e-10):
                 raise ValueError(f"{self.kind.value} table must be real symmetric")
         elif self.kind == ObservableKind.P2:
-            if np.max(np.abs(e - e.T)) > 1e-8 or np.max(np.abs(e.imag)) > 1e-8:
+            if not (np.max(np.abs(e - e.T)) <= 1e-8 and np.max(np.abs(e.imag)) <= 1e-8):
                 raise ValueError("P2 table must be real symmetric within 1e-8")
         elif self.kind == ObservableKind.P:
-            if np.max(np.abs(np.diag(e))) > 1e-10:
+            if not np.max(np.abs(np.diag(e))) <= 1e-10:
                 raise ValueError("P table diagonal must vanish")
-            if np.max(np.abs(e + np.conj(e).T)) > 1e-10:
+            if not np.max(np.abs(e + np.conj(e).T)) <= 1e-10:
                 raise ValueError("P table must satisfy entry(n,m) = -conj(entry(m,n))")
 
     @property

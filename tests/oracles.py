@@ -4,11 +4,15 @@ package computes another way.
 transformed_eigenfunction_rows is the Wronskian-quotient route to the
 partner eigenfunctions for any number of seeds; the package builds the
 explicit fourth-order tower through its intertwiner instead (fock.rows).
+
+beamsplitter_apply is the splitter sweep of entangle.entropy_scan on one
+square array of two-mode amplitudes.
 """
 from typing import Sequence
 
 import numpy as np
 
+from truncosc.entangle import BeamSplitterSetting, _Diagonals, _rotate_in_place
 from truncosc.fock import Basis, rows
 from truncosc.susy import SeedSolution, _raise_if_singular, _wronskian_triple
 
@@ -35,3 +39,17 @@ def transformed_eigenfunction_rows(seeds: Sequence[SeedSolution], n: int,
     phip = (ap - phi * bp) / b
     phipp = (app - 2.0 * phip * bp - phi * bpp) / b
     return np.array([phi, phip, phipp])
+
+
+def beamsplitter_apply(amplitudes: np.ndarray, setting: BeamSplitterSetting) -> np.ndarray:
+    """The splitter applied to the amplitudes over |alpha, beta> full-line
+    levels, a new complex array: each populated anti-diagonal is packed and
+    rotated by its Risbo block, as in entropy_scan.  Raises CutoffExceeded
+    when a populated total reaches the array's size."""
+    totals = sorted(set(np.add(*np.nonzero(amplitudes)).tolist()))
+    pack = _Diagonals(len(amplitudes), totals, 1)
+    pack.data[0] = amplitudes[pack.rows, pack.cols]
+    _rotate_in_place([pack], setting)
+    out = np.array(amplitudes, dtype=complex)
+    out[pack.rows, pack.cols] = pack.data[0]
+    return out

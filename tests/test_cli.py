@@ -22,11 +22,12 @@ import pytest
 
 from truncosc import cli, coherent, entangle, numerics, observables, susy
 from truncosc.cli import RunConfig, main
-from truncosc.entangle import EntropyRecord
+from truncosc.entangle import BeamSplitterSetting, EntropyRecord
 from truncosc.fock import Basis
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
+BALANCED = BeamSplitterSetting(math.pi / 2, 0.0)
 
 
 def run_cli_process(args, cwd, env):
@@ -207,8 +208,8 @@ def test_entropy_warns_once_per_unconverged_row(tmp_path, run_cli, monkeypatch):
     # no configuration inside the size bounds was found unconverged, so the
     # scan records are stubbed: the middle row misses the 5e-3 probe
     def scan(family, z_moduli, setting, cutoff):
-        return [EntropyRecord(z_abs=float(z), theta=setting.theta, phi=setting.phi,
-                              entropy=0.25, entropy_refined=0.25 + 0.01 * (i == 1),
+        return [EntropyRecord(z_abs=float(z), entropy=0.25,
+                              entropy_refined=0.25 + 0.01 * (i == 1),
                               converged=i != 1, cutoff=cutoff)
                 for i, z in enumerate(z_moduli)]
 
@@ -385,7 +386,7 @@ def test_entropy_memory_model_bounds_the_traced_peak(family, basis, steps):
     z_grid = np.linspace(0.0, 1.0 if family == "susy-iso" else 2.0, steps)
     tracemalloc.start()
     try:
-        entangle.entropy_scan(family, z_grid, cutoff=basis)
+        entangle.entropy_scan(family, z_grid, BALANCED, cutoff=basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,7 +403,7 @@ def test_entropy_memory_does_not_grow_with_the_steps():
         entangle.gram_matrix.cache_clear()
         tracemalloc.start()
         try:
-            entangle.entropy_scan("lowering", np.linspace(0.0, 2.0, steps), cutoff=43)
+            entangle.entropy_scan("lowering", np.linspace(0.0, 2.0, steps), BALANCED, cutoff=43)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

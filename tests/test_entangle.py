@@ -9,6 +9,7 @@ behaviour.
 """
 
 import math
+import types
 from functools import lru_cache
 
 import mpmath as mp
@@ -25,8 +26,6 @@ from truncosc.entangle import (
     BeamSplitterSetting,
     EntropyRecord,
     GramMatrix,
-    TwoModeState,
-    beamsplitter_apply,
     beamsplitter_block,
     beamsplitter_block_bch,
     beamsplitter_block_oracle,
@@ -40,6 +39,10 @@ from truncosc.entangle import (
 from truncosc.errors import CutoffExceeded, DivergenceError, ExpansionResidualTooLarge, GramNotPSD
 from truncosc.fock import Basis, _truncated_block, hermite_normalized, rows
 from truncosc.numerics import gauss_halfline
+
+from oracles import beamsplitter_apply
+
+BALANCED = BeamSplitterSetting(math.pi / 2, 0.0)
 
 
 # ----------------------------------------------------------------------------
@@ -205,13 +208,15 @@ def test_gram_validation_rejects_bad_matrices():
 # ----------------------------------------------------------------------------
 
 def _su2_generator(total: int, setting: BeamSplitterSetting) -> np.ndarray:
-    """tau K+ - conj(tau) K- on the fixed-total subspace (oracle helper)."""
+    """tau K+ - conj(tau) K- on the fixed-total subspace (oracle helper),
+    tau = (theta/2) e^{i phi}."""
     n = total + 1
+    tau = setting.theta / 2 * np.exp(1j * setting.phi)
     g = np.zeros((n, n), dtype=complex)
     for k in range(total):
         step = math.sqrt((k + 1) * (total - k))
-        g[k + 1, k] = setting.tau * step
-        g[k, k + 1] = -np.conj(setting.tau) * step
+        g[k + 1, k] = tau * step
+        g[k, k + 1] = -np.conj(tau) * step
     return g
 
 
@@ -221,7 +226,7 @@ def _su2_generator(total: int, setting: BeamSplitterSetting) -> np.ndarray:
 def test_spectral_blocks_match_the_exponential_oracle(theta, phi):
     setting = BeamSplitterSetting(theta, phi)
     for total in range(13):
-        block = beamsplitter_block(total, theta, phi)
+        block = beamsplitter_block(total, setting)
         oracle = expm(_su2_generator(total, setting))
         assert np.max(np.abs(block - oracle)) < 1e-12, total
 
@@ -235,33 +240,34 @@ def test_bundled_oracle_agrees_with_local_expm():
 
 def test_spectral_blocks_are_unitary_at_large_totals():
     for total in (1, 7, 40, 160, 320):
-        b = beamsplitter_block(total, math.pi / 2, 0.3)
+        b = beamsplitter_block(total, BeamSplitterSetting(math.pi / 2, 0.3))
         defect = np.max(np.abs(b @ b.conj().T - np.eye(total + 1)))
         assert defect < 5e-14, total
 
 
 def test_block_limits():
-    assert beamsplitter_block(0, 1.0, 0.5) == pytest.approx(np.ones((1, 1)))
-    assert np.allclose(beamsplitter_block(5, 0.0, 0.0), np.eye(6), atol=1e-14)
+    assert beamsplitter_block(0, BeamSplitterSetting(1.0, 0.5)) == pytest.approx(np.ones((1, 1)))
+    assert np.allclose(beamsplitter_block(5, BeamSplitterSetting(0.0)), np.eye(6), atol=1e-14)
     # total = 2 carries spin 1: the middle element is cos(theta)
-    b = beamsplitter_block(2, 1.1, 0.0)
+    b = beamsplitter_block(2, BeamSplitterSetting(1.1))
     assert b[1, 1] == pytest.approx(math.cos(1.1), abs=1e-13)
 
 
 @pytest.mark.parametrize("builder", [beamsplitter_block, beamsplitter_block_bch])
 def test_block_builders_hand_out_fresh_blocks(builder):
-    block = builder(2, 1.0, 0.0)
+    setting = BeamSplitterSetting(1.0, 0.0)
+    block = builder(2, setting)
     expected = block.copy()
     block[0, 0] = 99.0
-    assert np.array_equal(builder(2, 1.0, 0.0), expected)
+    assert np.array_equal(builder(2, setting), expected)
 
 
 def test_factorized_blocks_agree_at_small_totals():
-    for theta, phi in ((math.pi / 2, 0.0), (0.7, 1.1)):
+    for setting in (BALANCED, BeamSplitterSetting(0.7, 1.1)):
         for total in range(11):
-            bch = beamsplitter_block_bch(total, theta, phi)
-            spectral = beamsplitter_block(total, theta, phi)
-            assert np.max(np.abs(bch - spectral)) < 1e-10, (total, theta)
+            bch = beamsplitter_block_bch(total, setting)
+            spectral = beamsplitter_block(total, setting)
+            assert np.max(np.abs(bch - spectral)) < 1e-10, (total, setting)
 
 
 def test_factorized_blocks_lose_precision_at_large_totals():
@@ -269,47 +275,37 @@ def test_factorized_blocks_lose_precision_at_large_totals():
     # entries grow like tan(theta/2)^k sqrt(binomials) and cancel, so
     # unitarity degrades catastrophically while the spectral route stays
     # exact (see module docstring)
-    b40 = beamsplitter_block_bch(40, math.pi / 2, 0.0)
+    b40 = beamsplitter_block_bch(40, BALANCED)
     defect40 = np.max(np.abs(b40 @ b40.conj().T - np.eye(41)))
     assert defect40 > 1e-3
-    b60 = beamsplitter_block_bch(60, math.pi / 2, 0.0)
+    b60 = beamsplitter_block_bch(60, BALANCED)
     defect60 = np.max(np.abs(b60 @ b60.conj().T - np.eye(61)))
     assert defect60 > 1e6
-
-
-def test_setting_derived_amplitudes():
-    s = BeamSplitterSetting(1.2, 0.5)
-    assert s.t == pytest.approx(math.cos(0.6))
-    assert abs(s.r) == pytest.approx(math.sin(0.6))
-    assert abs(s.r) ** 2 + s.t ** 2 == pytest.approx(1.0)
-    assert s.tau == pytest.approx(0.6 * np.exp(0.5j))
-    assert s.tau_tan == pytest.approx(math.tan(0.6) * np.exp(0.5j))
 
 
 # ----------------------------------------------------------------------------
 # applying the splitter
 # ----------------------------------------------------------------------------
 
-def _embedded(cs, cutoff: int) -> TwoModeState:
+def _embedded(cs, cutoff: int) -> np.ndarray:
     """|extremal> (x) |cs> over `cutoff` full-line levels, from the mode
     coefficients an entropy scan packs."""
     mode_a, mode_b = entangle._embedded_modes(cs, cutoff)
-    return TwoModeState(np.outer(entangle._odd_levels(mode_a, cutoff),
-                                 entangle._odd_levels(mode_b, cutoff)))
+    return np.outer(entangle._odd_levels(mode_a, cutoff), entangle._odd_levels(mode_b, cutoff))
 
 
 def test_apply_preserves_norm_and_total_photon_number(rng):
     n = 12
     amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     amp[np.add.outer(np.arange(n), np.arange(n)) >= n] = 0.0
-    state = TwoModeState(amp / np.linalg.norm(amp))
+    state = amp / np.linalg.norm(amp)
     out = beamsplitter_apply(state, BeamSplitterSetting(0.9, 0.3))
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
     # block structure: each anti-diagonal transforms within itself
     for total in range(n):
         k = np.arange(total + 1)
-        w_in = np.linalg.norm(state.amplitudes[k, total - k])
-        w_out = np.linalg.norm(out.amplitudes[k, total - k])
+        w_in = np.linalg.norm(state[k, total - k])
+        w_out = np.linalg.norm(out[k, total - k])
         assert w_out == pytest.approx(w_in, abs=1e-12)
 
 
@@ -319,10 +315,10 @@ def test_apply_roundtrip_with_opposite_phase(rng):
     n = 10
     amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     amp[np.add.outer(np.arange(n), np.arange(n)) >= n] = 0.0
-    state = TwoModeState(amp / np.linalg.norm(amp))
+    state = amp / np.linalg.norm(amp)
     there = beamsplitter_apply(state, BeamSplitterSetting(0.8, 0.2))
     back = beamsplitter_apply(there, BeamSplitterSetting(0.8, 0.2 + math.pi))
-    assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+    assert np.max(np.abs(back - state)) < 1e-12
 
 
 def test_setting_domain_validation():
@@ -330,22 +326,25 @@ def test_setting_domain_validation():
         BeamSplitterSetting(-0.8, 0.2)
     with pytest.raises(ValueError):
         BeamSplitterSetting(math.pi, 0.0)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            BeamSplitterSetting(1.0, phi)
 
 
 def test_apply_guards_the_cutoff():
     amp = np.zeros((4, 4), dtype=complex)
     amp[3, 3] = 1.0  # total 6 >= cutoff 4
     with pytest.raises(CutoffExceeded):
-        beamsplitter_apply(TwoModeState(amp), BeamSplitterSetting(0.5, 0.0))
+        beamsplitter_apply(amp, BeamSplitterSetting(0.5, 0.0))
 
 
 def test_hong_ou_mandel_cancellation():
     amp = np.zeros((4, 4), dtype=complex)
     amp[1, 1] = 1.0
-    out = beamsplitter_apply(TwoModeState(amp), BeamSplitterSetting(math.pi / 2, 0.0))
-    assert abs(out.amplitudes[1, 1]) < 1e-12
-    assert abs(out.amplitudes[2, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert abs(out.amplitudes[0, 2]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    out = beamsplitter_apply(amp, BALANCED)
+    assert abs(out[1, 1]) < 1e-12
+    assert abs(out[2, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert abs(out[0, 2]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 @st.composite
@@ -362,11 +361,12 @@ def _populated_states(draw):
 @given(amp=_populated_states(), theta=st.floats(0.0, math.pi, exclude_max=True),
        phi=st.floats(-math.pi, math.pi))
 def test_apply_rotates_each_anti_diagonal_by_its_block(amp, theta, phi):
-    out = beamsplitter_apply(TwoModeState(amp), BeamSplitterSetting(theta, phi))
+    setting = BeamSplitterSetting(theta, phi)
+    out = beamsplitter_apply(amp, setting)
     for total in range(amp.shape[0]):
         k = np.arange(total + 1)
-        expected = beamsplitter_block(total, theta, phi) @ amp[k, total - k]
-        assert np.max(np.abs(out.amplitudes[k, total - k] - expected)) <= 1e-13, total
+        expected = beamsplitter_block(total, setting) @ amp[k, total - k]
+        assert np.max(np.abs(out[k, total - k] - expected)) <= 1e-13, total
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,9 +375,8 @@ def test_apply_rotates_each_anti_diagonal_by_its_block(amp, theta, phi):
 def test_apply_preserves_the_norm_of_random_states(amp, theta, phi):
     norm = np.linalg.norm(amp)
     assume(norm > 0.0)
-    state = TwoModeState(amp / norm)
-    out = beamsplitter_apply(state, BeamSplitterSetting(theta, phi))
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+    out = beamsplitter_apply(amp / norm, BeamSplitterSetting(theta, phi))
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
 def test_apply_leaves_no_complex_blocks_behind(monkeypatch):
@@ -395,8 +394,8 @@ def test_apply_leaves_no_complex_blocks_behind(monkeypatch):
 def test_apply_gives_the_hong_ou_mandel_null_to_rounding():
     amp = np.zeros((4, 4), dtype=complex)
     amp[1, 1] = 1.0
-    out = beamsplitter_apply(TwoModeState(amp), BeamSplitterSetting(math.pi / 2, 0.0))
-    assert abs(out.amplitudes[1, 1]) < 1e-15
+    out = beamsplitter_apply(amp, BALANCED)
+    assert abs(out[1, 1]) < 1e-15
 
 
 # ----------------------------------------------------------------------------
@@ -459,7 +458,7 @@ def test_recursion_is_the_identity_at_zero_angle():
                for total, block in entangle._risbo_blocks(300, 0.0))
     state = _embedded(build_cs(Family.LOWERING, 0.7, truncation=12), 32)
     out = beamsplitter_apply(state, BeamSplitterSetting(0.0, 0.0))
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    assert np.array_equal(out, state)
 
 
 # ----------------------------------------------------------------------------
@@ -468,8 +467,7 @@ def test_recursion_is_the_identity_at_zero_angle():
 
 def test_truncated_embedding_structure():
     cs = build_cs(Family.LOWERING, 0.7, truncation=12)
-    state = _embedded(cs, 32)
-    amp = state.amplitudes
+    amp = _embedded(cs, 32)
     assert amp.shape == (32, 32)
     # mode A is the ground level (full-line level 1); mode B carries the
     # state's amplitudes on odd levels 2n+1
@@ -503,12 +501,12 @@ def test_iso_embedding_at_zero_label_is_the_lowest_pair():
     # the embedding is the product (lowest new level) x (tower-bottom image)
     cs = build_cs(Family.SUSY_ISO, 0.0, truncation=16)
     state = _embedded(cs, 96)
-    u_mat, sing, v_mat = np.linalg.svd(state.amplitudes)
+    u_mat, sing, v_mat = np.linalg.svd(state)
     assert sing[0] == pytest.approx(1.0, abs=1e-6)
     assert sing[1] < 1e-12  # exactly rank one
     # mode A carries the same extremal state for either partner tower
     new_state = _embedded(build_cs(Family.SUSY_NEW, 0.0), 96)
-    u_new = np.linalg.svd(new_state.amplitudes)[0][:, 0]
+    u_new = np.linalg.svd(new_state)[0][:, 0]
     cos = abs(np.vdot(u_mat[:, 0], u_new))
     assert cos == pytest.approx(1.0, abs=1e-8)
 
@@ -531,6 +529,27 @@ def test_reduced_density_checks_gram_size():
     state = _embedded(cs, 32)
     with pytest.raises(ValueError):
         reduced_density(state, gram_matrix(16))
+    with pytest.raises(ValueError):
+        reduced_density(state[:, :31], gram_matrix(32))  # not square
+    with pytest.raises(ValueError):
+        reduced_density(state[:31, :31], gram_matrix(32))  # square, the wrong size
+
+
+def test_reduced_density_rejects_non_finite_amplitudes():
+    state = _embedded(build_cs(Family.LOWERING, 0.5, truncation=12), 32)
+    state[3, 5] = np.nan
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        reduced_density(state, gram_matrix(32))
+
+
+def test_a_scan_with_a_nan_phase_raises():
+    with pytest.raises(ValueError):
+        entropy_scan(Family.LOWERING, [0.5], setting=BeamSplitterSetting(1.0, math.nan),
+                     cutoff=43)
+    # past the setting's own guard, the NaN the sweep spreads stops at the reduction
+    unguarded = types.SimpleNamespace(theta=1.0, phi=math.nan)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        entropy_scan(Family.LOWERING, [0.5], setting=unguarded, cutoff=43)
 
 
 def test_linear_entropy_reference_points():
@@ -541,32 +560,36 @@ def test_linear_entropy_reference_points():
         linear_entropy(np.array([[0.5, 0.1], [0.4, 0.5]]))
     with pytest.raises(ValueError):
         linear_entropy(np.diag([0.7, 0.7]))
+    # NaN fails the guards instead of passing them
+    with pytest.raises(ValueError):
+        linear_entropy(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError):
+        linear_entropy(np.diag([np.nan, 1.0]))
 
 
 def test_splitter_generates_entanglement_from_the_embedded_pair():
     cs = build_cs(Family.LOWERING, 0.9, truncation=16)
     state = _embedded(cs, 40)
-    out = beamsplitter_apply(state, BeamSplitterSetting(math.pi / 2, 0.0))
+    out = beamsplitter_apply(state, BALANCED)
     rho = reduced_density(out, gram_matrix(40))
     s = linear_entropy(rho)
     assert 0.0 < s < 1.0
 
 
 def test_entropy_scan_regressions_truncated():
-    rec = entropy_scan(Family.LOWERING, [0.5], cutoff=32, n_terms=12)[0]
+    rec = entropy_scan(Family.LOWERING, [0.5], BALANCED, cutoff=32, n_terms=12)[0]
     assert isinstance(rec, EntropyRecord)
     assert rec.entropy == pytest.approx(0.500008154785, abs=1e-9)
     assert rec.entropy_refined == pytest.approx(0.500009223416, abs=1e-9)
     assert rec.converged
-    assert rec.theta == pytest.approx(math.pi / 2)
     assert rec.cutoff == 32
 
 
 def test_entropy_scan_regressions_partner_towers():
-    new = entropy_scan(Family.SUSY_NEW, [1.0], cutoff=80)[0]
+    new = entropy_scan(Family.SUSY_NEW, [1.0], BALANCED, cutoff=80)[0]
     assert new.entropy == pytest.approx(0.539369533205, abs=1e-9)
     assert new.converged
-    iso = entropy_scan(Family.SUSY_ISO, [0.5], cutoff=96, n_terms=32)[0]
+    iso = entropy_scan(Family.SUSY_ISO, [0.5], BALANCED, cutoff=96, n_terms=32)[0]
     assert iso.entropy == pytest.approx(0.524544928481, abs=1e-9)
     assert iso.converged
 
@@ -613,7 +636,7 @@ def _oracle_case(theta: float):
     """entropy_scan records and position-space entropies at _ORACLE_Z.
 
     For phi = 0 the splitter maps psi(x1, x2) to psi(t x1 + r x2, -r x1 + t x2)
-    (t, r from BeamSplitterSetting), a rotation by theta/2 (Kim, Son, Buzek and
+    with t = cos(theta/2) and r = -sin(theta/2), a rotation by theta/2 (Kim, Son, Buzek and
     Knight, PRA 65, 032323, 2002).  Mode A is the full-line level 1, mode B
     the coherent state over odd levels, both taken from fock.rows.  The rotated
     product is sampled on the quadrant x1, x2 > 0 with a gauss_halfline tensor
@@ -629,7 +652,7 @@ def _oracle_case(theta: float):
     rule = gauss_halfline(16)
     keep = rule.nodes <= 8.0
     x, sw = rule.nodes[keep], np.sqrt(rule.weights[keep])
-    t, r = setting.t, setting.r.real
+    t, r = math.cos(theta / 2.0), -math.sin(theta / 2.0)
     m = np.empty((len(amps), x.size, x.size), dtype=complex)
     for i in range(0, x.size, 64):
         xi = x[i:i + 64, None]
@@ -695,7 +718,7 @@ def test_partner_scan_builds_projections_once_and_solves_each_total_once(monkeyp
     monkeypatch.setattr(entangle, "_rotate_in_place", counting_rotate)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     z = np.linspace(0.0, 1.0, 9)
-    entropy_scan(Family.SUSY_ISO, z, cutoff=80)
+    entropy_scan(Family.SUSY_ISO, z, BALANCED, cutoff=80)
     # the odd basis (truncated, 40 and 60 levels), mode A (susy-new, 1 level)
     # and the tower levels (susy-iso, 32 levels), at cutoffs 80 and 120
     assert sorted(row_calls) == sorted(
@@ -733,7 +756,7 @@ def test_scan_points_do_not_depend_on_their_chunk(monkeypatch):
     assert entangle.points_per_sweep(80) == 2
     assert entropy_scan(Family.SUSY_NEW, z, setting=setting, cutoff=80) == together
     assert sweeps == [2, 2, 1]
-    assert entropy_scan(Family.SUSY_NEW, [], cutoff=80) == []
+    assert entropy_scan(Family.SUSY_NEW, [], setting, cutoff=80) == []
 
 
 def _one_point_entropy(family: Family, z_abs: float, cutoff: int,
@@ -743,8 +766,8 @@ def _one_point_entropy(family: Family, z_abs: float, cutoff: int,
     cs = build_cs(family, z_abs, truncation=WINDOWS[family].entropy_terms)
     size = 2 * cutoff - 1
     amps = np.zeros((size, size), dtype=complex)
-    amps[:cutoff, :cutoff] = _embedded(cs, cutoff).amplitudes
-    out = beamsplitter_apply(TwoModeState(amps), setting)
+    amps[:cutoff, :cutoff] = _embedded(cs, cutoff)
+    out = beamsplitter_apply(amps, setting)
     return linear_entropy(reduced_density(out, gram_matrix(size)))
 
 

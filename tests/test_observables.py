@@ -245,6 +245,12 @@ def test_expectation_is_the_double_sum_bit_for_bit(case):
     assert np.float64(got).tobytes() == np.float64(_double_sum(table, cs, n_terms)).tobytes()
 
 
+@pytest.mark.parametrize("kind", list(ObservableKind))
+def test_tables_of_nan_are_rejected(kind):
+    with pytest.raises(ValueError):
+        MatrixElementTable(kind, np.full((3, 3), np.nan), Basis.TRUNCATED)
+
+
 def test_expectation_rejects_basis_mismatch():
     cs = build_cs(Family.LOWERING, 0.5)
     table = build_table(ObservableKind.X, 10)

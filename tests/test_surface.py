@@ -1,14 +1,15 @@
 """The package's public surface: exported names resolve, imports are used,
-nothing is defined or recorded that nothing reads, every public name but
-three listed ones has a reader in the program or the demos, every error type is
-raised or subclassed, scipy.special and scipy.integrate are never
-imported, only the spectral splitter cross-check calls an eigensolver, the
-Gram matrix needs no quadrature, fock.rows is the only code that takes a
-`weighted` flag, applies the Gaussian weight to rows or (with the overlap
-oracle) reads a Hermite table, no row block allocates or returns rows of
-its own, entangle allocates no dense stack of states, the CLI imports no
-piece of the entropy scan's layout, the modules import each other without
-a cycle, the benchmark's self-test passes, and a failing property test
+nothing is defined or recorded that nothing reads, every property of a
+library class and every public name but two listed ones has a reader in
+the program or the demos, every error type is raised or subclassed,
+scipy.special and scipy.integrate are never imported, only the spectral
+splitter cross-check calls an eigensolver, the Gram matrix needs no
+quadrature, fock.rows is the only code that takes a `weighted` flag,
+applies the Gaussian weight to rows or (with the overlap oracle) reads a
+Hermite table, no row block allocates or returns rows of its own,
+entangle allocates no dense stack of states, the CLI imports no piece of
+the entropy scan's layout, the modules import each other without a
+cycle, the benchmark's self-test passes, and a failing property test
 fails alone.
 
 No linter ships with the toolchain, so these checks stand in for one.
@@ -113,9 +114,22 @@ def test_every_dataclass_field_is_read_as_an_attribute():
     assert unread == []
 
 
+def test_every_property_has_a_program_reader():
+    # a property that only tests read restates its inputs for them; readers are
+    # attribute loads in the package or the demos
+    loads = {n.attr for p in SOURCES.values() if p.parent != ROOT / "tests"
+             for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{cls.name}.{node.name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+              for cls in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name not in loads
+              and "property" in {getattr(d, "id", None) for d in node.decorator_list}]
+    assert unread == []
+
+
 # Public names no command, validate row or demo reads, kept for their tests
 PUBLIC_WITHOUT_A_PROGRAM_READER = {
-    "beamsplitter_apply": "the single-state splitter, under the unitarity and HOM tests",
     "evolve": "the paper's time evolution of a coherent state",
     "matrix_element_quadrature": "the quadrature oracle of the operator tables",
 }
