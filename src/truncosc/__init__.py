@@ -12,19 +12,11 @@ pipeline over the half-line.  The `cli` module exposes everything as
 deterministic CSV scans plus a validation suite.
 """
 from .errors import (
-    BasisMismatch,
-    CutoffExceeded,
     DivergenceError,
-    ExpansionResidualTooLarge,
-    FamilyMismatch,
-    GammaPole,
-    GramNotPSD,
-    IndexOutOfRange,
     NonConvergence,
     NotNormalizable,
     PoleError,
     SingularWronskian,
-    TailTooFat,
     TruncOscError,
     TruncationTooSmall,
 )
@@ -69,12 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "TruncOscError", "DivergenceError", "PoleError",
-    "NonConvergence", "BasisMismatch",
-    "NotNormalizable", "TruncationTooSmall", "FamilyMismatch",
-    "IndexOutOfRange", "GammaPole",
-    "SingularWronskian", "CutoffExceeded", "ExpansionResidualTooLarge",
-    "GramNotPSD", "TailTooFat",
+    "TruncOscError", "DivergenceError", "PoleError", "NonConvergence",
+    "NotNormalizable", "TruncationTooSmall", "SingularWronskian",
     # number basis and states
     "Basis", "ladder_step_sq", "level_energy",
     "Family", "CoherentState", "build_cs", "eigen_residual",

@@ -37,12 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    FamilyMismatch,
-    NotNormalizable,
-    TailTooFat,
-    TruncationTooSmall,
-)
+from .errors import NotNormalizable, TruncationTooSmall
 from .fock import Basis, ladder_apply, ladder_step_sq, level_energy
 from .numerics import qag, rising_factorial
 from .susy import DELTA1, NEW_ENERGIES
@@ -84,9 +79,9 @@ class CoherentState:
     read from WINDOWS).  norm_constant is the realized normalization
     factor (what multiplies the raw series amplitudes), computed from the
     direct sum.  energies holds the eigenvalue of each level the state
-    spans.  Construction raises NotNormalizable unless the amplitudes form
-    a finite 1-d unit vector, so an overflowed or NaN series never
-    reaches a reader.
+    spans.  Construction raises ValueError unless the amplitudes form a
+    1-d array, and NotNormalizable unless they form a finite unit vector,
+    so an overflowed or NaN series never reaches a reader.
     """
 
     family: Family
@@ -98,7 +93,7 @@ class CoherentState:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.ndim != 1:
-            raise NotNormalizable("amplitudes must be a 1-d array")
+            raise ValueError("amplitudes must be a 1-d array")
         norm = float(np.linalg.norm(self.amplitudes))
         if not abs(norm - 1.0) <= 1e-12:
             raise NotNormalizable(
@@ -221,7 +216,7 @@ def eigen_residual(cs: CoherentState) -> float:
         lowered = np.zeros_like(a)
         lowered[:-1] = np.sqrt(2.0 * np.arange(1, a.size)) * a[1:]
     else:
-        raise FamilyMismatch(f"eigen_residual is undefined for family {cs.family}")
+        raise ValueError(f"eigen_residual is undefined for family {cs.family}")
     return float(np.linalg.norm(lowered - cs.z * a))
 
 
@@ -234,9 +229,9 @@ def energy_expectation(cs: CoherentState) -> float:
 def evolve(cs: CoherentState, t: float) -> CoherentState:
     """Phase evolution amplitudes -> e^{-i E_k t} amplitudes.
 
-    For the half-line oscillator's lowering family this equals (up to the
-    global phase e^{-i E_0 t}) the state built at z e^{-2 i t}: the family
-    is temporally stable.
+    Every family's c_k is z^k times a weight free of z, on levels spaced by 2,
+    so this equals (up to the global phase e^{-i E_0 t}) the state built at
+    z e^{-2 i t}: all six families are temporally stable.
     """
     return replace(cs, amplitudes=cs.amplitudes * np.exp(-1j * cs.energies * t))
 
@@ -285,8 +280,8 @@ def identity_resolution_check(family: Family, density: Callable[[float], float],
     on these smooth integrands it returns scipy.integrate.quad's values,
     so the reported deviations keep quad's own error pattern without
     loading scipy.
-    Raises TailTooFat when an integrand is still above 1e-8 at r_max, and
-    NonConvergence when a moment's integral misses its tolerance.
+    Raises TruncationTooSmall when an integrand is still above 1e-8 at
+    r_max, and NonConvergence when a moment's integral misses its tolerance.
     """
     weights_at: dict[float, np.ndarray] = {}
 
@@ -299,7 +294,7 @@ def identity_resolution_check(family: Family, density: Callable[[float], float],
     for n in range(n_max + 1):
         tail = 2.0 * math.pi * r_max * density(r_max) * level_weights(r_max)[n]
         if tail > 1e-8:
-            raise TailTooFat(
+            raise TruncationTooSmall(
                 f"measure integrand at r_max={r_max} is {tail:.2e} for level {n}")
 
     deviation = 0.0

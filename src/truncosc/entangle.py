@@ -65,12 +65,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .coherent import WINDOWS, CoherentState, Family, build_cs
-from .errors import (
-    CutoffExceeded,
-    DivergenceError,
-    ExpansionResidualTooLarge,
-    GramNotPSD,
-)
+from .errors import DivergenceError, TruncationTooSmall
 from .fock import _ROW_CHUNK, Basis, hermite_normalized, rows
 from .numerics import (_is_nonpositive_integer, gauss_halfline, gauss_halfline_size,
                        hyp2f1_terminating)
@@ -157,16 +152,16 @@ class GramMatrix:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("Gram matrix must be square")
         if np.max(np.abs(g - g.T)) > 1e-12:
-            raise GramNotPSD("Gram matrix is not symmetric")
+            raise ValueError("Gram matrix is not symmetric")
         for parity in (0, 1):
             block = g[parity::2, parity::2]
             if not np.array_equal(block, 0.5 * np.eye(block.shape[0])):
-                raise GramNotPSD("Gram matrix's same-parity blocks are not I/2")
+                raise ValueError("Gram matrix's same-parity blocks are not I/2")
         # with both same-parity blocks I/2, the eigenvalues of G are 1/2 plus
         # or minus the singular values of the cross block C (and 1/2)
         cross = g[0::2, 1::2]
         if np.any(np.linalg.eigvalsh(cross.T @ cross) > (0.5 + 1e-10) ** 2):
-            raise GramNotPSD("Gram matrix has a negative eigenvalue")
+            raise ValueError("Gram matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", g)
 
     @property
@@ -336,15 +331,15 @@ class _Diagonals:
     zero.  A scan's state populates only the even totals that the odd
     supports of its modes reach, about c^2 entries where its padded matrix
     has (2c - 1)^2.  `rows` and `cols` locate the packed entries, `starts`
-    the first entry of each total.  Raises CutoffExceeded when a total
+    the first entry of each total.  Raises TruncationTooSmall when a total
     reaches the size (its splitter block would spill outside the matrix).
     """
 
     def __init__(self, size: int, totals: Sequence[int], n_states: int) -> None:
         self.totals = tuple(totals)
         if self.totals and max(self.totals) >= size:
-            raise CutoffExceeded(f"populated total photon number {max(self.totals)} "
-                                 f"needs cutoff > {size}")
+            raise TruncationTooSmall(f"populated total photon number {max(self.totals)} "
+                                     f"needs cutoff > {size}")
         ks = [np.arange(total + 1) for total in self.totals]
         self.rows = np.concatenate([np.arange(0), *ks])
         self.cols = np.concatenate([np.arange(0), *(t - k for t, k in zip(self.totals, ks))])
@@ -441,7 +436,7 @@ def _embedded_modes(cs: CoherentState, cutoff: int) -> tuple[np.ndarray, np.ndar
     recovered_a = float(np.sum(mode_a ** 2))
     recovered_b = float(np.linalg.norm(mode_b) ** 2)
     if recovered_a < 1.0 - _EMBED_RESIDUAL or recovered_b < 1.0 - _EMBED_RESIDUAL:
-        raise ExpansionResidualTooLarge(
+        raise TruncationTooSmall(
             f"projection recovers {min(recovered_a, recovered_b):.8f} of the "
             f"norm at cutoff {cutoff}")
     return mode_a, mode_b

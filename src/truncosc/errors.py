@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One rule routes every raise: an argument outside a function's domain (a
+negative index, a mismatched basis or family, a malformed matrix or
+array) raises ValueError, and a computation that fails raises the
+TruncOscError subclass naming its kind.
+"""
 
 
 class TruncOscError(Exception):
-    """Base class for all truncosc errors."""
+    """Base class for the numerical failures of a computation."""
 
 
 class DivergenceError(TruncOscError):
@@ -14,12 +20,8 @@ class PoleError(TruncOscError):
 
 
 class NonConvergence(TruncOscError):
-    """A half-line Gauss rule misses its weight's mass or would clip a level's
-    tail, or an adaptive quadrature stops short of its tolerance."""
-
-
-class BasisMismatch(TruncOscError):
-    """Two vectors (or a vector and an operator) live in different bases."""
+    """A half-line Gauss rule misses its weight's mass, or an adaptive
+    quadrature stops short of its tolerance."""
 
 
 class NotNormalizable(TruncOscError):
@@ -27,36 +29,8 @@ class NotNormalizable(TruncOscError):
 
 
 class TruncationTooSmall(TruncOscError):
-    """Amplitudes have not decayed at the truncation edge."""
-
-
-class FamilyMismatch(TruncOscError):
-    """An operation was applied to a coherent-state family it is not defined for."""
-
-
-class IndexOutOfRange(TruncOscError):
-    """A level index lies outside the stored truncation."""
-
-
-class GammaPole(PoleError):
-    """A seed-solution coefficient hit a gamma pole with a finite mixing parameter."""
+    """A truncation window or cutoff clips a tail that is not negligible."""
 
 
 class SingularWronskian(TruncOscError):
     """The seed Wronskian vanishes inside the requested grid."""
-
-
-class CutoffExceeded(TruncOscError):
-    """Populated two-mode levels reach the cutoff; results would be clipped."""
-
-
-class ExpansionResidualTooLarge(TruncOscError):
-    """A half-line expansion recovered too little of the function's norm."""
-
-
-class GramNotPSD(TruncOscError):
-    """The overlap matrix has a significantly negative eigenvalue."""
-
-
-class TailTooFat(TruncOscError):
-    """A radial measure integrand is still significant at the integration edge."""

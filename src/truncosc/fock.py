@@ -15,8 +15,6 @@ from functools import partial
 
 import numpy as np
 
-from .errors import IndexOutOfRange
-
 __all__ = [
     "Basis",
     "ladder_step_sq",
@@ -59,6 +57,8 @@ def hermite_normalized(n_max: int, x) -> np.ndarray:
     The scaled recurrence h_{n+1} = x sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1}
     keeps values in range where the raw polynomials would overflow.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((n_max + 1, x.size))
     out[0] = 1.0
@@ -88,7 +88,7 @@ def rows(basis: Basis, n_levels: int, x, order: int = 0,
     """
     basis = Basis(basis)
     if n_levels < 1:
-        raise IndexOutOfRange(f"need at least one level, got {n_levels}")
+        raise ValueError(f"need at least one level, got {n_levels}")
     if order < 0:
         raise ValueError("derivative order must be non-negative")
     if basis != Basis.TRUNCATED and order > 2:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .coherent import WINDOWS, CoherentState, Family, build_cs
-from .errors import BasisMismatch, IndexOutOfRange, NonConvergence, TruncationTooSmall
+from .errors import TruncationTooSmall
 from .fock import Basis, level_energy, rows, weighted_eigenfunction_derivatives
 from .numerics import QuadratureRule, gauss_halfline, hyp2f1_terminating, log_gamma_signed
 
@@ -154,7 +154,7 @@ def matrix_element_closed(kind: ObservableKind, n: int, m: int) -> complex:
     """
     kind = ObservableKind(kind)
     if n < 0 or m < 0:
-        raise IndexOutOfRange("matrix element indices must be non-negative")
+        raise ValueError("matrix element indices must be non-negative")
     if n >= m:
         return complex(_CLOSED[kind](n, m))
     val = complex(_CLOSED[kind](m, n))
@@ -176,14 +176,14 @@ def table_degree(basis: Basis, n_max: int) -> int:
 def _table_rule(basis: Basis, n_max: int) -> QuadratureRule:
     """The table_degree rule of levels 0..n_max.  It ends near x = 27.19, where
     e^{-x^2} underflows, and must reach 2.1 past the top level's turning point
-    sqrt(2 E) (level_energy bounds E on every basis), else NonConvergence: so a
+    sqrt(2 E) (level_energy bounds E on every basis), else TruncationTooSmall: so a
     table holds levels up to 156, whose X2 and P2 diagonals are exact to 3.1e-15,
     where level 162's X2 diagonal was off by 3.4e-12 and level 200's by 35%."""
     rule = gauss_halfline(table_degree(basis, n_max))
     turning, end = math.sqrt(2.0 * level_energy(n_max)), rule.nodes[-1]
     if turning + 2.1 > end:
-        raise NonConvergence(f"the rule would clip level {n_max}, whose turning point "
-                             f"{turning:.4g} is not 2.1 short of its end, x = {end:.4g}")
+        raise TruncationTooSmall(f"the rule would clip level {n_max}, whose turning point "
+                                 f"{turning:.4g} is not 2.1 short of its end, x = {end:.4g}")
     return rule
 
 
@@ -286,12 +286,12 @@ def expectation(table: MatrixElementTable, cs: CoherentState, n_terms: int) -> f
     its probability beyond the n_terms window.
     """
     if table.basis != cs.basis:
-        raise BasisMismatch(f"table basis {table.basis} != state basis {cs.basis}")
+        raise ValueError(f"table basis {table.basis} != state basis {cs.basis}")
     if n_terms > table.n_max + 1:
-        raise IndexOutOfRange(f"n_terms={n_terms} exceeds table size {table.n_max + 1}")
+        raise ValueError(f"n_terms={n_terms} exceeds table size {table.n_max + 1}")
     c = cs.amplitudes[:n_terms]
     if c.size < n_terms:
-        raise IndexOutOfRange(f"state truncation {c.size} below n_terms={n_terms}")
+        raise ValueError(f"state truncation {c.size} below n_terms={n_terms}")
     dropped = float(np.sum(np.abs(cs.amplitudes[n_terms:]) ** 2))
     if dropped > 1e-12:
         raise TruncationTooSmall(

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GammaPole, IndexOutOfRange, SingularWronskian
+from .errors import PoleError, SingularWronskian
 from .fock import Basis, _truncated_block, level_energy
 from .numerics import _is_nonpositive_integer, hyp1f1, hyp2f2, log_gamma_signed, rising_factorial
 
@@ -84,7 +84,7 @@ class SeedSolution:
                              f"nu={self.nu}")
         if math.isfinite(self.nu) and self.nu != 0.0:
             if _is_nonpositive_integer(self._a_even) or _is_nonpositive_integer(self._a_odd):
-                raise GammaPole(
+                raise PoleError(
                     f"gamma-ratio pole at epsilon={self.epsilon}; "
                     "use nu = 0 or nu = +-inf to select a parity branch")
 
@@ -357,7 +357,7 @@ def _iso_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray,
 def _new_block(n_levels: int, x: np.ndarray, order: int, out: np.ndarray) -> None:
     """Weighted finite-tower rows into out from the closed forms of its bound states."""
     if n_levels > len(NEW_ENERGIES):
-        raise IndexOutOfRange(f"finite tower has {len(NEW_ENERGIES)} levels")
+        raise ValueError(f"finite tower has {len(NEW_ENERGIES)} levels")
     for j in range(n_levels):
         r0, r1, r2 = _rationals(Basis.SUSY_NEW, j)
         f = out[0, j] = r0(x)
@@ -393,11 +393,11 @@ def susy_ladder_action(subspace: Basis, direction: str, index: int,
     if operator not in ("full", "linearized"):
         raise ValueError("operator must be 'full' or 'linearized'")
     if index < 0:
-        raise IndexOutOfRange("index must be non-negative")
+        raise ValueError("index must be non-negative")
     finite = subspace == Basis.SUSY_NEW
     kappa = len(NEW_ENERGIES)
     if finite and index >= kappa:
-        raise IndexOutOfRange(f"finite tower has {kappa} levels")
+        raise ValueError(f"finite tower has {kappa} levels")
     target = index - 1 if direction == "lower" else index + 1
     if target < 0 or (finite and target == kappa):
         return 0.0, None

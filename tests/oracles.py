@@ -44,7 +44,7 @@ def transformed_eigenfunction_rows(seeds: Sequence[SeedSolution], n: int,
 def beamsplitter_apply(amplitudes: np.ndarray, setting: BeamSplitterSetting) -> np.ndarray:
     """The splitter applied to the amplitudes over |alpha, beta> full-line
     levels, a new complex array: each populated anti-diagonal is packed and
-    rotated by its Risbo block, as in entropy_scan.  Raises CutoffExceeded
+    rotated by its Risbo block, as in entropy_scan.  Raises TruncationTooSmall
     when a populated total reaches the array's size."""
     totals = sorted(set(np.add(*np.nonzero(amplitudes)).tolist()))
     pack = _Diagonals(len(amplitudes), totals, 1)

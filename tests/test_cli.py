@@ -287,6 +287,23 @@ def test_seed_runs_write_the_recorded_csv_bytes(tmp_path, run_cli, key, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_recorded_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cli_env):
+    # the benchmark gives its children one BLAS thread per CPU; one child
+    # held to a single thread must write the same recorded bytes
+    runs = _recorded_runs()
+    probe = ("from truncosc.cli import main\n"
+             f"print([main(key.split()) for key, _ in {runs!r}])")
+    env = dict(cli_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str([0] * len(runs))
+    for key, digest in runs:
+        args = key.split()
+        out = tmp_path / args[args.index("--out") + 1]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, key
+
+
 def test_partner_uncertainty_builds_its_tables_from_one_row_call(tmp_path, run_cli,
                                                                  monkeypatch):
     calls = []

@@ -36,7 +36,7 @@ from truncosc.entangle import (
     linear_entropy,
     reduced_density,
 )
-from truncosc.errors import CutoffExceeded, DivergenceError, ExpansionResidualTooLarge, GramNotPSD
+from truncosc.errors import DivergenceError, TruncationTooSmall
 from truncosc.fock import Basis, _truncated_block, hermite_normalized, rows
 from truncosc.numerics import gauss_halfline
 
@@ -195,9 +195,9 @@ def test_gram_matrices_are_read_only_copies():
 
 
 def test_gram_validation_rejects_bad_matrices():
-    with pytest.raises(GramNotPSD):
+    with pytest.raises(ValueError, match="Gram matrix is not symmetric"):
         GramMatrix(np.array([[0.5, 0.2], [0.3, 0.5]]))
-    with pytest.raises(GramNotPSD):
+    with pytest.raises(ValueError, match="Gram matrix has a negative eigenvalue"):
         GramMatrix(np.array([[0.5, 0.9], [0.9, 0.5]]))
     with pytest.raises(ValueError):
         gram_matrix(0)
@@ -334,7 +334,8 @@ def test_setting_domain_validation():
 def test_apply_guards_the_cutoff():
     amp = np.zeros((4, 4), dtype=complex)
     amp[3, 3] = 1.0  # total 6 >= cutoff 4
-    with pytest.raises(CutoffExceeded):
+    with pytest.raises(TruncationTooSmall,
+                       match="populated total photon number 6 needs cutoff > 4"):
         beamsplitter_apply(amp, BeamSplitterSetting(0.5, 0.0))
 
 
@@ -490,7 +491,7 @@ def test_partner_embedding_residual_guard():
     # recovers 1 - 1e-6 of the norm: cutoff 60 still fails, 80 passes
     cs = build_cs(Family.SUSY_NEW, 1.0)
     for cutoff in (40, 60):
-        with pytest.raises(ExpansionResidualTooLarge):
+        with pytest.raises(TruncationTooSmall, match=f"of the norm at cutoff {cutoff}$"):
             entangle._embedded_modes(cs, cutoff)
     mode_a, mode_b = entangle._embedded_modes(cs, 80)
     assert mode_a.size == mode_b.size == 40  # the odd levels below 80

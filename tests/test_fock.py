@@ -10,7 +10,6 @@ import pytest
 
 import truncosc.fock as fock_module
 from truncosc import cli
-from truncosc.errors import IndexOutOfRange
 from truncosc.fock import (
     Basis,
     hermite_normalized,
@@ -89,6 +88,12 @@ def test_hermite_normalized_stays_finite_at_high_order():
     assert np.allclose(h[n], raw, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("n_max", [-1, -2])
+def test_hermite_normalized_rejects_a_negative_order(n_max):
+    with pytest.raises(ValueError, match=f"^n_max must be non-negative, got {n_max}$"):
+        hermite_normalized(n_max, [0.5])
+
+
 # ----------------------------------------------------------------------------
 # the row engine
 # ----------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def test_truncated_rows_match_mpmath_hermite_functions():
 
 
 def test_rows_validate_their_arguments():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="need at least one level, got 0"):
         rows(Basis.TRUNCATED, 0, [0.5])
     with pytest.raises(ValueError):
         rows("full-line", 3, [0.5])

@@ -344,6 +344,10 @@ def test_every_error_type_is_raised_or_subclassed():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised |= set(_read_names(exc))
     assert [cls.name for cls in classes if cls.name not in raised | bases] == []
+    # one class per failure kind; an argument outside a domain is a ValueError
+    assert [cls.name for cls in classes] == [
+        "TruncOscError", "DivergenceError", "PoleError", "NonConvergence",
+        "NotNormalizable", "TruncationTooSmall", "SingularWronskian"]
 
 
 def _package_imports(node: ast.AST) -> list:

@@ -19,7 +19,7 @@ from truncosc.coherent import (
     identity_resolution_check,
     iso_measure,
 )
-from truncosc.errors import GammaPole, IndexOutOfRange, SingularWronskian
+from truncosc.errors import PoleError, SingularWronskian
 from truncosc.fock import Basis, level_energy, rows
 from truncosc.numerics import gauss_halfline, log_gamma_signed, rising_factorial
 from truncosc.susy import (
@@ -82,7 +82,7 @@ def test_seed_parity_branches():
 def test_seed_gamma_pole_guard():
     # finite nonzero asymmetry hits the gamma-ratio pole when
     # (3 - 2 eps)/4 is a nonpositive integer
-    with pytest.raises(GammaPole):
+    with pytest.raises(PoleError, match="gamma-ratio pole at epsilon=1.5; "):
         SeedSolution(1.5, 1.0)
     # the pure parity branches stay usable at the same energy
     SeedSolution(1.5, 0.0)
@@ -245,7 +245,7 @@ def test_ladder_annihilation_points():
     coeff, target = susy_ladder_action(Basis.SUSY_NEW, "raise",
                                        len(NEW_ENERGIES) - 1)
     assert coeff == 0.0 and target is None
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match=f"finite tower has {len(NEW_ENERGIES)} levels"):
         susy_ladder_action(Basis.SUSY_NEW, "lower", len(NEW_ENERGIES))
 
 
