@@ -1,6 +1,6 @@
 """Coherent-state families over the half-line ladder and its partner towers.
 
-build_cs constructs all six families:
+build_cs constructs all six families from one recurrence (_raw_amplitudes):
 
 * "lowering"         -- eigenstates of the lowering operator,
                         amplitudes z^k / sqrt(prod_{j<=k} step(j)),
@@ -24,8 +24,9 @@ For the half-line oscillator, the lowering-family norm constant has the
 closed form [sinh|z| / |z|]^{-1/2} and the displacement family exists
 only for |z| < 1/2 with norm constant (1 - 4|z|^2)^{3/4}.  Normalization
 is always computed from the direct amplitude sum; closed forms are
-cross-checks, not inputs.  The finite-tower state takes the principal
-branch of sqrt((-delta1/2)_j), which shows only in relative phases.
+cross-checks, not inputs.  The finite tower's steps take principal roots,
+the principal branch of sqrt((-delta1/2)_j) on both its levels; it shows
+only in relative phases.
 WINDOWS is the one table of the level windows each family's scans use.
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import NotNormalizable, TruncationTooSmall
 from .fock import Basis, ladder_apply, ladder_step_sq, level_energy
-from .numerics import qag, rising_factorial
+from .numerics import qag
 from .susy import DELTA1, NEW_ENERGIES
 
 __all__ = [
@@ -109,6 +110,8 @@ def _raw_amplitudes(family: Family, z: complex, truncation: int) -> np.ndarray:
 
     Each family is one factor triple; up is None where the family has no
     raising weight, so that no multiply by 1 touches the signs of zeros.
+    The finite tower's up[j] is the principal root of the Pochhammer ratio
+    (-delta1/2)_j / (-delta1/2)_{j-1}.
     """
     k = np.arange(truncation)
     up = None
@@ -118,6 +121,8 @@ def _raw_amplitudes(family: Family, z: complex, truncation: int) -> np.ndarray:
         w, up, down = z, np.sqrt(ladder_step_sq(k)), k
     elif family == Family.LIN_LOWERING:
         w, down = z / math.sqrt(2.0), np.sqrt(k)
+    elif family == Family.SUSY_NEW:
+        w, up, down = math.sqrt(2.0) * z, np.sqrt(k - 1 - DELTA1 / 2.0 + 0j), k
     else:  # lin-displacement, and susy-iso, whose amplitudes are its series
         w, down = math.sqrt(2.0) * z, np.sqrt(k)
     c = np.zeros(truncation, dtype=complex)
@@ -147,22 +152,14 @@ def build_cs(family: Family, z: complex, truncation: int = 64) -> CoherentState:
     The series families keep `truncation` levels; the finite tower
     (susy-new) holds all its levels, whatever the truncation.  Raises
     NotNormalizable off the displacement disk |z| < DISPLACEMENT_RADIUS
-    or on overflow, and TruncationTooSmall when the last kept amplitude
-    still carries weight above 1e-12 of the norm.
+    or on overflow, and TruncationTooSmall when a series' last kept
+    amplitude still carries weight above 1e-12 of the norm.
     """
     family = Family(family)
-    if family == Family.SUSY_NEW:
-        z = complex(z)
-        c = np.zeros(len(NEW_ENERGIES), dtype=complex)
-        for j in range(c.size):
-            poch = rising_factorial(-DELTA1 / 2.0, j)
-            c[j] = ((math.sqrt(2.0) * z) ** j / math.factorial(j)
-                    * complex(np.sqrt(complex(poch))))
-        with np.errstate(over="ignore"):  # an infinite norm leaves a zero state, rejected below
-            norm = float(np.linalg.norm(c))
-        return CoherentState(family=family, z=z, amplitudes=c / norm,
-                             norm_constant=1.0 / norm, energies=np.array(NEW_ENERGIES))
-    if truncation < 2:
+    finite = family == Family.SUSY_NEW
+    if finite:
+        truncation = len(NEW_ENERGIES)
+    elif truncation < 2:
         raise ValueError("truncation must be at least 2")
     if family == Family.DISPLACEMENT and abs(z) >= DISPLACEMENT_RADIUS:
         raise NotNormalizable(f"displacement norm series diverges at |z| = {abs(z):.4g}")
@@ -172,12 +169,12 @@ def build_cs(family: Family, z: complex, truncation: int = 64) -> CoherentState:
         c = _raw_amplitudes(family, z, truncation)
         norm = float(np.linalg.norm(c))
         edge = np.abs(c[-1])
-        if edge > 1e-12 * norm:
+        if not finite and edge > 1e-12 * norm:  # the finite tower's top level is no tail
             raise TruncationTooSmall(
                 f"amplitude at the truncation edge is {edge / norm:.2e} of the norm")
+        energies = np.array(NEW_ENERGIES) if finite else level_energy(np.arange(truncation))
         return CoherentState(family=family, z=complex(z), amplitudes=c / norm,
-                             norm_constant=1.0 / norm,
-                             energies=level_energy(np.arange(truncation)))
+                             norm_constant=1.0 / norm, energies=energies)
 
 
 # ----------------------------------------------------------------------------

@@ -36,17 +36,19 @@ with the spectral ones to 7e-14 and stay orthogonal to 8e-14 up to total
 822.  One sweep up to the largest populated total rotates the
 anti-diagonals of many states at once, each state held as its populated
 anti-diagonals packed one after another (`_Diagonals`), not as a padded
-matrix: `entropy_scan` packs every |z| point of a chunk at both cutoffs,
-about c^2 entries a state where the padded (2c - 1)^2 matrix would be
-four times that.  A chunk's packed states hold at most 16 MiB, so memory
-does not grow with the number of points, and each state goes through its
-own product, so its bits do not depend on the points rotated with it.
-Each state is reduced from one P x P buffer per cutoff, reused across
-the chunk.
-Entropy runs load no scipy.  The partner-tower projections onto the
-half-line basis do not depend on |z| either: `entropy_scan` builds them
-once per cutoff from the rows of `fock.rows`, with the Gram matrices,
-before any packed state, and each |z|'s state once for both cutoffs.
+matrix: `entropy_scan` packs every |z| point of a chunk, one pack per
+cutoff, about c^2 entries a state where the padded (2c - 1)^2 matrix
+would be four times that.  A chunk's packed states hold at most 16 MiB,
+so memory does not grow with the number of points.  Each pack goes
+through its own batched product per total, in place, and each state
+through its own product in it, so a state's bits do not depend on the
+points rotated with it.  Each state is reduced from one P x P buffer per
+cutoff, reused across the chunk.
+Entropy runs load no scipy.  `entropy_scan` builds the two Gram matrices
+once and hands them to every chunk.  The partner-tower projections onto
+the half-line basis do not depend on |z| either: they are built once per
+cutoff from the rows of `fock.rows`, before any packed state.  Each |z|'s
+state is built once and embedded at both cutoffs.
 
 Half-line geometry: restrictions of full-line levels to (0, inf) are
 not orthogonal across parities; their normalized overlaps form the Gram
@@ -140,8 +142,7 @@ class GramMatrix:
     construction checks that the same-parity blocks are exactly I/2 and
     that G is positive semidefinite to 1e-10, from the largest eigenvalue
     of C^T C for the cross block C = G[0::2, 1::2].  The entries
-    are a read-only copy: gram_matrix's cache hands one record to every
-    caller.
+    are a read-only copy: a scan hands one record to all its chunks.
     """
 
     entries: np.ndarray
@@ -169,7 +170,6 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-@lru_cache(maxsize=8)
 def gram_matrix(size: int) -> GramMatrix:
     """Gram matrix of the first `size` restricted normalized levels, exact
     at every size in O(size^2) work, with nothing larger than G.
@@ -352,29 +352,22 @@ def _rotate_in_place(packs: Sequence[_Diagonals], setting: BeamSplitterSetting
     """Apply the splitter to every state of each pack.
 
     One sweep builds the real blocks d_total by `_risbo_blocks` up to the
-    largest packed total; at each packed total the anti-diagonal x of every
-    state is replaced by phase * (d_total @ (conj(phase) * x)), phase =
-    e^{i phi k}, in one batched product over all states.  The packs' own
-    guard has already rejected a total that reaches its states' size.
+    largest packed total; at each total a pack holds, the anti-diagonal x of
+    each of its states is replaced in place by phase * (d_total @ (conj(phase)
+    * x)), phase = e^{i phi k}, in one batched product per pack.  The packs'
+    own guard has already rejected a total that reaches its states' size.
     """
     top = max((max(pack.totals) for pack in packs if pack.totals), default=0)
     phase = np.exp(1j * setting.phi * np.arange(top + 1))
     for total, block in _risbo_blocks(top, setting.theta):
-        live = [(pack.data, slice(pack.starts[total], pack.starts[total] + total + 1))
-                for pack in packs if total in pack.starts]
-        if not live:
-            continue
-        x = np.concatenate([data[:, span] for data, span in live])
-        x = np.multiply(x, phase[:total + 1].conj(), order="C")
-        # one batched product: each state's real and imaginary parts are the
-        # two columns of its own (total+1) x 2 factor, so a state's bits do
-        # not depend on the states rotated with it
-        y = np.matmul(block, x.view(float).reshape(len(x), total + 1, 2))
-        y = y.reshape(len(x), -1).view(complex) * phase[:total + 1]
-        start = 0
-        for data, span in live:
-            data[:, span] = y[start:start + len(data)]
-            start += len(data)
+        for pack in (pack for pack in packs if total in pack.starts):
+            span = slice(pack.starts[total], pack.starts[total] + total + 1)
+            x = np.multiply(pack.data[:, span], phase[:total + 1].conj(), order="C")
+            # each state's real and imaginary parts are the two columns of its
+            # own (total+1) x 2 factor, so its bits do not depend on the
+            # states rotated with it
+            y = np.matmul(block, x.view(float).reshape(len(x), total + 1, 2))
+            pack.data[:, span] = y.reshape(len(x), -1).view(complex) * phase[:total + 1]
 
 
 # ----------------------------------------------------------------------------
@@ -557,17 +550,17 @@ def min_cutoff(family: Family) -> tuple[int, str]:
 
 
 def _entropy_chunk(family: Family, z_chunk: Sequence[float], n_terms: int,
-                   setting: BeamSplitterSetting, cutoffs: Sequence[int]
-                   ) -> list[EntropyRecord]:
-    """Records of one chunk of |z| points: the Gram matrices of both cutoffs
-    come from gram_matrix's cache, each state is built once and embedded at
-    both cutoffs (so the partner projections precede the packed states), one
-    sweep rotates them all, and each is reduced from one P x P buffer per
-    cutoff.  The packed states are freed on return, before the next chunk's
-    are allocated."""
-    grams = [gram_matrix(2 * b - 1) for b in cutoffs]
-    modes = [[_embedded_modes(build_cs(family, z_abs, truncation=n_terms), c)
-              for c in cutoffs] for z_abs in z_chunk]
+                   setting: BeamSplitterSetting, cutoffs: Sequence[int],
+                   grams: Sequence[GramMatrix]) -> list[EntropyRecord]:
+    """Records of one chunk of |z| points, given the Gram matrix of each
+    cutoff: each state is built once and embedded at both cutoffs (so the
+    partner projections precede the packed states), one sweep rotates them
+    all, and each is reduced from one P x P buffer per cutoff.  The packed
+    states are freed on return, before the next chunk's are allocated."""
+    modes = []
+    for z_abs in z_chunk:
+        cs = build_cs(family, z_abs, truncation=n_terms)
+        modes.append([_embedded_modes(cs, c) for c in cutoffs])
     packs = []
     for b, gram in enumerate(grams):
         n_a, n_b = (mode.size for mode in modes[0][b])
@@ -598,17 +591,19 @@ def entropy_scan(family: Family, z_moduli: Sequence[float],
     States keep n_terms levels (default: the family's coherent.WINDOWS
     entry); as in build_cs, the partner towers are those of the
     frozen fourth-order model.  Records are flagged unconverged when the
-    two cutoffs disagree by 5e-3 or more.  Gram matrices and partner
-    projections are built first and cached (see the module docstring);
-    then one splitter sweep rotates the states of each chunk of
-    `points_per_sweep` |z| points.
+    two cutoffs disagree by 5e-3 or more.  The two Gram matrices are built
+    once, before the first chunk, and the partner projections with the
+    first chunk's states (see the module docstring); then one splitter
+    sweep rotates the states of each chunk of `points_per_sweep` |z| points.
     """
     if n_terms is None:
         n_terms = WINDOWS[Family(family)].entropy_terms
     z_moduli = [float(z) for z in z_moduli]
+    cutoffs = _scan_cutoffs(cutoff)
+    grams = [gram_matrix(2 * b - 1) for b in cutoffs]
     chunk = points_per_sweep(cutoff)
     records = []
     for first in range(0, len(z_moduli), chunk):
         records += _entropy_chunk(family, z_moduli[first:first + chunk], n_terms,
-                                  setting, _scan_cutoffs(cutoff))
+                                  setting, cutoffs, grams)
     return records

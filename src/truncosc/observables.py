@@ -130,12 +130,10 @@ def _closed_p(n: int, m: int) -> complex:
 
 def _closed_p2(n: int, m: int) -> float:
     out = 0.5 if n == m else 0.0
-    if n == m - 1:
-        out -= 2.0 * math.sqrt(2 * m * (2 * m + 1))
     if abs(n - m) <= 1:
         log_mag = (0.5 * (log_gamma_signed(2 * n + 2)[0] + log_gamma_signed(2 * m + 2)[0])
                    - log_gamma_signed(n + m + 1)[0])
-        weight = {1: -0.5, 0: 1.0, -1: 1.5}[n - m]
+        weight = 1.0 if n == m else -0.5
         out += 2.0 * weight * math.exp(log_mag)
     return out
 

@@ -10,6 +10,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -304,6 +305,31 @@ def test_recorded_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cli
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, key
 
 
+def test_drawn_angle_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cli_env):
+    # seed 1's observables and entropy invocations, whose entropy angles are
+    # drawn away from pi/2: a one-thread child and a child with the
+    # benchmark's one thread per CPU write the same bytes
+    listing = ("import json, sys; sys.path.insert(0, 'perfbench'); from run import invocations; "
+               "print(json.dumps([args for workload in ('observables', 'entropy') "
+               "for _, args in invocations(workload, 1)]))")
+    res = subprocess.run([sys.executable, "-c", listing], cwd=DIGESTS.parents[1],
+                         capture_output=True, text=True, check=True)
+    runs = json.loads(res.stdout)
+    assert len(runs) == 7
+    probe = f"from truncosc.cli import main\nprint([main(args) for args in {runs!r}])"
+    outputs = []
+    for threads in ("1", str(len(os.sched_getaffinity(0)))):
+        cwd = tmp_path / threads
+        cwd.mkdir(exist_ok=True)
+        env = dict(cli_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == str([0] * len(runs))
+        outputs.append([(cwd / args[-1]).read_bytes() for args in runs])
+    assert outputs[0] == outputs[1]
+
+
 def test_partner_uncertainty_builds_its_tables_from_one_row_call(tmp_path, run_cli,
                                                                  monkeypatch):
     calls = []
@@ -398,8 +424,7 @@ def test_entropy_memory_model_bounds_the_traced_peak(family, basis, steps):
     # partner projections or the splitter sweep over the packed states, and
     # the model must bound both; a one-point scan at basis 160 peaks in the
     # projections (14.8 MB traced), past the sweep's part of the model
-    for cache in (entangle.gram_matrix, entangle._susy_level_projections):
-        cache.cache_clear()
+    entangle._susy_level_projections.cache_clear()
     z_grid = np.linspace(0.0, 1.0 if family == "susy-iso" else 2.0, steps)
     tracemalloc.start()
     try:
@@ -417,7 +442,6 @@ def test_entropy_memory_does_not_grow_with_the_steps():
     chunk = entangle.points_per_sweep(43)
     peaks = []
     for steps in (chunk, 3 * chunk):
-        entangle.gram_matrix.cache_clear()
         tracemalloc.start()
         try:
             entangle.entropy_scan("lowering", np.linspace(0.0, 2.0, steps), BALANCED, cutoff=43)
@@ -440,7 +464,7 @@ def test_memory_model_bounds_the_traced_peak_of_basis_sized_runs(
     for module in ("scipy.linalg", "scipy.special"):
         importlib.import_module(module)
     for cache in (numerics.gauss_halfline, observables._quadrature_tables, susy._rationals,
-                  entangle.gram_matrix, entangle._susy_level_projections):
+                  entangle._susy_level_projections):
         cache.cache_clear()
     config = RunConfig(command=command, family=family,
                        model="SUSY_Q4" if family == "susy-iso" else "TRUNC",
@@ -542,6 +566,11 @@ def test_uncertainty_window_that_drops_probability_is_a_numerical_failure(
     ["--command", "density", "--zmax", "1e7"],
     ["--command", "density", "--family", "susy-iso", "--model", "SUSY_Q4",
      "--zmax", "1e200"],
+    # sqrt(2) z overflows: the finite tower's amplitude is inf + NaN i, its norm NaN
+    *([*command, "--family", "susy-new", "--model", "SUSY_Q4",
+       "--zmin", "1.3e308", "--zmax", "1.3e308"]
+      for command in (["--command", "density"], ["--command", "uncertainty"],
+                      ["--command", "entropy", "--basis", "80"])),
 ])
 def test_labels_whose_state_overflows_are_a_numerical_failure(tmp_path, run_cli, args):
     out = tmp_path / "x.csv"
@@ -567,6 +596,8 @@ def test_an_overflowing_susy_iso_state_is_named_as_such(tmp_path, run_cli):
     ["--command", "uncertainty", "--zmin", "0", "--zmax", "1e7", "--steps", "2"],
     ["--command", "density", "--family", "susy-new", "--model", "SUSY_Q4",
      "--zmax", "1e200"],
+    ["--command", "entropy", "--family", "susy-new", "--model", "SUSY_Q4",
+     "--basis", "80", "--zmin", "1.3e308", "--zmax", "1.3e308"],
 ])
 def test_an_overflowing_state_prints_no_numpy_warning(tmp_path, cli_env, args):
     # a fresh interpreter, so that numpy's warnings reach stderr as a user sees them

@@ -745,18 +745,26 @@ def test_scan_points_do_not_depend_on_their_chunk(monkeypatch):
     together = entropy_scan(Family.SUSY_NEW, z, setting=setting, cutoff=80)
     alone = [entropy_scan(Family.SUSY_NEW, [x], setting=setting, cutoff=80)[0] for x in z]
     assert together == alone
-    sweeps = []
-    real_rotate = entangle._rotate_in_place
+    sweeps, calls = [], []
+    real_rotate, real_build, real_gram = (entangle._rotate_in_place, entangle.build_cs,
+                                          entangle.gram_matrix)
 
     def counting_rotate(packs, setting):
         sweeps.append(len(packs[0].data))
         return real_rotate(packs, setting)
 
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
     monkeypatch.setattr(entangle, "_rotate_in_place", counting_rotate)
+    monkeypatch.setattr(entangle, "build_cs", counting("build_cs", real_build))
+    monkeypatch.setattr(entangle, "gram_matrix", counting("gram_matrix", real_gram))
     monkeypatch.setattr(entangle, "_SWEEP_STATE_BYTES", 2 * 16 * (80 ** 2 - 1 + 120 ** 2 - 1))
     assert entangle.points_per_sweep(80) == 2
     assert entropy_scan(Family.SUSY_NEW, z, setting=setting, cutoff=80) == together
     assert sweeps == [2, 2, 1]
+    # each input is built once: one Gram matrix per cutoff, one state per point
+    assert (calls.count("gram_matrix"), calls.count("build_cs")) == (2, 5)
     assert entropy_scan(Family.SUSY_NEW, [], setting, cutoff=80) == []
 
 
