@@ -9,8 +9,12 @@ Hamiltonian generated from four factorization-energy seeds (with an
 infinite isospectral tower plus two newly created bound states and
 coherent states on both), and a two-mode beam-splitter entanglement
 pipeline over the half-line.  The `cli` module exposes everything as
-deterministic CSV scans plus a validation suite.
+deterministic CSV scans plus a validation suite.  Importing the package
+sets one OpenBLAS thread for every OpenBLAS loaded after it.
 """
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # small products: README, "Threads"
 from .errors import (
     DivergenceError,
     NonConvergence,

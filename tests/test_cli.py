@@ -26,7 +26,8 @@ from truncosc.cli import RunConfig, main
 from truncosc.entangle import BeamSplitterSetting, EntropyRecord
 from truncosc.fock import Basis
 
-DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DIGESTS = PERFBENCH / "digests.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
 BALANCED = BeamSplitterSetting(math.pi / 2, 0.0)
 
@@ -288,17 +289,30 @@ def test_seed_runs_write_the_recorded_csv_bytes(tmp_path, run_cli, key, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_recorded_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cli_env):
-    # the benchmark gives its children one BLAS thread per CPU; one child
-    # held to a single thread must write the same recorded bytes
-    runs = _recorded_runs()
-    probe = ("from truncosc.cli import main\n"
-             f"print([main(key.split()) for key, _ in {runs!r}])")
-    env = dict(cli_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+def _many_thread_child(probe: str, cwd: Path, cli_env: dict) -> list:
+    """Run probe in a child whose OpenBLAS loads before truncosc, with one
+    thread per CPU (OpenBLAS caps its count there); check that count and
+    return the list the probe prints last."""
+    threads = len(os.sched_getaffinity(0))
+    head = (f"import sys; sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import scipy.linalg\n"
+            "from child import _openblas\n"
+            "from truncosc.cli import main\n"
+            "print(_openblas()['threads'])\n")
+    env = dict(cli_env, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    res = subprocess.run([sys.executable, "-c", head + probe], cwd=cwd, env=env,
                          capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == str([0] * len(runs))
+    assert res.stdout.splitlines()[0] == str(threads)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_recorded_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cli_env):
+    # truncosc loads OpenBLAS with one thread; a child whose OpenBLAS is
+    # already loaded with one thread per CPU must write the same recorded bytes
+    runs = _recorded_runs()
+    probe = f"print([main(key.split()) for key, _ in {runs!r}])"
+    assert _many_thread_child(probe, tmp_path, cli_env) == [0] * len(runs)
     for key, digest in runs:
         args = key.split()
         out = tmp_path / args[args.index("--out") + 1]
@@ -307,27 +321,66 @@ def test_recorded_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cli
 
 def test_drawn_angle_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cli_env):
     # seed 1's observables and entropy invocations, whose entropy angles are
-    # drawn away from pi/2: a one-thread child and a child with the
-    # benchmark's one thread per CPU write the same bytes
+    # drawn away from pi/2: the CLI's one-thread child and a child whose
+    # OpenBLAS runs one thread per CPU write the same bytes
     listing = ("import json, sys; sys.path.insert(0, 'perfbench'); from run import invocations; "
                "print(json.dumps([args for workload in ('observables', 'entropy') "
                "for _, args in invocations(workload, 1)]))")
-    res = subprocess.run([sys.executable, "-c", listing], cwd=DIGESTS.parents[1],
+    res = subprocess.run([sys.executable, "-c", listing], cwd=PERFBENCH.parent,
                          capture_output=True, text=True, check=True)
     runs = json.loads(res.stdout)
     assert len(runs) == 7
-    probe = f"from truncosc.cli import main\nprint([main(args) for args in {runs!r}])"
-    outputs = []
-    for threads in ("1", str(len(os.sched_getaffinity(0)))):
-        cwd = tmp_path / threads
-        cwd.mkdir(exist_ok=True)
-        env = dict(cli_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        res = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
-                             capture_output=True, text=True, timeout=600)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == str([0] * len(runs))
-        outputs.append([(cwd / args[-1]).read_bytes() for args in runs])
-    assert outputs[0] == outputs[1]
+    probe = f"print([main(args) for args in {runs!r}])"
+    one, many = tmp_path / "one", tmp_path / "many"
+    one.mkdir()
+    many.mkdir()
+    res = subprocess.run([sys.executable, "-c", "from truncosc.cli import main\n" + probe],
+                         cwd=one, env=cli_env, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str([0] * len(runs))
+    assert _many_thread_child(probe, many, cli_env) == [0] * len(runs)
+    for args in runs:
+        assert (one / args[-1]).read_bytes() == (many / args[-1]).read_bytes(), args
+
+
+# Prints {library path: thread count} for every OpenBLAS mapped into the
+# process; perfbench/child.py's _openblas() reads the first one alone
+BLAS_THREADS = r"""
+import ctypes, json
+def blas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    counts = {}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get_threads = getattr(lib, name, None)
+            if get_threads is not None:
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                counts[path] = get_threads()
+                break
+    print(json.dumps(counts))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="reads /proc/self/maps")
+def test_truncosc_loads_every_openblas_with_one_thread(tmp_path, cli_env):
+    # asked for two threads, numpy's OpenBLAS runs one once truncosc is
+    # imported, and scipy's, which validate loads, runs one too
+    probe = BLAS_THREADS + (
+        "import truncosc.cli\n"
+        "blas_threads()\n"
+        "assert truncosc.cli.main(['--command', 'validate', '--out', 'v.csv']) == 0\n"
+        "blas_threads()\n")
+    env = dict(cli_env, OPENBLAS_NUM_THREADS="2")
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    at_import, after_validate = map(json.loads, res.stdout.splitlines()[-2:])
+    assert at_import and set(at_import) <= set(after_validate)
+    assert set(at_import.values()) == set(after_validate.values()) == {1}
 
 
 def test_partner_uncertainty_builds_its_tables_from_one_row_call(tmp_path, run_cli,

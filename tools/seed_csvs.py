@@ -7,8 +7,10 @@ SRC is the directory that holds the ``truncosc`` package to run (the
 ``invocations()`` in this checkout's ``perfbench/run.py``: ``validate``
 once, and the ``observables`` and ``entropy`` invocations of each seed,
 148 CSVs in all.  One child interpreter imports ``truncosc`` from SRC
-alone and runs them in turn through ``truncosc.cli.main``, with the thread
-settings the benchmark gives its children.  It writes
+alone and runs them in turn through ``truncosc.cli.main``, started as the
+benchmark starts its children (``OPENBLAS_NUM_THREADS`` = nproc); importing
+``truncosc`` first sets one OpenBLAS thread, and the summary line prints
+the count the child ran with.  It writes
 
   OUTDIR/validate.csv
   OUTDIR/seed-NN/<name>.csv   for NN = 00 .. 20
@@ -37,13 +39,15 @@ from run import WORKLOADS, invocations
 SEEDS = range(21)
 
 # Runs [[out, args], ...] read from stdin through truncosc.cli.main, in the
-# directory it is started in; prints where truncosc came from and the exit
-# code of each invocation as JSON.
+# directory it is started in; prints where truncosc came from, the exit code
+# of each invocation and the OpenBLAS thread count as JSON.
 CHILD = r"""
 import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 import truncosc
 from truncosc import cli
+sys.path.insert(0, sys.argv[2])
+from child import _openblas
 codes = []
 for out, args in json.load(sys.stdin):
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -54,7 +58,8 @@ with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):
     cli.main(["--help"])
 with open("help.txt", "w", encoding="utf-8") as fh:
     fh.write(text.getvalue())
-print(json.dumps({"truncosc": truncosc.__file__, "codes": codes}))
+print(json.dumps({"truncosc": truncosc.__file__, "codes": codes,
+                  "openblas_threads": _openblas()["threads"]}))
 """
 
 
@@ -82,7 +87,8 @@ def main(argv: list[str]) -> int:
     runs = [[path, args[:-1] + [path]] for path, args in todo]
     nproc = str(len(os.sched_getaffinity(0)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=nproc, OMP_NUM_THREADS=nproc, COLUMNS="80")
-    child = subprocess.run([sys.executable, "-I", "-B", "-c", CHILD, str(src)], cwd=outdir, env=env,
+    child = subprocess.run([sys.executable, "-I", "-B", "-c", CHILD, str(src),
+                            str(ROOT / "perfbench")], cwd=outdir, env=env,
                            input=json.dumps(runs), capture_output=True, text=True, check=False)
     if child.returncode != 0:
         print(child.stderr, file=sys.stderr)
@@ -102,7 +108,8 @@ def main(argv: list[str]) -> int:
     for line in problems:
         print(line, file=sys.stderr)
     print(f"seed_csvs: {len(todo)} CSVs and help.txt in {outdir}; "
-          f"{len(problems)} problems", file=sys.stderr)
+          f"OpenBLAS threads: {report['openblas_threads']}; {len(problems)} problems",
+          file=sys.stderr)
     return 1 if problems else 0
 
 
