@@ -10,7 +10,9 @@ once, and the ``observables`` and ``entropy`` invocations of each seed,
 alone and runs them in turn through ``truncosc.cli.main``, started as the
 benchmark starts its children (``OPENBLAS_NUM_THREADS`` = nproc); importing
 ``truncosc`` first sets one OpenBLAS thread, and the summary line prints
-the count the child ran with.  It writes
+the count the child ran with: that of numpy's OpenBLAS, the first one
+``perfbench/child.py``'s ``_openblas()`` finds, not that of the copy scipy
+loads for ``validate``.  It writes
 
   OUTDIR/validate.csv
   OUTDIR/seed-NN/<name>.csv   for NN = 00 .. 20
