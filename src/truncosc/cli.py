@@ -18,12 +18,6 @@ projections, operator tables) are built once and reused immutably.
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.  All progress and diagnostics go to standard
 error; files carry the numbers.
-
-The --seed-config flag points to a text file with one "epsilon nu" pair
-per line ('#' comments allowed; nu may be 'inf' or '-inf' for the pure
-odd branch).  validate then also builds that custom factorization-energy
-grid, checks each seed against an independent series oracle, and checks
-model admissibility (ordering, bounds, nonsingular Wronskian).
 """
 from __future__ import annotations
 
@@ -62,7 +56,7 @@ from .entangle import (
     min_cutoff,
     scan_bytes,
 )
-from .errors import DivergenceError, SingularWronskian, TruncOscError
+from .errors import TruncOscError
 from .fock import Basis, level_energy, rows as eigen_rows
 from .numerics import gauss_halfline
 from .observables import discrepancy_report, uncertainty_scan
@@ -72,7 +66,6 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "build_parser",
-    "parse_seed_config",
     "cmd_density",
     "cmd_uncertainty",
     "cmd_entropy",
@@ -155,7 +148,6 @@ class RunConfig:
     theta: float = math.pi / 2.0
     phi: float = 0.0
     output_path: Optional[str] = None
-    seed_config: Optional[str] = None
 
     def validate(self) -> None:
         if self.command not in _HANDLERS:
@@ -200,13 +192,12 @@ class RunConfig:
                               f"{_MEMORY_BUDGET >> 20} MiB budget (see --help for the maxima)")
 
     def config_hash(self) -> str:
-        """Hash of every input: the flags and the bytes of the seed config."""
-        seed = ("" if self.seed_config is None else
-                hashlib.sha256(Path(self.seed_config).read_bytes()).hexdigest())
+        """Hash of every flag that decides the numbers."""
         payload = "|".join([
             self.command, self.family, self.model,
             f"{self.z_min:.17g}", f"{self.z_max:.17g}", str(self.z_steps),
-            str(self.basis_size), f"{self.theta:.17g}", f"{self.phi:.17g}", seed,
+            str(self.basis_size), f"{self.theta:.17g}", f"{self.phi:.17g}",
+            "",  # the retired seed-file digest; dropping it would move every hash
         ])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
@@ -248,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta", type=float)
     parser.add_argument("--phi", type=float)
     parser.add_argument("--out", dest="output_path")
-    parser.add_argument("--seed-config", dest="seed_config",
-                        help="text file of 'epsilon nu' pairs for a custom "
-                             "factorization-energy grid (checked by validate; "
-                             "every run parses it and hashes its bytes)")
     return parser
 
 
@@ -559,72 +546,6 @@ def _check_iso_measure():
             f"flat-density moment deviation {dev:.3e} (tol 1e-6)")
 
 
-def parse_seed_config(path: str) -> tuple:
-    """Read 'epsilon nu' pairs: epsilon finite, nu also inf/-inf for the odd branch."""
-    pairs = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected 'epsilon nu', got {raw!r}")
-                try:
-                    eps = float(parts[0])
-                    nu = float(parts[1])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-                if math.isnan(eps) or math.isnan(nu):
-                    raise ConfigError(f"{path}:{lineno}: NaN is not a value")
-                if not math.isfinite(eps):
-                    raise ConfigError(
-                        f"{path}:{lineno}: epsilon must be finite, got {eps}")
-                pairs.append((eps, nu))
-    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError
-        raise ConfigError(f"cannot read seed config {path}: {exc}") from exc
-    if not pairs:
-        raise ConfigError(f"seed config {path} holds no seed lines")
-    return tuple(pairs)
-
-
-def _check_seed_config(path: str):
-    pairs = parse_seed_config(path)
-    eps = [p[0] for p in pairs]
-    if len(pairs) % 2 != 0:
-        return "FAIL", f"need an even number of seeds, got {len(pairs)}"
-    if any(e2 <= e1 for e1, e2 in zip(eps, eps[1:])):
-        return "FAIL", f"factorization energies must increase strictly: {eps}"
-    if max(eps) >= 0.5:
-        return "FAIL", (f"factorization energies must stay below the 1/2 "
-                        f"threshold: max is {max(eps)}")
-    grid = np.linspace(0.05, 8.0, 500)
-    sample = np.linspace(0.1, 6.0, 60)
-    seeds = []
-    for e, nu in pairs:
-        seed = _susy.SeedSolution(e, nu)
-        try:
-            u = seed(sample)
-            u2 = seed.second_derivative_direct(sample)
-        except DivergenceError as exc:
-            return "FAIL", (f"seed (epsilon={e}, nu={nu}) misses its defining "
-                            f"equation: {exc}")
-        res = float(np.max(np.abs(-0.5 * u2 + (0.5 * sample ** 2 - e) * u)))
-        scale = float(np.max(np.abs(u)))
-        if not res <= 1e-8 * max(scale, 1.0):  # a NaN residual fails too
-            return "FAIL", (f"seed (epsilon={e}, nu={nu}) misses its defining "
-                            f"equation by {res:.3e}")
-        seeds.append(seed)
-    try:
-        _susy.wronskian_potential(tuple(seeds), grid)
-    except (SingularWronskian, ValueError) as exc:
-        return "FAIL", f"seed grid gives a singular construction: {exc}"
-    return "PASS", (f"{len(pairs)} seeds verified against the series oracle; "
-                    f"Wronskian regular on (0, 8]")
-
-
 _CHECKS = (
     ("lowering-norm-closed", _check_lowering_norm),
     ("displacement-norm-closed", _check_displacement_norm),
@@ -649,16 +570,10 @@ _CHECKS = (
 
 
 def cmd_validate(config: RunConfig) -> int:
-    checks = list(_CHECKS)
-    if config.seed_config is not None:
-        checks.append(("seed-config-model",
-                       lambda: _check_seed_config(config.seed_config)))
     results = []
-    for name, check in checks:
+    for name, check in _CHECKS:
         try:
             status, detail = check()
-        except ConfigError:
-            raise
         except Exception as exc:  # a crashed check is a failed check
             status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
         results.append((name, status, detail))
@@ -689,8 +604,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         config.validate()
-        if config.seed_config is not None:
-            parse_seed_config(config.seed_config)  # surface unreadable seeds early
         return _HANDLERS[config.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ Contents:
   the states on both towers; this module imports nothing from coherent).
 
 Other seed sets reach the package only through the general Wronskian
-routes, which `validate --seed-config` checks.
+routes; the tests check them against independent series oracles.
 
 Seed-parity constants for the explicit model were recovered numerically
 (the kernel of the printed intertwiner pins the log-derivative of each
@@ -146,40 +146,6 @@ class SeedSolution:
                 term = term + n * (n - 1) * rows[n - 2]
             rows.append(term)
         return np.array(rows)
-
-    def second_derivative_direct(self, x: Sequence[float]) -> np.ndarray:
-        """u'' from the twice-differentiated series (independent oracle).
-
-        Uses only the contiguous derivative identity of the confluent
-        series, never the differential equation, so it can certify the
-        recurrence route.
-        """
-        x = np.asarray(x, dtype=float)
-        ae, ao = self._a_even, self._a_odd
-        c = self._mixing
-        coeff = math.copysign(1.0, self.nu) if c is None else c
-        h = np.zeros_like(x, dtype=float)
-        h1 = np.zeros_like(h)
-        h2 = np.zeros_like(h)
-        if coeff != 0.0:
-            fo = hyp1f1(ao, 1.5, x * x)
-            fo1 = hyp1f1(ao + 1.0, 2.5, x * x)
-            fo2 = hyp1f1(ao + 2.0, 3.5, x * x)
-            g = x * fo
-            g1 = fo + (4.0 * ao / 3.0) * x * x * fo1
-            g2 = 3.0 * (4.0 * ao / 3.0) * x * fo1 + (16.0 / 15.0) * ao * (ao + 1.0) * x ** 3 * fo2
-            h += coeff * g
-            h1 += coeff * g1
-            h2 += coeff * g2
-        if c is not None:
-            fe = hyp1f1(ae, 0.5, x * x)
-            fe1 = hyp1f1(ae + 1.0, 1.5, x * x)
-            fe2 = hyp1f1(ae + 2.0, 2.5, x * x)
-            h += fe
-            h1 += 4.0 * ae * x * fe1
-            h2 += 4.0 * ae * fe1 + (16.0 / 3.0) * ae * (ae + 1.0) * x * x * fe2
-        w = np.exp(-x * x / 2.0)
-        return w * (h2 - 2.0 * x * h1 + (x * x - 1.0) * h)
 
     def __call__(self, x: Sequence[float]) -> np.ndarray:
         return self.derivatives(x, order=0)[0]

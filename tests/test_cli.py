@@ -5,9 +5,11 @@ test starts `python -m truncosc` as a child to cover the entry point, and
 the import-path guard at the end starts a fresh interpreter.
 """
 
+import argparse
 import csv
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -124,6 +126,21 @@ def test_uncertainty_scan_columns_and_values(tmp_path, run_cli):
     assert float(rows[0][3]) == pytest.approx(0.5528021981, abs=1e-8)
 
 
+def test_lowering_sigma_p_is_its_closed_form_to_the_printed_digits(tmp_path, run_cli):
+    # lowering is the a^2 ladder on the odd levels, so at real z = r
+    # <x^2> - <p^2> = 2r and <p> = 0; with <H> = 1/2 + r coth r that gives
+    # sigma_p = sqrt(1/2 + r coth r - r), where r coth r -> 1 at r = 0
+    out = tmp_path / "uncertainty-lowering.csv"
+    res = run_cli(["--command", "uncertainty", "--out", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    _, header, rows = read_csv(out)
+    assert header[2] == "sigma_p" and len(rows) == 9
+    for row in rows:
+        r = float(row[0])
+        r_coth = r / math.tanh(r) if r > 0.0 else 1.0
+        assert float(row[2]) == pytest.approx(math.sqrt(0.5 + r_coth - r), rel=5e-12), r
+
+
 def test_uncertainty_below_the_30_level_window_sums_the_kept_levels(tmp_path, run_cli):
     # a 16-level basis caps the truncated oscillator's 30-level window; up to
     # |z| = 0.5 the state keeps nothing above level 15, so the scan is the
@@ -237,6 +254,22 @@ def test_converged_entropy_scans_print_no_warning(tmp_path, run_cli):
     assert "warning" not in res.stderr
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1's sign rule: linear_entropy computes 1 - sum |rho|^2, "
+    "which rounds below zero for a product state (S = -4.4e-16 at |z| = 1.25, "
+    "flagged converged)"))
+def test_entropy_at_theta0_passes_the_benchmark_invariants(tmp_path, run_cli):
+    args = ["--command", "entropy", "--theta", "0", "--out", "entropy-theta0.csv"]
+    assert run_cli(args, tmp_path).returncode == 0
+    # the benchmark's output checks, loaded under a name of their own so that
+    # perfbench's bare module name "checks" stays out of this session's imports
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    data = (tmp_path / "entropy-theta0.csv").read_bytes()
+    assert checks.check_csv(args, data, {}) == []
+
+
 # ----------------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------------
@@ -259,20 +292,6 @@ def test_config_hash_tracks_the_configuration(tmp_path, run_cli):
     hash_a = read_csv(a)[0].split()[1]
     hash_b = read_csv(b)[0].split()[1]
     assert hash_a != hash_b
-
-
-def test_config_hash_covers_the_seed_config_contents(tmp_path):
-    seeds = "-5.5 inf\n-4.5 0\n-3.5 inf\n-2.5 0\n"
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    a.write_text(seeds)
-    b.write_text(seeds)
-
-    def digest(path):
-        return RunConfig("validate", seed_config=str(path)).config_hash()
-
-    assert digest(a) == digest(b)
-    b.write_text(seeds.replace("-2.5 0", "-2.25 0"))
-    assert digest(a) != digest(b)
 
 
 def _recorded_runs():
@@ -418,6 +437,22 @@ def test_rejects_degenerate_grids_and_missing_output(tmp_path, run_cli):
         res = run_cli(args, tmp_path)
         assert res.returncode == 2
         assert res.stderr == f"configuration error: {message}\n", args
+
+
+def test_the_parser_reads_exactly_the_ten_run_options():
+    # a new option needs a deliberate edit here
+    options = [option for action in cli.build_parser()._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings]
+    assert options == ["--command", "--family", "--model", "--zmin", "--zmax", "--steps",
+                       "--basis", "--theta", "--phi", "--out"]
+
+
+def test_a_retired_option_is_an_argparse_error(tmp_path, run_cli):
+    res = run_cli(["--command", "validate", "--seed-config", "x"], tmp_path)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --seed-config x" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -688,50 +723,6 @@ def test_validate_rows_do_not_depend_on_the_basis_flag(tmp_path, run_cli):
     assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
-def test_validate_accepts_a_well_formed_seed_config(tmp_path, run_cli):
-    cfg = tmp_path / "seeds.txt"
-    cfg.write_text(
-        "# factorization energies and parity asymmetries\n"
-        "-5.5 inf\n-4.5 0\n-3.5 inf\n-2.5 0\n")
-    res = run_cli(["--command", "validate", "--seed-config", str(cfg),
-                   "--out", str(tmp_path / "v.csv")], tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert "seed-config-model" in res.stderr
-
-
-def test_validate_fails_on_inadmissible_seed_energies(tmp_path, run_cli):
-    cfg = tmp_path / "seeds.txt"
-    cfg.write_text("-2.5 0\n-3.5 inf\n")  # not strictly increasing
-    res = run_cli(["--command", "validate", "--seed-config", str(cfg),
-                   "--out", str(tmp_path / "v.csv")], tmp_path)
-    assert res.returncode == 1
-    assert "FAIL" in res.stderr
-
-
-def test_validate_rejects_an_infinite_seed_energy(tmp_path, run_cli):
-    cfg = tmp_path / "seeds.txt"
-    cfg.write_text("-inf 0\n-2.5 0\n")
-    res = run_cli(["--command", "validate", "--seed-config", str(cfg),
-                   "--out", str(tmp_path / "v.csv")], tmp_path)
-    assert res.returncode == 2
-    assert "epsilon must be finite" in res.stderr
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_validate_fails_a_seed_whose_residual_is_nan(tmp_path, run_cli):
-    # at epsilon = -1e308 the seed overflows (u = inf) and its residual is NaN
-    cfg = tmp_path / "seeds.txt"
-    cfg.write_text("-1e308 0\n-2.5 0\n")
-    out = tmp_path / "v.csv"
-    res = run_cli(["--command", "validate", "--seed-config", str(cfg),
-                   "--out", str(out)], tmp_path)
-    assert res.returncode == 1
-    _, _, rows = read_csv(out)
-    row = next(r for r in rows if r[0] == "seed-config-model")
-    assert row[1] == "FAIL"
-    assert "misses its defining equation" in ",".join(row[2:])
-
-
 def test_validate_doubles_the_quotes_of_a_detail(tmp_path, run_cli, monkeypatch):
     # a crashed check reports its exception text, which may hold quotes
     def crash():
@@ -762,35 +753,6 @@ def test_validate_fails_an_identity_check_whose_moment_does_not_converge(
                               "identity-resolution-reference", "iso-measure-identity"]
     assert all("NonConvergence: qag on [0.0, " in d and "ier 1," in d
                for d in failed.values())
-
-
-def test_every_command_rejects_an_unreadable_seed_config(tmp_path, run_cli):
-    # the config hash reads the seed file, so no command may start without it
-    out = tmp_path / "d.csv"
-    res = run_cli(["--command", "density", "--seed-config", str(tmp_path / "none.txt"),
-                   "--out", str(out)], tmp_path)
-    assert res.returncode == 2
-    assert "cannot read seed config" in res.stderr
-    assert not out.exists()
-
-
-def test_validate_rejects_unparsable_seed_config(tmp_path, run_cli):
-    cfg = tmp_path / "seeds.txt"
-    cfg.write_text("-5.5 banana\n")
-    res = run_cli(["--command", "validate", "--seed-config", str(cfg),
-                   "--out", str(tmp_path / "v.csv")], tmp_path)
-    assert res.returncode == 2
-    assert "configuration error" in res.stderr
-
-
-@pytest.mark.parametrize("command", ["validate", "entropy"])
-def test_a_seed_config_that_is_not_utf8_is_a_configuration_error(tmp_path, run_cli, command):
-    cfg = tmp_path / "seeds.txt"
-    cfg.write_bytes(b"\xff\xfe-5.5 0.1\n")
-    res = run_cli(["--command", command, "--seed-config", str(cfg),
-                   "--out", str(tmp_path / "x.csv")], tmp_path)
-    assert res.returncode == 2
-    assert "configuration error: cannot read seed config" in res.stderr
 
 
 @pytest.mark.parametrize("command", ["uncertainty", "validate"])

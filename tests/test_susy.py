@@ -11,8 +11,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial, hermite
 
-from oracles import transformed_eigenfunction_rows
+from oracles import seed_second_derivative, transformed_eigenfunction_rows
 from truncosc.coherent import (
     Family,
     build_cs,
@@ -24,6 +25,8 @@ from truncosc.fock import Basis, level_energy, rows
 from truncosc.numerics import gauss_halfline, log_gamma_signed, rising_factorial
 from truncosc.susy import (
     _DEN,
+    _ETA_NUM,
+    _PHI_NEW_NUM,
     DELTA1,
     NEW_ENERGIES,
     Q4_SEED_ASYMMETRY,
@@ -62,7 +65,7 @@ def test_seed_second_derivative_routes_agree():
     x = np.linspace(0.2, 3.0, 30)
     s = SeedSolution(-3.5, math.inf)
     assert np.allclose(s.derivatives(x, order=2)[2],
-                       s.second_derivative_direct(x), rtol=1e-10, atol=1e-10)
+                       seed_second_derivative(s, x), rtol=1e-10, atol=1e-10)
 
 
 def test_seed_parity_branches():
@@ -167,6 +170,68 @@ def test_general_route_matches_the_intertwiner_route():
         general = transformed_eigenfunction_rows(Q4_SEEDS, n, x)[0]
         ratio = general / explicit[n]
         assert np.max(np.abs(ratio - ratio[0])) < 1e-8 * abs(ratio[0]), n
+
+
+# ----------------------------------------------------------------------------
+# the frozen partner data from four pseudo-Hermite polynomials
+# ----------------------------------------------------------------------------
+#
+# At the seed energies -n - 1/2 (n = 5, 4, 3, 2) the oscillator equation
+# has the solutions h_n(x) e^{x^2/2}, with h_n(x) = i^{-n} H_n(ix); the k-th
+# derivative of such a seed is e^{x^2/2} D^k h_n for D = d/dx + x.  Every
+# intermediate coefficient below is an integer under 1e11, so the float
+# polynomial arithmetic is exact.
+
+SEED_DEGREES = (5, 4, 3, 2)
+
+
+def _pseudo_hermite(n: int) -> Polynomial:
+    # i^{k - n} = (-1)^{(n - k)/2} on the powers x^k that H_n holds
+    coef = hermite.herm2poly([0] * n + [1])
+    return Polynomial([c * (-1) ** ((n - k) // 2) for k, c in enumerate(coef)])
+
+
+def _derivative_stack(rows: int) -> list:
+    """[D^k h_n for n in SEED_DEGREES] for k = 0 .. rows - 1."""
+    stack = [[_pseudo_hermite(n) for n in SEED_DEGREES]]
+    while len(stack) < rows:
+        stack.append([p.deriv() + Polynomial([0, 1]) * p for p in stack[-1]])
+    return stack
+
+
+def _det(matrix: list) -> Polynomial:
+    """Determinant of a square matrix of polynomials, along its first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = Polynomial([0])
+    for j, entry in enumerate(matrix[0]):
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        total = total + (-1) ** j * entry * _det(minor)
+    return total
+
+
+def _coefficients(p: Polynomial) -> np.ndarray:
+    return p.trim().coef
+
+
+def test_seed_wronskian_is_the_frozen_denominator():
+    assert np.array_equal(_coefficients(_det(_derivative_stack(4))),
+                          12288 * _coefficients(_DEN))
+
+
+def test_fifth_row_cofactors_are_the_frozen_intertwiner():
+    stack = _derivative_stack(5)
+    for i in range(4):
+        cofactor = (-1) ** i * _det([row for k, row in enumerate(stack) if k != i]) / 12288
+        assert np.array_equal(_coefficients(cofactor), _coefficients(_ETA_NUM[i])), i
+
+
+@pytest.mark.parametrize("dropped, level", [(4, 0), (2, 1)])
+def test_three_seed_wronskians_are_the_frozen_bound_states(dropped, level):
+    keep = [j for j, n in enumerate(SEED_DEGREES) if n != dropped]
+    wronskian = _det([[row[j] for j in keep] for row in _derivative_stack(3)])
+    ratio = wronskian(GRID) / _PHI_NEW_NUM[level](GRID)
+    assert np.ptp(ratio) < 1e-13 * abs(ratio[0])
 
 
 # ----------------------------------------------------------------------------
